@@ -42,7 +42,6 @@ from .extremality import (
 )
 from .families import (
     CirclePhasePOVM,
-    ConstantScheme,
     ContinuousPOVM,
     EquivalenceReport,
     FiniteMixtureScheme,
@@ -50,6 +49,7 @@ from .families import (
     RandomizedScheme,
     SpinDirectionPOVM,
     SternGerlachScheme,
+    named_family,
     phase_povm,
     phase_scheme,
     scheme_from_decomposition,
@@ -70,7 +70,6 @@ from .povm import (
 )
 from .sampling import (
     GofReport,
-    OutcomeRecord,
     OutcomeRecords,
     compare_samples,
     make_rng,

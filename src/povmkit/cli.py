@@ -15,27 +15,14 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .errors import PovmkitError, SchemaError
+from .errors import DimensionMismatch, PovmkitError, SchemaError, SpaceMismatch
 from .extremality import decompose_extremal, perturbation_space
-from .families import (
-    phase_povm,
-    phase_scheme,
-    spin_direction_povm,
-    stern_gerlach_scheme,
-    verify_scheme_equivalence,
-)
+from .families import named_family, verify_scheme_equivalence
 from .merit import bayes_gain, check_equal_optimality
 from .operators import GAP_THRESHOLD, TOL_COMPLETE, TOL_PSD
 from .povm import validate_povm
 from .sampling import compare_samples, sample_direct, sample_two_stage
-from .tomography import (
-    dual_coefficients,
-    estimate_expectation,
-    phase_dual,
-    phase_dual_residual,
-    spin_dual,
-    spin_dual_residual,
-)
+from .tomography import dual_coefficients, estimate_expectation
 
 _TOLERANCE_KEYS = ("psd", "complete", "gap")
 
@@ -49,31 +36,6 @@ def _fail_input(message: str) -> int:
     sys.stderr.write(ser.dumps_canonical({"error": message}))
     sys.stderr.write("\n")
     return 2
-
-
-def _parse_family(text: str):
-    """Family spec: 'spin' (alias 'spin_direction') or 'phase:<d>'."""
-    if text in ("spin", "spin_direction", "stern_gerlach"):
-        return "spin", 2
-    if text.startswith("phase:"):
-        try:
-            d = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise SchemaError(f"bad family spec {text!r}") from exc
-        return "phase", d
-    if text == "phase":
-        raise SchemaError("phase family needs a dimension, e.g. phase:3")
-    raise SchemaError(f"unknown family {text!r}")
-
-
-def _continuous(text: str):
-    kind, d = _parse_family(text)
-    return spin_direction_povm() if kind == "spin" else phase_povm(d)
-
-
-def _scheme(text: str):
-    kind, d = _parse_family(text)
-    return stern_gerlach_scheme() if kind == "spin" else phase_scheme(d)
 
 
 def _parse_tolerances(pairs) -> dict:
@@ -151,8 +113,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    c = _continuous(args.family)
-    s = _scheme(args.family)
+    c, s = named_family(args.family)
     states = ser.load_states(args.states)
     regions = ser.load_regions(args.regions)
     _guard_output(args.output, [args.states, args.regions])
@@ -174,10 +135,11 @@ def _cmd_equiv(args) -> int:
 def _cmd_sample(args) -> int:
     rho = _single_state(args.state)
     _guard_output(args.output, [args.state])
+    c, s = named_family(args.family)
     if args.scheme:
-        records = sample_two_stage(_scheme(args.family), rho, args.n, args.seed)
+        records = sample_two_stage(s, rho, args.n, args.seed)
     else:
-        records = sample_direct(_continuous(args.family), rho, args.n, args.seed)
+        records = sample_direct(c, rho, args.n, args.seed)
     ser.write_records(args.output, records)
     _emit({"written": args.output, "n": len(records)})
     return 0
@@ -200,13 +162,10 @@ def _cmd_gof(args) -> int:
 def _cmd_merit(args) -> int:
     spec = ser.bayes_spec_from_dict(ser.load_json(args.spec))
     _guard_output(args.output, [args.spec])
+    c, s = named_family(args.family)
     if args.scheme:
         report = check_equal_optimality(
-            _scheme(args.family),
-            spec,
-            x_samples=args.samples,
-            tol=args.tol if args.tol is not None else 1e-9,
-            seed=args.seed or 0,
+            s, spec, x_samples=args.samples, seed=args.seed or 0
         )
         payload = ser.merit_report_to_dict(report)
         if args.output:
@@ -215,7 +174,7 @@ def _cmd_merit(args) -> int:
         if args.tol is not None and report.spread > args.tol:
             return 1
         return 0
-    value = bayes_gain(_continuous(args.family), spec)
+    value = bayes_gain(c, spec)
     payload = {"schema": 1, "value": value}
     if args.output:
         ser.write_json(args.output, payload)
@@ -235,13 +194,9 @@ def _cmd_tomo(args) -> int:
             )
         )
     else:
-        kind, d = _parse_family(args.family)
-        if kind == "spin":
-            dual = spin_dual(target)
-            residual = float(spin_dual_residual(dual))
-        else:
-            dual = phase_dual(d, target)
-            residual = float(phase_dual_residual(dual))
+        c, _ = named_family(args.family)
+        dual = c.dual(target)
+        residual = float(c.dual_residual(dual))
     payload = {"dual": ser.dual_to_dict(dual), "residual": residual}
     if args.records:
         records = ser.read_records(args.records)
@@ -351,9 +306,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        return _fail_input(str(exc))
-    except FileNotFoundError as exc:
+    except (SchemaError, DimensionMismatch, SpaceMismatch, FileNotFoundError) as exc:
         return _fail_input(str(exc))
     except PovmkitError as exc:
         sys.stderr.write(ser.dumps_canonical({"check_failed": str(exc)}))

@@ -68,7 +68,7 @@ def _support_hermitian_basis(element: np.ndarray, threshold: float, check_band: 
     return [vecs @ b @ vecs.conj().T for b in op.hermitian_basis(r)] if r else []
 
 
-def _canonical_kernel_basis(kernel, slot_count: int):
+def _canonical_kernel_basis(kernel):
     """Deterministically rotate an orthonormal kernel basis.
 
     The SVD returns an arbitrary orthonormal basis of the kernel; to make
@@ -151,7 +151,7 @@ def perturbation_space(
         return (np.sum(t, axis=0),)
 
     kernel = op.hermitian_nullspace(total, domain_basis, gap=gap)
-    kernel = _canonical_kernel_basis(kernel, n_slots)
+    kernel = _canonical_kernel_basis(kernel)
 
     out = []
     for t in kernel:

@@ -13,9 +13,20 @@ Each comes with its exact randomization: a classical mixing distribution
 over a parameter x together with a map from x to a finite POVM whose
 relabeled outcomes reproduce the continuous statistics — a uniformly
 oriented two-outcome projective measurement for the spin family, and a
-uniformly shifted d-point phase comb for the phase family.  Region
-probabilities of scheme averages agree with the continuous POVM exactly;
-`verify_scheme_equivalence` checks that numerically state by state.
+uniformly shifted d-point phase comb for the phase family.  Explicit
+finite mixtures of finite POVMs (`FiniteMixtureScheme`) are schemes too.
+Region probabilities of scheme averages agree with the continuous POVM
+exactly; `verify_scheme_equivalence` checks that numerically state by
+state.
+
+Everything that depends on the family lives on these classes: a
+continuous POVM draws its own outcomes (`ContinuousPOVM.sample`) and
+gives its dual processing; a scheme gives its mixing quadrature nodes
+(`RandomizedScheme.mixing_nodes`) and its per-member Born probabilities
+and outcome points, on which one vectorized two-stage kernel
+(`RandomizedScheme.sample`) and the Monte Carlo average run for every
+scheme.  `named_family` is the one table from family names (``spin``,
+its aliases, ``phase:<d>``) to the (continuous POVM, scheme) pair.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ import numpy as np
 
 from . import operators as op
 from . import quadrature as quad
-from .errors import InvalidDimension, SpaceMismatch, UnsupportedFamily
+from .catalog import PAULI_X, PAULI_Y, PAULI_Z
+from .errors import InvalidDimension, SchemaError, SpaceMismatch, UnsupportedFamily
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -38,13 +50,6 @@ from .outcomes import (
     require_same_space,
 )
 from .povm import FinitePOVM, born_probabilities, probability_of_region
-
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 # --- state vectors ----------------------------------------------------------
 
@@ -81,6 +86,32 @@ def phase_intensity(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("ni,ij,nj->n", kets.conj(), rho, kets).real, 0.0, None)
 
 
+def _bloch_vector(psi: np.ndarray) -> np.ndarray:
+    a, b = psi
+    return np.array(
+        [2.0 * (np.conj(a) * b).real, 2.0 * (np.conj(a) * b).imag,
+         (abs(a) ** 2 - abs(b) ** 2)]
+    )
+
+
+def spin_polar_cdf(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """CDF of the polar cosine in the state's eigenframe (test hook)."""
+    w, _ = op.eigh(rho)
+    r = 2.0 * float(w[0]) - 1.0
+    return (u + 1.0) / 2.0 + r * (u * u - 1.0) / 4.0
+
+
+def phase_cdf(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``."""
+    d = rho.shape[0]
+    phi = np.asarray(phi, dtype=float)
+    total = phi.astype(float).copy()
+    for k in range(1, d):
+        ck = np.trace(rho, offset=k)
+        total += (2.0 / k) * (ck * (np.exp(1j * k * phi) - 1.0)).imag
+    return total / TWO_PI
+
+
 # --- continuous POVMs -------------------------------------------------------
 
 class ContinuousPOVM:
@@ -102,6 +133,18 @@ class ContinuousPOVM:
         rho = op.check_density_matrix(rho)
         val = float(np.trace(rho @ self.region_operator(region)).real)
         return min(max(val, 0.0), 1.0)
+
+    def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` i.i.d. outcome points from the density ``Tr[rho M(omega)]``."""
+        raise UnsupportedFamily(f"no direct sampler for family {self.family!r}")
+
+    def dual(self, a: np.ndarray):
+        """Outcome function whose mean over outcomes estimates ``Tr[rho a]``."""
+        raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
+
+    def dual_residual(self, dual) -> float:
+        """Frobenius norm of ``int f(omega) M(omega) - A`` for ``dual = (f, A)``."""
+        raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
 
 
 class SpinDirectionPOVM(ContinuousPOVM):
@@ -126,7 +169,7 @@ class SpinDirectionPOVM(ContinuousPOVM):
         """
         c = float(np.cos(angle))
         ax = np.asarray(axis, dtype=float)
-        sig = ax[0] * PAULI["x"] + ax[1] * PAULI["y"] + ax[2] * PAULI["z"]
+        sig = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
         return (1.0 - c) * np.eye(2, dtype=complex) / 2.0 + (1.0 - c * c) / 4.0 * sig
 
     def region_operator(self, region: Region) -> np.ndarray:
@@ -142,6 +185,37 @@ class SpinDirectionPOVM(ContinuousPOVM):
         if region.complement:
             total = np.eye(2, dtype=complex) - total
         return total
+
+    def sample(self, rho, n, rng):
+        """Directions from the density ``<n|rho|n>/2pi`` via exact inversion.
+
+        In the eigenframe of ``rho`` the polar cosine u has density
+        ``(1 + r u)/2`` with r = 2*(top eigenvalue) - 1, inverted in closed
+        form; the azimuth is uniform.
+        """
+        w, v = op.eigh(rho)
+        axis = _bloch_vector(v[:, 0])
+        r = 2.0 * float(w[0]) - 1.0
+        vdraw = rng.uniform(0.0, 1.0, n)
+        if abs(r) < 1e-12:
+            u = 2.0 * vdraw - 1.0
+        else:
+            u = (-1.0 + np.sqrt((1.0 - r) ** 2 + 4.0 * r * vdraw)) / r
+        u = np.clip(u, -1.0, 1.0)
+        phi = rng.uniform(0.0, TWO_PI, n)
+        s = np.sqrt(1.0 - u * u)
+        local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
+        return local @ quad.rotation_to(axis).T
+
+    def dual(self, a):
+        from .tomography import spin_dual
+
+        return spin_dual(a)
+
+    def dual_residual(self, dual):
+        from .tomography import spin_dual_residual
+
+        return spin_dual_residual(dual)
 
 
 class CirclePhasePOVM(ContinuousPOVM):
@@ -181,6 +255,28 @@ class CirclePhasePOVM(ContinuousPOVM):
             total += self._interval_operator(self.dim, a, b)
         return total
 
+    def sample(self, rho, n, rng):
+        """Phases by bisecting the closed-form CDF to 1e-12."""
+        targets = rng.uniform(0.0, 1.0, n)
+        lo = np.zeros(n)
+        hi = np.full(n, TWO_PI)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = phase_cdf(rho, mid) < targets
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def dual(self, a):
+        from .tomography import phase_dual
+
+        return phase_dual(self.dim, a)
+
+    def dual_residual(self, dual):
+        from .tomography import phase_dual_residual
+
+        return phase_dual_residual(dual)
+
 
 def spin_direction_povm() -> SpinDirectionPOVM:
     return SpinDirectionPOVM()
@@ -193,7 +289,14 @@ def phase_povm(d: int) -> CirclePhasePOVM:
 # --- randomized schemes -----------------------------------------------------
 
 class RandomizedScheme:
-    """Classical mixture over x of finite POVMs with relabeled outcomes."""
+    """Classical mixture over x of finite POVMs with relabeled outcomes.
+
+    Subclasses give the mixing law (`sample_x`, `mixing_nodes`), the
+    members (`member`), their Born probabilities and outcome points in
+    bulk (`member_probabilities`, `outcome_points`) and the deterministic
+    mixing average of a region probability; sampling and the Monte Carlo
+    average are shared.
+    """
 
     parameter_space: OutcomeSpace
     outcome_space: OutcomeSpace
@@ -206,13 +309,38 @@ class RandomizedScheme:
     def sample_x(self, rng: np.random.Generator, size: int):
         raise NotImplementedError
 
-    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        """Born probabilities of each member's entries, shape (m, n_entries)."""
-        return np.array([born_probabilities(self.member(x), rho) for x in xs])
+    def mixing_nodes(self):
+        """Mixing quadrature nodes and weights normalized to sum to 1."""
+        raise UnsupportedFamily(f"no mixing quadrature for scheme {self.family!r}")
 
-    def outcome_points(self, xs):
-        """Outcome points per member entry, aligned with member_probabilities."""
-        return [self.member(x).points for x in xs]
+    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
+        """Born probabilities of each member's entries, shape (n, m)."""
+        raise NotImplementedError
+
+    def outcome_points(self, xs) -> np.ndarray:
+        """Outcome points per member entry, aligned with member_probabilities:
+        shape (n, m) on the circle and label sets, (n, m, 3) on the sphere."""
+        raise NotImplementedError
+
+    def _deterministic_average(self, rho, region, budget) -> float:
+        raise NotImplementedError
+
+    def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator):
+        """``n`` two-stage draws ``(x, i, omega)``.
+
+        Draw the mixing parameters x, then an apparatus outcome i from the
+        Born probabilities of member x (one uniform per draw against their
+        cumulative sum), and declare that entry's outcome point omega.
+        """
+        xs, probs, points = self._draw_members(rho, n, rng)
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        i = (rng.uniform(0.0, 1.0, n)[:, None] > cum).sum(axis=1)
+        return xs, i, points[np.arange(n), i]
+
+    def _draw_members(self, rho, n: int, rng):
+        xs = self.sample_x(rng, n)
+        return xs, self.member_probabilities(xs, rho), np.asarray(self.outcome_points(xs))
 
     def average_region_probability(
         self,
@@ -224,22 +352,27 @@ class RandomizedScheme:
     ) -> tuple[float, float | None]:
         """Mixing average of member region probabilities.
 
-        Returns ``(value, standard_error)``; the standard error is None
-        in deterministic mode.
+        Mode ``"deterministic"`` (``"det"``) integrates the mixing
+        parameter by quadrature with about ``budget`` nodes; mode
+        ``"montecarlo"`` (``"mc"``) averages ``budget`` draws of ``rng``
+        (default 100000).  Returns ``(value, standard_error)``; the
+        standard error is None in deterministic mode.
         """
-        raise NotImplementedError
+        require_same_space(self.outcome_space, region.space, "scheme and region")
+        rho = op.check_density_matrix(rho)
+        if mode in ("deterministic", "det"):
+            return self._deterministic_average(rho, region, budget), None
+        if mode in ("montecarlo", "mc"):
+            if rng is None:
+                raise ValueError("montecarlo mode needs an rng")
+            return self._montecarlo_average(rho, region, budget or 100_000, rng)
+        raise ValueError(f"unknown mode {mode!r}")
 
     def _montecarlo_average(self, rho, region, n: int, rng) -> tuple[float, float]:
-        xs = self.sample_x(rng, n)
-        probs = self.member_probabilities(xs, rho)
-        vals = np.zeros(len(xs))
-        points = self.outcome_points(xs)
-        for j, pts in enumerate(points):
-            inside = region.contains(
-                np.array(pts) if region.caps is not None else np.array(pts, dtype=float)
-            )
-            vals[j] = float(np.sum(probs[j][inside]))
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+        _, probs, points = self._draw_members(rho, n, rng)
+        inside = region.contains(points.reshape(probs.size, *points.shape[2:]))
+        vals = (probs * inside.reshape(probs.shape)).sum(axis=1)
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
 class SternGerlachScheme(RandomizedScheme):
@@ -281,6 +414,10 @@ class SternGerlachScheme(RandomizedScheme):
         s = np.sqrt(1.0 - u * u)
         return np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
 
+    def mixing_nodes(self):
+        pts, w = quad.sphere_nodes(8, 16)
+        return list(pts), w / (2.0 * TWO_PI)
+
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(xs, dtype=float))
         q_up = spinor_expectations(rho, plus_spinors(pts))
@@ -292,31 +429,22 @@ class SternGerlachScheme(RandomizedScheme):
         pts = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.stack([pts, -pts, pts, -pts], axis=1)
 
-    def average_region_probability(self, rho, region, mode="deterministic",
-                                   budget=None, rng=None):
-        require_same_space(self.outcome_space, region.space, "scheme and region")
-        rho = op.check_density_matrix(rho)
-        if mode in ("deterministic", "det"):
-            budget = budget or quad.DEFAULT_SPHERE_BUDGET
-            mirrored = Region.of_caps(
-                [(tuple(-c.axis_array), c.angle) for c in region.caps],
-                complement=region.complement,
-            )
+    def _deterministic_average(self, rho, region, budget):
+        budget = budget or quad.DEFAULT_SPHERE_BUDGET
+        mirrored = Region.of_caps(
+            [(tuple(-c.axis_array), c.angle) for c in region.caps],
+            complement=region.complement,
+        )
 
-            def q_up(pts):
-                return self.member_probabilities(pts, rho)[:, 0]
+        def q_up(pts):
+            return self.member_probabilities(pts, rho)[:, 0]
 
-            def q_dn(pts):
-                return self.member_probabilities(pts, rho)[:, 1]
+        def q_dn(pts):
+            return self.member_probabilities(pts, rho)[:, 1]
 
-            total = quad.integrate_sphere_region(q_up, region, budget)
-            total += quad.integrate_sphere_region(q_dn, mirrored, budget)
-            return float(total) / (2.0 * TWO_PI), None
-        if mode in ("montecarlo", "mc"):
-            if rng is None:
-                raise ValueError("montecarlo mode needs an rng")
-            return self._montecarlo_average(rho, region, budget or 100_000, rng)
-        raise ValueError(f"unknown mode {mode!r}")
+        total = quad.integrate_sphere_region(q_up, region, budget)
+        total += quad.integrate_sphere_region(q_dn, mirrored, budget)
+        return float(total) / (2.0 * TWO_PI)
 
 
 class PhaseShiftScheme(RandomizedScheme):
@@ -352,6 +480,10 @@ class PhaseShiftScheme(RandomizedScheme):
     def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(0.0, self.window, size)
 
+    def mixing_nodes(self):
+        x, w = quad.gauss_legendre(16, 0.0, self.window)
+        return list(x), w * self.dim / TWO_PI
+
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         angles = xs[:, None] + self.comb[None, :]
@@ -362,38 +494,35 @@ class PhaseShiftScheme(RandomizedScheme):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return normalize_angle(xs[:, None] + self.comb[None, :])
 
-    def average_region_probability(self, rho, region, mode="deterministic",
-                                   budget=None, rng=None):
-        require_same_space(self.outcome_space, region.space, "scheme and region")
-        rho = op.check_density_matrix(rho)
-        if mode in ("deterministic", "det"):
-            budget = budget or 1024
-            total = 0.0
-            for n in range(self.dim):
-                shifted = Region.of_arcs(
-                    [(a - self.comb[n], b - self.comb[n]) for a, b in region.arcs]
-                )
-                pieces = quad.intersect_arcs_with_window(
-                    shifted.arcs, 0.0, self.window
-                )
-                if not pieces:
-                    continue
-                order = int(min(64, max(12, budget // max(1, len(pieces) * self.dim))))
+    def _deterministic_average(self, rho, region, budget):
+        budget = budget or 1024
+        total = 0.0
+        for n in range(self.dim):
+            shifted = Region.of_arcs(
+                [(a - self.comb[n], b - self.comb[n]) for a, b in region.arcs]
+            )
+            pieces = quad.intersect_arcs_with_window(
+                shifted.arcs, 0.0, self.window
+            )
+            if not pieces:
+                continue
+            order = int(min(64, max(12, budget // max(1, len(pieces) * self.dim))))
 
-                def q_n(x, n=n):
-                    return self.member_probabilities(x, rho)[:, n]
+            def q_n(x, n=n):
+                return self.member_probabilities(x, rho)[:, n]
 
-                total += quad.integrate_intervals(q_n, pieces, order=order)
-            return float(total) * self.dim / TWO_PI, None
-        if mode in ("montecarlo", "mc"):
-            if rng is None:
-                raise ValueError("montecarlo mode needs an rng")
-            return self._montecarlo_average(rho, region, budget or 100_000, rng)
-        raise ValueError(f"unknown mode {mode!r}")
+            total += quad.integrate_intervals(q_n, pieces, order=order)
+        return float(total) * self.dim / TWO_PI
 
 
 class FiniteMixtureScheme(RandomizedScheme):
-    """Explicit finite mixture of finite POVMs over a shared outcome space."""
+    """Explicit finite mixture of finite POVMs over a shared outcome space.
+
+    The mixing parameter is the term index.  Members with fewer entries
+    than the largest are padded with zero-probability entries, so every
+    member has the same entry count in `member_probabilities` and
+    `outcome_points`.
+    """
 
     def __init__(self, terms):
         terms = [(float(w), povm) for w, povm in terms]
@@ -410,6 +539,10 @@ class FiniteMixtureScheme(RandomizedScheme):
         self.outcome_space = first.space
         self.dim = first.dim
         self.family = "finite_mixture"
+        width = max(len(povm) for _, povm in terms)
+        self._points = np.array(
+            [povm.points + povm.points[:1] * (width - len(povm)) for _, povm in terms]
+        )
 
     def member(self, x) -> FinitePOVM:
         return self.terms[int(x)][1]
@@ -418,43 +551,22 @@ class FiniteMixtureScheme(RandomizedScheme):
         w = np.array([w for w, _ in self.terms])
         return rng.choice(len(self.terms), size=size, p=w / w.sum())
 
-    def average_region_probability(self, rho, region, mode="deterministic",
-                                   budget=None, rng=None):
-        rho = op.check_density_matrix(rho)
-        if mode in ("montecarlo", "mc"):
-            if rng is None:
-                raise ValueError("montecarlo mode needs an rng")
-            return self._montecarlo_average(rho, region, budget or 100_000, rng)
-        val = sum(
-            w * probability_of_region(povm, rho, region) for w, povm in self.terms
+    def mixing_nodes(self):
+        return list(range(len(self.terms))), np.array([w for w, _ in self.terms])
+
+    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
+        table = np.zeros(self._points.shape[:2])
+        for k, (_, povm) in enumerate(self.terms):
+            table[k, : len(povm)] = born_probabilities(povm, rho)
+        return table[np.asarray(xs, dtype=int)]
+
+    def outcome_points(self, xs):
+        return self._points[np.asarray(xs, dtype=int)]
+
+    def _deterministic_average(self, rho, region, budget):
+        return float(
+            sum(w * probability_of_region(povm, rho, region) for w, povm in self.terms)
         )
-        return float(val), None
-
-
-class ConstantScheme(RandomizedScheme):
-    """Degenerate one-member wrapper around a continuous POVM.
-
-    Useful as the identity-mixing baseline: equivalence against the
-    wrapped POVM is zero by construction.
-    """
-
-    def __init__(self, c: ContinuousPOVM):
-        self.wrapped = c
-        self.parameter_space = FiniteLabels(1)
-        self.outcome_space = c.space
-        self.dim = c.dim
-        self.family = f"constant({c.family})"
-
-    def member(self, x):
-        raise UnsupportedFamily("constant scheme has no finite member")
-
-    def sample_x(self, rng, size):
-        return np.zeros(size, dtype=int)
-
-    def average_region_probability(self, rho, region, mode="deterministic",
-                                   budget=None, rng=None):
-        return self.wrapped.region_probability(rho, region), None
-
 
 def stern_gerlach_scheme() -> SternGerlachScheme:
     return SternGerlachScheme()
@@ -467,6 +579,26 @@ def phase_scheme(d: int) -> PhaseShiftScheme:
 def scheme_from_decomposition(result) -> FiniteMixtureScheme:
     """View a convex decomposition as a finite randomized scheme."""
     return FiniteMixtureScheme(list(result.terms))
+
+
+def named_family(name: str) -> tuple[ContinuousPOVM, RandomizedScheme]:
+    """The (continuous POVM, randomized scheme) pair of a family name.
+
+    Names are ``spin`` (aliases ``spin_direction``, ``stern_gerlach``)
+    and ``phase:<d>``; anything else raises :class:`SchemaError`.
+    """
+    if name in ("spin", "spin_direction", "stern_gerlach"):
+        return SpinDirectionPOVM(), SternGerlachScheme()
+    kind, sep, arg = name.partition(":")
+    if kind != "phase":
+        raise SchemaError(f"unknown family {name!r}")
+    if not sep:
+        raise SchemaError("phase family needs a dimension, e.g. phase:3")
+    try:
+        d = int(arg)
+    except ValueError as exc:
+        raise SchemaError(f"bad family spec {name!r}") from exc
+    return CirclePhasePOVM(d), PhaseShiftScheme(d)
 
 
 # --- equivalence checking ---------------------------------------------------

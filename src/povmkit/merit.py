@@ -26,11 +26,8 @@ from .errors import SpaceMismatch
 from .families import (
     CirclePhasePOVM,
     ContinuousPOVM,
-    FiniteMixtureScheme,
-    PhaseShiftScheme,
     RandomizedScheme,
     SpinDirectionPOVM,
-    SternGerlachScheme,
     phase_kets,
     plus_spinors,
 )
@@ -87,8 +84,7 @@ class MeritReport:
 
 
 def _sphere_prior_nodes(budget: int):
-    n_u = max(8, int(round(np.sqrt(budget / 2.0))))
-    pts, w = quad.sphere_nodes(n_u, 2 * n_u)
+    pts, w = quad.sphere_nodes(*quad.sphere_grid(budget))
     return pts, w / (2.0 * TWO_PI)  # uniform prior dm/4pi
 
 
@@ -184,54 +180,31 @@ def bayes_gain(
     raise SpaceMismatch("circle prior incompatible with this POVM")
 
 
-def _scheme_nodes(s: RandomizedScheme):
-    """Mixing quadrature nodes and normalized weights for a scheme."""
-    if isinstance(s, SternGerlachScheme):
-        pts, w = quad.sphere_nodes(8, 16)
-        return list(pts), w / (2.0 * TWO_PI)
-    if isinstance(s, PhaseShiftScheme):
-        x, w = quad.gauss_legendre(16, 0.0, s.window)
-        return list(x), w * s.dim / TWO_PI
-    if isinstance(s, FiniteMixtureScheme):
-        return list(range(len(s.terms))), np.array([w for w, _ in s.terms])
-    raise SpaceMismatch(f"no mixing quadrature for scheme {s.family!r}")
-
-
 def check_equal_optimality(
     s: RandomizedScheme,
     spec: BayesGainSpec,
     x_samples: int = 16,
-    tol: float = 1e-9,
     seed: int = 0,
     budget: int = DEFAULT_PRIOR_BUDGET,
-    figure=None,
 ) -> MeritReport:
-    """Evaluate the figure on members at quadrature nodes and random draws.
+    """Evaluate the Bayes gain of members at quadrature nodes and random draws.
 
-    ``value`` is the mixing-weighted average over the quadrature nodes;
-    ``spread`` is max - min over all evaluated members.  ``figure`` may
-    replace the built-in Bayes gain with any per-POVM functional.
+    ``value`` is the mixing-weighted average over the scheme's mixing
+    quadrature nodes; ``spread`` is max - min over all evaluated members,
+    including ``x_samples`` members drawn from the mixing law with ``seed``.
     """
-    fig = figure or (lambda povm: bayes_gain(povm, spec, budget=budget))
-    xs, w = _scheme_nodes(s)
+    xs, w = s.mixing_nodes()
     per = []
     vals = []
     for x in xs:
-        v = float(fig(s.member(x)))
+        v = bayes_gain(s.member(x), spec, budget=budget)
         vals.append(v)
         per.append((_x_label(x), v))
     value = float(np.dot(w, vals))
     if x_samples > 0:
-        rng = make_rng(seed)
-        for x in _random_x(s, rng, x_samples):
-            per.append((_x_label(x), float(fig(s.member(x)))))
-    report = MeritReport(value=value, per_member=tuple(per))
-    return report
-
-
-def _random_x(s: RandomizedScheme, rng, count: int):
-    xs = s.sample_x(rng, count)
-    return list(xs)
+        for x in s.sample_x(make_rng(seed), x_samples):
+            per.append((_x_label(x), bayes_gain(s.member(x), spec, budget=budget)))
+    return MeritReport(value=value, per_member=tuple(per))
 
 
 def _x_label(x):

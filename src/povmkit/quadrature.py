@@ -38,7 +38,8 @@ def rotation_to(axis: np.ndarray) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
 
-def _budget_to_grid(budget: int) -> tuple[int, int]:
+def sphere_grid(budget: int) -> tuple[int, int]:
+    """Polar and azimuthal node counts ``(n_u, 2*n_u)`` for a node budget."""
     n_u = max(8, int(round(np.sqrt(budget / 2.0))))
     return n_u, 2 * n_u
 
@@ -82,7 +83,7 @@ def integrate_sphere(f, budget: int = DEFAULT_SPHERE_BUDGET) -> float | np.ndarr
     ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
     array of values.
     """
-    n_u, n_phi = _budget_to_grid(budget)
+    n_u, n_phi = sphere_grid(budget)
     pts, w = sphere_nodes(n_u, n_phi)
     vals = np.asarray(f(pts))
     return np.tensordot(w, vals, axes=(0, 0))
@@ -102,7 +103,7 @@ def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDG
         raise ValueError(
             "closed-form region integration requires pairwise disjoint caps"
         )
-    n_u, n_phi = _budget_to_grid(budget)
+    n_u, n_phi = sphere_grid(budget)
     total = 0.0
     for cap in region.caps:
         pts, w = sphere_cap_nodes(cap, n_u, n_phi)

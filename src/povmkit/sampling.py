@@ -2,16 +2,21 @@
 
 Two routes produce outcomes of a continuous measurement:
 
-* direct sampling from the exact outcome density (inverse-CDF methods:
-  a quadratic inversion for the spin family, closed-form trigonometric
-  CDF plus bisection for the phase family);
+* direct sampling from the exact outcome density, by the family's own
+  sampler (`ContinuousPOVM.sample`: a quadratic inversion for the spin
+  family, closed-form trigonometric CDF plus bisection for the phase
+  family);
 * the two-stage route: draw the classical mixing parameter, measure the
-  finite member POVM, declare the member's outcome point.
+  finite member POVM, declare the member's outcome point.  One
+  vectorized kernel (`RandomizedScheme.sample`) does this for every
+  scheme, from the scheme's bulk Born probabilities and outcome points.
 
-Both use counter-based Philox generators keyed by explicit seeds, so
-every run is reproducible and parallel streams never overlap by
-construction.  `compare_samples` runs a two-sample chi-square test over
-a region partition to check that the two routes are statistically
+`sample_direct` and `sample_two_stage` check the state once against the
+family's dimension and wrap the draws as `OutcomeRecords`.  Both use
+counter-based Philox generators keyed by explicit seeds, so every run is
+reproducible and parallel streams never overlap by construction.
+`compare_samples` runs a two-sample chi-square test over a region
+partition to check that the two routes are statistically
 indistinguishable.
 """
 
@@ -20,20 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import operators as op
-from . import quadrature as quad
-from .errors import EmptySample, SparseBins, UnsupportedFamily
-from .families import (
-    CirclePhasePOVM,
-    ContinuousPOVM,
-    PhaseShiftScheme,
-    RandomizedScheme,
-    SpinDirectionPOVM,
-    SternGerlachScheme,
-)
-from .outcomes import TWO_PI, normalize_angle
+from .errors import DimensionMismatch, EmptySample, SparseBins
+from .families import ContinuousPOVM, RandomizedScheme
+from .outcomes import CIRCLE, SPHERE, TWO_PI, normalize_angle, require_same_space
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,21 +46,13 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One measurement outcome; ``x``/``i`` absent for direct sampling."""
-
-    omega: object
-    i: int | None = None
-    x: object = None
-
-
 class OutcomeRecords:
-    """Columnar list of outcome records.
+    """Columns of measurement outcomes on one outcome space.
 
-    Behaves as a sequence of :class:`OutcomeRecord` while storing the
-    columns as arrays, which the estimators and the goodness-of-fit
-    machinery consume directly.
+    ``omega`` holds the outcome points; ``i`` (apparatus outcome) and
+    ``x`` (mixing parameter) are set by two-stage sampling only.
+    ``space`` is None when it is unknown, as for label records read back
+    from a file.
     """
 
     def __init__(self, space, omega: np.ndarray, i: np.ndarray | None = None,
@@ -77,96 +65,23 @@ class OutcomeRecords:
     def __len__(self) -> int:
         return len(self.omega)
 
-    def __getitem__(self, k: int) -> OutcomeRecord:
-        return OutcomeRecord(
-            omega=self.omega[k],
-            i=None if self.i is None else int(self.i[k]),
-            x=None if self.x is None else self.x[k],
+
+def _checked_state(rho: np.ndarray, dim: int, n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+    rho = op.check_density_matrix(rho)
+    if rho.shape[0] != dim:
+        raise DimensionMismatch(
+            f"state dimension {rho.shape[0]} != family dimension {dim}"
         )
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
-
-
-# --- direct sampling --------------------------------------------------------
-
-def _bloch_vector(psi: np.ndarray) -> np.ndarray:
-    a, b = psi
-    return np.array(
-        [2.0 * (np.conj(a) * b).real, 2.0 * (np.conj(a) * b).imag,
-         (abs(a) ** 2 - abs(b) ** 2)]
-    )
-
-
-def _sample_spin_direct(rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Directions from the density ``<n|rho|n>/2pi`` via exact inversion.
-
-    In the eigenframe of ``rho`` the polar cosine u has density
-    ``(1 + r u)/2`` with r = 2*(top eigenvalue) - 1, inverted in closed
-    form; the azimuth is uniform.
-    """
-    w, v = op.eigh(rho)
-    axis = _bloch_vector(v[:, 0])
-    r = 2.0 * float(w[0]) - 1.0
-    vdraw = rng.uniform(0.0, 1.0, n)
-    if abs(r) < 1e-12:
-        u = 2.0 * vdraw - 1.0
-    else:
-        u = (-1.0 + np.sqrt((1.0 - r) ** 2 + 4.0 * r * vdraw)) / r
-    u = np.clip(u, -1.0, 1.0)
-    phi = rng.uniform(0.0, TWO_PI, n)
-    s = np.sqrt(1.0 - u * u)
-    local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
-    return local @ quad.rotation_to(axis).T
-
-
-def spin_polar_cdf(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """CDF of the polar cosine in the state's eigenframe (test hook)."""
-    w, _ = op.eigh(rho)
-    r = 2.0 * float(w[0]) - 1.0
-    return (u + 1.0) / 2.0 + r * (u * u - 1.0) / 4.0
-
-
-def phase_cdf(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``."""
-    d = rho.shape[0]
-    phi = np.asarray(phi, dtype=float)
-    total = phi.astype(float).copy()
-    for k in range(1, d):
-        ck = np.trace(rho, offset=k)
-        total += (2.0 / k) * (ck * (np.exp(1j * k * phi) - 1.0)).imag
-    return total / TWO_PI
-
-
-def _sample_phase_direct(rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Phases by bisecting the closed-form CDF to 1e-12."""
-    targets = rng.uniform(0.0, 1.0, n)
-    lo = np.zeros(n)
-    hi = np.full(n, TWO_PI)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = phase_cdf(rho, mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return rho
 
 
 def sample_direct(c: ContinuousPOVM, rho: np.ndarray, n: int, seed: int) -> OutcomeRecords:
-    """i.i.d. outcomes of a named continuous family from its exact density."""
-    rho = op.check_density_matrix(rho)
-    rng = make_rng(seed)
-    if isinstance(c, SpinDirectionPOVM):
-        pts = _sample_spin_direct(rho, n, rng)
-        return OutcomeRecords(space=c.space, omega=pts)
-    if isinstance(c, CirclePhasePOVM):
-        if rho.shape[0] != c.dim:
-            raise UnsupportedFamily("state dimension does not match family")
-        return OutcomeRecords(space=c.space, omega=_sample_phase_direct(rho, n, rng))
-    raise UnsupportedFamily(f"no direct sampler for family {c.family!r}")
+    """i.i.d. outcomes of a continuous family from its exact density."""
+    rho = _checked_state(rho, c.dim, n)
+    return OutcomeRecords(space=c.space, omega=c.sample(rho, n, make_rng(seed)))
 
-
-# --- two-stage sampling -----------------------------------------------------
 
 def sample_two_stage(s: RandomizedScheme, rho: np.ndarray, n: int, seed: int) -> OutcomeRecords:
     """Outcomes via the randomization recipe.
@@ -174,38 +89,9 @@ def sample_two_stage(s: RandomizedScheme, rho: np.ndarray, n: int, seed: int) ->
     Draw the mixing parameter, then an apparatus outcome from the member
     POVM's Born probabilities, then record the member's outcome point.
     """
-    rho = op.check_density_matrix(rho)
-    rng = make_rng(seed)
-    if isinstance(s, SternGerlachScheme):
-        xs = s.sample_x(rng, n)
-        q_up = s.member_probabilities(xs, rho)[:, 0]
-        i = (rng.uniform(0.0, 1.0, n) >= q_up).astype(int)
-        omega = np.where(i[:, None] == 0, xs, -xs)
-        return OutcomeRecords(space=s.outcome_space, omega=omega, i=i, x=xs)
-    if isinstance(s, PhaseShiftScheme):
-        xs = s.sample_x(rng, n)
-        probs = s.member_probabilities(xs, rho)
-        cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
-        draws = rng.uniform(0.0, 1.0, n)
-        i = (draws[:, None] > cum).sum(axis=1)
-        omega = normalize_angle(xs + s.comb[i])
-        return OutcomeRecords(space=s.outcome_space, omega=omega, i=i, x=xs)
-    # generic route: one member at a time
-    xs = s.sample_x(rng, n)
-    idx = np.empty(n, dtype=int)
-    omegas = []
-    for j in range(n):
-        member = s.member(xs[j])
-        from .povm import born_probabilities
-
-        p = born_probabilities(member, rho)
-        total = p.sum()
-        p = p / total if total > 0 else np.full(len(p), 1.0 / len(p))
-        idx[j] = rng.choice(len(p), p=p)
-        omegas.append(member.points[idx[j]])
-    omega = np.array(omegas)
-    return OutcomeRecords(space=s.outcome_space, omega=omega, i=idx, x=np.asarray(xs))
+    rho = _checked_state(rho, s.dim, n)
+    xs, i, omega = s.sample(rho, n, make_rng(seed))
+    return OutcomeRecords(space=s.outcome_space, omega=omega, i=i, x=xs)
 
 
 # --- goodness of fit --------------------------------------------------------
@@ -234,15 +120,21 @@ def circle16_bins(points: np.ndarray) -> np.ndarray:
     return np.minimum((phi / (TWO_PI / 16.0)).astype(int), 15)
 
 
-_PRESETS = {"sphere12": (sphere12_bins, 12), "circle16": (circle16_bins, 16)}
+_PRESETS = {
+    "sphere12": (sphere12_bins, 12, SPHERE),
+    "circle16": (circle16_bins, 16, CIRCLE),
+}
 
 
 def _bin_indices(records, bins) -> tuple[np.ndarray, int, str]:
-    omega = records.omega if isinstance(records, OutcomeRecords) else np.asarray(records)
+    known = isinstance(records, OutcomeRecords)
+    omega = records.omega if known else np.asarray(records)
     if isinstance(bins, str):
         if bins not in _PRESETS:
             raise ValueError(f"unknown bin preset {bins!r}")
-        fn, count = _PRESETS[bins]
+        fn, count, space = _PRESETS[bins]
+        if known and records.space is not None:
+            require_same_space(space, records.space, f"bin preset {bins!r} and records")
         return fn(omega), count, bins
     # explicit region partition
     member = np.stack([r.contains(omega) for r in bins])
@@ -260,6 +152,10 @@ def compare_samples(a, b, bins, min_expected: float = 5.0) -> GofReport:
     raise :class:`SparseBins`; the p-value comes from the regularized
     upper incomplete gamma function.
     """
+    # imported here: scipy.special costs more to import than the rest of
+    # povmkit, and only this function needs it
+    from scipy.special import gammaincc
+
     ia, n_bins, spec = _bin_indices(a, bins)
     ib, n_bins_b, _ = _bin_indices(b, bins)
     if n_bins != n_bins_b:

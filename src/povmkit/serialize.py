@@ -173,58 +173,6 @@ def save_povm(path, p: FinitePOVM):
     write_json(path, povm_to_dict(p))
 
 
-# --- named families -------------------------------------------------------------
-
-def family_to_dict(obj) -> dict:
-    """Named-family descriptor for continuous POVMs and schemes."""
-    from .families import (
-        CirclePhasePOVM,
-        PhaseShiftScheme,
-        SpinDirectionPOVM,
-        SternGerlachScheme,
-    )
-
-    if isinstance(obj, SpinDirectionPOVM):
-        return {"family": "spin_direction"}
-    if isinstance(obj, SternGerlachScheme):
-        return {"family": "stern_gerlach"}
-    if isinstance(obj, (CirclePhasePOVM, PhaseShiftScheme)):
-        return {"family": "phase", "d": obj.dim}
-    raise SchemaError(f"object {obj!r} has no named-family form")
-
-
-def continuous_from_dict(data: dict):
-    from .families import phase_povm, spin_direction_povm
-
-    if not isinstance(data, dict) or "family" not in data:
-        raise SchemaError("family: expected an object with a 'family' field")
-    name = data["family"]
-    if name == "spin_direction":
-        return spin_direction_povm()
-    if name == "phase":
-        try:
-            return phase_povm(int(data["d"]))
-        except (KeyError, ValueError) as exc:
-            raise SchemaError("phase family needs an integer 'd'") from exc
-    raise SchemaError(f"unknown continuous family {name!r}")
-
-
-def scheme_from_dict(data: dict):
-    from .families import phase_scheme, stern_gerlach_scheme
-
-    if not isinstance(data, dict) or "family" not in data:
-        raise SchemaError("family: expected an object with a 'family' field")
-    name = data["family"]
-    if name == "stern_gerlach":
-        return stern_gerlach_scheme()
-    if name == "phase":
-        try:
-            return phase_scheme(int(data["d"]))
-        except (KeyError, ValueError) as exc:
-            raise SchemaError("phase scheme needs an integer 'd'") from exc
-    raise SchemaError(f"unknown scheme family {name!r}")
-
-
 # --- regions ------------------------------------------------------------------
 
 def region_to_dict(r: Region) -> dict:
@@ -297,21 +245,15 @@ def save_states(path, states):
 # --- records ------------------------------------------------------------------
 
 def records_to_lines(records: OutcomeRecords):
-    for rec in records:
-        row: dict = {}
-        omega = rec.omega
-        if isinstance(omega, np.ndarray):
-            row["omega"] = [float(v) for v in omega]
-        elif isinstance(omega, (np.floating, float)):
-            row["omega"] = float(omega)
-        else:
-            row["omega"] = int(omega)
-        if rec.i is not None:
-            row["i"] = int(rec.i)
-        if rec.x is not None:
-            x = rec.x
-            row["x"] = [float(v) for v in x] if isinstance(x, np.ndarray) else float(x)
-        yield dumps_canonical(row)
+    """One canonical JSON object per record: ``omega`` and, when the
+    records carry them, ``i`` and ``x`` (always floats)."""
+    columns = {"omega": np.asarray(records.omega).tolist()}
+    if records.i is not None:
+        columns["i"] = np.asarray(records.i, dtype=int).tolist()
+    if records.x is not None:
+        columns["x"] = np.asarray(records.x, dtype=float).tolist()
+    for values in zip(*columns.values()):
+        yield dumps_canonical(dict(zip(columns, values)))
 
 
 def write_records(path, records: OutcomeRecords):

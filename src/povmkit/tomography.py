@@ -17,8 +17,9 @@ import numpy as np
 
 from . import operators as op
 from . import quadrature as quad
+from .catalog import PAULI_X, PAULI_Y, PAULI_Z
 from .errors import EmptySample, NotInformationallyComplete
-from .families import PAULI, phase_kets, plus_spinors
+from .families import phase_kets, plus_spinors
 from .outcomes import TWO_PI
 from .povm import FinitePOVM
 from .sampling import OutcomeRecords
@@ -100,7 +101,7 @@ def pauli_components(a: np.ndarray) -> tuple[float, np.ndarray]:
     a = op.check_hermitian(a, name="target")
     a0 = float(np.trace(a).real) / 2.0
     avec = np.array(
-        [float(np.trace(a @ PAULI[k]).real) / 2.0 for k in ("x", "y", "z")]
+        [float(np.trace(a @ p).real) / 2.0 for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     )
     return a0, avec
 
@@ -137,8 +138,7 @@ def phase_dual(d: int, a: np.ndarray) -> DualProcessing:
 
 def spin_dual_residual(dual: DualProcessing, budget: int = 2048) -> float:
     """``|| int dn/2pi f(n) |n><n| - A ||_F`` by sphere quadrature."""
-    n_u = max(8, int(round(np.sqrt(budget / 2.0))))
-    pts, w = quad.sphere_nodes(n_u, 2 * n_u)
+    pts, w = quad.sphere_nodes(*quad.sphere_grid(budget))
     spin = plus_spinors(pts)
     f = dual.evaluate(pts)
     integral = np.einsum("n,ni,nj->ij", w / TWO_PI * f, spin, spin.conj())

@@ -213,6 +213,29 @@ class TestSample:
         assert recs.i is not None and recs.x is not None
         assert len(recs) == 200
 
+    def test_dimension_mismatch_is_input_error(self, capsys, state_file, tmp_path):
+        out = tmp_path / "mismatch.ndjson"
+        code, _, err = run_cli(
+            capsys,
+            "sample", "--family", "phase:3", "--direct", "--state", state_file,
+            "-n", "10", "--seed", "1", "-o", str(out),
+        )
+        assert code == 2
+        assert "error" in json.loads(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
+    def test_zero_draws_is_input_error(self, capsys, state_file, tmp_path, mode):
+        out = tmp_path / "empty.ndjson"
+        code, _, err = run_cli(
+            capsys,
+            "sample", "--family", "spin", mode, "--state", state_file,
+            "-n", "0", "--seed", "1", "-o", str(out),
+        )
+        assert code == 2
+        assert "error" in json.loads(err)
+        assert not out.exists()
+
 
 class TestGof:
     def test_same_law(self, capsys, state_file, tmp_path):
@@ -247,6 +270,25 @@ class TestGof:
         )
         assert code == 1
         assert json.loads(out)["p_value"] < 1e-6
+
+    def test_preset_on_wrong_space_is_input_error(self, capsys, tmp_path):
+        state = tmp_path / "state3.json"
+        ser.save_states(state, [("mm", np.eye(3) / 3)])
+        paths = []
+        for mode, seed in (("--direct", "1"), ("--scheme", "2")):
+            path = tmp_path / f"circle{seed}.ndjson"
+            code, _, _ = run_cli(
+                capsys, "sample", "--family", "phase:3", mode, "--state", str(state),
+                "-n", "2000", "--seed", seed, "-o", str(path),
+            )
+            assert code == 0
+            paths.append(str(path))
+        code, out, err = run_cli(
+            capsys, "gof", "--a", paths[0], "--b", paths[1], "--bins", "sphere12"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
 
 
 class TestMerit:

@@ -260,13 +260,6 @@ class TestEquivalence:
                 spin, sg, [up], [cap(Z_AXIS, 1.0)], mode="montecarlo"
             )
 
-    def test_constant_scheme_zero_diff(self, up, plus):
-        spin = pk.spin_direction_povm()
-        rep = pk.verify_scheme_equivalence(
-            spin, pk.ConstantScheme(spin), [up, plus], [cap(Z_AXIS, 0.9)]
-        )
-        assert rep.max_abs_diff == 0.0
-
     def test_quadrature_refinement_below_floor(self, plus):
         spin = pk.spin_direction_povm()
         sg = pk.stern_gerlach_scheme()
@@ -288,3 +281,15 @@ class TestEquivalence:
         direct = pk.probability_of_region(p, rho, region)
         mixed, _ = scheme.average_region_probability(rho, region)
         assert abs(direct - mixed) <= 1e-9
+
+    def test_finite_mixture_montecarlo(self, rng):
+        p = pk.random_povm(rng, 2, 6, element_rank=1)
+        scheme = pk.scheme_from_decomposition(pk.decompose_extremal(p))
+        rho = pk.random_density_matrix(rng, 2)
+        region = Region.of_labels(p.space, [1, 2, 5])
+        exact, _ = scheme.average_region_probability(rho, region, mode="det")
+        val, se = scheme.average_region_probability(
+            rho, region, mode="mc", budget=20_000, rng=pk.make_rng(4)
+        )
+        assert se > 0
+        assert abs(val - exact) <= 5 * se

@@ -127,14 +127,6 @@ class TestEqualOptimality:
         assert report.spread > 1e-3
         assert report.spread == pytest.approx(1.0 / 6.0, abs=1e-9)
 
-    def test_custom_figure_hook(self):
-        scheme = pk.stern_gerlach_scheme()
-        report = pk.check_equal_optimality(
-            scheme, None, x_samples=0, figure=lambda p: float(len(p))
-        )
-        assert report.spread == 0.0
-        assert report.value == pytest.approx(4.0)
-
 
 class TestMixtureMerit:
     def test_matches_parent_value(self, fidelity_spec):

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 import povmkit as pk
-from povmkit.errors import SparseBins, UnsupportedFamily
-from povmkit.outcomes import TWO_PI, Region
-from povmkit.sampling import make_rng, phase_cdf, spin_polar_cdf
+from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins, UnsupportedFamily
+from povmkit.outcomes import SPHERE, TWO_PI, Region
+from povmkit.families import phase_cdf, spin_polar_cdf
+from povmkit.sampling import make_rng
 
 from oracles import arc_probability_quadrature
 
@@ -113,6 +119,19 @@ class TestDirectPhase:
         with pytest.raises(UnsupportedFamily):
             pk.sample_direct(Fake(), up, 10, seed=0)
 
+    def test_state_dimension_checked(self, up):
+        with pytest.raises(DimensionMismatch):
+            pk.sample_direct(pk.phase_povm(3), up, 10, seed=0)
+        with pytest.raises(DimensionMismatch):
+            pk.sample_two_stage(pk.phase_scheme(3), up, 10, seed=0)
+
+    def test_needs_at_least_one_draw(self, up):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                pk.sample_direct(pk.spin_direction_povm(), up, n, seed=0)
+            with pytest.raises(ValueError):
+                pk.sample_two_stage(pk.stern_gerlach_scheme(), up, n, seed=0)
+
 
 class TestTwoStage:
     def test_records_bookkeeping(self, up):
@@ -168,6 +187,35 @@ class TestTwoStage:
         assert len(recs) == 2000
         assert set(np.unique(recs.i)) <= {0, 1}
 
+    def test_ragged_mixture_law(self):
+        # members with 1 and 4 entries on the sphere: the 1-entry member is
+        # padded with zero-probability entries, which must never be drawn
+        axis = np.array([0.6, 0.0, 0.8])
+        guess = pk.FinitePOVM(
+            dim=2, space=SPHERE, entries=((np.array([0.0, 0.0, 1.0]), np.eye(2)),)
+        )
+        sg_member = pk.stern_gerlach_scheme().member(axis)
+        scheme = pk.FiniteMixtureScheme([(0.3, guess), (0.7, sg_member)])
+        rho = pk.random_density_matrix(np.random.default_rng(8), 2)
+        n = 20_000
+        recs = pk.sample_two_stage(scheme, rho, n, seed=14)
+        assert np.all(recs.i[recs.x == 0] == 0)
+        bins = [
+            Region.of_caps([((0.0, 0.0, 1.0), 0.1)]),
+            Region.of_caps([(tuple(axis), 0.1)]),
+            Region.of_caps([(tuple(-axis), 0.1)]),
+        ]
+        expected = np.array([
+            sum(w * pk.probability_of_region(p, rho, r) for w, p in scheme.terms)
+            for r in bins
+        ])
+        assert expected.sum() == pytest.approx(1.0)
+        counts = np.array([np.sum(r.contains(recs.omega)) for r in bins])
+        assert counts.sum() == n
+        stat = float(np.sum((counts - n * expected) ** 2 / (n * expected)))
+        dof = len(bins) - 1
+        assert gammaincc(dof / 2.0, stat / 2.0) > 1e-4
+
 
 class TestCompareSamples:
     def test_same_law_accepts(self, up):
@@ -196,6 +244,13 @@ class TestCompareSamples:
         with pytest.raises(SparseBins):
             pk.compare_samples(a, b, "sphere12")
 
+    def test_preset_space_checked(self, plus):
+        ph = pk.phase_povm(2)
+        a = pk.sample_direct(ph, plus, 1000, seed=5)
+        b = pk.sample_direct(ph, plus, 1000, seed=6)
+        with pytest.raises(SpaceMismatch):
+            pk.compare_samples(a, b, "sphere12")
+
     def test_region_partition_bins(self, plus):
         ph = pk.phase_povm(2)
         a = pk.sample_direct(ph, plus, 20_000, seed=5)
@@ -211,3 +266,11 @@ class TestCompareSamples:
         a = pk.sample_direct(ph, plus, 1000, seed=5)
         with pytest.raises(ValueError):
             pk.compare_samples(a, a, [Region.of_arcs([(0.0, 1.0)])])
+
+
+def test_import_skips_scipy_special():
+    # scipy.special is loaded by compare_samples only, not by ``import povmkit``
+    src = os.path.dirname(os.path.dirname(pk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, povmkit; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -157,32 +157,30 @@ class TestDecomposition:
 
 
 class TestNamedFamilies:
+    """The family names the CLI and the records speak, in `named_family`."""
+
     def test_continuous_roundtrip(self):
-        spin = pk.spin_direction_povm()
-        assert ser.family_to_dict(spin) == {"family": "spin_direction"}
-        assert isinstance(
-            ser.continuous_from_dict({"family": "spin_direction"}),
-            pk.SpinDirectionPOVM,
-        )
-        ph = ser.continuous_from_dict({"family": "phase", "d": 3})
+        for name in ("spin", "spin_direction", "stern_gerlach"):
+            c, _ = pk.named_family(name)
+            assert isinstance(c, pk.SpinDirectionPOVM)
+            assert isinstance(pk.named_family(c.family)[0], pk.SpinDirectionPOVM)
+        ph, _ = pk.named_family("phase:3")
+        assert isinstance(ph, pk.CirclePhasePOVM)
         assert ph.dim == 3
-        assert ser.family_to_dict(ph) == {"family": "phase", "d": 3}
 
     def test_scheme_roundtrip(self):
-        sg = pk.stern_gerlach_scheme()
-        assert ser.family_to_dict(sg) == {"family": "stern_gerlach"}
-        assert isinstance(
-            ser.scheme_from_dict({"family": "stern_gerlach"}),
-            pk.SternGerlachScheme,
-        )
-        scheme = ser.scheme_from_dict({"family": "phase", "d": 4})
+        for name in ("spin", "spin_direction", "stern_gerlach"):
+            _, s = pk.named_family(name)
+            assert isinstance(s, pk.SternGerlachScheme)
+            assert isinstance(pk.named_family(s.family)[1], pk.SternGerlachScheme)
+        _, scheme = pk.named_family("phase:4")
+        assert isinstance(scheme, pk.PhaseShiftScheme)
         assert scheme.dim == 4
 
     def test_unknown_rejected(self):
-        with pytest.raises(SchemaError):
-            ser.continuous_from_dict({"family": "banana"})
-        with pytest.raises(SchemaError):
-            ser.scheme_from_dict({"family": "phase"})
+        for name in ("phase", "phase:x", "banana", "spin:2"):
+            with pytest.raises(SchemaError):
+                pk.named_family(name)
 
 
 def test_canonical_dumps_sorted():
