@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     InvalidDimension,
+    InvalidPOVM,
     NonHermitianInput,
     NotInformationallyComplete,
     NumericalRankAmbiguity,
@@ -38,7 +39,6 @@ from .extremality import (
     is_extremal,
     max_step,
     perturbation_space,
-    split,
 )
 from .families import (
     CirclePhasePOVM,

@@ -15,7 +15,14 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .errors import DimensionMismatch, PovmkitError, SchemaError, SpaceMismatch
+from .errors import (
+    DimensionMismatch,
+    InvalidDimension,
+    InvalidPOVM,
+    PovmkitError,
+    SchemaError,
+    SpaceMismatch,
+)
 from .extremality import decompose_extremal, perturbation_space
 from .families import named_family, verify_scheme_equivalence
 from .merit import bayes_gain, check_equal_optimality
@@ -306,7 +313,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SchemaError, DimensionMismatch, SpaceMismatch, FileNotFoundError) as exc:
+    except (
+        SchemaError,
+        DimensionMismatch,
+        InvalidDimension,
+        InvalidPOVM,
+        SpaceMismatch,
+        FileNotFoundError,
+    ) as exc:
         return _fail_input(str(exc))
     except PovmkitError as exc:
         sys.stderr.write(ser.dumps_canonical({"check_failed": str(exc)}))

@@ -13,6 +13,10 @@ class InvalidDimension(PovmkitError):
     """Hilbert-space dimension outside the supported range."""
 
 
+class InvalidPOVM(PovmkitError):
+    """Input that should be a POVM fails the POVM axioms."""
+
+
 class DimensionMismatch(PovmkitError):
     """Operators or states with inconsistent dimensions."""
 
@@ -30,10 +34,12 @@ class NumericalRankAmbiguity(PovmkitError):
 
 
 class TermBudgetExceeded(PovmkitError):
-    """Decomposition produced more terms than allowed.
+    """Decomposition needs more terms than allowed.
 
-    Carries the partial list of ``(weight, povm, is_leaf)`` triples gathered
-    before the budget ran out, for diagnostics.
+    Carries the ``(weight, povm, is_leaf)`` triples gathered before the
+    budget ran out, for diagnostics: the extremal terms found so far
+    (``is_leaf`` true) and the remaining, not yet decomposed face
+    (``is_leaf`` false).  Their weights sum to one.
     """
 
     def __init__(self, message, partial_terms=None):

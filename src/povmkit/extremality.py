@@ -7,9 +7,13 @@ that ``P_i ± t Q_i`` stays a POVM for small t.  On finite support that
 is a linear kernel problem: parametrize each ``Q_i`` by a Hermitian
 basis of the support of ``P_i`` and solve ``sum_i Q_i = 0``.
 
-Non-extremal POVMs are split along a perturbation pushed to both PSD
-boundaries; recursing yields a convex combination of extremal POVMs,
-each with at most ``dim**2`` nonzero, linearly independent elements.
+Non-extremal POVMs are decomposed by Carathéodory peeling (Sentís,
+Gendra, Bartlett & Doherty, J. Phys. A 46, 375302, 2013): walk to an
+extremal point of the current face by pushing along perturbations to
+the PSD boundary, split that point off, and continue on the strictly
+smaller face that remains.  The result is a convex combination of at
+most (face dimension + 1) extremal POVMs, each with at most ``dim**2``
+nonzero, linearly independent elements.
 """
 
 from __future__ import annotations
@@ -19,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .errors import DegeneratePerturbation, TermBudgetExceeded
-from .povm import FinitePOVM
-
-# Two leaves of the split tree merge when their elements agree this closely
-# (their outcome points must match exactly).
-LEAF_MERGE_TOL = 1e-7
+from .errors import DegeneratePerturbation, InvalidPOVM, TermBudgetExceeded
+from .povm import FinitePOVM, validate_povm
 
 
 @dataclass(frozen=True)
@@ -61,39 +61,20 @@ class Perturbation:
             raise DegeneratePerturbation("perturbation is not normalized")
 
 
-def _support_hermitian_basis(element: np.ndarray, threshold: float, check_band: bool):
-    """Hermitian basis of operators supported on range(element)."""
-    vecs, _ = op.support(element, threshold=threshold, check_band=check_band)
-    r = vecs.shape[1]
-    return [vecs @ b @ vecs.conj().T for b in op.hermitian_basis(r)] if r else []
-
-
-def _canonical_kernel_basis(kernel):
+def _canonical_kernel_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     """Deterministically rotate an orthonormal kernel basis.
 
-    The SVD returns an arbitrary orthonormal basis of the kernel; to make
+    ``cols`` holds one kernel vector per column, in the stacked Hermitian
+    coordinates of the active slots (``dim**2`` rows per slot).  The SVD
+    returns an arbitrary orthonormal basis of the kernel; to make
     decompositions reproducible and balanced we order it by increasing
     value of the quadratic form ``sum_i Tr[Q_i]^2`` (so trace-balanced
     directions come first), break ties with a fixed coordinate-weight
     form, and fix each sign by the first significant coordinate.
     """
-    if not kernel:
-        return kernel
-    dims = [q.shape[0] for q in kernel[0]]
-    cols = np.column_stack([op.tuple_to_coords(t) for t in kernel])
-    m = cols.shape[0]
-
-    # trace functional per slot: ones over that slot's diagonal coordinates
-    tmat = np.zeros((m, m))
-    offset = 0
-    for d in dims:
-        tau = np.zeros(m)
-        tau[offset : offset + d] = 1.0
-        tmat += np.outer(tau, tau)
-        offset += d * d
-    primary = cols.T @ tmat @ cols
-
-    vals, rot = np.linalg.eigh(primary)
+    m, k = cols.shape
+    traces = cols.reshape(m // (dim * dim), dim * dim, k)[:, :dim].sum(axis=1)
+    vals, rot = np.linalg.eigh(traces.T @ traces)
     basis = cols @ rot
 
     # refine numerically degenerate clusters with a fixed secondary form
@@ -111,12 +92,12 @@ def _canonical_kernel_basis(kernel):
             basis[:, i:j] = block @ rot2
         i = j
 
-    for k in range(basis.shape[1]):
-        col = basis[:, k]
+    for c in range(k):
+        col = basis[:, c]
         nz = np.flatnonzero(np.abs(col) > 1e-8)
         if nz.size and col[nz[0]] < 0:
-            basis[:, k] = -col
-    return [op.coords_to_tuple(basis[:, k], dims) for k in range(basis.shape[1])]
+            basis[:, c] = -col
+    return basis
 
 
 def perturbation_space(
@@ -129,35 +110,36 @@ def perturbation_space(
     Empty list iff ``p`` is extremal.  Entries with zero element admit
     no on-support perturbation and are skipped.
     """
+    d = p.dim
     active = []
-    bases = []
+    blocks = []
     for i, el in enumerate(p.elements):
-        slot_basis = _support_hermitian_basis(el, gap, check_band)
-        if slot_basis:
+        vecs, _ = op.support(el, threshold=gap, check_band=check_band)
+        r = vecs.shape[1]
+        if r:
+            # coordinate matrix (d**2, r**2) of B -> V B V^dagger
+            lifted = vecs @ op.hermitian_basis(r) @ vecs.conj().T
             active.append(i)
-            bases.append(slot_basis)
+            blocks.append(op.hermitian_to_coords(lifted).T)
     if not active:
         return []
 
-    n_slots = len(active)
-    domain_basis = []
-    for s, slot_basis in enumerate(bases):
-        for b in slot_basis:
-            t = [np.zeros((p.dim, p.dim), dtype=complex) for _ in range(n_slots)]
-            t[s] = b
-            domain_basis.append(tuple(t))
-
-    def total(t):
-        return (np.sum(t, axis=0),)
-
-    kernel = op.hermitian_nullspace(total, domain_basis, gap=gap)
-    kernel = _canonical_kernel_basis(kernel)
+    _, s, vt = np.linalg.svd(np.hstack(blocks))
+    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
+    coeffs = vt[rank:].T
+    k = coeffs.shape[1]
+    if not k:
+        return []
+    # The blocks are isometries, so the lifted kernel stays orthonormal.
+    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    cols = np.vstack([b @ c for b, c in zip(blocks, np.split(coeffs, offsets))])
+    cols = _canonical_kernel_basis(cols, d)
+    kernel = op.coords_to_hermitian(cols.T.reshape(k, len(active), d * d), d)
 
     out = []
     for t in kernel:
-        comps = [np.zeros((p.dim, p.dim), dtype=complex) for _ in range(len(p))]
-        for s, i in enumerate(active):
-            comps[i] = t[s]
+        comps = np.zeros((len(p), d, d), dtype=complex)
+        comps[active] = t
         out.append(Perturbation(components=tuple(comps)))
     return out
 
@@ -199,36 +181,16 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     return float(t_plus), float(t_minus)
 
 
-def split(
-    p: FinitePOVM,
-    q: Perturbation,
-    gap: float = op.GAP_THRESHOLD,
-) -> tuple[tuple[FinitePOVM, FinitePOVM], tuple[float, float]]:
-    """Write ``p`` as a convex combination of the two boundary POVMs.
-
-    Returns ``((p_plus, p_minus), (w_plus, w_minus))`` with
-    ``p = w_plus * p_plus + w_minus * p_minus`` exactly and each child on
-    the PSD boundary (some element loses rank).
-    """
-    t_plus, t_minus = max_step(p, q, gap=gap)
-    plus = p.replace_elements(
-        [el + t_plus * c for el, c in zip(p.elements, q.components)]
-    )
-    minus = p.replace_elements(
-        [el - t_minus * c for el, c in zip(p.elements, q.components)]
-    )
-    w_plus = t_minus / (t_plus + t_minus)
-    w_minus = t_plus / (t_plus + t_minus)
-    return (plus, minus), (w_plus, w_minus)
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     """Convex decomposition into extremal finite POVMs.
 
-    ``terms`` are ``(weight, povm)`` pairs with weights summing to one;
-    ``depth`` is the maximum depth of the binary split tree that
-    produced them.
+    ``terms`` are pairwise distinct ``(weight, povm)`` pairs with
+    weights summing to one, at most (face dimension of the input) + 1 of
+    them.  ``depth`` is the most split steps from the input to any one
+    term: 0 for an extremal input, 1 for an even mixture of two
+    extremals.  Each peel step splits off one term, so it is
+    ``len(terms) - 1``.
     """
 
     terms: tuple
@@ -253,27 +215,8 @@ class DecompositionResult:
         )
 
 
-def _merge_leaves(leaves, space_points_equal):
-    merged = []
-    for w, povm, depth in leaves:
-        placed = False
-        for k, (w0, povm0, d0) in enumerate(merged):
-            if len(povm0) != len(povm):
-                continue
-            same = all(
-                space_points_equal(a, b)
-                for a, b in zip(povm0.points, povm.points)
-            ) and all(
-                op.frobenius(a - b) <= LEAF_MERGE_TOL
-                for a, b in zip(povm0.elements, povm.elements)
-            )
-            if same:
-                merged[k] = (w0 + w, povm0, max(d0, depth))
-                placed = True
-                break
-        if not placed:
-            merged.append((w, povm, depth))
-    return merged
+def _push(p: FinitePOVM, q: Perturbation, t: float) -> FinitePOVM:
+    return p.replace_elements([el + t * c for el, c in zip(p.elements, q.components)])
 
 
 def decompose_extremal(
@@ -283,41 +226,46 @@ def decompose_extremal(
 ) -> DecompositionResult:
     """Decompose ``p`` into a convex combination of extremal POVMs.
 
-    Depth-first binary splitting along the first canonical perturbation;
-    identical leaves (matching points, elements within ``LEAF_MERGE_TOL``)
-    are merged.  Terminates because every split strictly reduces the
-    total support rank on both children.
+    Carathéodory peeling: from the current POVM ``x`` (initially ``p``),
+    push along the first canonical perturbation to the PSD boundary until
+    an extremal point ``e`` of ``x``'s face is reached; then step from
+    ``x`` away from ``e`` to the boundary point ``r``, record ``e`` with
+    the weight ``λ`` that gives ``x = λ e + (1 - λ) r``, and continue on
+    ``r``.  Each step strictly shrinks the face, so there are at most
+    (face dimension of ``p``) + 1 terms, pairwise distinct.
 
     Raises
     ------
+    InvalidPOVM
+        If ``p`` fails :func:`validate_povm`.
     TermBudgetExceeded
-        If more than ``max_terms`` leaves accumulate; the partial tree is
-        attached for diagnostics.
+        If more than ``max_terms`` terms are needed; the terms found so
+        far and the remaining face are attached for diagnostics.
     NumericalRankAmbiguity
         If a support decision falls inside the singular-value gap band.
     """
-    from .povm import _points_equal
+    report = validate_povm(p)
+    if not report.passed:
+        raise InvalidPOVM(f"input is not a POVM: {report.worst()}")
 
-    leaves = []
-    stack = [(p, 1.0, 0)]
-    while stack:
-        povm, weight, depth = stack.pop()
-        if len(leaves) + len(stack) >= max_terms:
+    terms = []
+    x, rest = p, 1.0
+    while True:
+        if len(terms) >= max_terms:
             raise TermBudgetExceeded(
                 f"decomposition exceeded {max_terms} terms",
-                partial_terms=[(w, q, True) for w, q, _ in leaves]
-                + [(w, q, False) for q, w, _ in stack],
+                partial_terms=[(w, e, True) for w, e in terms] + [(rest, x, False)],
             )
-        basis = perturbation_space(povm, gap=gap, check_band=True)
-        if not basis:
-            leaves.append((weight, povm, depth))
-            continue
-        (plus, minus), (w_plus, w_minus) = split(povm, basis[0], gap=gap)
-        # push minus first so the plus branch is processed first (DFS)
-        stack.append((minus, weight * w_minus, depth + 1))
-        stack.append((plus, weight * w_plus, depth + 1))
-
-    merged = _merge_leaves(leaves, lambda a, b: _points_equal(p.space, a, b))
-    terms = tuple((w, povm) for w, povm, _ in merged)
-    depth = max(d for _, _, d in merged)
-    return DecompositionResult(terms=terms, depth=depth)
+        e = x
+        while basis := perturbation_space(e, gap=gap, check_band=True):
+            e = _push(e, basis[0], max_step(e, basis[0], gap=gap)[0])
+        if e is x:
+            terms.append((rest, x))
+            break
+        diff = [a - b for a, b in zip(x.elements, e.elements)]
+        dist = float(np.sqrt(sum(op.frobenius(c) ** 2 for c in diff)))
+        away = Perturbation(components=tuple(c / dist for c in diff))
+        t = max_step(x, away, gap=gap)[0]
+        terms.append((rest * t / (t + dist), e))
+        x, rest = _push(x, away, t), rest * dist / (t + dist)
+    return DecompositionResult(terms=tuple(terms), depth=len(terms) - 1)

@@ -10,7 +10,7 @@ d <= 16, where dense LAPACK routines are effectively exact.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import functools
 
 import numpy as np
 
@@ -142,104 +142,48 @@ def support_rank(a, threshold: float = GAP_THRESHOLD) -> int:
 _SQRT2 = np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle.
+
+    Cached because ``np.triu_indices`` costs more than the coordinate
+    map itself on one small matrix.
+    """
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def hermitian_to_coords(a: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix (length d**2)."""
-    d = a.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.diag(a).real
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k] = _SQRT2 * a[i, j].real
-            out[k + 1] = _SQRT2 * a[i, j].imag
-            k += 2
+    """Isometric real coordinates of Hermitian matrices (length d**2).
+
+    Accepts one ``(d, d)`` matrix or a stack ``(..., d, d)``; the
+    coordinates run along the last axis.
+    """
+    a = np.asarray(a)
+    d = a.shape[-1]
+    rows, cols = _upper_triangle(d)
+    upper = a[..., rows, cols]
+    out = np.empty(a.shape[:-2] + (d * d,))
+    out[..., :d] = np.diagonal(a, axis1=-2, axis2=-1).real
+    out[..., d::2] = _SQRT2 * upper.real
+    out[..., d + 1 :: 2] = _SQRT2 * upper.imag
     return out
 
 
 def coords_to_hermitian(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_coords`."""
-    a = np.zeros((d, d), dtype=complex)
-    a[np.diag_indices(d)] = v[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            z = (v[k] + 1j * v[k + 1]) / _SQRT2
-            a[i, j] = z
-            a[j, i] = np.conj(z)
-            k += 2
+    """Inverse of :func:`hermitian_to_coords`, also on stacks ``(..., d*d)``."""
+    v = np.asarray(v)
+    rows, cols = _upper_triangle(d)
+    a = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    a[..., np.arange(d), np.arange(d)] = v[..., :d]
+    z = (v[..., d::2] + 1j * v[..., d + 1 :: 2]) / _SQRT2
+    a[..., rows, cols] = z
+    a[..., cols, rows] = np.conj(z)
     return a
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the d x d Hermitian matrices."""
-    basis = []
-    for k in range(d * d):
-        v = np.zeros(d * d)
-        v[k] = 1.0
-        basis.append(coords_to_hermitian(v, d))
-    return basis
-
-
-def tuple_to_coords(ts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenated coordinates of a tuple of Hermitian matrices."""
-    return np.concatenate([hermitian_to_coords(t) for t in ts])
-
-
-def coords_to_tuple(v: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, ...]:
-    out = []
-    k = 0
-    for d in dims:
-        out.append(coords_to_hermitian(v[k : k + d * d], d))
-        k += d * d
-    return tuple(out)
-
-
-HermitianTuple = tuple[np.ndarray, ...]
-
-
-def hermitian_nullspace(
-    constraint: Callable[[HermitianTuple], HermitianTuple],
-    domain_basis: Sequence[HermitianTuple],
-    gap: float = GAP_THRESHOLD,
-) -> list[HermitianTuple]:
-    """Orthonormal kernel basis of a real-linear map on Hermitian tuples.
-
-    Parameters
-    ----------
-    constraint : callable
-        Real-linear map sending a tuple of Hermitian matrices to another
-        tuple of Hermitian matrices.  Only evaluations on ``domain_basis``
-        are used.
-    domain_basis : sequence of tuples of ndarray
-        Linearly independent Hermitian tuples spanning the domain.
-    gap : float
-        Singular values below ``gap * max(1, s_max)`` count as zero.
-
-    Returns
-    -------
-    list of tuples of ndarray
-        Kernel basis, orthonormal under the trace inner product summed
-        over tuple slots.  Empty list for a trivial kernel.
-    """
-    if not domain_basis:
-        return []
-    dims = [t.shape[0] for t in domain_basis[0]]
-    n = len(domain_basis)
-    cols = [tuple_to_coords(constraint(b)) for b in domain_basis]
-    a = np.column_stack(cols)
-    _, s, vt = np.linalg.svd(a)
-    scale = max(1.0, float(s[0])) if s.size else 1.0
-    rank = int(np.count_nonzero(s > gap * scale))
-    if rank >= n:
-        return []
-    coeffs = vt[rank:].T  # (n, k) kernel coefficients w.r.t. domain_basis
-
-    dom = np.column_stack([tuple_to_coords(b) for b in domain_basis])
-    kern = dom @ coeffs
-    # Re-orthonormalize in ambient coordinates; domain_basis need not be
-    # orthonormal itself.
-    q, r = np.linalg.qr(kern)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    return [coords_to_tuple(q[:, j], dims) for j in range(q.shape[1])]
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of the d x d Hermitian matrices, stacked."""
+    return coords_to_hermitian(np.eye(d * d), d)

@@ -27,7 +27,7 @@ from .sampling import OutcomeRecords
 
 def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
     """True iff the elements span the d**2-dimensional Hermitian space."""
-    coords = np.column_stack([op.hermitian_to_coords(el) for el in p.elements])
+    coords = op.hermitian_to_coords(np.array(p.elements)).T
     s = np.linalg.svd(coords, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0
     rank = int(np.count_nonzero(s > gap * scale))
@@ -85,7 +85,7 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
         raise NotInformationallyComplete(
             "POVM elements do not span the operator space"
         )
-    mat = np.column_stack([op.hermitian_to_coords(el) for el in p.elements])
+    mat = op.hermitian_to_coords(np.array(p.elements)).T
     rhs = op.hermitian_to_coords(a)
     coeff, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = op.frobenius(

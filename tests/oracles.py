@@ -133,17 +133,3 @@ def sic_dual_closed_form(axes, a):
     a0 = float(np.trace(a).real) / 2.0
     avec = np.array([float(np.trace(a @ s).real) / 2.0 for s in SIG])
     return np.array([a0 + 3.0 * ax @ avec for ax in axes])
-
-
-def raw_nullspace_dim(apply_map, domain_basis_raw, out_slots, dim, gap=1e-8):
-    """Kernel dimension of a Hermitian-tuple map using matrix_rank only."""
-
-    def flatten(ms):
-        return np.concatenate(
-            [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in ms]
-        )
-
-    cols = [flatten(apply_map(b)) for b in domain_basis_raw]
-    mat = np.column_stack(cols)
-    rank = np.linalg.matrix_rank(mat, tol=gap * max(1.0, np.linalg.norm(mat, 2)))
-    return len(domain_basis_raw) - int(rank)

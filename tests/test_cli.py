@@ -133,6 +133,18 @@ class TestDecompose:
         assert code == 1
         assert "check_failed" in json.loads(err)
 
+    def test_non_povm_is_input_error(self, capsys, tmp_path):
+        half = 0.7 * np.eye(2, dtype=complex)
+        path = tmp_path / "not_povm.json"
+        entries = ((0, half), (1, half))
+        ser.save_povm(path, pk.FinitePOVM(dim=2, space=pk.FiniteLabels(2), entries=entries))
+        out_path = tmp_path / "decomp.json"
+        code, out, err = run_cli(capsys, "decompose", str(path), "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+        assert not out_path.exists()
+
 
 class TestEquiv:
     def test_deterministic(self, capsys, state_file, regions_file):
@@ -186,6 +198,18 @@ class TestEquiv:
             "--regions", regions_file,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["phase:1", "phase:17"])
+    def test_invalid_dimension_is_input_error(
+        self, capsys, state_file, regions_file, family
+    ):
+        code, _, err = run_cli(
+            capsys,
+            "equiv", "--family", family, "--states", state_file,
+            "--regions", regions_file,
+        )
+        assert code == 2
+        assert "error" in json.loads(err)
 
 
 class TestSample:

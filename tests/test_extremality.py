@@ -1,14 +1,30 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit.catalog import PAULI_Z
-from povmkit.errors import DegeneratePerturbation, TermBudgetExceeded
+from povmkit.errors import (
+    DegeneratePerturbation,
+    InvalidPOVM,
+    NumericalRankAmbiguity,
+    TermBudgetExceeded,
+)
 from povmkit.outcomes import FiniteLabels
 
 from oracles import brute_force_extremal, brute_force_kernel_dim
+
+
+def squeeze_first_element(p, eps):
+    """Set the first element's smallest eigenvalue to ``eps`` times its
+    largest, then restore completeness by the symmetric normalization."""
+    w, v = np.linalg.eigh(p.elements[0])
+    w[0] = eps * w[-1]
+    raw = [v @ np.diag(w) @ v.conj().T] + p.elements[1:]
+    sw, sv = np.linalg.eigh(np.sum(raw, axis=0))
+    inv_sqrt = sv @ np.diag(sw**-0.5) @ sv.conj().T
+    return p.replace_elements([inv_sqrt @ a @ inv_sqrt for a in raw])
 
 
 def trivial_povm(d=2):
@@ -117,39 +133,6 @@ class TestMaxStep:
             pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(zero, zero)))
 
 
-class TestSplit:
-    def test_coin_flip_children_projective(self):
-        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
-        (plus, minus), (w_plus, w_minus) = pk.split(pk.coin_flip_povm(), q)
-        assert np.isclose(w_plus, 0.5) and np.isclose(w_minus, 0.5)
-        assert np.allclose(plus.elements[0], np.diag([1.0, 0.0]))
-        assert np.allclose(plus.elements[1], np.diag([0.0, 1.0]))
-        assert np.allclose(minus.elements[0], np.diag([0.0, 1.0]))
-        assert np.allclose(minus.elements[1], np.diag([1.0, 0.0]))
-
-    def test_affine_reconstruction(self, rng):
-        p = pk.random_povm(rng, 3, 10, element_rank=1)
-        q = pk.perturbation_space(p)[0]
-        (plus, minus), (w_plus, w_minus) = pk.split(p, q)
-        for el, ep, em in zip(p.elements, plus.elements, minus.elements):
-            assert np.linalg.norm(w_plus * ep + w_minus * em - el) <= 1e-12
-        assert pk.validate_povm(plus).passed
-        assert pk.validate_povm(minus).passed
-
-    def test_children_lose_support_rank(self, rng):
-        p = pk.random_povm(rng, 2, 4)
-        q = pk.perturbation_space(p)[0]
-        (plus, minus), _ = pk.split(p, q)
-
-        def total_rank(povm):
-            from povmkit.operators import support_rank
-
-            return sum(support_rank(el) for el in povm.elements)
-
-        assert total_rank(plus) < total_rank(p)
-        assert total_rank(minus) < total_rank(p)
-
-
 class TestDecompose:
     def test_coin_flip_two_terms(self):
         res = pk.decompose_extremal(pk.coin_flip_povm())
@@ -207,10 +190,54 @@ class TestDecompose:
             assert pk.validate_povm(shifted).passed
 
     def test_budget_exceeded_carries_partial(self, rng):
-        p = pk.random_povm(rng, 3, 10)  # full-rank elements: tree blows up
+        p = pk.random_povm(rng, 3, 10)  # full-rank elements: 22-24 terms
         with pytest.raises(TermBudgetExceeded) as exc:
             pk.decompose_extremal(p, max_terms=16)
         assert exc.value.partial_terms
+
+    def test_full_rank_qutrit_six_outcomes_within_budget(self, rng):
+        p = pk.random_povm(rng, 3, 6)
+        res = pk.decompose_extremal(p, max_terms=64)
+        assert len(res.terms) <= len(pk.perturbation_space(p)) + 1
+        assert res.reconstruction_error(p) <= 1e-8
+
+    def test_rejects_non_povm(self):
+        half = 0.7 * np.eye(2, dtype=complex)
+        p = pk.FinitePOVM(
+            dim=2, space=FiniteLabels(2), entries=((0, half), (1, half))
+        )
+        with pytest.raises(InvalidPOVM):
+            pk.decompose_extremal(p)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_invariants(self, seed, near_deficient):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        rank = int(rng.integers(1, d + 1))
+        n_min = max(2, -(-d // rank))
+        n = int(rng.integers(n_min, n_min + 3))
+        p = pk.random_povm(rng, d, n, element_rank=rank)
+        if near_deficient:
+            p = squeeze_first_element(p, 10.0 ** rng.uniform(-6, -3))
+        kernel_dim = len(pk.perturbation_space(p))
+        assert kernel_dim == brute_force_kernel_dim(p)
+        try:
+            res = pk.decompose_extremal(p)
+        except NumericalRankAmbiguity:
+            event("NumericalRankAmbiguity")
+            return
+        assert abs(res.weights.sum() - 1.0) <= 1e-9
+        assert res.reconstruction_error(p) <= 1e-8
+        assert len(res.terms) <= kernel_dim + 1
+        for _, leaf in res.terms:
+            assert pk.validate_povm(leaf).passed
+            assert brute_force_extremal(leaf)
+        for i, (_, a) in enumerate(res.terms):
+            for _, b in res.terms[:i]:
+                assert max(
+                    np.linalg.norm(x - y) for x, y in zip(a.elements, b.elements)
+                ) > 1e-7
 
     def test_zero_elements_carried_through(self, up):
         member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))

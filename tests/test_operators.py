@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from povmkit import operators as op
 from povmkit.errors import NonHermitianInput
 
-from oracles import raw_nullspace_dim
-
 
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -74,6 +72,14 @@ class TestCoordinates:
         v = op.hermitian_to_coords(a)
         assert np.allclose(op.coords_to_hermitian(v, d), a)
         assert np.isclose(np.linalg.norm(v), op.frobenius(a))
+        # a stack maps slice by slice, bit for bit
+        stack = np.stack([a, random_hermitian(rng, d), -a])
+        coords = op.hermitian_to_coords(stack)
+        back = op.coords_to_hermitian(coords, d)
+        assert coords.shape == (3, d * d) and back.shape == (3, d, d)
+        for k in range(3):
+            assert np.array_equal(coords[k], op.hermitian_to_coords(stack[k]))
+            assert np.array_equal(back[k], op.coords_to_hermitian(coords[k], d))
 
     def test_basis_orthonormal(self):
         basis = op.hermitian_basis(3)
@@ -81,60 +87,6 @@ class TestCoordinates:
             [[np.trace(x @ y).real for y in basis] for x in basis]
         )
         assert np.allclose(gram, np.eye(9))
-
-
-class TestNullspace:
-    def test_identity_map_trivial(self):
-        basis = [(h,) for h in op.hermitian_basis(2)]
-        assert op.hermitian_nullspace(lambda t: t, basis) == []
-
-    def test_pair_sum_kernel(self):
-        zero = np.zeros((2, 2), dtype=complex)
-        basis = []
-        for h in op.hermitian_basis(2):
-            basis.append((h, zero))
-            basis.append((zero, h))
-        kernel = op.hermitian_nullspace(lambda t: (t[0] + t[1],), basis)
-        assert len(kernel) == 4
-        # oracle: raw parametrization, matrix_rank only
-        assert raw_nullspace_dim(lambda t: (t[0] + t[1],), basis, 1, 2) == 4
-        # orthonormality under summed trace inner product
-        for a in kernel:
-            for b in kernel:
-                inner = sum(np.trace(x.conj().T @ y).real for x, y in zip(a, b))
-                expected = 1.0 if a is b else 0.0
-                assert abs(inner - expected) < 1e-10
-
-    def test_zero_map_full_kernel(self):
-        basis = [(h,) for h in op.hermitian_basis(2)]
-        zero = np.zeros((2, 2), dtype=complex)
-        kernel = op.hermitian_nullspace(lambda t: (zero,), basis)
-        assert len(kernel) == 4
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_kernel_feedback_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        d = 2
-        # random real-linear map on pairs, guaranteed nontrivial kernel
-        mix = rng.normal(size=(4, 8))
-
-        def constraint(t):
-            v = np.concatenate(
-                [op.hermitian_to_coords(t[0]), op.hermitian_to_coords(t[1])]
-            )
-            return (op.coords_to_hermitian(mix @ v, d),)
-
-        zero = np.zeros((d, d), dtype=complex)
-        basis = []
-        for h in op.hermitian_basis(d):
-            basis.append((h, zero))
-            basis.append((zero, h))
-        kernel = op.hermitian_nullspace(constraint, basis)
-        assert len(kernel) >= 4
-        for t in kernel:
-            out = constraint(t)[0]
-            assert op.frobenius(out) <= 1e-9
 
 
 class TestSupport:
