@@ -27,7 +27,7 @@ from .extremality import decompose_extremal, perturbation_space
 from .families import named_family, verify_scheme_equivalence
 from .merit import bayes_gain, check_equal_optimality
 from .operators import GAP_THRESHOLD, TOL_COMPLETE, TOL_PSD
-from .povm import validate_povm
+from .povm import check_povm, validate_povm
 from .sampling import compare_samples, sample_direct, sample_two_stage
 from .tomography import dual_coefficients, estimate_expectation
 
@@ -94,6 +94,7 @@ def _cmd_extremal(args) -> int:
     tols = _parse_tolerances(args.tolerance)
     gap = tols.get("gap", GAP_THRESHOLD)
     povm = ser.load_povm(args.povm)
+    check_povm(povm)
     basis = perturbation_space(povm, gap=gap)
     _emit({"extremal": not basis, "kernel_dim": len(basis)})
     return 0

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .errors import DegeneratePerturbation, InvalidPOVM, TermBudgetExceeded
-from .povm import FinitePOVM, validate_povm
+from .errors import DegeneratePerturbation, TermBudgetExceeded
+from .povm import FinitePOVM, check_povm
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ def perturbation_space(
     """Orthonormal basis of valid perturbations of ``p``.
 
     Empty list iff ``p`` is extremal.  Entries with zero element admit
-    no on-support perturbation and are skipped.
+    no on-support perturbation and are skipped.  ``p`` is not validated
+    here: `decompose_extremal` calls this on faces that are POVMs by
+    construction; `is_extremal` checks its input.
     """
     d = p.dim
     active = []
@@ -145,7 +147,11 @@ def perturbation_space(
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
-    """True iff ``p`` admits no nonzero perturbation."""
+    """True iff ``p`` admits no nonzero perturbation.
+
+    Raises :class:`InvalidPOVM` if ``p`` fails :func:`validate_povm`.
+    """
+    check_povm(p)
     return not perturbation_space(p, gap=gap)
 
 
@@ -244,10 +250,7 @@ def decompose_extremal(
     NumericalRankAmbiguity
         If a support decision falls inside the singular-value gap band.
     """
-    report = validate_povm(p)
-    if not report.passed:
-        raise InvalidPOVM(f"input is not a POVM: {report.worst()}")
-
+    check_povm(p)
     terms = []
     x, rest = p, 1.0
     while True:

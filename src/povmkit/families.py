@@ -20,8 +20,10 @@ exactly; `verify_scheme_equivalence` checks that numerically state by
 state.
 
 Everything that depends on the family lives on these classes: a
-continuous POVM draws its own outcomes (`ContinuousPOVM.sample`) and
-gives its dual processing; a scheme gives its mixing quadrature nodes
+continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
+its dual processing, and gives the finite POVM of an exact outcome
+quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains and dual
+residuals are evaluated; a scheme gives its mixing quadrature nodes
 (`RandomizedScheme.mixing_nodes`) and its per-member Born probabilities
 and outcome points, on which one vectorized two-stage kernel
 (`RandomizedScheme.sample`) and the Monte Carlo average run for every
@@ -43,7 +45,6 @@ from .outcomes import (
     CIRCLE,
     SPHERE,
     TWO_PI,
-    FiniteLabels,
     OutcomeSpace,
     Region,
     normalize_angle,
@@ -115,12 +116,18 @@ def phase_cdf(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # --- continuous POVMs -------------------------------------------------------
 
 class ContinuousPOVM:
-    """Base: a density of unit-trace PSD matrices over circle or sphere."""
+    """Base: a density of unit-trace PSD matrices over circle or sphere.
+
+    In finite dimension the density is a low-degree polynomial in the
+    outcome (in n on the sphere, in exp(i phi) on the circle), so an
+    outcome quadrature integrates it exactly and the family acts as the
+    finite POVM of `outcome_nodes`; what is affine in the POVM (Bayes
+    gains, dual residuals) is computed on those nodes.
+    """
 
     dim: int
     space: OutcomeSpace
     family: str
-    base_measure: str
 
     def density(self, omega) -> np.ndarray:
         raise NotImplementedError
@@ -142,9 +149,19 @@ class ContinuousPOVM:
         """Outcome function whose mean over outcomes estimates ``Tr[rho a]``."""
         raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
 
+    def outcome_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite POVM of an exact outcome quadrature.
+
+        Returns points ``omega_k`` and stacked elements ``w_k M(omega_k)``,
+        shape (K, dim, dim), summing to the identity.
+        """
+        raise UnsupportedFamily(f"no outcome quadrature for family {self.family!r}")
+
     def dual_residual(self, dual) -> float:
-        """Frobenius norm of ``int f(omega) M(omega) - A`` for ``dual = (f, A)``."""
-        raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
+        """Frobenius norm of ``int f(omega) M(omega) - A`` for ``dual = (f, A)``,
+        integrated on `outcome_nodes`."""
+        points, elements = self.outcome_nodes()
+        return op.frobenius(np.tensordot(dual.evaluate(points), elements, axes=1) - dual.target)
 
 
 class SpinDirectionPOVM(ContinuousPOVM):
@@ -154,7 +171,6 @@ class SpinDirectionPOVM(ContinuousPOVM):
         self.dim = 2
         self.space = SPHERE
         self.family = "spin_direction"
-        self.base_measure = "dn/(2*pi)"
 
     def density(self, omega) -> np.ndarray:
         psi = plus_spinors(np.asarray(omega, dtype=float))[0]
@@ -207,15 +223,16 @@ class SpinDirectionPOVM(ContinuousPOVM):
         local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
         return local @ quad.rotation_to(axis).T
 
+    def outcome_nodes(self):
+        """Product Gauss rule, exact for integrands of degree < 32 in n."""
+        pts, w = quad.sphere_nodes(16, 32)
+        spin = plus_spinors(pts)
+        return pts, (w / TWO_PI)[:, None, None] * spin[:, :, None] * spin.conj()[:, None, :]
+
     def dual(self, a):
         from .tomography import spin_dual
 
         return spin_dual(a)
-
-    def dual_residual(self, dual):
-        from .tomography import spin_dual_residual
-
-        return spin_dual_residual(dual)
 
 
 class CirclePhasePOVM(ContinuousPOVM):
@@ -229,7 +246,6 @@ class CirclePhasePOVM(ContinuousPOVM):
         self.dim = d
         self.space = CIRCLE
         self.family = "phase"
-        self.base_measure = "d*dphi/(2*pi)"
 
     def density(self, omega) -> np.ndarray:
         ket = phase_kets(self.dim, float(omega))[0]
@@ -267,15 +283,16 @@ class CirclePhasePOVM(ContinuousPOVM):
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
+    def outcome_nodes(self):
+        """64-point trapezoid rule, exact for trigonometric degree < 64."""
+        phis, w = quad.circle_nodes(64)
+        kets = phase_kets(self.dim, phis)
+        return phis, (w / TWO_PI)[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
+
     def dual(self, a):
         from .tomography import phase_dual
 
         return phase_dual(self.dim, a)
-
-    def dual_residual(self, dual):
-        from .tomography import phase_dual_residual
-
-        return phase_dual_residual(dual)
 
 
 def spin_direction_povm() -> SpinDirectionPOVM:
@@ -298,7 +315,6 @@ class RandomizedScheme:
     average are shared.
     """
 
-    parameter_space: OutcomeSpace
     outcome_space: OutcomeSpace
     dim: int
     family: str
@@ -386,7 +402,6 @@ class SternGerlachScheme(RandomizedScheme):
     """
 
     def __init__(self):
-        self.parameter_space = SPHERE
         self.outcome_space = SPHERE
         self.dim = 2
         self.family = "stern_gerlach"
@@ -461,7 +476,6 @@ class PhaseShiftScheme(RandomizedScheme):
     def __init__(self, d: int):
         if d < 2:
             raise InvalidDimension(f"phase scheme needs d >= 2, got {d}")
-        self.parameter_space = CIRCLE
         self.outcome_space = CIRCLE
         self.dim = d
         self.family = "phase"
@@ -535,7 +549,6 @@ class FiniteMixtureScheme(RandomizedScheme):
         for _, povm in terms:
             require_same_space(first.space, povm.space, "mixture members")
         self.terms = terms
-        self.parameter_space = FiniteLabels(len(terms))
         self.outcome_space = first.space
         self.dim = first.dim
         self.family = "finite_mixture"

@@ -22,21 +22,14 @@ import numpy as np
 
 from . import operators as op
 from . import quadrature as quad
-from .errors import SpaceMismatch
-from .families import (
-    CirclePhasePOVM,
-    ContinuousPOVM,
-    RandomizedScheme,
-    SpinDirectionPOVM,
-    phase_kets,
-    plus_spinors,
-)
-from .outcomes import TWO_PI, Circle, Sphere
+from .errors import DimensionMismatch
+from .families import ContinuousPOVM, RandomizedScheme, phase_kets, plus_spinors
+from .outcomes import CIRCLE, SPHERE, TWO_PI, require_same_space
 from .povm import FinitePOVM
 from .sampling import make_rng
 
 DEFAULT_PRIOR_BUDGET = 8192
-_INNER_BUDGET = 512  # inner outcome integral; integrands are low degree
+_PRIOR_CHUNK = 512  # prior nodes per accumulation step; bounds memory
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,12 @@ class BayesGainSpec:
 
     def fiducial(self, d: int) -> np.ndarray:
         if self.fiducial_state is not None:
-            return op.check_density_matrix(self.fiducial_state)
+            rho = op.check_density_matrix(self.fiducial_state)
+            if rho.shape[0] != d:
+                raise DimensionMismatch(
+                    f"fiducial state dimension {rho.shape[0]} != POVM dimension {d}"
+                )
+            return rho
         e = np.ones(d, dtype=complex) / np.sqrt(d)
         return np.outer(e, e.conj())
 
@@ -83,74 +81,53 @@ class MeritReport:
         return float(max(vals) - min(vals))
 
 
-def _sphere_prior_nodes(budget: int):
-    pts, w = quad.sphere_nodes(*quad.sphere_grid(budget))
-    return pts, w / (2.0 * TWO_PI)  # uniform prior dm/4pi
+def _gain_kernel(spec: BayesGainSpec, dim: int, budget: int):
+    """Bayes gain as a function of the POVM, with the prior built once.
 
+    With prior nodes ``(w_t, rho_t)`` and gain ``g(t, omega)``, the gain
+    of outcomes ``omega_k`` with elements ``E_k`` is ``sum_k <Gamma_k, E_k>``
+    where ``Gamma_k = sum_t w_t g(t, omega_k) rho_t``.  A finite POVM
+    gives its own entries; a continuous one its exact outcome quadrature.
+    """
+    if spec.prior == "uniform_sphere":
+        space = SPHERE
+        params, w = quad.sphere_nodes(*quad.sphere_grid(budget))
+        w = w / (2.0 * TWO_PI)  # uniform prior dm/4pi
+        kets = plus_spinors(params)
+        states = kets[:, :, None] * kets.conj()[:, None, :]
 
-def _gain_sphere_finite(p: FinitePOVM, budget: int) -> float:
-    pts, w = _sphere_prior_nodes(budget)
-    spin = plus_spinors(pts)
-    total = 0.0
-    for point, el in p.entries:
-        if op.frobenius(el) <= 1e-15:
-            continue
-        q = np.einsum("ni,ij,nj->n", spin.conj(), el, spin).real
-        g = 0.5 * (1.0 + pts @ np.asarray(point, dtype=float))
-        total += float(np.sum(w * q * g))
-    return total
+        def g(t, omega):
+            return 0.5 * (1.0 + t @ omega.T)  # fidelity |<m|n>|^2
+    else:
+        space = CIRCLE
+        params, w = quad.circle_nodes(max(64, min(1024, budget)))
+        w = w / TWO_PI
+        # U_t rho0 U_t^dagger with U_t = diag(exp(i n t))
+        kets = phase_kets(dim, params)
+        states = kets[:, :, None] * spec.fiducial(dim) * kets.conj()[:, None, :]
 
+        def g(t, omega):
+            return 0.5 * (1.0 + np.cos(t[:, None] - omega[None, :]))
+    d = states.shape[-1]
+    # w_t rho_t as (re, im) pairs, so each chunk is one real matrix product
+    weighted = (w[:, None, None] * states).reshape(len(w), d * d).view(float)
 
-def _gain_sphere_continuous(c: SpinDirectionPOVM, budget: int) -> float:
-    pts_m, w_m = _sphere_prior_nodes(budget)
-    pts_n, w_n = quad.sphere_nodes(16, 32)
-    w_n = w_n / TWO_PI  # outcome measure dn/2pi
-    total = 0.0
-    chunk = 512
-    for k in range(0, len(pts_m), chunk):
-        dots = pts_m[k : k + chunk] @ pts_n.T
-        overlap = 0.5 * (1.0 + dots)      # |<m|n>|^2
-        gain = 0.5 * (1.0 + dots)
-        total += float(w_m[k : k + chunk] @ (overlap * gain) @ w_n)
-    return total
+    def gain(povm: FinitePOVM | ContinuousPOVM) -> float:
+        require_same_space(space, povm.space, "prior and POVM")
+        if povm.dim != d:
+            raise DimensionMismatch(f"prior states of dimension {d}, POVM dimension {povm.dim}")
+        if isinstance(povm, ContinuousPOVM):
+            points, elements = povm.outcome_nodes()
+        else:
+            points, elements = np.array(povm.points), np.array(povm.elements)
+        gamma = np.zeros((len(points), 2 * d * d))
+        for k in range(0, len(w), _PRIOR_CHUNK):
+            part = slice(k, k + _PRIOR_CHUNK)
+            gamma += g(params[part], points).T @ weighted[part]
+        # Re Tr[Gamma_k E_k] for Hermitian E_k, summed over k
+        return float(elements.reshape(len(points), -1).view(float).ravel() @ gamma.ravel())
 
-
-def _circle_prior_states(rho0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    d = rho0.shape[0]
-    n = np.arange(d)
-    phases = np.exp(1j * np.outer(ts, n))
-    # U_t rho0 U_t^dagger with U_t = diag(exp(i n t))
-    return phases[:, :, None] * rho0[None, :, :] * phases.conj()[:, None, :]
-
-
-def _gain_circle_finite(p: FinitePOVM, spec: BayesGainSpec, budget: int) -> float:
-    rho0 = spec.fiducial(p.dim)
-    k = max(64, min(1024, budget))
-    ts, wt = quad.circle_nodes(k)
-    states = _circle_prior_states(rho0, ts)
-    total = 0.0
-    for point, el in p.entries:
-        if op.frobenius(el) <= 1e-15:
-            continue
-        probs = np.einsum("tij,ji->t", states, el).real
-        g = 0.5 * (1.0 + np.cos(ts - float(point)))
-        total += float(np.sum(wt / TWO_PI * probs * g))
-    return total
-
-
-def _gain_circle_continuous(c: CirclePhasePOVM, spec: BayesGainSpec, budget: int) -> float:
-    rho0 = spec.fiducial(c.dim)
-    k = max(64, min(1024, budget))
-    ts, wt = quad.circle_nodes(k)
-    phis, wp = quad.circle_nodes(k)
-    states = _circle_prior_states(rho0, ts)
-    kets = phase_kets(c.dim, phis)
-    # p(phi | t) density value <phi|rho_t|phi>/2pi
-    intensity = np.einsum("pi,tij,pj->tp", kets.conj(), states, kets).real
-    gain = 0.5 * (1.0 + np.cos(ts[:, None] - phis[None, :]))
-    return float(
-        (wt / TWO_PI) @ (intensity / TWO_PI * gain) @ wp
-    )
+    return gain
 
 
 def bayes_gain(
@@ -160,24 +137,10 @@ def bayes_gain(
 ) -> float:
     """Prior-averaged expected gain of a POVM's declared outcomes.
 
-    Finite POVMs must declare outcome points on the prior's space; the
-    two continuous families integrate the outcome density instead.
+    The POVM's outcomes must live on the prior's space; a continuous
+    POVM is evaluated through its finite outcome quadrature.
     """
-    if spec.prior == "uniform_sphere":
-        if isinstance(povm, SpinDirectionPOVM):
-            return _gain_sphere_continuous(povm, budget)
-        if isinstance(povm, FinitePOVM):
-            if not isinstance(povm.space, Sphere):
-                raise SpaceMismatch("sphere prior needs sphere outcome points")
-            return _gain_sphere_finite(povm, budget)
-        raise SpaceMismatch("sphere prior incompatible with this POVM")
-    if isinstance(povm, CirclePhasePOVM):
-        return _gain_circle_continuous(povm, spec, budget)
-    if isinstance(povm, FinitePOVM):
-        if not isinstance(povm.space, Circle):
-            raise SpaceMismatch("circle prior needs circle outcome points")
-        return _gain_circle_finite(povm, spec, budget)
-    raise SpaceMismatch("circle prior incompatible with this POVM")
+    return _gain_kernel(spec, povm.dim, budget)(povm)
 
 
 def check_equal_optimality(
@@ -193,17 +156,18 @@ def check_equal_optimality(
     quadrature nodes; ``spread`` is max - min over all evaluated members,
     including ``x_samples`` members drawn from the mixing law with ``seed``.
     """
+    gain = _gain_kernel(spec, s.dim, budget)
     xs, w = s.mixing_nodes()
     per = []
     vals = []
     for x in xs:
-        v = bayes_gain(s.member(x), spec, budget=budget)
+        v = gain(s.member(x))
         vals.append(v)
         per.append((_x_label(x), v))
     value = float(np.dot(w, vals))
     if x_samples > 0:
         for x in s.sample_x(make_rng(seed), x_samples):
-            per.append((_x_label(x), bayes_gain(s.member(x), spec, budget=budget)))
+            per.append((_x_label(x), gain(s.member(x))))
     return MeritReport(value=value, per_member=tuple(per))
 
 

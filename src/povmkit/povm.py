@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as op
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidPOVM
 from .outcomes import (
     Circle,
     FiniteLabels,
@@ -194,6 +194,13 @@ def validate_povm(
     )
 
 
+def check_povm(p: FinitePOVM) -> None:
+    """Raise :class:`InvalidPOVM` unless ``p`` passes :func:`validate_povm`."""
+    report = validate_povm(p)
+    if not report.passed:
+        raise InvalidPOVM(f"input is not a POVM: {report.worst()}")
+
+
 def born_probabilities(p: FinitePOVM, rho: np.ndarray) -> np.ndarray:
     """Outcome probabilities ``Tr[rho P_i]``, clamped to [0, 1]."""
     rho = op.as_operator(rho)
@@ -238,11 +245,7 @@ def density_view(p: FinitePOVM, tol_trace: float = op.TOL_TRACE) -> PovmDensityV
 def region_indices(p: FinitePOVM, r: Region) -> list[int]:
     """Entry indices whose outcome point lies in the region."""
     require_same_space(p.space, r.space, "POVM and region")
-    if isinstance(p.space, Sphere):
-        pts = np.array(p.points)
-        mask = r.contains(pts)
-    else:
-        mask = r.contains(np.array(p.points))
+    mask = r.contains(np.array(p.points))
     return [i for i in range(len(p)) if mask[i]]
 
 

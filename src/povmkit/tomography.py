@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as op
-from . import quadrature as quad
 from .catalog import PAULI_X, PAULI_Y, PAULI_Z
-from .errors import EmptySample, NotInformationallyComplete
-from .families import phase_kets, plus_spinors
-from .outcomes import TWO_PI
+from .errors import EmptySample, NotInformationallyComplete, SpaceMismatch
+from .outcomes import CIRCLE, SPHERE
 from .povm import FinitePOVM
 from .sampling import OutcomeRecords
 
@@ -53,22 +51,40 @@ class DualProcessing:
     fourier: np.ndarray | None = field(default=None, compare=False)
 
     def evaluate(self, records) -> np.ndarray:
-        """Per-record processing values ``f(omega)`` (or ``f(i)``)."""
+        """Per-record processing values ``f(omega)`` (or ``f(i)``).
+
+        ``records`` is an `OutcomeRecords` or a bare outcome array.  Outcomes
+        the dual cannot evaluate raise `SpaceMismatch`: a spin dual takes
+        sphere points, a phase dual angles, and a finite dual apparatus
+        indices ``i`` or integer labels in ``0..m-1``.
+        """
+        known = isinstance(records, OutcomeRecords)
         if self.kind == "finite":
-            if isinstance(records, OutcomeRecords):
-                if records.i is not None:
-                    return self.coefficients[records.i]
-                return self.coefficients[np.asarray(records.omega, dtype=int)]
-            return self.coefficients[np.asarray(records, dtype=int)]
-        omega = records.omega if isinstance(records, OutcomeRecords) else records
+            if known:
+                records = records.omega if records.i is None else records.i
+            labels = np.asarray(records)
+            m = len(self.coefficients)
+            if labels.dtype.kind not in "iu":
+                raise SpaceMismatch("a finite dual needs apparatus indices or integer labels")
+            if labels.size and (labels.min() < 0 or labels.max() >= m):
+                raise SpaceMismatch(f"labels outside 0..{m - 1}")
+            return self.coefficients[labels]
+        space = SPHERE if self.kind == "spin" else CIRCLE
+        omega = np.asarray(records.omega if known else records, dtype=float)
+        if known:
+            ok = records.space == space
+        elif self.kind == "spin":
+            ok = omega.ndim in (1, 2) and omega.shape[-1] == 3
+        else:
+            ok = omega.ndim <= 1
+        if not ok:
+            raise SpaceMismatch(f"a {self.kind} dual needs outcomes on the {space}")
         if self.kind == "spin":
-            pts = np.atleast_2d(np.asarray(omega, dtype=float))
-            return self.a0 + 3.0 * pts @ self.avec
-        phis = np.asarray(omega, dtype=float)
+            return self.a0 + 3.0 * np.atleast_2d(omega) @ self.avec
         d = self.target.shape[0]
-        vals = np.full(phis.shape, float(self.fourier[0].real))
+        vals = np.full(omega.shape, float(self.fourier[0].real))
         for k in range(1, d):
-            vals += 2.0 * (self.fourier[k] * np.exp(1j * k * phis)).real
+            vals += 2.0 * (self.fourier[k] * np.exp(1j * k * omega)).real
         return vals
 
 
@@ -134,24 +150,6 @@ def phase_dual(d: int, a: np.ndarray) -> DualProcessing:
             )
         fourier[k] = diag[0]
     return DualProcessing(target=a, kind="phase", fourier=fourier)
-
-
-def spin_dual_residual(dual: DualProcessing, budget: int = 2048) -> float:
-    """``|| int dn/2pi f(n) |n><n| - A ||_F`` by sphere quadrature."""
-    pts, w = quad.sphere_nodes(*quad.sphere_grid(budget))
-    spin = plus_spinors(pts)
-    f = dual.evaluate(pts)
-    integral = np.einsum("n,ni,nj->ij", w / TWO_PI * f, spin, spin.conj())
-    return op.frobenius(integral - dual.target)
-
-
-def phase_dual_residual(dual: DualProcessing, budget: int = 1024) -> float:
-    d = dual.target.shape[0]
-    phis, w = quad.circle_nodes(max(64, budget))
-    kets = phase_kets(d, phis)
-    f = dual.evaluate(phis)
-    integral = np.einsum("n,ni,nj->ij", w / TWO_PI * f, kets, kets.conj())
-    return op.frobenius(integral - dual.target)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from povmkit import serialize as ser
 from povmkit.catalog import PAULI_X, PAULI_Y, PAULI_Z
 from povmkit.cli import main as cli_main
 from povmkit.outcomes import SPHERE, Region
-from povmkit.tomography import spin_dual_residual
 
 from oracles import (
     arc_probability_quadrature,
@@ -242,7 +241,7 @@ def test_criterion_8_tomography():
             coeffs = rng.normal(size=4)
             target = coeffs[0] * np.eye(2) + coeffs[1] * PAULI_X \
                 + coeffs[2] * PAULI_Y + coeffs[3] * PAULI_Z
-            assert spin_dual_residual(pk.spin_dual(target)) <= 1e-9
+            assert pk.spin_direction_povm().dual_residual(pk.spin_dual(target)) <= 1e-9
 
         dual_z = pk.spin_dual(PAULI_Z)
         n = 100_000

@@ -99,6 +99,16 @@ class TestExtremal:
         assert code == 0
         assert json.loads(out) == {"extremal": True, "kernel_dim": 0}
 
+    def test_non_povm_is_input_error(self, capsys, tmp_path):
+        half = 0.7 * np.eye(2, dtype=complex)
+        path = tmp_path / "not_povm.json"
+        entries = ((0, half), (1, half))
+        ser.save_povm(path, pk.FinitePOVM(dim=2, space=pk.FiniteLabels(2), entries=entries))
+        code, out, err = run_cli(capsys, "extremal", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
 
 class TestDecompose:
     def test_coin_flip(self, capsys, coin_flip_file, tmp_path):
@@ -316,6 +326,17 @@ class TestGof:
 
 
 class TestMerit:
+    def test_fiducial_dimension_mismatch_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        up = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        spec.write_text(json.dumps(
+            {"prior": "uniform_circle", "gain": "cosine", "state": up}
+        ))
+        code, out, err = run_cli(capsys, "merit", "--family", "phase:3", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "dimension 2 != POVM dimension 3" in json.loads(err)["error"]
+
     def test_family_value(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"prior": "uniform_sphere", "gain": "fidelity"}))
@@ -336,6 +357,65 @@ class TestMerit:
 
 
 class TestTomo:
+    @pytest.fixture
+    def z_target(self, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({
+            "schema": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+        }))
+        return str(path)
+
+    @pytest.fixture
+    def spin_records(self, capsys, tmp_path, state_file):
+        path = tmp_path / "spin.ndjson"
+        run_cli(
+            capsys,
+            "sample", "--family", "spin", "--direct", "--state", state_file,
+            "-n", "100", "--seed", "3", "-o", str(path),
+        )
+        return str(path)
+
+    def test_sphere_records_with_finite_dual_are_input_error(
+        self, capsys, tmp_path, z_target, spin_records
+    ):
+        sic = tmp_path / "sic.json"
+        ser.save_povm(sic, pk.sic_tetrahedron_povm())
+        code, out, err = run_cli(
+            capsys, "tomo", "--povm", str(sic), "--target", z_target,
+            "--records", spin_records,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
+    def test_sphere_records_with_phase_dual_are_input_error(
+        self, capsys, tmp_path, spin_records
+    ):
+        target = tmp_path / "toeplitz.json"
+        ones = [[[1, 0]] * 3] * 3
+        target.write_text(json.dumps({"schema": 1, "matrix": ones}))
+        code, out, err = run_cli(
+            capsys, "tomo", "--family", "phase:3", "--target", str(target),
+            "--records", spin_records,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("label", [-1, 7])
+    def test_label_out_of_range_is_input_error(self, capsys, tmp_path, z_target, label):
+        sic = tmp_path / "sic.json"
+        ser.save_povm(sic, pk.sic_tetrahedron_povm())
+        records = tmp_path / "labels.ndjson"
+        records.write_text(f'{{"omega":0}}\n{{"omega":{label}}}\n')
+        code, out, err = run_cli(
+            capsys, "tomo", "--povm", str(sic), "--target", z_target,
+            "--records", str(records),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
     def test_finite_dual(self, capsys, tmp_path):
         sic = tmp_path / "sic.json"
         ser.save_povm(sic, pk.sic_tetrahedron_povm())

@@ -75,6 +75,14 @@ class TestIsExtremal:
         assert pk.is_extremal(pk.sic_tetrahedron_povm())
         assert brute_force_extremal(pk.sic_tetrahedron_povm())
 
+    def test_rejects_non_povm(self):
+        half = 0.7 * np.eye(2, dtype=complex)
+        p = pk.FinitePOVM(
+            dim=2, space=FiniteLabels(2), entries=((0, half), (1, half))
+        )
+        with pytest.raises(InvalidPOVM):
+            pk.is_extremal(p)
+
     def test_random_six_outcome_qubit_not(self, rng):
         for _ in range(5):
             p = pk.random_povm(rng, 2, 6, element_rank=1)

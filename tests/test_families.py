@@ -95,6 +95,14 @@ class TestSpinDirection:
         assert abs(p1 - p2) <= 1e-9
 
 
+def test_outcome_nodes_are_finite_povms():
+    for c in [pk.spin_direction_povm()] + [pk.phase_povm(d) for d in range(2, 17)]:
+        points, elements = c.outcome_nodes()
+        assert len(points) == len(elements)
+        assert np.linalg.eigvalsh(elements).min() >= -1e-12
+        assert np.linalg.norm(elements.sum(axis=0) - np.eye(c.dim)) <= 1e-12
+
+
 class TestSternGerlach:
     def test_member_matches_projectors(self, up, down):
         member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import povmkit as pk
-from povmkit.errors import SpaceMismatch
+from povmkit.errors import DimensionMismatch, SpaceMismatch
 from povmkit.outcomes import SPHERE
 
 
@@ -42,11 +42,11 @@ class TestBayesGain:
         value = pk.bayes_gain(trivial_guess_povm(), fidelity_spec)
         assert value == pytest.approx(0.5, abs=1e-9)
 
-    def test_continuous_phase_closed_form(self, cosine_spec):
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_continuous_phase_closed_form(self, cosine_spec, d):
         # with the uniform-superposition fiducial the value is 1 - 1/(2d)
-        for d in (2, 3, 4):
-            value = pk.bayes_gain(pk.phase_povm(d), cosine_spec)
-            assert value == pytest.approx(1.0 - 1.0 / (2 * d), abs=1e-9)
+        value = pk.bayes_gain(pk.phase_povm(d), cosine_spec)
+        assert value == pytest.approx(1.0 - 1.0 / (2 * d), abs=1e-9)
 
     def test_space_guard(self, fidelity_spec):
         with pytest.raises(SpaceMismatch):
@@ -112,11 +112,12 @@ class TestEqualOptimality:
         assert report.spread <= 1e-9
         assert report.value == pytest.approx(0.75, abs=1e-9)
 
-    def test_scheme_consistency_with_continuous(self, fidelity_spec):
-        continuous = pk.bayes_gain(pk.spin_direction_povm(), fidelity_spec)
-        report = pk.check_equal_optimality(
-            pk.stern_gerlach_scheme(), fidelity_spec, x_samples=0
-        )
+    @pytest.mark.parametrize("family", ["spin", "phase:2", "phase:3"])
+    def test_scheme_consistency_with_continuous(self, fidelity_spec, cosine_spec, family):
+        spec = fidelity_spec if family == "spin" else cosine_spec
+        c, s = pk.named_family(family)
+        continuous = pk.bayes_gain(c, spec)
+        report = pk.check_equal_optimality(s, spec, x_samples=0)
         assert abs(report.value - continuous) <= 1e-9
 
     def test_mixed_quality_scheme_detected(self, fidelity_spec):
@@ -164,3 +165,10 @@ class TestSpecValidation:
         # a basis state carries no phase information: gain collapses to 1/2
         value = pk.bayes_gain(pk.phase_povm(2), spec)
         assert value == pytest.approx(0.5, abs=1e-9)
+
+    def test_fiducial_dimension_checked(self, up):
+        spec = pk.BayesGainSpec(
+            prior="uniform_circle", gain="cosine", fiducial_state=up
+        )
+        with pytest.raises(DimensionMismatch, match="2 != POVM dimension 3"):
+            pk.bayes_gain(pk.phase_povm(3), spec)

@@ -3,13 +3,9 @@ import pytest
 
 import povmkit as pk
 from povmkit.catalog import PAULI_X, PAULI_Y, PAULI_Z, TETRAHEDRON_AXES
-from povmkit.errors import EmptySample, NotInformationallyComplete
+from povmkit.errors import EmptySample, NotInformationallyComplete, SpaceMismatch
 from povmkit.outcomes import FiniteLabels
-from povmkit.tomography import (
-    pauli_components,
-    phase_dual_residual,
-    spin_dual_residual,
-)
+from povmkit.tomography import pauli_components
 
 from oracles import sic_dual_closed_form
 
@@ -73,7 +69,7 @@ class TestSpinDual:
     ])
     def test_quadrature_residual(self, target):
         dual = pk.spin_dual(target)
-        assert spin_dual_residual(dual) <= 1e-9
+        assert pk.spin_direction_povm().dual_residual(dual) <= 1e-9
 
     def test_identity_dual_is_constant_one(self):
         dual = pk.spin_dual(np.eye(2, dtype=complex))
@@ -84,7 +80,7 @@ class TestSpinDual:
 class TestPhaseDual:
     def test_toeplitz_target(self):
         dual = pk.phase_dual(2, PAULI_X)
-        assert phase_dual_residual(dual) <= 1e-10
+        assert pk.phase_povm(2).dual_residual(dual) <= 1e-10
         # f(phi) = 2 cos(phi)
         phis = np.array([0.0, np.pi / 2, np.pi])
         assert np.allclose(dual.evaluate(phis), [2.0, 0.0, -2.0], atol=1e-12)
@@ -161,3 +157,48 @@ class TestEstimates:
         recs = pk.sample_direct(pk.phase_povm(3), rho, 200_000, seed=35)
         rep = pk.estimate_expectation(recs, dual, rho_exact=rho)
         assert abs(rep.estimate - rep.exact) <= 5 * rep.std_error
+
+
+class TestRecordSpace:
+    def test_sphere_records_with_finite_dual(self, up):
+        recs = pk.sample_direct(pk.spin_direction_povm(), up, 100, seed=36)
+        dual = pk.dual_coefficients(pk.sic_tetrahedron_povm(), PAULI_Z)
+        with pytest.raises(SpaceMismatch):
+            pk.estimate_expectation(recs, dual)
+
+    def test_sphere_records_with_phase_dual(self, up):
+        recs = pk.sample_direct(pk.spin_direction_povm(), up, 100, seed=37)
+        dual = pk.phase_dual(3, np.ones((3, 3), dtype=complex))
+        with pytest.raises(SpaceMismatch):
+            pk.estimate_expectation(recs, dual)
+
+    def test_circle_records_with_spin_dual(self):
+        recs = pk.sample_direct(pk.phase_povm(2), np.eye(2) / 2, 100, seed=38)
+        with pytest.raises(SpaceMismatch):
+            pk.estimate_expectation(recs, pk.spin_dual(PAULI_Z))
+
+    def test_bare_arrays_on_the_wrong_space(self):
+        sphere_points = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(SpaceMismatch):
+            pk.phase_dual(2, PAULI_X).evaluate(sphere_points)
+        with pytest.raises(SpaceMismatch):
+            pk.spin_dual(PAULI_Z).evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
+        with pytest.raises(SpaceMismatch):
+            pk.dual_coefficients(pk.sic_tetrahedron_povm(), PAULI_Z).evaluate([0.5, 1.0])
+
+    @pytest.mark.parametrize("label", [-1, 4, 7])
+    def test_labels_out_of_range(self, label):
+        from povmkit.sampling import OutcomeRecords
+
+        dual = pk.dual_coefficients(pk.sic_tetrahedron_povm(), PAULI_Z)
+        recs = OutcomeRecords(space=None, omega=np.array([0, label]))
+        with pytest.raises(SpaceMismatch, match="outside 0..3"):
+            pk.estimate_expectation(recs, dual)
+
+    def test_apparatus_index_preferred(self):
+        # two-stage records of a finite POVM carry the entry index i
+        sic = pk.sic_tetrahedron_povm()
+        recs = pk.sample_two_stage(pk.FiniteMixtureScheme([(1.0, sic)]), np.eye(2) / 2, 500, 39)
+        dual = pk.dual_coefficients(sic, np.eye(2, dtype=complex))
+        rep = pk.estimate_expectation(recs, dual)
+        assert rep.estimate == pytest.approx(1.0, abs=1e-12)
