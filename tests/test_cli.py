@@ -247,6 +247,19 @@ class TestSample:
         assert recs.i is not None and recs.x is not None
         assert len(recs) == 200
 
+    def test_direct_phase_deterministic(self, capsys, tmp_path):
+        state = tmp_path / "state3.json"
+        ser.save_states(state, [("rho", pk.random_density_matrix(np.random.default_rng(3), 3))])
+        outs = [tmp_path / "a.ndjson", tmp_path / "b.ndjson"]
+        for out in outs:
+            code, _, _ = run_cli(
+                capsys,
+                "sample", "--family", "phase:3", "--direct", "--state", str(state),
+                "-n", "500", "--seed", "7", "-o", str(out),
+            )
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_dimension_mismatch_is_input_error(self, capsys, state_file, tmp_path):
         out = tmp_path / "mismatch.ndjson"
         code, _, err = run_cli(
@@ -304,6 +317,21 @@ class TestGof:
         )
         assert code == 1
         assert json.loads(out)["p_value"] < 1e-6
+
+    def test_malformed_records_is_input_error(self, capsys, tmp_path, state_file):
+        # two-stage records from which one apparatus index was dropped
+        good = tmp_path / "good.ndjson"
+        run_cli(capsys, "sample", "--family", "spin", "--scheme", "--state", state_file,
+                "-n", "2000", "--seed", "3", "-o", str(good))
+        lines = good.read_text().splitlines()
+        lines[9] = lines[9].replace('"i":0,', "").replace('"i":1,', "")
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys, "gof", "--a", str(good), "--b", str(bad), "--bins", "sphere12"
+        )
+        assert code == 2
+        assert "bad.ndjson:10: missing 'i'" in json.loads(err)["error"]
 
     def test_preset_on_wrong_space_is_input_error(self, capsys, tmp_path):
         state = tmp_path / "state3.json"

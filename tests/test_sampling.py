@@ -119,6 +119,37 @@ class TestDirectPhase:
         with pytest.raises(UnsupportedFamily):
             pk.sample_direct(Fake(), up, 10, seed=0)
 
+    @staticmethod
+    def _state(kind, d):
+        rng = np.random.default_rng(d)
+        if kind == "mixed":
+            return pk.random_density_matrix(rng, d)
+        if kind == "pure":
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            return np.outer(v, v.conj())
+        if kind == "basis":  # uniform phase density
+            return np.diag(np.eye(d)[0]).astype(complex)
+        return np.full((d, d), 1.0 / d, dtype=complex)  # plus: density zero at pi
+
+    @pytest.mark.parametrize("d, kind", [
+        (d, kind) for d in (2, 3, 8, 16) for kind in ("mixed", "pure", "basis")
+    ] + [(2, "plus")])
+    def test_inverse_cdf_exactness(self, d, kind):
+        # the closed-form CDF at every draw reproduces the generator's uniform
+        rho = self._state(kind, d)
+        n, seed = 5000, 31
+        phis = pk.sample_direct(pk.phase_povm(d), rho, n, seed=seed).omega
+        u = make_rng(seed).uniform(0.0, 1.0, n)
+        assert np.max(np.abs(phase_cdf(rho, phis) - u)) <= 1e-12
+        assert np.all((phis >= 0.0) & (phis < TWO_PI))
+
+    def test_deterministic(self):
+        rho = self._state("mixed", 8)
+        a = pk.sample_direct(pk.phase_povm(8), rho, 1000, seed=3)
+        b = pk.sample_direct(pk.phase_povm(8), rho, 1000, seed=3)
+        assert np.array_equal(a.omega, b.omega)
+
     def test_state_dimension_checked(self, up):
         with pytest.raises(DimensionMismatch):
             pk.sample_direct(pk.phase_povm(3), up, 10, seed=0)

@@ -1,12 +1,17 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit import serialize as ser
 from povmkit.errors import SchemaError
 from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels, Region
+from povmkit.sampling import OutcomeRecords
 
 
 class TestPovmRoundtrip:
@@ -117,9 +122,9 @@ class TestRecords:
         ser.write_records(path, recs)
         back = ser.read_records(path)
         assert back.space == SPHERE
-        assert np.allclose(back.omega, recs.omega)
+        assert np.array_equal(back.omega, recs.omega)
         assert np.array_equal(back.i, recs.i)
-        assert np.allclose(back.x, recs.x)
+        assert np.array_equal(back.x, recs.x)
 
     def test_circle_roundtrip(self, tmp_path, plus):
         recs = pk.sample_direct(pk.phase_povm(2), plus, 50, seed=2)
@@ -128,7 +133,7 @@ class TestRecords:
         back = ser.read_records(path)
         assert back.space == CIRCLE
         assert back.i is None and back.x is None
-        assert np.allclose(back.omega, recs.omega)
+        assert np.array_equal(back.omega, recs.omega)
 
     def test_direct_records_omit_optional_keys(self, tmp_path, up):
         recs = pk.sample_direct(pk.spin_direction_povm(), up, 3, seed=3)
@@ -139,9 +144,154 @@ class TestRecords:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "r.ndjson"
-        path.write_text('{"omega": 0.5}\nnot json\n')
-        with pytest.raises(SchemaError):
+        for bad_line in (2, 5000):  # in the first chunk of lines and past it
+            lines = ['{"omega": 0.5}'] * 6000
+            lines[bad_line - 1] = "not json"
+            lines[3] = ""
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SchemaError, match=f":{bad_line}: invalid JSON"):
+                ser.read_records(path)
+
+    def test_roundtrip_across_chunks(self, tmp_path):
+        recs = pk.sample_two_stage(pk.phase_scheme(3), np.eye(3) / 3, 4097, seed=5)
+        path = tmp_path / "r.ndjson"
+        ser.write_records(path, recs)
+        assert path.read_text().count("\n") == 4097
+        back = ser.read_records(path)
+        for name in ("omega", "i", "x"):
+            assert np.array_equal(getattr(back, name), getattr(recs, name))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        path.write_text('\n{"omega": 0.5}\n  \n' + "\n" * 5000 + '{"omega": 1.5}\n\n')
+        back = ser.read_records(path)
+        assert back.space == CIRCLE
+        assert np.array_equal(back.omega, [0.5, 1.5])
+        path.write_text('\n{"omega": 0.5}\n  \n' + "\n" * 5000 + '{"omega": "1"}\n')
+        with pytest.raises(SchemaError, match=":5004: 'omega' must be a number"):
             ser.read_records(path)
+
+    @pytest.mark.parametrize("text, line", [
+        # a label that is not an integer is not truncated
+        ('{"omega":1}\n{"omega":2.7}\n', 2),
+        ('{"omega":1}\n{"omega":true}\n', 2),
+        ('{"omega":1}\n{"omega":100000000000000000000000}\n', 2),
+        # every record carries the optional fields of the first, and no others
+        ('{"i":0,"omega":0.5}\n{"omega":0.7}\n', 2),
+        ('{"omega":0.5,"x":1.0}\n\n{"omega":0.7}\n', 3),
+        ('{"omega":0.5}\n{"omega":0.7}\n{"i":1,"omega":0.7}\n', 3),
+        ('{"omega":0.5}\n{"omega":0.7,"x":0.1}\n', 2),
+        # one outcome space per file; sphere points have 3 coordinates
+        ('{"omega":[0.0,0.0,1.0]}\n{"omega":0.5}\n', 2),
+        ('{"omega":0.5}\n{"omega":[0.0,0.0,1.0]}\n', 2),
+        ('{"omega":[0.0,0.0,1.0]}\n{"omega":[0.0,1.0]}\n', 2),
+        ('{"omega":[0.0,1.0]}\n', 1),
+        ('{"omega":"0.5"}\n', 1),
+        ('{"omega":0.5}\n[0.5]\n', 2),
+        ('{"omega":0.5}\n{"omega":NaN}\n', 2),
+        ('{"omega":0.5,"x":[0.0,1.0]}\n{"omega":0.5,"x":[0.0]}\n', 2),
+        ('{"i":0.5,"omega":0.5}\n', 1),
+        # valid JSON once the lines are joined, but not line by line
+        ('{"omega":0.5},{"omega":0.6}\n', 1),
+        ('{"omega":0.5}\n{"omega":[0.0\n1.0,0.0]}\n', 2),
+    ])
+    def test_malformed_records_rejected(self, tmp_path, text, line):
+        path = tmp_path / "r.ndjson"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"r.ndjson:{line}: "):
+            ser.read_records(path)
+
+    @pytest.mark.parametrize("column", ["omega", "x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_not_written(self, tmp_path, column, value):
+        recs = pk.sample_two_stage(pk.phase_scheme(2), np.eye(2) / 2, 5, seed=1)
+        getattr(recs, column)[3] = value
+        path = tmp_path / "r.ndjson"
+        with pytest.raises(SchemaError, match=repr(column)):
+            ser.write_records(path, recs)
+        assert not path.exists()
+
+    SPHERE_OMEGA = [[-0.0, 5e-324, 1e308], [2.0**40, -1.5, 0.1], [1.0, 0.0, -2.5e-10]]
+    CIRCLE_OMEGA = [-0.0, 5e-324, 1e308, 2.0**40]
+    LABEL_OMEGA = [0, 2**40, 3, 1]
+
+    @pytest.mark.parametrize("omega", [SPHERE_OMEGA, CIRCLE_OMEGA, LABEL_OMEGA],
+                             ids=["sphere", "circle", "labels"])
+    @pytest.mark.parametrize("with_i", [False, True], ids=["", "i"])
+    @pytest.mark.parametrize("x", [None, "scalar", "vector"])
+    def test_golden_bytes(self, tmp_path, omega, with_i, x):
+        n = len(omega)
+        i = [2**40, 0, 7, 3][:n] if with_i else None
+        xs = {
+            None: None,
+            "scalar": [-0.0, 5e-324, 1e308, 2.0**40][:n],
+            "vector": [[1e308, -0.0, 5e-324], [0.25, 2.0**40, 3.0], [-1e-300, 1.0, 2.0],
+                       [0.0, 0.0, 1.0]][:n],
+        }[x]
+        recs = OutcomeRecords(
+            space=None,
+            omega=np.array(omega),
+            i=None if i is None else np.array(i),
+            x=None if xs is None else np.array(xs),
+        )
+        # the rule every writer follows: the canonical dump of each row's dict
+        rows = []
+        for k in range(n):
+            row = {"omega": omega[k]}
+            if i is not None:
+                row["i"] = i[k]
+            if xs is not None:
+                row["x"] = xs[k]
+            rows.append(ser.dumps_canonical(row) + "\n")
+        path = tmp_path / "r.ndjson"
+        ser.write_records(path, recs)
+        assert path.read_text() == "".join(rows)
+        back = ser.read_records(path)
+        for name in ("omega", "i", "x"):
+            written, read = getattr(recs, name), getattr(back, name)
+            assert (read is None) == (written is None)
+            if written is not None:
+                assert read.tobytes() == written.astype(read.dtype).tobytes()
+
+    @given(
+        st.sampled_from(["sphere", "circle", "labels"]),
+        st.booleans(),
+        st.sampled_from([None, 1, 3]),
+        st.integers(1, 300),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, kind, with_i, x_width, n, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        def column(elements, width=1):
+            shape = (n,) if width == 1 else (n, width)
+            return np.array(data.draw(st.lists(elements, min_size=n * width,
+                                               max_size=n * width))).reshape(shape)
+
+        omega = {
+            "sphere": lambda: column(finite, 3),
+            "circle": lambda: column(finite),
+            "labels": lambda: column(st.integers(-(2**63), 2**63 - 1)),
+        }[kind]()
+        recs = OutcomeRecords(
+            space=None,
+            omega=omega,
+            i=column(st.integers(0, 2**63 - 1)) if with_i else None,
+            x=None if x_width is None else column(finite, x_width),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.ndjson")
+            ser.write_records(path, recs)
+            back = ser.read_records(path)
+        assert back.space == {"sphere": SPHERE, "circle": CIRCLE, "labels": None}[kind]
+        for name in ("omega", "i", "x"):
+            written, read = getattr(recs, name), getattr(back, name)
+            if written is None:
+                assert read is None
+            else:
+                assert read.dtype == written.dtype
+                assert read.tobytes() == written.tobytes()
 
 
 class TestDecomposition:
