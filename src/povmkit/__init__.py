@@ -43,12 +43,11 @@ from .extremality import (
 from .families import (
     CirclePhasePOVM,
     ContinuousPOVM,
+    DesignScheme,
     EquivalenceReport,
     FiniteMixtureScheme,
-    PhaseShiftScheme,
     RandomizedScheme,
     SpinDirectionPOVM,
-    SternGerlachScheme,
     named_family,
     phase_povm,
     phase_scheme,

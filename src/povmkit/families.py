@@ -9,23 +9,22 @@ Two continuous POVMs are built in:
   with base measure ``d * dphi / 2*pi``, where
   ``|phi> = sum_n exp(i n phi) |n>`` (squared norm d).
 
-Each comes with its exact randomization: a classical mixing distribution
-over a parameter x together with a map from x to a finite POVM whose
-relabeled outcomes reproduce the continuous statistics — a uniformly
-oriented two-outcome projective measurement for the spin family, and a
-uniformly shifted d-point phase comb for the phase family.  Explicit
-finite mixtures of finite POVMs (`FiniteMixtureScheme`) are schemes too.
-Region probabilities of scheme averages agree with the continuous POVM
-exactly; `verify_scheme_equivalence` checks that numerically state by
-state.
+Both are covariant, ``M(g.omega) = U_g M(omega) U_g^dagger`` under
+rotations and phase shifts, and have one exact randomization,
+`DesignScheme`: a finite design ``sum_k w_k M(omega_k) = I`` moved by a
+uniformly random group element, declaring the moved points (the
+antipodal pair ``{+z, -z}`` for spin, the d-point comb for phase).
+Explicit finite mixtures of finite POVMs (`FiniteMixtureScheme`) are
+schemes too.  Region probabilities of scheme averages agree with the
+continuous POVM exactly; `verify_scheme_equivalence` checks that
+numerically state by state.
 
 Everything that depends on the family lives on these classes: a
 continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
-its dual processing, and gives the finite POVM of an exact outcome
-quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains and dual
-residuals are evaluated; a scheme gives its mixing quadrature nodes
-(`RandomizedScheme.mixing_nodes`) and its per-member Born probabilities
-and outcome points, on which one vectorized two-stage kernel
+its dual processing, its rank-one kets and group action (from which
+`DesignScheme` builds its members), and the finite POVM of an exact
+outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains
+and dual residuals are evaluated; one vectorized two-stage kernel
 (`RandomizedScheme.sample`) and the Monte Carlo average run for every
 scheme.  `named_family` is the one table from family names (``spin``,
 its aliases, ``phase:<d>``) to the (continuous POVM, scheme) pair.
@@ -50,7 +49,7 @@ from .outcomes import (
     normalize_angle,
     require_same_space,
 )
-from .povm import FinitePOVM, born_probabilities, probability_of_region
+from .povm import FinitePOVM, born_probabilities, check_povm, probability_of_region
 
 # --- state vectors ----------------------------------------------------------
 
@@ -69,22 +68,10 @@ def plus_spinors(points: np.ndarray) -> np.ndarray:
     return np.column_stack([c.astype(complex), phase * s])
 
 
-def spinor_expectations(rho: np.ndarray, spinors: np.ndarray) -> np.ndarray:
-    """``<psi|rho|psi>`` for each row, clipped to [0, 1]."""
-    vals = np.einsum("ni,ij,nj->n", spinors.conj(), rho, spinors).real
-    return np.clip(vals, 0.0, 1.0)
-
-
 def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
     """Unnormalized phase vectors ``sum_n exp(i n phi)|n>``, shape (m, d)."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     return np.exp(1j * np.outer(phis, np.arange(d)))
-
-
-def phase_intensity(rho: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """``<phi|rho|phi>``; nonnegative, integrates to 1 against dphi/2pi."""
-    kets = phase_kets(rho.shape[0], phis)
-    return np.clip(np.einsum("ni,ij,nj->n", kets.conj(), rho, kets).real, 0.0, None)
 
 
 def _bloch_vector(psi: np.ndarray) -> np.ndarray:
@@ -93,25 +80,6 @@ def _bloch_vector(psi: np.ndarray) -> np.ndarray:
         [2.0 * (np.conj(a) * b).real, 2.0 * (np.conj(a) * b).imag,
          (abs(a) ** 2 - abs(b) ** 2)]
     )
-
-
-def spin_polar_cdf(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """CDF of the polar cosine in the state's eigenframe (test hook)."""
-    w, _ = op.eigh(rho)
-    r = 2.0 * float(w[0]) - 1.0
-    return (u + 1.0) / 2.0 + r * (u * u - 1.0) / 4.0
-
-
-def phase_cdf(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``, one
-    Fourier term at a time (test hook: the reference for the sampler)."""
-    d = rho.shape[0]
-    phi = np.asarray(phi, dtype=float)
-    total = phi.astype(float).copy()
-    for k in range(1, d):
-        ck = np.trace(rho, offset=k)
-        total += (2.0 / k) * (ck * (np.exp(1j * k * phi) - 1.0)).imag
-    return total / TWO_PI
 
 
 # --- continuous POVMs -------------------------------------------------------
@@ -124,14 +92,35 @@ class ContinuousPOVM:
     outcome quadrature integrates it exactly and the family acts as the
     finite POVM of `outcome_nodes`; what is affine in the POVM (Bayes
     gains, dual residuals) is computed on those nodes.
+
+    The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
+    kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
+    ``int |psi><psi| domega/2pi = I``.  What `DesignScheme` needs of the
+    family's group: ``move(xs, point)``, a design point's images under
+    elements carrying the family's pole to each mixing parameter x;
+    ``preimage(region, point)``, the x whose image of ``point`` lies in
+    ``region``; ``mixing_law(points, weights)``, the law of x for a design:
+    ``(sample(rng, size), (nodes, weights), average(terms, budget))``, the
+    last the mixing average of ``sum_k chi_{R_k}(x) f_k(x)`` over pairs of
+    a vectorized function and a region of x.
     """
 
     dim: int
     space: OutcomeSpace
     family: str
+    ket_norm: int  # squared norm of the kets
 
     def density(self, omega) -> np.ndarray:
-        raise NotImplementedError
+        ket = self.kets(omega)[0]
+        return np.outer(ket, ket.conj()) / self.ket_norm
+
+    def born(self, rho: np.ndarray, points) -> np.ndarray:
+        """``Tr[rho M(omega)]`` at outcome points, clipped to [0, 1]."""
+        kets = self.kets(points)
+        applied = kets @ rho.T  # rows rho |psi>; Re <psi|rho psi> in real parts
+        vals = np.einsum("ni,ni->n", kets.real, applied.real)
+        vals += np.einsum("ni,ni->n", kets.imag, applied.imag)
+        return np.clip(vals / self.ket_norm, 0.0, 1.0)
 
     def region_operator(self, region: Region) -> np.ndarray:
         raise NotImplementedError
@@ -151,12 +140,14 @@ class ContinuousPOVM:
         raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
 
     def outcome_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The finite POVM of an exact outcome quadrature.
+        """The finite POVM of an exact outcome quadrature (`outcome_rule`).
 
         Returns points ``omega_k`` and stacked elements ``w_k M(omega_k)``,
         shape (K, dim, dim), summing to the identity.
         """
-        raise UnsupportedFamily(f"no outcome quadrature for family {self.family!r}")
+        points, w = self.outcome_rule()
+        kets = self.kets(points)
+        return points, (w / TWO_PI)[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
 
     def dual_residual(self, dual) -> float:
         """Frobenius norm of ``int f(omega) M(omega) - A`` for ``dual = (f, A)``,
@@ -172,10 +163,40 @@ class SpinDirectionPOVM(ContinuousPOVM):
         self.dim = 2
         self.space = SPHERE
         self.family = "spin_direction"
+        self.ket_norm = 1
 
-    def density(self, omega) -> np.ndarray:
-        psi = plus_spinors(np.asarray(omega, dtype=float))[0]
-        return np.outer(psi, psi.conj())
+    def kets(self, points):
+        return plus_spinors(points)
+
+    def move(self, xs, point):
+        return point[2] * xs
+
+    def preimage(self, region, point):
+        return Region.of_caps(
+            [(tuple(point[2] * c.axis_array), c.angle) for c in region.caps],
+            complement=region.complement,
+        )
+
+    def mixing_law(self, points, weights):
+        """x uniform on the sphere, density ``1/4pi``.  Any rotation carrying
+        +z to x carries -z to -x, so x fixes the member of a design at the
+        poles; the images of other points depend on the rotation."""
+        if np.any(points[:, :2] != 0.0) or np.any(np.abs(points[:, 2]) != 1.0):
+            raise ValueError("sphere designs sit at the poles (0, 0, 1) and (0, 0, -1)")
+
+        def sample(rng, size):
+            u = rng.uniform(-1.0, 1.0, size)
+            phi = rng.uniform(0.0, TWO_PI, size)
+            s = np.sqrt(1.0 - u * u)
+            return np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
+
+        def average(terms, budget):
+            budget = budget or quad.DEFAULT_SPHERE_BUDGET
+            total = sum(quad.integrate_sphere_region(f, region, budget) for f, region in terms)
+            return float(total) / (2.0 * TWO_PI)
+
+        nodes, w = quad.sphere_nodes(8, 16)
+        return sample, (list(nodes), w / (2.0 * TWO_PI)), average
 
     @staticmethod
     def cap_operator(axis, angle: float) -> np.ndarray:
@@ -224,11 +245,9 @@ class SpinDirectionPOVM(ContinuousPOVM):
         local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
         return local @ quad.rotation_to(axis).T
 
-    def outcome_nodes(self):
+    def outcome_rule(self):
         """Product Gauss rule, exact for integrands of degree < 32 in n."""
-        pts, w = quad.sphere_nodes(16, 32)
-        spin = plus_spinors(pts)
-        return pts, (w / TWO_PI)[:, None, None] * spin[:, :, None] * spin.conj()[:, None, :]
+        return quad.sphere_nodes(16, 32)
 
     def dual(self, a):
         from .tomography import spin_dual
@@ -252,10 +271,43 @@ class CirclePhasePOVM(ContinuousPOVM):
         self.dim = d
         self.space = CIRCLE
         self.family = "phase"
+        self.ket_norm = d
 
-    def density(self, omega) -> np.ndarray:
-        ket = phase_kets(self.dim, float(omega))[0]
-        return np.outer(ket, ket.conj()) / self.dim
+    def kets(self, points):
+        return phase_kets(self.dim, points)
+
+    def move(self, xs, point):
+        return normalize_angle(xs + point)
+
+    def preimage(self, region, point):
+        return Region.of_arcs([(a - point, b - point) for a, b in region.arcs])
+
+    def mixing_law(self, points, weights):
+        """x uniform on ``[0, 2pi/p)``, density ``p/2pi``, where shifts by
+        ``2pi/p`` permute the weighted design (largest such p): a shift by
+        a whole period only relabels a member's entries."""
+        z = np.exp(1j * points)
+
+        def permutes(p):
+            moved = z * np.exp(1j * TWO_PI / p)
+            j = np.abs(moved[:, None] - z).argmin(axis=1)
+            return np.allclose(moved, z[j], rtol=0.0, atol=1e-12) and np.allclose(weights, weights[j])
+
+        p = next(p for p in range(len(points), 0, -1) if permutes(p))
+        window = TWO_PI / p
+
+        def average(terms, budget):
+            budget = budget or 1024
+            total = 0.0
+            for f, region in terms:
+                pieces = quad.intersect_arcs_with_window(region.arcs, 0.0, window)
+                if pieces:
+                    order = int(min(64, max(12, budget // max(1, len(pieces) * len(points)))))
+                    total += quad.integrate_intervals(f, pieces, order=order)
+            return float(total) * p / TWO_PI
+
+        nodes, w = quad.gauss_legendre(16, 0.0, window)
+        return (lambda rng, size: rng.uniform(0.0, window, size)), (list(nodes), w * p / TWO_PI), average
 
     @staticmethod
     def _interval_operator(d: int, a: float, b: float) -> np.ndarray:
@@ -322,11 +374,9 @@ class CirclePhasePOVM(ContinuousPOVM):
                 break
         return normalize_angle(phi)
 
-    def outcome_nodes(self):
+    def outcome_rule(self):
         """64-point trapezoid rule, exact for trigonometric degree < 64."""
-        phis, w = quad.circle_nodes(64)
-        kets = phase_kets(self.dim, phis)
-        return phis, (w / TWO_PI)[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
+        return quad.circle_nodes(64)
 
     def dual(self, a):
         from .tomography import phase_dual
@@ -347,22 +397,17 @@ def phase_povm(d: int) -> CirclePhasePOVM:
 class RandomizedScheme:
     """Classical mixture over x of finite POVMs with relabeled outcomes.
 
-    Subclasses give the mixing law (`sample_x`, `mixing_nodes`), the
-    members (`member`), their Born probabilities and outcome points in
-    bulk (`member_probabilities`, `outcome_points`) and the deterministic
-    mixing average of a region probability; sampling and the Monte Carlo
-    average are shared.
+    Subclasses give the mixing law (``sample_x(rng, size)``,
+    `mixing_nodes`), the members (``member(x)``), their Born probabilities
+    and outcome points in bulk (`member_probabilities`, `outcome_points`)
+    and the deterministic mixing average of a region probability
+    (``_deterministic_average(rho, region, budget)``); sampling and the
+    Monte Carlo average are shared.
     """
 
     outcome_space: OutcomeSpace
     dim: int
     family: str
-
-    def member(self, x) -> FinitePOVM:
-        raise NotImplementedError
-
-    def sample_x(self, rng: np.random.Generator, size: int):
-        raise NotImplementedError
 
     def mixing_nodes(self):
         """Mixing quadrature nodes and weights normalized to sum to 1."""
@@ -375,9 +420,6 @@ class RandomizedScheme:
     def outcome_points(self, xs) -> np.ndarray:
         """Outcome points per member entry, aligned with member_probabilities:
         shape (n, m) on the circle and label sets, (n, m, 3) on the sphere."""
-        raise NotImplementedError
-
-    def _deterministic_average(self, rho, region, budget) -> float:
         raise NotImplementedError
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator):
@@ -430,142 +472,62 @@ class RandomizedScheme:
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
-class SternGerlachScheme(RandomizedScheme):
-    """Uniformly oriented two-outcome projective spin measurement.
+class DesignScheme(RandomizedScheme):
+    """A finite design of a covariant family, moved by a random group element.
 
-    The mixing parameter is the field direction n, uniform on the sphere
-    (density ``1/4pi``); the member at n projects onto ``|n>`` and
-    ``|-n>`` with outcomes relabeled to the directions ``+n`` and ``-n``.
-    Two zero elements pad each member to four entries, so the member
-    format matches the generic bound of ``dim**2`` outcomes.
+    ``design`` is a pair of outcome points ``omega_k`` and weights ``w_k``
+    with ``sum_k w_k M(omega_k) = I``.  Draw g uniformly from the family's
+    group, measure ``{w_k M(g.omega_k)} = {w_k U_g M(omega_k) U_g^dagger}``
+    and declare ``g.omega_k``: by covariance and the invariance of the
+    uniform law every region probability averages to the continuous one
+    (Chiribella, D'Ariano, Schlingemann, J. Math. Phys. 51, 022111, 2010).
+    The mixing parameter x is the image of the family's pole under g.
     """
 
-    def __init__(self):
-        self.outcome_space = SPHERE
-        self.dim = 2
-        self.family = "stern_gerlach"
+    def __init__(self, continuous: ContinuousPOVM, design):
+        points, weights = (np.asarray(a, dtype=float) for a in design)
+        self.continuous = continuous
+        self.design = points, weights
+        self.outcome_space = continuous.space
+        self.dim = continuous.dim
+        self.family = continuous.family
+        self.sample_x, self._nodes, self._average = continuous.mixing_law(points, weights)
+        check_povm(self._povm(points))
+
+    def _povm(self, points) -> FinitePOVM:
+        kets = self.continuous.kets(points)
+        elements = (
+            kets[:, :, None] * kets.conj()[:, None, :] * self.design[1][:, None, None]
+            / self.continuous.ket_norm
+        )
+        return FinitePOVM(self.dim, self.outcome_space, tuple(zip(points, elements)))
 
     def member(self, x) -> FinitePOVM:
-        n = np.asarray(x, dtype=float)
-        psi_p = plus_spinors(n)[0]
-        psi_m = plus_spinors(-n)[0]
-        zero = np.zeros((2, 2), dtype=complex)
-        return FinitePOVM(
-            dim=2,
-            space=SPHERE,
-            entries=(
-                (n, np.outer(psi_p, psi_p.conj())),
-                (-n, np.outer(psi_m, psi_m.conj())),
-                (n, zero),
-                (-n, zero),
-            ),
-            allow_duplicates=True,
-        )
-
-    def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.uniform(-1.0, 1.0, size)
-        phi = rng.uniform(0.0, TWO_PI, size)
-        s = np.sqrt(1.0 - u * u)
-        return np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
+        return self._povm(self.outcome_points(x)[0])
 
     def mixing_nodes(self):
-        pts, w = quad.sphere_nodes(8, 16)
-        return list(pts), w / (2.0 * TWO_PI)
+        return self._nodes
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(xs, dtype=float))
-        q_up = spinor_expectations(rho, plus_spinors(pts))
-        q_dn = spinor_expectations(rho, plus_spinors(-pts))
-        zeros = np.zeros_like(q_up)
-        return np.column_stack([q_up, q_dn, zeros, zeros])
+        points = self.outcome_points(xs)
+        born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
+        return born.reshape(points.shape[:2]) * self.design[1]
 
     def outcome_points(self, xs):
-        pts = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.stack([pts, -pts, pts, -pts], axis=1)
+        xs = np.asarray(xs, dtype=float).reshape(-1, *self.design[0].shape[1:])
+        return np.stack([self.continuous.move(xs, p) for p in self.design[0]], axis=1)
 
     def _deterministic_average(self, rho, region, budget):
-        budget = budget or quad.DEFAULT_SPHERE_BUDGET
-        mirrored = Region.of_caps(
-            [(tuple(-c.axis_array), c.angle) for c in region.caps],
-            complement=region.complement,
+        """Each design point's Born column, integrated over the preimage of
+        the region under that point's move."""
+        c = self.continuous
+        return self._average(
+            [
+                (lambda xs, p=p, w=w: w * c.born(rho, c.move(xs, p)), c.preimage(region, p))
+                for p, w in zip(*self.design)
+            ],
+            budget,
         )
-
-        def q_up(pts):
-            return self.member_probabilities(pts, rho)[:, 0]
-
-        def q_dn(pts):
-            return self.member_probabilities(pts, rho)[:, 1]
-
-        total = quad.integrate_sphere_region(q_up, region, budget)
-        total += quad.integrate_sphere_region(q_dn, mirrored, budget)
-        return float(total) / (2.0 * TWO_PI)
-
-
-class PhaseShiftScheme(RandomizedScheme):
-    """Uniformly shifted d-point phase comb.
-
-    The member at shift x measures the subnormalized projectors onto the
-    phase vectors at ``2*pi*n/d + x`` and declares the matching angle.
-    The comb is ``2*pi/d``-periodic up to relabeling, so the mixing
-    parameter is uniform on one period ``[0, 2*pi/d)`` with density
-    ``d/2pi``; integrating the unfolded ``[0, 2*pi)`` form with density
-    ``1/2pi`` gives the same averages.
-    """
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise InvalidDimension(f"phase scheme needs d >= 2, got {d}")
-        self.outcome_space = CIRCLE
-        self.dim = d
-        self.family = "phase"
-        self.window = TWO_PI / d
-        self.comb = np.arange(d) * self.window
-
-    def member(self, x) -> FinitePOVM:
-        x = float(x)
-        entries = []
-        for n in range(self.dim):
-            angle = float(normalize_angle(self.comb[n] + x))
-            ket = phase_kets(self.dim, angle)[0]
-            entries.append((angle, np.outer(ket, ket.conj()) / self.dim))
-        return FinitePOVM(dim=self.dim, space=CIRCLE, entries=tuple(entries))
-
-    def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(0.0, self.window, size)
-
-    def mixing_nodes(self):
-        x, w = quad.gauss_legendre(16, 0.0, self.window)
-        return list(x), w * self.dim / TWO_PI
-
-    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        angles = xs[:, None] + self.comb[None, :]
-        flat = phase_intensity(rho, angles.ravel()) / self.dim
-        return flat.reshape(len(xs), self.dim)
-
-    def outcome_points(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return normalize_angle(xs[:, None] + self.comb[None, :])
-
-    def _deterministic_average(self, rho, region, budget):
-        budget = budget or 1024
-        total = 0.0
-        for n in range(self.dim):
-            shifted = Region.of_arcs(
-                [(a - self.comb[n], b - self.comb[n]) for a, b in region.arcs]
-            )
-            pieces = quad.intersect_arcs_with_window(
-                shifted.arcs, 0.0, self.window
-            )
-            if not pieces:
-                continue
-            order = int(min(64, max(12, budget // max(1, len(pieces) * self.dim))))
-
-            def q_n(x, n=n):
-                return self.member_probabilities(x, rho)[:, n]
-
-            total += quad.integrate_intervals(q_n, pieces, order=order)
-        return float(total) * self.dim / TWO_PI
 
 
 class FiniteMixtureScheme(RandomizedScheme):
@@ -620,12 +582,14 @@ class FiniteMixtureScheme(RandomizedScheme):
             sum(w * probability_of_region(povm, rho, region) for w, povm in self.terms)
         )
 
-def stern_gerlach_scheme() -> SternGerlachScheme:
-    return SternGerlachScheme()
+def stern_gerlach_scheme() -> DesignScheme:
+    """The antipodal pair ``{+z, -z}`` with unit weights, uniformly rotated."""
+    return DesignScheme(SpinDirectionPOVM(), ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, 1.0]))
 
 
-def phase_scheme(d: int) -> PhaseShiftScheme:
-    return PhaseShiftScheme(d)
+def phase_scheme(d: int) -> DesignScheme:
+    """The d-point comb ``2 pi k / d`` with unit weights, uniformly shifted."""
+    return DesignScheme(CirclePhasePOVM(d), (np.arange(d) * (TWO_PI / d), np.ones(d)))
 
 
 def scheme_from_decomposition(result) -> FiniteMixtureScheme:
@@ -640,7 +604,7 @@ def named_family(name: str) -> tuple[ContinuousPOVM, RandomizedScheme]:
     and ``phase:<d>``; anything else raises :class:`SchemaError`.
     """
     if name in ("spin", "spin_direction", "stern_gerlach"):
-        return SpinDirectionPOVM(), SternGerlachScheme()
+        return SpinDirectionPOVM(), stern_gerlach_scheme()
     kind, sep, arg = name.partition(":")
     if kind != "phase":
         raise SchemaError(f"unknown family {name!r}")
@@ -650,7 +614,7 @@ def named_family(name: str) -> tuple[ContinuousPOVM, RandomizedScheme]:
         d = int(arg)
     except ValueError as exc:
         raise SchemaError(f"bad family spec {name!r}") from exc
-    return CirclePhasePOVM(d), PhaseShiftScheme(d)
+    return CirclePhasePOVM(d), phase_scheme(d)
 
 
 # --- equivalence checking ---------------------------------------------------

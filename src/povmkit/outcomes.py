@@ -62,14 +62,15 @@ def normalize_angle(phi):
 
 
 def unit_vector(v, tol: float = 1e-6) -> np.ndarray:
-    """Validate and renormalize a 3-vector whose norm must be 1 within tol."""
-    a = np.asarray(v, dtype=float)
+    """Validate and renormalize a 3-vector whose norm must be 1 within tol;
+    a vector unit up to rounding is copied unchanged, so loading is exact."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"vector norm {norm} deviates from 1 beyond {tol}")
-    return a / norm
+    return a if abs(norm - 1.0) <= 4 * np.finfo(float).eps else a / norm
 
 
 @dataclass(frozen=True)

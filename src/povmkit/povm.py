@@ -242,15 +242,8 @@ def density_view(p: FinitePOVM, tol_trace: float = op.TOL_TRACE) -> PovmDensityV
     )
 
 
-def region_indices(p: FinitePOVM, r: Region) -> list[int]:
-    """Entry indices whose outcome point lies in the region."""
-    require_same_space(p.space, r.space, "POVM and region")
-    mask = r.contains(np.array(p.points))
-    return [i for i in range(len(p)) if mask[i]]
-
-
 def probability_of_region(p: FinitePOVM, rho: np.ndarray, r: Region) -> float:
     """``sum_i chi_r(point_i) Tr[rho P_i]`` with exact membership tests."""
+    require_same_space(p.space, r.space, "POVM and region")
     probs = born_probabilities(p, rho)
-    idx = region_indices(p, r)
-    return float(np.sum(probs[idx])) if idx else 0.0
+    return float(np.sum(probs[r.contains(np.array(p.points))]))

@@ -8,6 +8,7 @@ compact separators), so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
@@ -47,13 +48,25 @@ def _check_schema(data: dict, what: str):
 
 
 def load_json(path) -> dict:
+    """The JSON object in a file; anything else raises `SchemaError`."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer beyond Python's digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return data
+
+
+def _objects(data: dict, key: str, what: str) -> list[dict]:
+    """``data[key]``, which must be a nonempty list of JSON objects."""
+    items = data.get(key)
+    if not (isinstance(items, list) and items and all(isinstance(i, dict) for i in items)):
+        raise SchemaError(f"{what}: {key!r} must be a nonempty list of objects")
+    return items
 
 
 def write_json(path, obj: dict):
@@ -70,10 +83,9 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     try:
-        rows = [[complex(c[0], c[1]) for c in row] for row in obj]
-    except (TypeError, IndexError) as exc:
+        m = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: entries must be [re, im] pairs") from exc
-    m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SchemaError(f"{what}: expected a square matrix, got {m.shape}")
     return m
@@ -148,7 +160,7 @@ def povm_from_dict(data: dict) -> FinitePOVM:
             raise SchemaError(f"povm: missing field {key!r}")
     space = space_from_dict(data["space"])
     entries = []
-    for k, entry in enumerate(data["entries"]):
+    for k, entry in enumerate(_objects(data, "entries", "povm")):
         if "point" not in entry or "element" not in entry:
             raise SchemaError(f"povm entry {k}: needs 'point' and 'element'")
         entries.append(
@@ -208,9 +220,7 @@ def region_from_dict(data: dict) -> Region:
 def load_regions(path) -> list[tuple[str, Region]]:
     data = load_json(path)
     _check_schema(data, "regions")
-    items = data.get("regions")
-    if items is None:
-        items = [data]
+    items = _objects(data, "regions", "regions") if "regions" in data else [data]
     out = []
     for k, obj in enumerate(items):
         out.append((str(obj.get("id", f"region{k}")), region_from_dict(obj)))
@@ -223,7 +233,7 @@ def load_states(path) -> list[tuple[str, np.ndarray]]:
     data = load_json(path)
     _check_schema(data, "states")
     if "states" in data:
-        items = data["states"]
+        items = _objects(data, "states", "states")
     elif "matrix" in data:
         items = [data]
     else:
@@ -311,7 +321,7 @@ def _parse_chunk(path, lines: list[str], chunk: list[str], start: int) -> list:
     line."""
     try:
         rows = json.loads("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError:
+    except ValueError:
         rows = None
     # A line holding two values, or a value spread over two lines, can still
     # give a valid bulk parse, but never one value per line.
@@ -325,6 +335,9 @@ def _parse_chunk(path, lines: list[str], chunk: list[str], start: int) -> list:
             rows.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
+        except ValueError as exc:  # an integer beyond Python's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError(f"{path}:{lineno}: integer of more than {limit} digits") from exc
     return rows
 
 
@@ -486,10 +499,9 @@ def decomposition_to_dict(result: DecompositionResult) -> dict:
 
 def decomposition_from_dict(data: dict) -> DecompositionResult:
     _check_schema(data, "decomposition")
-    if "terms" not in data:
-        raise SchemaError("decomposition: missing 'terms'")
     terms = tuple(
-        (float(t["weight"]), povm_from_dict(t["povm"])) for t in data["terms"]
+        (float(t["weight"]), povm_from_dict(t["povm"]))
+        for t in _objects(data, "terms", "decomposition")
     )
     return DecompositionResult(terms=terms, depth=int(data.get("depth", 0)))
 

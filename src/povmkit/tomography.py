@@ -19,8 +19,11 @@ from . import operators as op
 from .catalog import PAULI_X, PAULI_Y, PAULI_Z
 from .errors import EmptySample, NotInformationallyComplete, SpaceMismatch
 from .outcomes import CIRCLE, SPHERE
-from .povm import FinitePOVM
+from .povm import FinitePOVM, check_povm
 from .sampling import OutcomeRecords
+
+_POINT_TOL = 1e-9  # how far a record's outcome may sit from its entry's point
+_MATCH_CHUNK = 1 << 16  # record-point pairs per matching step; bounds memory
 
 
 def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -38,7 +41,7 @@ class DualProcessing:
 
     ``kind`` selects the evaluation rule:
 
-    * ``"finite"``: per-entry coefficients, evaluated by entry index;
+    * ``"finite"``: per-entry coefficients, at the entries of outcomes;
     * ``"spin"``: ``f(n) = a0 + 3 a . n`` on sphere points;
     * ``"phase"``: trigonometric polynomial on angles.
     """
@@ -46,29 +49,22 @@ class DualProcessing:
     target: np.ndarray
     kind: str
     coefficients: np.ndarray | None = field(default=None, compare=False)
+    points: np.ndarray | None = field(default=None, compare=False)
     a0: float = 0.0
     avec: np.ndarray | None = field(default=None, compare=False)
     fourier: np.ndarray | None = field(default=None, compare=False)
 
     def evaluate(self, records) -> np.ndarray:
-        """Per-record processing values ``f(omega)`` (or ``f(i)``).
+        """Per-record processing values ``f(omega)``.
 
         ``records`` is an `OutcomeRecords` or a bare outcome array.  Outcomes
         the dual cannot evaluate raise `SpaceMismatch`: a spin dual takes
-        sphere points, a phase dual angles, and a finite dual apparatus
-        indices ``i`` or integer labels in ``0..m-1``.
+        sphere points, a phase dual angles, and a finite dual integer labels
+        in ``0..m-1``, which name its entries, or its POVM's outcome points.
         """
         known = isinstance(records, OutcomeRecords)
         if self.kind == "finite":
-            if known:
-                records = records.omega if records.i is None else records.i
-            labels = np.asarray(records)
-            m = len(self.coefficients)
-            if labels.dtype.kind not in "iu":
-                raise SpaceMismatch("a finite dual needs apparatus indices or integer labels")
-            if labels.size and (labels.min() < 0 or labels.max() >= m):
-                raise SpaceMismatch(f"labels outside 0..{m - 1}")
-            return self.coefficients[labels]
+            return self.coefficients[self._entries(np.asarray(records.omega if known else records))]
         space = SPHERE if self.kind == "spin" else CIRCLE
         omega = np.asarray(records.omega if known else records, dtype=float)
         if known:
@@ -87,13 +83,45 @@ class DualProcessing:
             vals += 2.0 * (self.fourier[k] * np.exp(1j * k * omega)).real
         return vals
 
+    def _entries(self, omega: np.ndarray) -> np.ndarray:
+        """Entry index of each outcome of a finite dual: an integer is one of
+        the labels of a POVM on labels, or else the number of an entry;
+        any other outcome must lie within `_POINT_TOL` of one entry's
+        outcome point (circle angles compared as unit vectors in the
+        plane), which no other entry shares."""
+        m = len(self.coefficients)
+        points = self.points
+        if omega.dtype.kind in "iu":
+            labels = points if points.dtype.kind in "iu" else np.arange(m)
+            order = np.argsort(labels)
+            at = order[np.searchsorted(labels, omega, sorter=order).clip(0, m - 1)]
+            if np.any(labels[at] != omega):
+                known = sorted(set(labels.tolist()))
+                raise SpaceMismatch(f"labels outside {f'0..{m - 1}' if known == list(range(m)) else known}")
+            return at
+        if points.dtype.kind != "f" or omega.shape[1:] != points.shape[1:]:
+            raise SpaceMismatch("outcomes are not on the space of the POVM's outcome points")
+        if points.ndim == 1:
+            points, omega = (np.column_stack([np.cos(a), np.sin(a)]) for a in (points, omega))
+        parts = np.array_split(omega, 1 + len(omega) * m // _MATCH_CHUNK)
+        near = np.concatenate([np.argmax(part @ points.T, axis=1) for part in parts])
+        far = np.abs(omega - points[near]).max(axis=1, initial=0.0) > _POINT_TOL
+        if far.any():
+            raise SpaceMismatch(f"record {far.argmax()}: not an outcome point of the POVM")
+        twins = (np.abs(points[:, None] - points).max(axis=2) <= _POINT_TOL).sum(axis=1) > 1
+        if twins[near].any():
+            raise SpaceMismatch("outcomes cannot tell apart POVM entries that share a point")
+        return near
+
 
 def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOLD) -> DualProcessing:
     """Solve ``sum_i f(i) P_i = A`` in real Hermitian coordinates.
 
     Uses the minimum-norm least-squares solution, unique when the
-    elements are linearly independent (SIC case).
+    elements are linearly independent (SIC case).  ``p`` must pass
+    `validate_povm` (else `InvalidPOVM`).
     """
+    check_povm(p)
     a = op.check_hermitian(a, name="target")
     if a.shape[0] != p.dim:
         raise NotInformationallyComplete("target dimension does not match POVM")
@@ -109,7 +137,7 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
     )
     if residual > 1e-8 * (1.0 + op.frobenius(a)):
         raise NotInformationallyComplete(f"dual residual {residual:.3e} too large")
-    return DualProcessing(target=a, kind="finite", coefficients=coeff)
+    return DualProcessing(target=a, kind="finite", coefficients=coeff, points=np.array(p.points))
 
 
 def pauli_components(a: np.ndarray) -> tuple[float, np.ndarray]:

@@ -30,5 +30,20 @@ def maximally_mixed():
 
 
 @pytest.fixture
+def padded_member(up, down):
+    """The projective measurement along z, padded with two zero elements
+    at repeated outcome points."""
+    import povmkit as pk
+    from povmkit.outcomes import SPHERE
+
+    z = np.array([0.0, 0.0, 1.0])
+    zero = np.zeros((2, 2), dtype=complex)
+    return pk.FinitePOVM(
+        dim=2, space=SPHERE, entries=((z, up), (-z, down), (z, zero), (-z, zero)),
+        allow_duplicates=True,
+    )
+
+
+@pytest.fixture
 def paulis():
     return PAULI_X, PAULI_Y, PAULI_Z

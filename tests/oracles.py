@@ -133,3 +133,22 @@ def sic_dual_closed_form(axes, a):
     a0 = float(np.trace(a).real) / 2.0
     avec = np.array([float(np.trace(a @ s).real) / 2.0 for s in SIG])
     return np.array([a0 + 3.0 * ax @ avec for ax in axes])
+
+
+def spin_polar_cdf(rho, u):
+    """CDF of the spin direction's polar cosine in the state's eigenframe:
+    the density ``(1 + r u)/2`` with r = 2*(top eigenvalue) - 1."""
+    r = 2.0 * float(np.linalg.eigvalsh(rho)[-1]) - 1.0
+    return (u + 1.0) / 2.0 + r * (u * u - 1.0) / 4.0
+
+
+def phase_cdf(rho, phi):
+    """Closed-form CDF of the phase outcome density ``<phi|rho|phi>/2pi``, one
+    Fourier term at a time."""
+    d = rho.shape[0]
+    phi = np.asarray(phi, dtype=float)
+    total = phi.copy()
+    for k in range(1, d):
+        ck = np.trace(rho, offset=k)
+        total += (2.0 / k) * (ck * (np.exp(1j * k * phi) - 1.0)).imag
+    return total / (2.0 * np.pi)

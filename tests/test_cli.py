@@ -480,6 +480,32 @@ class TestTomo:
         est = payload["estimate"]
         assert abs(est["estimate"] - est["exact"]) <= 5 * est["std_error"]
 
+    def test_invalid_povm_is_input_error(self, capsys, tmp_path, z_target):
+        # a SIC scaled by 1.4 sums to 1.4 I: no dual coefficients for it
+        sic = pk.sic_tetrahedron_povm()
+        path = tmp_path / "scaled.json"
+        ser.save_povm(path, sic.replace_elements([1.4 * el for el in sic.elements]))
+        code, out, err = run_cli(capsys, "tomo", "--povm", str(path), "--target", z_target)
+        assert code == 2
+        assert out == ""
+        assert "not a POVM" in json.loads(err)["error"]
+
+    def test_stern_gerlach_records_with_finite_dual_are_input_error(
+        self, capsys, tmp_path, z_target, state_file
+    ):
+        # their apparatus indices i are no SIC entries, nor their outcomes SIC points
+        records = tmp_path / "staged.ndjson"
+        run_cli(capsys, "sample", "--family", "spin", "--scheme", "--state", state_file,
+                "-n", "500", "--seed", "4", "-o", str(records))
+        sic = tmp_path / "sic.json"
+        ser.save_povm(sic, pk.sic_tetrahedron_povm())
+        code, out, err = run_cli(
+            capsys, "tomo", "--povm", str(sic), "--target", z_target, "--records", str(records)
+        )
+        assert code == 2
+        assert out == ""
+        assert "not an outcome point" in json.loads(err)["error"]
+
     def test_incomplete_povm_is_failed_check(self, capsys, tmp_path):
         proj = tmp_path / "proj.json"
         ser.save_povm(proj, pk.projective_basis_povm(2))
@@ -492,6 +518,66 @@ class TestTomo:
         )
         assert code == 1
         assert "check_failed" in json.loads(err)
+
+
+class TestMalformedInput:
+    """Every JSON loader of the CLI exits 2 with one error line on bad input,
+    whether the text is no JSON or JSON of the wrong shape."""
+
+    GOOD = {
+        "povm": '{"dim": 1, "space": {"kind": "labels", "n": 1}, '
+                '"entries": [{"point": 0, "element": [[[1, 0]]]}]}',
+        "states": '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        "regions": '{"space": {"kind": "sphere"}, "caps": [{"axis": [0, 0, 1], "angle": 1}]}',
+        "spec": '{"prior": "uniform_sphere", "gain": "fidelity"}',
+        "target": '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}',
+        "records": '{"omega": [0.0, 0.0, 1.0]}\n',
+    }
+
+    @staticmethod
+    def argv(kind):
+        return {
+            "povm": ["decompose", "povm"],
+            "states": ["sample", "--family", "spin", "--direct", "--state", "states",
+                       "-n", "5", "--seed", "1", "-o", "out.ndjson"],
+            "regions": ["equiv", "--family", "spin", "--states", "states", "--regions", "regions"],
+            "spec": ["merit", "--family", "spin", "--spec", "spec"],
+            "target": ["tomo", "--family", "spin", "--target", "target"],
+            "records": ["tomo", "--family", "spin", "--target", "target", "--records", "records"],
+        }[kind]
+
+    @pytest.mark.parametrize("kind, text", [
+        ("povm", '{"dim": 2, "entries": ['),
+        ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 1}, "entries": [5]}'),
+        ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 1}, '
+                 '"entries": [{"point": 0, "element": [[[1, 0, 0]]]}]}'),
+        ("states", '{"states": [{"matrix": '),
+        ("states", '{"states": []}'),
+        ("states", '{"states": [5]}'),
+        ("regions", '{"regions": [5]}'),
+        ("regions", '{"regions": 5}'),
+        ("spec", '["uniform_sphere", "fidelity"]'),
+        ("spec", '{"prior": 1' + "0" * 5000 + "}"),
+        ("target", "[]"),
+        ("target", '{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}'),
+        ("records", '{"omega": [0.0, 0.0, 1.0]}\n{"omega": [0.0,'),
+        ("records", '{"omega": [0.0, 0.0, 1.0]}\n{"omega": 1' + "0" * 5000 + "}\n"),
+    ])
+    def test_exit_two(self, capsys, tmp_path, monkeypatch, kind, text):
+        monkeypatch.chdir(tmp_path)
+        for name, good in self.GOOD.items():
+            (tmp_path / name).write_text(text if name == kind else good)
+        code, out, err = run_cli(capsys, *self.argv(kind))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+    def test_good_inputs_pass(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, good in self.GOOD.items():
+            (tmp_path / name).write_text(good)
+        for kind in self.GOOD:
+            assert run_cli(capsys, *self.argv(kind))[0] == 0, kind
 
 
 def test_no_command_is_input_error(capsys):

@@ -247,9 +247,8 @@ class TestDecompose:
                     np.linalg.norm(x - y) for x, y in zip(a.elements, b.elements)
                 ) > 1e-7
 
-    def test_zero_elements_carried_through(self, up):
-        member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
-        res = pk.decompose_extremal(member)
+    def test_zero_elements_carried_through(self, padded_member):
+        res = pk.decompose_extremal(padded_member)
         assert len(res.terms) == 1  # projective member is already extremal
         leaf = res.terms[0][1]
         assert np.allclose(leaf.elements[2], 0.0)

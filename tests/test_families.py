@@ -106,10 +106,9 @@ def test_outcome_nodes_are_finite_povms():
 class TestSternGerlach:
     def test_member_matches_projectors(self, up, down):
         member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+        assert len(member) == 2
         assert np.allclose(member.elements[0], up)
         assert np.allclose(member.elements[1], down)
-        assert np.allclose(member.elements[2], 0.0)
-        assert np.allclose(member.elements[3], 0.0)
         assert np.allclose(member.points[0], [0, 0, 1.0])
         assert np.allclose(member.points[1], [0, 0, -1.0])
 
@@ -120,8 +119,9 @@ class TestSternGerlach:
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         member = pk.stern_gerlach_scheme().member(n)
+        assert not member.allow_duplicates
         assert pk.validate_povm(member).passed
-        assert len(member.nonzero_indices()) <= 4
+        assert len(member) == len(member.nonzero_indices()) == 2
 
     def test_scheme_average_matches_closed_form(self, up):
         spin = pk.spin_direction_povm()
@@ -193,17 +193,18 @@ class TestPhaseFamily:
         # window by whole periods never changes the average
         d = 3
         scheme = pk.phase_scheme(d)
+        window = scheme.design[0][1]  # the comb spacing 2 pi / d
         rho = pk.random_density_matrix(rng, d)
         arc = Region.of_arcs([(0.8, 2.9)])
         base, _ = scheme.average_region_probability(rho, arc)
         for k in range(1, d):
             shifted_vals = scheme.member_probabilities(
-                np.array([0.4 + k * scheme.window]), rho
+                np.array([0.4 + k * window]), rho
             )
             unshifted = scheme.member_probabilities(np.array([0.4]), rho)
             assert np.allclose(np.sort(shifted_vals), np.sort(unshifted))
         full_nodes = np.linspace(0.0, 2 * np.pi, 6 * d, endpoint=False)
-        window_nodes = full_nodes % scheme.window
+        window_nodes = full_nodes % window
         for xf, xw in zip(full_nodes, window_nodes):
             pf = scheme.member_probabilities(np.array([xf]), rho)[0]
             pw = scheme.member_probabilities(np.array([xw]), rho)[0]

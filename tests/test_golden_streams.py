@@ -29,7 +29,7 @@ STREAMS = {
 }
 
 REPORTS = {
-    "spin": "29add4d3b30375ae521ffb90d30b81320bec2c9394c63817bce9707ab415d026",
+    "spin": "cf5f3afe7da404338d6017b188ac62ef894ce2f72188a5e259bca8176ca9eeb5",
     "phase:3": "e641306c90c624a9a3ab778d14de51521571367da98d289481cf4c25cc1bb17f",
 }
 

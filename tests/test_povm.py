@@ -129,17 +129,15 @@ class TestDensityView:
 
 
 class TestRegionProbability:
-    def test_stern_gerlach_member_cap(self, up):
-        member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+    def test_stern_gerlach_member_cap(self, up, padded_member):
         cap = Region.of_caps([((0, 0, 1.0), np.pi / 3)])
-        assert np.isclose(pk.probability_of_region(member, up, cap), 1.0)
+        assert np.isclose(pk.probability_of_region(padded_member, up, cap), 1.0)
 
-    def test_stern_gerlach_member_band(self, up):
-        member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+    def test_stern_gerlach_member_band(self, up, padded_member):
         band = Region.of_caps(
             [((0, 0, 1.0), np.pi / 3), ((0, 0, -1.0), np.pi / 3)], complement=True
         )
-        assert pk.probability_of_region(member, up, band) == 0.0
+        assert pk.probability_of_region(padded_member, up, band) == 0.0
 
     def test_full_space(self, rng):
         p = pk.random_povm(rng, 2, 5)

@@ -152,6 +152,14 @@ class TestRecords:
             with pytest.raises(SchemaError, match=f":{bad_line}: invalid JSON"):
                 ser.read_records(path)
 
+    def test_oversized_integer_names_line(self, tmp_path):
+        # json.loads refuses integers of more than 4300 digits with a
+        # ValueError that is no JSONDecodeError
+        path = tmp_path / "r.ndjson"
+        path.write_text('{"omega":1}\n{"omega":2}\n{"omega":1' + "0" * 5000 + "}\n")
+        with pytest.raises(SchemaError, match=r"r\.ndjson:3: integer of more than 4300 digits"):
+            ser.read_records(path)
+
     def test_roundtrip_across_chunks(self, tmp_path):
         recs = pk.sample_two_stage(pk.phase_scheme(3), np.eye(3) / 3, 4097, seed=5)
         path = tmp_path / "r.ndjson"
@@ -306,6 +314,86 @@ class TestDecomposition:
                 assert np.allclose(a, b)
 
 
+def _json_roundtrip(obj: dict) -> dict:
+    return json.loads(ser.dumps_canonical(obj))
+
+
+def _points(space, n, rng):
+    if space == SPHERE:
+        v = rng.normal(size=(n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    if space == CIRCLE:
+        return rng.uniform(0.0, 2 * np.pi, n)
+    return range(n)
+
+
+class TestRoundtripProperties:
+    """Loading what was saved gives the same object, and saving it again
+    the same bytes."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from(["labels", "circle", "sphere"]))
+    @settings(max_examples=40, deadline=None)
+    def test_povm(self, seed, d, extra, kind):
+        rng = np.random.default_rng(seed)
+        n = max(2, d) + extra - 1
+        base = pk.random_povm(rng, d, n)
+        space = {"labels": FiniteLabels(n), "circle": CIRCLE, "sphere": SPHERE}[kind]
+        p = pk.FinitePOVM(d, space, tuple(zip(_points(space, n, rng), base.elements)))
+        data = ser.povm_to_dict(p)
+        back = ser.povm_from_dict(_json_roundtrip(data))
+        assert ser.povm_to_dict(back) == data
+        assert back.space == p.space and back.dim == p.dim
+        for a, b in zip(p.entries, back.entries):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["labels", "arcs", "caps"]),
+           st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_region(self, seed, kind, count, complement):
+        rng = np.random.default_rng(seed)
+        if kind == "labels":
+            space = FiniteLabels(8)
+            r = Region.of_labels(space, rng.choice(8, size=count, replace=False))
+        elif kind == "arcs":
+            r = Region.of_arcs(rng.uniform(-7.0, 7.0, size=(count, 2)))
+        else:
+            axes = _points(SPHERE, count, rng)
+            r = Region.of_caps(
+                [(tuple(a), float(t)) for a, t in zip(axes, rng.uniform(0, np.pi, count))],
+                complement=complement,
+            )
+        data = ser.region_to_dict(r)
+        back = ser.region_from_dict(_json_roundtrip(data))
+        assert back == r
+        assert ser.region_to_dict(back) == data
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_states(self, seed, count, d):
+        rng = np.random.default_rng(seed)
+        states = [(f"s{k}", pk.random_density_matrix(rng, d)) for k in range(count)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "states.json")
+            ser.save_states(path, states)
+            back = ser.load_states(path)
+        assert [sid for sid, _ in back] == [sid for sid, _ in states]
+        for (_, a), (_, b) in zip(states, back):
+            assert np.array_equal(a, b)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_decomposition(self, seed, terms, d):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(terms))
+        povms = [pk.random_povm(rng, d, d + 1) for _ in range(terms)]
+        result = pk.DecompositionResult(terms=tuple(zip(weights, povms)), depth=terms - 1)
+        data = ser.decomposition_to_dict(result)
+        back = ser.decomposition_from_dict(_json_roundtrip(data))
+        assert ser.decomposition_to_dict(back) == data
+        assert np.array_equal(back.weights, result.weights)
+
+
 class TestNamedFamilies:
     """The family names the CLI and the records speak, in `named_family`."""
 
@@ -321,10 +409,14 @@ class TestNamedFamilies:
     def test_scheme_roundtrip(self):
         for name in ("spin", "spin_direction", "stern_gerlach"):
             _, s = pk.named_family(name)
-            assert isinstance(s, pk.SternGerlachScheme)
-            assert isinstance(pk.named_family(s.family)[1], pk.SternGerlachScheme)
+            assert isinstance(s, pk.DesignScheme)
+            assert s.family == "spin_direction"
+            assert isinstance(s.continuous, pk.SpinDirectionPOVM)
+            assert pk.named_family(s.family)[1].family == s.family
         _, scheme = pk.named_family("phase:4")
-        assert isinstance(scheme, pk.PhaseShiftScheme)
+        assert isinstance(scheme, pk.DesignScheme)
+        assert scheme.family == "phase"
+        assert isinstance(scheme.continuous, pk.CirclePhasePOVM)
         assert scheme.dim == 4
 
     def test_unknown_rejected(self):

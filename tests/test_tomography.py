@@ -3,8 +3,9 @@ import pytest
 
 import povmkit as pk
 from povmkit.catalog import PAULI_X, PAULI_Y, PAULI_Z, TETRAHEDRON_AXES
-from povmkit.errors import EmptySample, NotInformationallyComplete, SpaceMismatch
-from povmkit.outcomes import FiniteLabels
+from povmkit.errors import EmptySample, InvalidPOVM, NotInformationallyComplete, SpaceMismatch
+from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels
+from povmkit.sampling import OutcomeRecords
 from povmkit.tomography import pauli_components
 
 from oracles import sic_dual_closed_form
@@ -44,6 +45,13 @@ class TestFiniteDuals:
         assert np.allclose(
             dual.coefficients, sic_dual_closed_form(TETRAHEDRON_AXES, target)
         )
+
+    def test_invalid_povm_rejected(self):
+        # a SIC scaled by 1.4 is no POVM: its elements sum to 1.4 I
+        sic = pk.sic_tetrahedron_povm()
+        scaled = sic.replace_elements([1.4 * el for el in sic.elements])
+        with pytest.raises(InvalidPOVM):
+            pk.dual_coefficients(scaled, PAULI_Z)
 
     def test_incomplete_povm_rejected(self, paulis):
         with pytest.raises(NotInformationallyComplete):
@@ -202,3 +210,85 @@ class TestRecordSpace:
         dual = pk.dual_coefficients(sic, np.eye(2, dtype=complex))
         rep = pk.estimate_expectation(recs, dual)
         assert rep.estimate == pytest.approx(1.0, abs=1e-12)
+
+
+def sic_on(space, points, allow_duplicates=False):
+    """The SIC elements at other outcome points."""
+    sic = pk.sic_tetrahedron_povm()
+    return pk.FinitePOVM(
+        dim=2, space=space, entries=tuple(zip(points, sic.elements)),
+        allow_duplicates=allow_duplicates,
+    )
+
+
+class TestPointMatching:
+    """A finite dual evaluates outcome points at the entry they belong to."""
+
+    def test_stern_gerlach_records_rejected(self, up):
+        # two-stage records carry i in {0, 1}, which must not be read as
+        # SIC entries: their outcome points are no SIC points
+        recs = pk.sample_two_stage(pk.stern_gerlach_scheme(), up, 1000, seed=40)
+        for target in (PAULI_X, PAULI_Z):
+            dual = pk.dual_coefficients(pk.sic_tetrahedron_povm(), target)
+            with pytest.raises(SpaceMismatch, match="not an outcome point"):
+                pk.estimate_expectation(recs, dual)
+
+    def test_points_not_indices_decide(self):
+        sic = pk.sic_tetrahedron_povm()
+        dual = pk.dual_coefficients(sic, PAULI_Z)
+        order = np.array([2, 0, 3, 3, 1])
+        recs = OutcomeRecords(
+            space=SPHERE, omega=np.array(sic.points)[order], i=np.zeros(5, dtype=int)
+        )
+        assert np.array_equal(dual.evaluate(recs), dual.coefficients[order])
+
+    def test_sphere_points_within_tolerance(self):
+        sic = pk.sic_tetrahedron_povm()
+        dual = pk.dual_coefficients(sic, PAULI_X)
+        near = np.array(sic.points) + 1e-12
+        assert np.array_equal(dual.evaluate(near), dual.coefficients)
+        with pytest.raises(SpaceMismatch):
+            dual.evaluate(np.array(sic.points) + 1e-6)
+
+    def test_circle_points_wrap_around(self):
+        angles = [0.0, 1.0, 2.0, 3.0]
+        dual = pk.dual_coefficients(sic_on(CIRCLE, angles), PAULI_Y)
+        omega = np.array([2 * np.pi - 1e-12, 1.0, 3.0 + 1e-12, 2.0])
+        assert np.array_equal(dual.evaluate(omega), dual.coefficients[[0, 1, 3, 2]])
+        with pytest.raises(SpaceMismatch):
+            dual.evaluate(np.array([0.5]))
+
+    def test_large_record_sets_match_in_chunks(self):
+        sic = pk.sic_tetrahedron_povm()
+        dual = pk.dual_coefficients(sic, PAULI_Z)
+        index = np.random.default_rng(41).integers(0, 4, 40_000)
+        values = dual.evaluate(np.array(sic.points)[index])
+        assert np.array_equal(values, dual.coefficients[index])
+
+    def test_shared_points_rejected(self):
+        sic = pk.sic_tetrahedron_povm()
+        pts = [sic.points[0], sic.points[0], sic.points[2], sic.points[3]]
+        dual = pk.dual_coefficients(sic_on(SPHERE, pts, allow_duplicates=True), PAULI_Z)
+        assert np.array_equal(dual.evaluate(np.array(pts[2:])), dual.coefficients[2:])
+        with pytest.raises(SpaceMismatch, match="share"):
+            dual.evaluate(np.array(pts[:1]))
+
+    def test_label_povm_points_are_labels(self):
+        dual = pk.dual_coefficients(sic_on(FiniteLabels(4), range(4)), PAULI_Z)
+        labels = np.array([3, 1, 1, 0])
+        assert np.array_equal(dual.evaluate(labels), dual.coefficients[labels])
+        with pytest.raises(SpaceMismatch):
+            dual.evaluate(np.array([0.0, 1.0]))
+
+    def test_label_povm_labels_matched(self):
+        # the entry labelled 5 is entry 0, whatever its position
+        dual = pk.dual_coefficients(sic_on(FiniteLabels(6), [5, 3, 1, 0]), PAULI_X)
+        labels = np.array([0, 5, 3, 1, 5])
+        assert np.array_equal(dual.evaluate(labels), dual.coefficients[[3, 0, 1, 2, 0]])
+        with pytest.raises(SpaceMismatch, match=r"outside \[0, 1, 3, 5\]"):
+            dual.evaluate(np.array([2]))
+        rho = pk.random_density_matrix(np.random.default_rng(2), 2)
+        p = sic_on(FiniteLabels(4), [1, 2, 3, 0])
+        recs = pk.sample_two_stage(pk.FiniteMixtureScheme([(1.0, p)]), rho, 20_000, seed=42)
+        rep = pk.estimate_expectation(recs, pk.dual_coefficients(p, PAULI_X), rho_exact=rho)
+        assert abs(rep.estimate - rep.exact) <= 5 * rep.std_error
