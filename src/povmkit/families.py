@@ -100,9 +100,9 @@ class ContinuousPOVM:
     elements carrying the family's pole to each mixing parameter x;
     ``preimage(region, point)``, the x whose image of ``point`` lies in
     ``region``; ``mixing_law(points, weights)``, the law of x for a design:
-    ``(sample(rng, size), (nodes, weights), average(terms, budget))``, the
-    last the mixing average of ``sum_k chi_{R_k}(x) f_k(x)`` over pairs of
-    a vectorized function and a region of x.
+    ``(sample(rng, size), nodes(), average(terms, budget))``: draws, a
+    quadrature rule with weights summing to 1, and the mixing average of
+    ``sum_k chi_{R_k}(x) f_k(x)`` over pairs of a function and a region.
     """
 
     dim: int
@@ -172,10 +172,8 @@ class SpinDirectionPOVM(ContinuousPOVM):
         return point[2] * xs
 
     def preimage(self, region, point):
-        return Region.of_caps(
-            [(tuple(point[2] * c.axis_array), c.angle) for c in region.caps],
-            complement=region.complement,
-        )
+        caps = [(tuple(point[2] * c.axis_array), c.angle) for c in region.caps]
+        return Region.of_caps(caps, complement=region.complement)
 
     def mixing_law(self, points, weights):
         """x uniform on the sphere, density ``1/4pi``.  Any rotation carrying
@@ -195,8 +193,11 @@ class SpinDirectionPOVM(ContinuousPOVM):
             total = sum(quad.integrate_sphere_region(f, region, budget) for f, region in terms)
             return float(total) / (2.0 * TWO_PI)
 
-        nodes, w = quad.sphere_nodes(8, 16)
-        return sample, (list(nodes), w / (2.0 * TWO_PI)), average
+        def nodes():
+            pts, w = quad.sphere_nodes(8, 16)
+            return list(pts), w / (2.0 * TWO_PI)
+
+        return sample, nodes, average
 
     @staticmethod
     def cap_operator(axis, angle: float) -> np.ndarray:
@@ -291,7 +292,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         def permutes(p):
             moved = z * np.exp(1j * TWO_PI / p)
             j = np.abs(moved[:, None] - z).argmin(axis=1)
-            return np.allclose(moved, z[j], rtol=0.0, atol=1e-12) and np.allclose(weights, weights[j])
+            return np.allclose(moved, z[j], rtol=0, atol=1e-12) and np.allclose(weights, weights[j])
 
         p = next(p for p in range(len(points), 0, -1) if permutes(p))
         window = TWO_PI / p
@@ -306,8 +307,11 @@ class CirclePhasePOVM(ContinuousPOVM):
                     total += quad.integrate_intervals(f, pieces, order=order)
             return float(total) * p / TWO_PI
 
-        nodes, w = quad.gauss_legendre(16, 0.0, window)
-        return (lambda rng, size: rng.uniform(0.0, window, size)), (list(nodes), w * p / TWO_PI), average
+        def nodes():
+            x, w = quad.gauss_legendre(16, 0.0, window)
+            return list(x), w * p / TWO_PI
+
+        return (lambda rng, size: rng.uniform(0.0, window, size)), nodes, average
 
     @staticmethod
     def _interval_operator(d: int, a: float, b: float) -> np.ndarray:
@@ -491,7 +495,7 @@ class DesignScheme(RandomizedScheme):
         self.outcome_space = continuous.space
         self.dim = continuous.dim
         self.family = continuous.family
-        self.sample_x, self._nodes, self._average = continuous.mixing_law(points, weights)
+        self.sample_x, self.mixing_nodes, self._average = continuous.mixing_law(points, weights)
         check_povm(self._povm(points))
 
     def _povm(self, points) -> FinitePOVM:
@@ -504,9 +508,6 @@ class DesignScheme(RandomizedScheme):
 
     def member(self, x) -> FinitePOVM:
         return self._povm(self.outcome_points(x)[0])
-
-    def mixing_nodes(self):
-        return self._nodes
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
         points = self.outcome_points(xs)

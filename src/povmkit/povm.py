@@ -20,7 +20,6 @@ from .outcomes import (
     FiniteLabels,
     OutcomeSpace,
     Region,
-    Sphere,
     normalize_angle,
     require_same_space,
     unit_vector,
@@ -38,12 +37,6 @@ def _coerce_point(space: OutcomeSpace, point):
     v = unit_vector(point)
     v.setflags(write=False)
     return v
-
-
-def _points_equal(space: OutcomeSpace, a, b) -> bool:
-    if isinstance(space, Sphere):
-        return bool(np.all(a == b))
-    return a == b
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,27 +161,24 @@ def validate_povm(
     dims = {el.shape[0] for el in p.elements}
     if dims != {p.dim}:
         raise DimensionMismatch(f"element dimensions {dims} != POVM dim {p.dim}")
-    herm = []
-    margins = []
-    for el in p.elements:
-        herm.append(op.frobenius(el - el.conj().T) / (1.0 + op.frobenius(el)))
-        sym = 0.5 * (el + el.conj().T)
-        margins.append(op.min_eigenvalue(sym) / (1.0 + op.frobenius(sym)))
+    herm = tuple(op.frobenius(el - el.conj().T) / (1.0 + op.frobenius(el)) for el in p.elements)
+    els = np.array(p.elements)
+    syms = 0.5 * (els + els.conj().transpose(0, 2, 1))
+    lowest = np.linalg.eigh(syms)[0][:, 0]  # eigenvalues ascend
+    margins = tuple(float(w) / (1.0 + op.frobenius(sym)) for w, sym in zip(lowest, syms))
     defect = op.frobenius(p.element_sum() - np.eye(p.dim))
-    dupes = []
+    dupes = ()
     if not p.allow_duplicates:
-        pts = p.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _points_equal(p.space, pts[i], pts[j]):
-                    dupes.append(j)
+        pts = np.array(p.points)
+        same = (pts[:, None] == pts[None]).reshape(len(pts), len(pts), -1).all(axis=2)
+        dupes = tuple(np.flatnonzero(np.triu(same, 1).any(axis=0)).tolist())
     return ValidationReport(
         dim=p.dim,
         n_entries=len(p),
-        hermiticity_defects=tuple(herm),
-        psd_margins=tuple(margins),
+        hermiticity_defects=herm,
+        psd_margins=margins,
         completeness_defect=float(defect),
-        duplicate_points=tuple(sorted(set(dupes))),
+        duplicate_points=dupes,
         tol_psd=tol_psd,
         tol_complete=tol_complete,
     )

@@ -97,7 +97,8 @@ class DualProcessing:
             at = order[np.searchsorted(labels, omega, sorter=order).clip(0, m - 1)]
             if np.any(labels[at] != omega):
                 known = sorted(set(labels.tolist()))
-                raise SpaceMismatch(f"labels outside {f'0..{m - 1}' if known == list(range(m)) else known}")
+                span = f"0..{m - 1}" if known == list(range(m)) else known
+                raise SpaceMismatch(f"labels outside {span}")
             return at
         if points.dtype.kind != "f" or omega.shape[1:] != points.shape[1:]:
             raise SpaceMismatch("outcomes are not on the space of the POVM's outcome points")

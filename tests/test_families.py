@@ -231,6 +231,46 @@ class TestPhaseFamily:
         assert abs(p1 - p2) <= 1e-9
 
 
+def irregular_phase_design():
+    """Three points with no shift symmetry whose weights make a d=2 design:
+    sum w_k = 2 and sum w_k exp(i phi_k) = 0."""
+    phis = np.array([0.0, 2.0, 4.0])
+    a = np.vstack([np.ones(3), np.cos(phis), np.sin(phis)])
+    return phis, np.linalg.solve(a, [2.0, 0.0, 0.0])
+
+
+class TestDesignScheme:
+    @pytest.mark.parametrize("design, period", [
+        ((np.arange(3) * 2 * np.pi / 3, np.full(3, 2 / 3)), 3),  # a comb finer than d
+        (irregular_phase_design(), 1),
+    ])
+    def test_other_phase_designs(self, rng, design, period):
+        ph = pk.phase_povm(2)
+        scheme = pk.DesignScheme(ph, design)
+        assert scheme.sample_x(rng, 1000).max() < 2 * np.pi / period
+        assert np.sum(scheme.mixing_nodes()[1]) == pytest.approx(1.0)
+        rho = pk.random_density_matrix(rng, 2)
+        arcs = [Region.of_arcs([(0.4, 2.5)]), Region.of_arcs([(5.0, 7.0), (2.0, 3.0)])]
+        det = pk.verify_scheme_equivalence(ph, scheme, [rho], arcs)
+        assert det.max_abs_diff <= 1e-9
+        mc = pk.verify_scheme_equivalence(
+            ph, scheme, [rho], arcs, mode="mc", budget=20_000, seed=3
+        )
+        for row in mc.rows:
+            assert abs(row.diff) <= 5 * row.std_error
+        for x in scheme.sample_x(rng, 5):
+            assert pk.validate_povm(scheme.member(x)).passed
+
+    def test_invalid_designs_rejected(self):
+        equator = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="poles"):
+            pk.DesignScheme(pk.spin_direction_povm(), (equator, [1.0, 1.0]))
+        with pytest.raises(pk.InvalidPOVM):
+            pk.DesignScheme(pk.spin_direction_povm(), ([[0.0, 0.0, 1.0]], [1.0]))
+        with pytest.raises(pk.InvalidPOVM):
+            pk.DesignScheme(pk.phase_povm(3), (np.arange(2) * np.pi, np.ones(2)))
+
+
 class TestEquivalence:
     def test_deterministic_spin(self, up, plus, maximally_mixed):
         spin = pk.spin_direction_povm()

@@ -38,7 +38,9 @@ def scheme(name):
     return pk.stern_gerlach_scheme() if name == "spin" else pk.phase_scheme(int(name[6:]))
 
 
-@pytest.mark.parametrize("name, seed", [("spin", 7), ("phase:2", 8), ("phase:3", 9), ("phase:8", 10)])
+@pytest.mark.parametrize("name, seed", [
+    ("spin", 7), ("phase:2", 8), ("phase:3", 9), ("phase:8", 10),
+])
 def test_two_stage_stream(name, seed):
     s = scheme(name)
     rho = pk.random_density_matrix(np.random.default_rng(seed), s.dim)
