@@ -60,10 +60,8 @@ from .merit import BayesGainSpec, MeritReport, bayes_gain, check_equal_optimalit
 from .outcomes import CIRCLE, SPHERE, Cap, Circle, FiniteLabels, OutcomeSpace, Region, Sphere
 from .povm import (
     FinitePOVM,
-    PovmDensityView,
     ValidationReport,
     born_probabilities,
-    density_view,
     probability_of_region,
     validate_povm,
 )

@@ -21,10 +21,12 @@ numerically state by state.
 
 Everything that depends on the family lives on these classes: a
 continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
-its dual processing, its rank-one kets and group action (from which
-`DesignScheme` builds its members), and the finite POVM of an exact
-outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains
-and dual residuals are evaluated; one vectorized two-stage kernel
+``Tr[A M(omega)]`` in closed form (`ContinuousPOVM.expectation`, which
+Born probabilities and dual processings evaluate), its rank-one kets and
+group action (from which `DesignScheme` builds its members), and the
+finite POVM of an exact outcome quadrature
+(`ContinuousPOVM.outcome_nodes`) on which Bayes gains, canonical duals
+and dual residuals are computed; one vectorized two-stage kernel
 (`RandomizedScheme.sample`) and the Monte Carlo average run for every
 scheme.  `named_family` is the one table from family names (``spin``,
 its aliases, ``phase:<d>``) to the (continuous POVM, scheme) pair.
@@ -39,7 +41,14 @@ import numpy as np
 from . import operators as op
 from . import quadrature as quad
 from .catalog import PAULI_X, PAULI_Y, PAULI_Z
-from .errors import InvalidDimension, SchemaError, SpaceMismatch, UnsupportedFamily
+from .errors import (
+    DimensionMismatch,
+    InvalidDimension,
+    NotInformationallyComplete,
+    SchemaError,
+    SpaceMismatch,
+    UnsupportedFamily,
+)
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -90,8 +99,10 @@ class ContinuousPOVM:
     In finite dimension the density is a low-degree polynomial in the
     outcome (in n on the sphere, in exp(i phi) on the circle), so an
     outcome quadrature integrates it exactly and the family acts as the
-    finite POVM of `outcome_nodes`; what is affine in the POVM (Bayes
-    gains, dual residuals) is computed on those nodes.
+    finite POVM of `outcome_nodes`; what is affine or quadratic in the
+    POVM (Bayes gains, the frame operator of `dual`, dual residuals) is
+    computed on those nodes.  A family gives ``Tr[A M(omega)]`` in closed
+    form (`expectation`).
 
     The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
     kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
@@ -114,13 +125,13 @@ class ContinuousPOVM:
         ket = self.kets(omega)[0]
         return np.outer(ket, ket.conj()) / self.ket_norm
 
+    def expectation(self, a: np.ndarray, points) -> np.ndarray:
+        """``Tr[a M(omega)]`` of a Hermitian ``a`` at a stack of outcome points."""
+        raise NotImplementedError
+
     def born(self, rho: np.ndarray, points) -> np.ndarray:
         """``Tr[rho M(omega)]`` at outcome points, clipped to [0, 1]."""
-        kets = self.kets(points)
-        applied = kets @ rho.T  # rows rho |psi>; Re <psi|rho psi> in real parts
-        vals = np.einsum("ni,ni->n", kets.real, applied.real)
-        vals += np.einsum("ni,ni->n", kets.imag, applied.imag)
-        return np.clip(vals / self.ket_norm, 0.0, 1.0)
+        return np.clip(self.expectation(rho, points), 0.0, 1.0)
 
     def region_operator(self, region: Region) -> np.ndarray:
         raise NotImplementedError
@@ -136,8 +147,38 @@ class ContinuousPOVM:
         raise UnsupportedFamily(f"no direct sampler for family {self.family!r}")
 
     def dual(self, a: np.ndarray):
-        """Outcome function whose mean over outcomes estimates ``Tr[rho a]``."""
-        raise UnsupportedFamily(f"no dual processing for family {self.family!r}")
+        """The canonical dual of ``a``: ``f(omega) = Tr[Y M(omega)]`` with
+        ``int f M = a``, so the mean of f over outcomes estimates ``Tr[rho a]``.
+
+        The elements of `outcome_nodes` are ``v_k M(omega_k)``, with measure
+        ``v_k`` their trace; with ``m_k`` the Hermitian coordinates of
+        ``M(omega_k)``, ``y = coords(Y)`` is the minimum-norm solution of
+        ``S y = coords(a)`` for the frame operator ``S = sum_k v_k m_k m_k^T``:
+        the canonical dual of D'Ariano and Perinotti, PRL 98, 020403 (2007).
+        A target of another dimension raises `DimensionMismatch`; one off
+        the span of the family's elements (on the circle, any operator not
+        constant along its diagonals) `NotInformationallyComplete`.
+        """
+        from .tomography import DualProcessing
+
+        a = op.check_hermitian(a, name="target")
+        if a.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"target dimension {a.shape[0]} != family dimension {self.dim}"
+            )
+        _, elements = self.outcome_nodes()
+        nodes = op.hermitian_to_coords(elements)  # v_k m_k
+        measure = np.trace(elements, axis1=1, axis2=2).real
+        frame = nodes.T @ (nodes / measure[:, None])
+        rhs = op.hermitian_to_coords(a)
+        y, *_ = np.linalg.lstsq(frame, rhs, rcond=None)
+        residual = np.linalg.norm(frame @ y - rhs)
+        if residual > 1e-8 * (1.0 + op.frobenius(a)):
+            raise NotInformationallyComplete(
+                f"{self.family} statistics do not determine the target "
+                f"(frame residual {residual:.3e})"
+            )
+        return DualProcessing(target=a, family=self, operator=op.coords_to_hermitian(y, self.dim))
 
     def outcome_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """The finite POVM of an exact outcome quadrature (`outcome_rule`).
@@ -167,6 +208,13 @@ class SpinDirectionPOVM(ContinuousPOVM):
 
     def kets(self, points):
         return plus_spinors(points)
+
+    def expectation(self, a, points):
+        """``Tr a / 2 + n . (Re a01, -Im a01, (a00 - a11) / 2)``, as
+        ``M(n) = (I + n . sigma) / 2``."""
+        a = np.asarray(a)
+        vec = np.array([a[0, 1].real, -a[0, 1].imag, (a[0, 0].real - a[1, 1].real) / 2.0])
+        return (a[0, 0].real + a[1, 1].real) / 2.0 + np.asarray(points, dtype=float) @ vec
 
     def move(self, xs, point):
         return point[2] * xs
@@ -250,15 +298,15 @@ class SpinDirectionPOVM(ContinuousPOVM):
         """Product Gauss rule, exact for integrands of degree < 32 in n."""
         return quad.sphere_nodes(16, 32)
 
-    def dual(self, a):
-        from .tomography import spin_dual
-
-        return spin_dual(a)
-
 
 _PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
 _NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
 _NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
+
+
+def _superdiagonals(a: np.ndarray) -> np.ndarray:
+    """Sums ``c_k`` of the superdiagonals ``k = 1..d-1`` of a square matrix."""
+    return np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
 
 
 class CirclePhasePOVM(ContinuousPOVM):
@@ -276,6 +324,13 @@ class CirclePhasePOVM(ContinuousPOVM):
 
     def kets(self, points):
         return phase_kets(self.dim, points)
+
+    def expectation(self, a, points):
+        """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
+        superdiagonal sum of ``a``."""
+        phis = np.asarray(points, dtype=float)
+        sums = np.exp(1j * np.multiply.outer(phis, np.arange(1, self.dim))) @ _superdiagonals(a)
+        return (np.trace(a).real + 2.0 * sums.real) / self.dim
 
     def move(self, xs, point):
         return normalize_angle(xs + point)
@@ -347,7 +402,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         """
         targets = rng.uniform(0.0, 1.0, n)
         k = np.arange(1, self.dim)
-        c = np.array([np.trace(rho, offset=j) for j in k])
+        c = _superdiagonals(rho)
         cdf_weights = 2.0 * c / k
         weights = np.column_stack([cdf_weights, 2.0 * c])
         offset = cdf_weights.imag.sum()
@@ -381,11 +436,6 @@ class CirclePhasePOVM(ContinuousPOVM):
     def outcome_rule(self):
         """64-point trapezoid rule, exact for trigonometric degree < 64."""
         return quad.circle_nodes(64)
-
-    def dual(self, a):
-        from .tomography import phase_dual
-
-        return phase_dual(self.dim, a)
 
 
 def spin_direction_povm() -> SpinDirectionPOVM:

@@ -133,10 +133,6 @@ def support(
     return v[:, mask], w[mask]
 
 
-def support_rank(a, threshold: float = GAP_THRESHOLD) -> int:
-    return int(support(a, threshold=threshold)[0].shape[1])
-
-
 # --- real coordinates on the Hermitian space -------------------------------
 
 _SQRT2 = np.sqrt(2.0)

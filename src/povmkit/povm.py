@@ -1,10 +1,7 @@
-"""Finite POVMs: data model, axioms, and the unit-trace density view.
+"""Finite POVMs: data model, axioms, Born probabilities.
 
 A finite POVM is an ordered list of (outcome point, element) pairs over
-an outcome space, with PSD elements summing to the identity.  Every
-valid POVM admits the weighted form ``P_i = mu_i * M_i`` with
-``mu_i = Tr[P_i]`` and ``M_i`` PSD of unit trace; that view is what the
-randomization and tomography machinery consumes.
+an outcome space, with PSD elements summing to the identity.
 """
 
 from __future__ import annotations
@@ -200,36 +197,6 @@ def born_probabilities(p: FinitePOVM, rho: np.ndarray) -> np.ndarray:
         )
     probs = np.array([float(np.trace(rho @ el).real) for el in p.elements])
     return np.clip(probs, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PovmDensityView:
-    """Weights ``mu_i = Tr[P_i]`` and unit-trace elements ``P_i / mu_i``.
-
-    Entries with negligible trace are flagged null and carry no
-    normalized element.
-    """
-
-    weights: np.ndarray
-    normalized_elements: tuple
-    null_indices: tuple[int, ...]
-
-
-def density_view(p: FinitePOVM, tol_trace: float = op.TOL_TRACE) -> PovmDensityView:
-    mu = p.traces()
-    normalized = []
-    nulls = []
-    for i, el in enumerate(p.elements):
-        if mu[i] > tol_trace:
-            normalized.append(el / mu[i])
-        else:
-            normalized.append(None)
-            nulls.append(i)
-    return PovmDensityView(
-        weights=mu,
-        normalized_elements=tuple(normalized),
-        null_indices=tuple(nulls),
-    )
 
 
 def probability_of_region(p: FinitePOVM, rho: np.ndarray, r: Region) -> float:

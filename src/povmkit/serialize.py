@@ -499,11 +499,14 @@ def decomposition_to_dict(result: DecompositionResult) -> dict:
 
 def decomposition_from_dict(data: dict) -> DecompositionResult:
     _check_schema(data, "decomposition")
-    terms = tuple(
-        (float(t["weight"]), povm_from_dict(t["povm"]))
-        for t in _objects(data, "terms", "decomposition")
-    )
-    return DecompositionResult(terms=terms, depth=int(data.get("depth", 0)))
+    terms = []
+    for k, term in enumerate(_objects(data, "terms", "decomposition")):
+        if "weight" not in term or "povm" not in term:
+            raise SchemaError(f"decomposition term {k}: needs 'weight' and 'povm'")
+        if type(term["weight"]) not in (int, float):
+            raise SchemaError(f"decomposition term {k}: 'weight' must be a number")
+        terms.append((float(term["weight"]), povm_from_dict(term["povm"])))
+    return DecompositionResult(terms=tuple(terms), depth=int(data.get("depth", 0)))
 
 
 def equivalence_report_to_dict(rep: EquivalenceReport) -> dict:
@@ -562,15 +565,11 @@ def bayes_spec_from_dict(data: dict) -> BayesGainSpec:
 
 def dual_to_dict(dual: DualProcessing) -> dict:
     out: dict = {"schema": SCHEMA_VERSION, "target": matrix_to_json(dual.target)}
-    if dual.kind == "finite":
+    if dual.family is None:
         out["coefficients"] = [float(c) for c in dual.coefficients]
-    elif dual.kind == "spin":
-        out["family"] = "spin"
-        out["a0"] = dual.a0
-        out["a"] = [float(v) for v in dual.avec]
     else:
-        out["family"] = "phase"
-        out["fourier"] = [[float(z.real), float(z.imag)] for z in dual.fourier]
+        out["family"] = dual.family.family
+        out["operator"] = matrix_to_json(dual.operator)
     return out
 
 

@@ -3,10 +3,10 @@
 For a finite POVM whose elements span the Hermitian space, any operator
 A admits outcome coefficients with ``sum_i f(i) P_i = A``; averaging
 ``f`` over measurement records then estimates ``Tr[rho A]`` without
-reconstructing the state.  The spin-direction family has the closed-form
-continuous dual ``f_A(n) = a0 + 3 a . n`` for ``A = a0 I + a . sigma``;
-the phase family only spans the diagonal-constant (Toeplitz) operators
-and gets a Fourier dual on that span.
+reconstructing the state.  A continuous family's dual is its canonical
+frame dual ``f(omega) = Tr[Y M(omega)]`` (`ContinuousPOVM.dual`); the
+phase family only spans the diagonal-constant (Toeplitz) operators, so
+only those have a phase dual.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as op
-from .catalog import PAULI_X, PAULI_Y, PAULI_Z
-from .errors import EmptySample, NotInformationallyComplete, SpaceMismatch
-from .outcomes import CIRCLE, SPHERE
+from .errors import DimensionMismatch, EmptySample, NotInformationallyComplete, SpaceMismatch
+from .families import ContinuousPOVM, phase_povm, spin_direction_povm
+from .outcomes import SPHERE
 from .povm import FinitePOVM, check_povm
 from .sampling import OutcomeRecords
 
@@ -39,49 +39,41 @@ def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) ->
 class DualProcessing:
     """Outcome function reproducing a target operator under the POVM.
 
-    ``kind`` selects the evaluation rule:
-
-    * ``"finite"``: per-entry coefficients, at the entries of outcomes;
-    * ``"spin"``: ``f(n) = a0 + 3 a . n`` on sphere points;
-    * ``"phase"``: trigonometric polynomial on angles.
+    A finite dual holds per-entry ``coefficients`` and its POVM's outcome
+    ``points``; a continuous dual holds its ``family`` and an ``operator``
+    Y, and evaluates ``Tr[Y M(omega)]`` (`ContinuousPOVM.expectation`).
     """
 
     target: np.ndarray
-    kind: str
     coefficients: np.ndarray | None = field(default=None, compare=False)
     points: np.ndarray | None = field(default=None, compare=False)
-    a0: float = 0.0
-    avec: np.ndarray | None = field(default=None, compare=False)
-    fourier: np.ndarray | None = field(default=None, compare=False)
+    family: ContinuousPOVM | None = field(default=None, compare=False)
+    operator: np.ndarray | None = field(default=None, compare=False)
 
     def evaluate(self, records) -> np.ndarray:
-        """Per-record processing values ``f(omega)``.
+        """Per-record processing values ``f(omega)``, one per outcome.
 
-        ``records`` is an `OutcomeRecords` or a bare outcome array.  Outcomes
-        the dual cannot evaluate raise `SpaceMismatch`: a spin dual takes
-        sphere points, a phase dual angles, and a finite dual integer labels
-        in ``0..m-1``, which name its entries, or its POVM's outcome points.
+        ``records`` is an `OutcomeRecords`, a bare outcome array or one bare
+        outcome.  Outcomes the dual cannot evaluate raise `SpaceMismatch`:
+        a continuous dual takes points of its family's space, and a finite
+        dual integer labels in ``0..m-1``, which name its entries, or its
+        POVM's outcome points.
         """
         known = isinstance(records, OutcomeRecords)
-        if self.kind == "finite":
-            return self.coefficients[self._entries(np.asarray(records.omega if known else records))]
-        space = SPHERE if self.kind == "spin" else CIRCLE
-        omega = np.asarray(records.omega if known else records, dtype=float)
+        omega = np.asarray(records.omega if known else records)
+        if self.family is None:
+            return self.coefficients[self._entries(omega)]
+        omega = omega.astype(float, copy=False)
+        space = self.family.space
+        point = (3,) if space == SPHERE else ()
+        many = omega.ndim - len(point)  # 0 for one bare point, 1 for a stack
         if known:
             ok = records.space == space
-        elif self.kind == "spin":
-            ok = omega.ndim in (1, 2) and omega.shape[-1] == 3
         else:
-            ok = omega.ndim <= 1
+            ok = many in (0, 1) and omega.shape[many:] == point
         if not ok:
-            raise SpaceMismatch(f"a {self.kind} dual needs outcomes on the {space}")
-        if self.kind == "spin":
-            return self.a0 + 3.0 * np.atleast_2d(omega) @ self.avec
-        d = self.target.shape[0]
-        vals = np.full(omega.shape, float(self.fourier[0].real))
-        for k in range(1, d):
-            vals += 2.0 * (self.fourier[k] * np.exp(1j * k * omega)).real
-        return vals
+            raise SpaceMismatch(f"a {self.family.family} dual needs outcomes on the {space}")
+        return self.family.expectation(self.operator, omega.reshape(-1, *point))
 
     def _entries(self, omega: np.ndarray) -> np.ndarray:
         """Entry index of each outcome of a finite dual: an integer is one of
@@ -92,6 +84,7 @@ class DualProcessing:
         m = len(self.coefficients)
         points = self.points
         if omega.dtype.kind in "iu":
+            omega = np.atleast_1d(omega)
             labels = points if points.dtype.kind in "iu" else np.arange(m)
             order = np.argsort(labels)
             at = order[np.searchsorted(labels, omega, sorter=order).clip(0, m - 1)]
@@ -100,6 +93,8 @@ class DualProcessing:
                 span = f"0..{m - 1}" if known == list(range(m)) else known
                 raise SpaceMismatch(f"labels outside {span}")
             return at
+        if omega.ndim == points.ndim - 1:  # one bare outcome point
+            omega = omega[None]
         if points.dtype.kind != "f" or omega.shape[1:] != points.shape[1:]:
             raise SpaceMismatch("outcomes are not on the space of the POVM's outcome points")
         if points.ndim == 1:
@@ -125,7 +120,7 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
     check_povm(p)
     a = op.check_hermitian(a, name="target")
     if a.shape[0] != p.dim:
-        raise NotInformationallyComplete("target dimension does not match POVM")
+        raise DimensionMismatch(f"target dimension {a.shape[0]} != POVM dimension {p.dim}")
     if not is_informationally_complete(p, gap=gap):
         raise NotInformationallyComplete(
             "POVM elements do not span the operator space"
@@ -138,47 +133,17 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
     )
     if residual > 1e-8 * (1.0 + op.frobenius(a)):
         raise NotInformationallyComplete(f"dual residual {residual:.3e} too large")
-    return DualProcessing(target=a, kind="finite", coefficients=coeff, points=np.array(p.points))
-
-
-def pauli_components(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Decompose a 2x2 Hermitian ``A = a0 I + a . sigma``."""
-    a = op.check_hermitian(a, name="target")
-    a0 = float(np.trace(a).real) / 2.0
-    avec = np.array(
-        [float(np.trace(a @ p).real) / 2.0 for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-    )
-    return a0, avec
+    return DualProcessing(target=a, coefficients=coeff, points=np.array(p.points))
 
 
 def spin_dual(a: np.ndarray) -> DualProcessing:
-    """Closed-form dual for the spin-direction family.
-
-    ``f_A(n) = a0 + 3 a . n`` reproduces A because the direction density
-    has first moment ``n/3`` per axis under ``dn/2pi`` normalization.
-    """
-    a0, avec = pauli_components(a)
-    return DualProcessing(target=np.asarray(a, dtype=complex), kind="spin", a0=a0, avec=avec)
+    """The spin-direction family's dual of a 2x2 Hermitian ``a``."""
+    return spin_direction_povm().dual(a)
 
 
 def phase_dual(d: int, a: np.ndarray) -> DualProcessing:
-    """Fourier dual for the phase family, defined on the Toeplitz span.
-
-    Requires A constant along diagonals; other operators are invisible
-    to phase statistics.
-    """
-    a = op.check_hermitian(a, name="target")
-    if a.shape[0] != d:
-        raise NotInformationallyComplete("target dimension mismatch")
-    fourier = np.zeros(d, dtype=complex)
-    for k in range(d):
-        diag = np.diagonal(a, offset=k)
-        if diag.size > 1 and np.max(np.abs(diag - diag[0])) > 1e-10:
-            raise NotInformationallyComplete(
-                "phase statistics determine only diagonal-constant operators"
-            )
-        fourier[k] = diag[0]
-    return DualProcessing(target=a, kind="phase", fourier=fourier)
+    """The d-dimensional phase family's dual of a Toeplitz Hermitian ``a``."""
+    return phase_povm(d).dual(a)
 
 
 @dataclass(frozen=True)

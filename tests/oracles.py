@@ -3,7 +3,8 @@
 These deliberately avoid the library's computational paths: region
 probabilities come from adaptive quadrature of the raw densities,
 extremality from an SVD over the full (unrestricted) Hermitian
-parametrization intersected with the support condition, and duals from
+parametrization intersected with the support condition, ``Tr[A M]``
+from the rank-one kets of the continuous densities, and duals from
 closed-form frame formulas.
 """
 
@@ -126,6 +127,43 @@ def brute_force_kernel_dim(povm, gap=1e-8):
 
 def brute_force_extremal(povm, gap=1e-8):
     return brute_force_kernel_dim(povm, gap=gap) == 0
+
+
+def spin_kets(points):
+    """Spin-up spinors along each point: the spin family's kets (squared norm 1)."""
+    return np.array([spin_up_vector(n) for n in np.atleast_2d(points)])
+
+
+def phase_kets(d, phis):
+    """Phase kets ``sum_n exp(i n phi)|n>`` (squared norm d)."""
+    return np.exp(1j * np.outer(np.atleast_1d(phis), np.arange(d)))
+
+
+def kets_expectation(kets, ket_norm, a):
+    """``<psi|a|psi> / ket_norm`` per ket, the real part of ``Tr[a M]`` for
+    ``M = |psi><psi| / ket_norm``, from the kets themselves."""
+    applied = kets @ a.T  # rows a |psi>; Re <psi|a psi> in real parts
+    vals = np.einsum("ni,ni->n", kets.real, applied.real)
+    vals += np.einsum("ni,ni->n", kets.imag, applied.imag)
+    return vals / ket_norm
+
+
+def spin_dual_closed_form(a, points):
+    """``f_A(n) = a0 + 3 a . n`` for ``A = a0 I + a . sigma``: the direction
+    density has first moment ``n/3`` per axis under ``dn/2pi``."""
+    a0 = float(np.trace(a).real) / 2.0
+    avec = np.array([float(np.trace(a @ s).real) / 2.0 for s in SIG])
+    return a0 + 3.0 * np.atleast_2d(points) @ avec
+
+
+def phase_dual_closed_form(a, phis):
+    """``f_A(phi) = a_00 + 2 Re sum_k a_0k e^{ik phi}`` for a Toeplitz A."""
+    d = a.shape[0]
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    vals = np.full(phis.shape, float(a[0, 0].real))
+    for k in range(1, d):
+        vals += 2.0 * (a[0, k] * np.exp(1j * k * phis)).real
+    return vals
 
 
 def sic_dual_closed_form(axes, a):

@@ -506,6 +506,28 @@ class TestTomo:
         assert out == ""
         assert "not an outcome point" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("source", [
+        ("--family", "spin"), ("--family", "phase:4"), ("--povm", "sic"),
+    ])
+    def test_target_dimension_mismatch_is_input_error(self, capsys, tmp_path, source):
+        flag, name = source
+        if flag == "--povm":
+            name = str(tmp_path / "sic.json")
+            ser.save_povm(name, pk.sic_tetrahedron_povm())
+        target = tmp_path / "identity3.json"
+        target.write_text(json.dumps({"schema": 1, "matrix": np.stack(
+            [np.eye(3), np.zeros((3, 3))], axis=-1).tolist()}))
+        code, out, err = run_cli(capsys, "tomo", flag, name, "--target", str(target))
+        assert code == 2
+        assert out == ""
+        assert "dimension" in json.loads(err)["error"]
+
+    def test_non_toeplitz_phase_target_is_failed_check(self, capsys, z_target):
+        code, out, err = run_cli(capsys, "tomo", "--family", "phase:2", "--target", z_target)
+        assert code == 1
+        assert out == ""
+        assert "check_failed" in json.loads(err)
+
     def test_incomplete_povm_is_failed_check(self, capsys, tmp_path):
         proj = tmp_path / "proj.json"
         ser.save_povm(proj, pk.projective_basis_povm(2))

@@ -1,11 +1,12 @@
-"""Golden outputs of the built-in randomized schemes, pinned byte for byte.
+"""Golden outputs of the built-in families, pinned byte for byte.
 
 Each digest is the sha256 of a two-stage record stream, as
-`records_to_lines` writes it, or of an equal-optimality report, as
-`merit --scheme` prints it.  A change to a scheme's mixing law, members,
-Born probabilities or outcome points that moves any byte of these fails
-here; such a change must be deliberate, and the new digests recorded with
-it.
+`records_to_lines` writes it, of an equal-optimality report, as
+`merit --scheme` prints it, or of what `tomo --family` prints for direct
+records and a state.  A change to a scheme's mixing law, members, Born
+probabilities or outcome points, or to a family's dual, that moves any
+byte of these fails here; such a change must be deliberate, and the new
+digests recorded with it.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import povmkit as pk
 from povmkit import serialize as ser
+from povmkit.cli import main
 
 
 def sha256(text: str) -> str:
@@ -31,6 +33,18 @@ STREAMS = {
 REPORTS = {
     "spin": "cf5f3afe7da404338d6017b188ac62ef894ce2f72188a5e259bca8176ca9eeb5",
     "phase:3": "e641306c90c624a9a3ab778d14de51521571367da98d289481cf4c25cc1bb17f",
+}
+
+
+TOMO = {
+    "spin": "086c8e98153a1ead403c0ef47652ff8aedeab8ca89c51de3ee99c709c421e104",
+    "phase:3": "066ef5521bfecd7973d92752743974bd1585b9b581482a76448a451ea53e0e77",
+}
+
+TARGETS = {
+    "spin": [[0.6, 0.7 + 0.1j], [0.7 - 0.1j, -0.2]],
+    "phase:3": [[1.0, 0.5 - 0.25j, 0.1j], [0.5 + 0.25j, 1.0, 0.5 - 0.25j],
+                [-0.1j, 0.5 + 0.25j, 1.0]],
 }
 
 
@@ -56,3 +70,16 @@ def test_equal_optimality_report(name, prior, gain):
     spec = pk.BayesGainSpec(prior=prior, gain=gain)
     report = pk.check_equal_optimality(scheme(name), spec, x_samples=16, seed=5)
     assert sha256(ser.dumps_canonical(ser.merit_report_to_dict(report))) == REPORTS[name]
+
+
+@pytest.mark.parametrize("name, seed", [("spin", 11), ("phase:3", 12)])
+def test_tomo_family_output(name, seed, tmp_path, capsys):
+    c, _ = pk.named_family(name)
+    rho = pk.random_density_matrix(np.random.default_rng(seed), c.dim)
+    files = {key: str(tmp_path / key) for key in ("state", "target", "records")}
+    ser.save_states(files["state"], [("rho", rho)])
+    ser.write_json(files["target"], {"schema": 1, "matrix": ser.matrix_to_json(TARGETS[name])})
+    ser.write_records(files["records"], pk.sample_direct(c, rho, 2000, seed=seed))
+    argv = ["tomo", "--family", name] + [f"--{key}={path}" for key, path in files.items()]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == TOMO[name]

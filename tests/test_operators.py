@@ -102,4 +102,4 @@ class TestSupport:
         with pytest.raises(NumericalRankAmbiguity):
             op.support(a, check_band=True)
         # without the band check the small eigenvalue counts as support
-        assert op.support_rank(a) == 2
+        assert op.support(a)[0].shape[1] == 2

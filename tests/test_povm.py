@@ -82,52 +82,6 @@ class TestBorn:
         assert np.all(probs >= 0) and np.all(probs <= 1)
 
 
-class TestDensityView:
-    def test_projective(self):
-        view = pk.density_view(pk.projective_basis_povm(2))
-        assert np.allclose(view.weights, [1.0, 1.0])
-        assert not view.null_indices
-
-    def test_coin_flip(self):
-        view = pk.density_view(pk.coin_flip_povm())
-        assert np.allclose(view.weights, [1.0, 1.0])
-        for m in view.normalized_elements:
-            assert np.allclose(m, np.eye(2) / 2)
-
-    def test_sic(self):
-        sic = pk.sic_tetrahedron_povm()
-        view = pk.density_view(sic)
-        assert np.allclose(view.weights, [0.5] * 4)
-        for m, el in zip(view.normalized_elements, sic.elements):
-            assert np.isclose(np.trace(m).real, 1.0)
-            w = np.linalg.eigvalsh(m)
-            assert w.min() > -1e-12 and np.isclose(w.max(), 1.0)  # rank one
-
-    def test_null_entries_excluded(self, up, down):
-        p = pk.FinitePOVM(
-            dim=2,
-            space=FiniteLabels(3),
-            entries=((0, up), (1, down), (2, np.zeros((2, 2)))),
-        )
-        view = pk.density_view(p)
-        assert view.null_indices == (2,)
-        assert view.normalized_elements[2] is None
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 8))
-    @settings(max_examples=25, deadline=None)
-    def test_reconstruction_and_weight_sum(self, seed, d, n):
-        rng = np.random.default_rng(seed)
-        p = pk.random_povm(rng, d, n)
-        view = pk.density_view(p)
-        assert abs(view.weights.sum() - d) <= 1e-8
-        total = sum(
-            w * m
-            for w, m in zip(view.weights, view.normalized_elements)
-            if m is not None
-        )
-        assert np.linalg.norm(total - np.eye(d)) <= 1e-9
-
-
 class TestRegionProbability:
     def test_stern_gerlach_member_cap(self, up, padded_member):
         cap = Region.of_caps([((0, 0, 1.0), np.pi / 3)])

@@ -313,6 +313,17 @@ class TestDecomposition:
             for a, b in zip(p1.elements, p2.elements):
                 assert np.allclose(a, b)
 
+    @pytest.mark.parametrize("term", [
+        {"povm": None}, {"weight": 0.5}, {"weight": "half", "povm": None},
+        {"weight": [0.5], "povm": None}, {"weight": None, "povm": None},
+    ])
+    def test_malformed_term_is_schema_error(self, term):
+        data = ser.decomposition_to_dict(pk.decompose_extremal(pk.coin_flip_povm()))
+        povm = data["terms"][0]["povm"]
+        data["terms"][0] = {k: povm if k == "povm" else v for k, v in term.items()}
+        with pytest.raises(SchemaError, match="term 0"):
+            ser.decomposition_from_dict(data)
+
 
 def _json_roundtrip(obj: dict) -> dict:
     return json.loads(ser.dumps_canonical(obj))

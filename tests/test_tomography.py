@@ -3,12 +3,51 @@ import pytest
 
 import povmkit as pk
 from povmkit.catalog import PAULI_X, PAULI_Y, PAULI_Z, TETRAHEDRON_AXES
-from povmkit.errors import EmptySample, InvalidPOVM, NotInformationallyComplete, SpaceMismatch
+from povmkit.errors import (
+    DimensionMismatch,
+    EmptySample,
+    InvalidPOVM,
+    NotInformationallyComplete,
+    SpaceMismatch,
+)
 from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels
 from povmkit.sampling import OutcomeRecords
-from povmkit.tomography import pauli_components
 
-from oracles import sic_dual_closed_form
+from oracles import (
+    kets_expectation,
+    phase_dual_closed_form,
+    phase_kets,
+    sic_dual_closed_form,
+    spin_dual_closed_form,
+    spin_kets,
+)
+
+FAMILIES = ["spin"] + [f"phase:{d}" for d in range(2, 17)]
+
+
+def random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2.0
+
+
+def random_toeplitz(rng, d):
+    """A random Hermitian with constant diagonals: the phase family's span."""
+    t = rng.normal(size=d) + 1j * rng.normal(size=d)
+    t[0] = t[0].real
+    k = np.subtract.outer(np.arange(d), np.arange(d))  # row minus column
+    return np.where(k <= 0, t[np.abs(k)], t[np.abs(k)].conj())
+
+
+def family_case(name, rng, n=200):
+    """The continuous POVM of a family name, random outcome points, their
+    oracle kets with squared norm, and a random target in its span."""
+    c, _ = pk.named_family(name)
+    if name == "spin":
+        points = rng.normal(size=(n, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        return c, points, spin_kets(points), 1, random_hermitian(rng, 2)
+    points = rng.uniform(0.0, 2 * np.pi, n)
+    return c, points, phase_kets(c.dim, points), c.dim, random_toeplitz(rng, c.dim)
 
 
 class TestInformationalCompleteness:
@@ -65,12 +104,50 @@ class TestFiniteDuals:
         assert np.linalg.norm(rebuilt - a) <= 1e-8
 
 
-class TestSpinDual:
-    def test_pauli_components_roundtrip(self, rng):
-        a0, avec = pauli_components(PAULI_Z + 0.3 * np.eye(2))
-        assert a0 == pytest.approx(0.3)
-        assert np.allclose(avec, [0, 0, 1.0])
+class TestExpectation:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_kets_oracle(self, name):
+        rng = np.random.default_rng(60)
+        c, points, kets, ket_norm, _ = family_case(name, rng)
+        for _ in range(3):
+            a = random_hermitian(rng, c.dim)
+            error = np.abs(c.expectation(a, points) - kets_expectation(kets, ket_norm, a)).max()
+            assert error <= 1e-12 * (1.0 + np.linalg.norm(a))
 
+    @pytest.mark.parametrize("name", ["spin", "phase:3"])
+    def test_born_is_clipped_expectation(self, name):
+        rng = np.random.default_rng(61)
+        c, points, kets, ket_norm, _ = family_case(name, rng)
+        rho = pk.random_density_matrix(rng, c.dim)
+        born = c.born(rho, points)
+        assert np.array_equal(born, np.clip(c.expectation(rho, points), 0.0, 1.0))
+        assert np.abs(born - kets_expectation(kets, ket_norm, rho)).max() <= 1e-12
+
+
+class TestFrameDual:
+    """The canonical frame dual against the closed-form duals."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_closed_form(self, name):
+        rng = np.random.default_rng(62)
+        c, points, _, _, target = family_case(name, rng)
+        dual = c.dual(target)
+        oracle = spin_dual_closed_form if name == "spin" else phase_dual_closed_form
+        assert np.abs(dual.evaluate(points) - oracle(target, points)).max() <= 1e-12
+        assert c.dual_residual(dual) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["spin", "phase:2", "phase:4"])
+    def test_dimension_mismatch(self, name):
+        c, _ = pk.named_family(name)
+        with pytest.raises(DimensionMismatch):
+            c.dual(np.eye(3, dtype=complex))
+
+    def test_finite_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            pk.dual_coefficients(pk.sic_tetrahedron_povm(), np.eye(3, dtype=complex))
+
+
+class TestSpinDual:
     @pytest.mark.parametrize("target", [
         np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z,
          0.2 * np.eye(2) + 0.7 * PAULI_X - 0.1 * PAULI_Y + 0.4 * PAULI_Z,
@@ -96,6 +173,11 @@ class TestPhaseDual:
     def test_non_toeplitz_rejected(self):
         with pytest.raises(NotInformationallyComplete):
             pk.phase_dual(2, PAULI_Z)  # diagonal not constant
+        off = random_toeplitz(np.random.default_rng(64), 6)
+        off[2, 3] += 1e-3
+        off[3, 2] += 1e-3
+        with pytest.raises(NotInformationallyComplete):
+            pk.phase_dual(6, off)
 
 
 class TestEstimates:
@@ -193,6 +275,20 @@ class TestRecordSpace:
             pk.spin_dual(PAULI_Z).evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
         with pytest.raises(SpaceMismatch):
             pk.dual_coefficients(pk.sic_tetrahedron_povm(), PAULI_Z).evaluate([0.5, 1.0])
+
+    def test_one_bare_point(self):
+        sic = pk.sic_tetrahedron_povm()
+        finite = pk.dual_coefficients(sic, PAULI_Z)
+        assert np.array_equal(finite.evaluate(sic.points[0]), finite.coefficients[:1])
+        family = pk.spin_dual(PAULI_Z)
+        assert np.array_equal(family.evaluate(sic.points[0]), family.evaluate(sic.points[:1]))
+        assert family.evaluate(sic.points[0]).shape == (1,)
+
+    def test_one_bare_angle(self):
+        dual = pk.dual_coefficients(sic_on(CIRCLE, [0.0, 1.0, 2.0, 3.0]), PAULI_Y)
+        assert np.array_equal(dual.evaluate(2.0), dual.coefficients[2:3])
+        phase = pk.phase_dual(2, PAULI_X)
+        assert np.array_equal(phase.evaluate(np.pi), phase.evaluate([np.pi]))
 
     @pytest.mark.parametrize("label", [-1, 4, 7])
     def test_labels_out_of_range(self, label):
