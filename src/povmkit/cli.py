@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     InvalidPOVM,
+    NonHermitianInput,
     PovmkitError,
     SchemaError,
     SpaceMismatch,
@@ -319,6 +320,7 @@ def main(argv=None) -> int:
         DimensionMismatch,
         InvalidDimension,
         InvalidPOVM,
+        NonHermitianInput,
         SpaceMismatch,
         FileNotFoundError,
     ) as exc:

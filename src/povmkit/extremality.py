@@ -27,38 +27,68 @@ from .errors import DegeneratePerturbation, TermBudgetExceeded
 from .povm import FinitePOVM, check_povm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Direction along which a POVM can move while staying a POVM.
 
-    ``components`` aligns with the POVM's entries; zero elements carry
-    zero components.  Normalized so the summed squared Frobenius norm
-    is 1.
+    ``components`` is one complex array ``(n, d, d)`` aligned with the
+    POVM's entries (any sequence of n matrices is stacked into one);
+    zero elements carry zero components.  Normalized so the summed
+    squared Frobenius norm is 1.
     """
 
-    components: tuple
+    components: np.ndarray
+
+    def __post_init__(self):
+        q = np.asarray(self.components, dtype=complex)
+        if q.ndim != 3 or q.shape[1] != q.shape[2]:
+            raise DegeneratePerturbation(
+                f"components must be a stack (n, d, d), got shape {q.shape}"
+            )
+        object.__setattr__(self, "components", q)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(op.frobenius(q) ** 2 for q in self.components)))
+        return op.frobenius(self.components)
 
     def check(self, p: FinitePOVM, tol: float = 1e-8) -> None:
-        """Raise if this is not a valid perturbation for ``p``."""
-        if len(self.components) != len(p):
+        """Raise if this is not a valid perturbation for ``p``.
+
+        One stacked Hermiticity check over the components and one stacked
+        support call over the elements; each component is held to its
+        element's support.
+        """
+        q = self.components
+        if len(q) != len(p):
             raise DegeneratePerturbation("component count does not match POVM")
-        total = np.sum(self.components, axis=0)
-        if op.frobenius(total) > 1e-9:
+        if op.frobenius(q.sum(axis=0)) > 1e-9:
             raise DegeneratePerturbation("components do not sum to zero")
-        for q, el in zip(self.components, p.elements):
-            op.check_hermitian(q, name="perturbation component")
-            proj, _ = op.support(el)
-            pi = proj @ proj.conj().T
-            leak = op.frobenius(q - pi @ q @ pi)
-            if leak > tol * (1.0 + op.frobenius(q)):
-                raise DegeneratePerturbation(
-                    f"component leaks outside element support by {leak:.3e}"
-                )
+        op.check_hermitian(q, name="perturbation component", stack=True)
+        pi = np.array([v @ v.conj().T for v, _ in op.support(np.array(p.elements))])
+        leak = np.linalg.norm(q - pi @ q @ pi, axis=(1, 2))
+        bad = leak > tol * (1.0 + np.linalg.norm(q, axis=(1, 2)))
+        if np.any(bad):
+            raise DegeneratePerturbation(
+                f"component leaks outside element support by {np.max(leak[bad]):.3e}"
+            )
         if abs(self.norm() - 1.0) > 1e-8:
             raise DegeneratePerturbation("perturbation is not normalized")
+
+
+def _rank_groups(supports) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Group per-slot ``(vecs, vals)`` pairs by support rank.
+
+    Returns ``(r, slots, vecs, vals)`` for each rank ``r > 0`` present,
+    ascending, with ``vecs`` stacked ``(g, d, r)`` and ``vals`` ``(g, r)``
+    for the ``g`` slots (ascending indices) of that rank.
+    """
+    ranks = np.array([len(vals) for _, vals in supports])
+    groups = []
+    for r in sorted(set(ranks.tolist()) - {0}):
+        slots = np.flatnonzero(ranks == r)
+        vecs = np.array([supports[i][0] for i in slots])
+        vals = np.array([supports[i][1] for i in slots])
+        groups.append((r, slots, vecs, vals))
+    return groups
 
 
 def _canonical_kernel_basis(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -108,23 +138,31 @@ def perturbation_space(
     """Orthonormal basis of valid perturbations of ``p``.
 
     Empty list iff ``p`` is extremal.  Entries with zero element admit
-    no on-support perturbation and are skipped.  ``p`` is not validated
-    here: `decompose_extremal` calls this on faces that are POVMs by
-    construction; `is_extremal` checks its input.
+    no on-support perturbation and are skipped.  Each member's
+    ``components`` is an ``(n, d, d)`` view into one ``(k, n, d, d)``
+    array for the k kernel directions.
+
+    The supports of all n elements come from one stacked
+    :func:`operators.support` call: one finiteness and Hermiticity check
+    and one eigendecomposition, with the ``gap`` threshold and (with
+    ``check_band``) the :class:`NumericalRankAmbiguity` band test per
+    element.  Elements of equal support rank r share one lift of the
+    cached ``hermitian_basis(r)`` and one stacked coordinate map.  ``p``
+    is not validated here: `decompose_extremal` calls this on faces that
+    are POVMs by construction; `is_extremal` checks its input.
     """
-    d = p.dim
-    active = []
-    blocks = []
-    for i, el in enumerate(p.elements):
-        vecs, _ = op.support(el, threshold=gap, check_band=check_band)
-        r = vecs.shape[1]
-        if r:
-            # coordinate matrix (d**2, r**2) of B -> V B V^dagger
-            lifted = vecs @ op.hermitian_basis(r) @ vecs.conj().T
-            active.append(i)
-            blocks.append(op.hermitian_to_coords(lifted).T)
+    d, n = p.dim, len(p)
+    supports = op.support(np.array(p.elements), threshold=gap, check_band=check_band)
+    blocks = [None] * n
+    for r, slots, vecs, _ in _rank_groups(supports):
+        # coordinate matrices (d**2, r**2) of B -> V B V^dagger, one per slot
+        lifted = vecs[:, None] @ op.hermitian_basis(r) @ vecs.conj().swapaxes(1, 2)[:, None]
+        for i, block in zip(slots.tolist(), op.hermitian_to_coords(lifted).swapaxes(1, 2)):
+            blocks[i] = block
+    active = [i for i, block in enumerate(blocks) if block is not None]
     if not active:
         return []
+    blocks = [blocks[i] for i in active]
 
     _, s, vt = np.linalg.svd(np.hstack(blocks))
     rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
@@ -135,15 +173,13 @@ def perturbation_space(
     # The blocks are isometries, so the lifted kernel stays orthonormal.
     offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
     cols = np.vstack([b @ c for b, c in zip(blocks, np.split(coeffs, offsets))])
+    # vt is about as large as the kernel: free it before the rotation's
+    # temporaries, which set the peak memory of a large verdict
+    del vt, coeffs
     cols = _canonical_kernel_basis(cols, d)
-    kernel = op.coords_to_hermitian(cols.T.reshape(k, len(active), d * d), d)
-
-    out = []
-    for t in kernel:
-        comps = np.zeros((len(p), d, d), dtype=complex)
-        comps[active] = t
-        out.append(Perturbation(components=tuple(comps)))
-    return out
+    coords = np.zeros((k, n, d * d))
+    coords[:, active] = cols.T.reshape(k, len(active), d * d)
+    return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -162,24 +198,30 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     ``-(P_i^{-1/2} Q_i P_i^{-1/2})`` on the support of ``P_i`` (and of
     the unnegated conjugation for the minus direction); the returned
     pair is the minimum over elements, both finite and positive.
+
+    Elements whose component is nonzero get one stacked
+    :func:`operators.support` call (finiteness and Hermiticity checked
+    once); the scaled matrices ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``,
+    are grouped by support rank and each group takes one stacked
+    :func:`operators.eigh`.  A zero-norm perturbation, or one unbounded
+    in either direction, raises :class:`DegeneratePerturbation`.
     """
     if q.norm() < 1e-12:
         raise DegeneratePerturbation("perturbation has zero norm")
+    comps = q.components
+    moving = np.flatnonzero(np.linalg.norm(comps, axis=(1, 2)) > 1e-14)
+    supports = op.support(np.array(p.elements)[moving], threshold=gap)
     t_plus = np.inf
     t_minus = np.inf
-    for el, comp in zip(p.elements, q.components):
-        if op.frobenius(comp) <= 1e-14:
-            continue
-        vecs, vals = op.support(el, threshold=gap)
-        if vecs.shape[1] == 0:
-            continue
-        scaled = (vecs / np.sqrt(vals)).conj().T @ comp @ (vecs / np.sqrt(vals))
-        alpha, _ = op.eigh(0.5 * (scaled + scaled.conj().T))
-        lo, hi = float(alpha[-1]), float(alpha[0])
-        if lo < 0:
-            t_plus = min(t_plus, 1.0 / -lo)
-        if hi > 0:
-            t_minus = min(t_minus, 1.0 / hi)
+    for _, slots, vecs, vals in _rank_groups(supports):
+        w = vecs / np.sqrt(vals)[:, None, :]
+        scaled = w.conj().swapaxes(1, 2) @ comps[moving[slots]] @ w
+        alpha, _ = op.eigh(0.5 * (scaled + scaled.conj().swapaxes(1, 2)))
+        lo, hi = alpha[:, -1], alpha[:, 0]
+        if np.any(lo < 0):
+            t_plus = min(t_plus, float(np.min(1.0 / -lo[lo < 0])))
+        if np.any(hi > 0):
+            t_minus = min(t_minus, float(np.min(1.0 / hi[hi > 0])))
     if not np.isfinite(t_plus) or not np.isfinite(t_minus):
         raise DegeneratePerturbation(
             "step unbounded in one direction; not a POVM perturbation"
@@ -222,7 +264,7 @@ class DecompositionResult:
 
 
 def _push(p: FinitePOVM, q: Perturbation, t: float) -> FinitePOVM:
-    return p.replace_elements([el + t * c for el, c in zip(p.elements, q.components)])
+    return p.replace_elements(np.array(p.elements) + t * q.components)
 
 
 def decompose_extremal(
@@ -265,9 +307,9 @@ def decompose_extremal(
         if e is x:
             terms.append((rest, x))
             break
-        diff = [a - b for a, b in zip(x.elements, e.elements)]
+        diff = np.array(x.elements) - np.array(e.elements)
         dist = float(np.sqrt(sum(op.frobenius(c) ** 2 for c in diff)))
-        away = Perturbation(components=tuple(c / dist for c in diff))
+        away = Perturbation(components=diff / dist)
         t = max_step(x, away, gap=gap)[0]
         terms.append((rest * t / (t + dist), e))
         x, rest = _push(x, away, t), rest * dist / (t + dist)

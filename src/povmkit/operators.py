@@ -34,20 +34,23 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def as_operator(a, dim: int | None = None) -> np.ndarray:
+def as_operator(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Coerce input to a square complex matrix, checking finiteness.
 
     Parameters
     ----------
     a : array_like
-        Square matrix.
+        Square matrix, or with ``stack`` a stack ``(n, d, d)`` of them.
     dim : int, optional
         If given, the required dimension.
+    stack : bool
+        Accept (only) a stack of matrices.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimension(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
+        what = "a stack of square matrices" if stack else "a square matrix"
+        raise InvalidDimension(f"expected {what}, got shape {m.shape}")
+    d = m.shape[-1]
     if d < 1 or d > MAX_DIM:
         raise InvalidDimension(f"dimension {d} outside supported range 1..{MAX_DIM}")
     if dim is not None and d != dim:
@@ -57,30 +60,39 @@ def as_operator(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def check_hermitian(a, tol: float = TOL_HERM, name: str = "operator") -> np.ndarray:
+def check_hermitian(
+    a, tol: float = TOL_HERM, name: str = "operator", stack: bool = False
+) -> np.ndarray:
     """Validate Hermitian symmetry within ``tol * (1 + ||a||_F)``.
 
-    Returns the exactly symmetrized matrix ``(a + a†)/2`` so downstream
-    eigensolvers see clean input.
+    With ``stack``, ``a`` is a stack ``(n, d, d)`` and each slot is held
+    to its own norm.  Returns the exactly symmetrized ``(a + a†)/2`` so
+    downstream eigensolvers see clean input.
     """
-    m = as_operator(a)
-    defect = frobenius(m - m.conj().T)
-    if defect > tol * (1.0 + frobenius(m)):
-        raise NonHermitianInput(
-            f"{name} is not Hermitian: symmetry defect {defect:.3e}"
-        )
-    return 0.5 * (m + m.conj().T)
+    m = as_operator(a, stack=stack)
+    adj = m.conj().swapaxes(-1, -2)
+    if stack:
+        defects = np.linalg.norm(m - adj, axis=(-2, -1))
+        bad = bool((defects > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))).any())
+        defect = float(defects.max(initial=0.0))
+    else:  # one matrix: plain floats cost less than 0-d arrays
+        defect = frobenius(m - adj)
+        bad = defect > tol * (1.0 + frobenius(m))
+    if bad:
+        raise NonHermitianInput(f"{name} is not Hermitian: symmetry defect {defect:.3e}")
+    return 0.5 * (m + adj)
 
 
 def eigh(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``a == v @ diag(w) @ v†`` and orthonormal
-    columns in ``v``.
+    columns in ``v``.  A stack ``(n, d, d)`` is checked and decomposed in
+    one call; ``w`` is then ``(n, d)`` and ``v`` is ``(n, d, d)``.
     """
-    m = check_hermitian(a, tol=tol)
+    m = check_hermitian(a, tol=tol, stack=np.ndim(a) == 3)
     w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def min_eigenvalue(a, tol: float = TOL_HERM) -> float:
@@ -105,32 +117,38 @@ def check_density_matrix(rho, tol_psd: float = TOL_PSD, tol_trace: float = TOL_T
     return m
 
 
-def support(
-    a,
-    threshold: float = GAP_THRESHOLD,
-    check_band: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Support eigenpairs of a PSD matrix.
+def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
+    """Support eigenpairs of a PSD matrix, or of each slot of a stack.
 
     Eigenvalues above ``threshold * max(1, λ_max)`` count as nonzero.
     With ``check_band`` a value falling inside the ambiguity band
     ``(thr/16, 16*thr)`` raises :class:`NumericalRankAmbiguity`; rank
     decisions in the decomposition engine must not hinge on such values.
 
-    Returns ``(vecs, vals)`` where ``vecs`` holds orthonormal support
-    columns and ``vals`` the matching (descending) eigenvalues.
+    ``a`` is one ``(d, d)`` matrix or a stack ``(n, d, d)``; one matrix is
+    a stack of one.  The whole stack gets one finiteness and Hermiticity
+    check and one eigendecomposition (:func:`eigh`); the threshold and the
+    band test are taken per slot, against that slot's own ``λ_max``.
+
+    Returns ``(vecs, vals)`` for one matrix, where ``vecs`` holds
+    orthonormal support columns and ``vals`` the matching (descending)
+    eigenvalues; for a stack, a list of such pairs, one per slot.
     """
-    w, v = eigh(a)
-    scale = max(1.0, float(w[0])) if w.size else 1.0
-    thr = threshold * scale
+    single = np.ndim(a) == 2
+    w, v = eigh(np.asarray(a)[None] if single else a)
+    thr = threshold * np.maximum(1.0, w[:, 0])
     if check_band:
         lo, hi = thr / GAP_BAND, thr * GAP_BAND
-        if np.any((w > lo) & (w < hi)):
+        inside = np.flatnonzero(((w > lo[:, None]) & (w < hi[:, None])).any(axis=1))
+        if inside.size:
+            i = inside[0]
             raise NumericalRankAmbiguity(
-                f"eigenvalue inside gap band ({lo:.3e}, {hi:.3e})"
+                f"eigenvalue inside gap band ({lo[i]:.3e}, {hi[i]:.3e})"
             )
-    mask = w > thr
-    return v[:, mask], w[mask]
+    # eigenvalues descend, so the support is a leading block of columns
+    ranks = np.count_nonzero(w > thr[:, None], axis=1)
+    pairs = [(vi[:, :r], wi[:r]) for vi, wi, r in zip(v, w, ranks.tolist())]
+    return pairs[0] if single else pairs
 
 
 # --- real coordinates on the Hermitian space -------------------------------
@@ -180,6 +198,13 @@ def coords_to_hermitian(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
 def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of the d x d Hermitian matrices, stacked."""
-    return coords_to_hermitian(np.eye(d * d), d)
+    """Orthonormal (Frobenius) basis of the d x d Hermitian matrices, stacked.
+
+    Cached and read-only: the perturbation kernel lifts it once per
+    support rank on every call.
+    """
+    basis = coords_to_hermitian(np.eye(d * d), d)
+    basis.setflags(write=False)
+    return basis

@@ -272,6 +272,21 @@ class TestSample:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
+    def test_non_psd_state_is_input_error(self, capsys, tmp_path, mode):
+        state = tmp_path / "z.json"
+        ser.save_states(state, [("z", np.diag([1.0, -1.0]))])
+        out = tmp_path / "never.ndjson"
+        code, stdout, err = run_cli(
+            capsys,
+            "sample", "--family", "spin", mode, "--state", str(state),
+            "-n", "10", "--seed", "1", "-o", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "not positive semidefinite" in json.loads(err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
     def test_zero_draws_is_input_error(self, capsys, state_file, tmp_path, mode):
         out = tmp_path / "empty.ndjson"
         code, _, err = run_cli(
@@ -364,6 +379,17 @@ class TestMerit:
         assert code == 2
         assert out == ""
         assert "dimension 2 != POVM dimension 3" in json.loads(err)["error"]
+
+    def test_fiducial_trace_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        twice = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+        spec.write_text(json.dumps(
+            {"prior": "uniform_circle", "gain": "cosine", "state": twice}
+        ))
+        code, out, err = run_cli(capsys, "merit", "--family", "phase:3", "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "trace" in json.loads(err)["error"]
 
     def test_family_value(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -521,6 +547,16 @@ class TestTomo:
         assert code == 2
         assert out == ""
         assert "dimension" in json.loads(err)["error"]
+
+    def test_non_hermitian_target_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "upper.json"
+        target.write_text(json.dumps({
+            "schema": 1, "matrix": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]],
+        }))
+        code, out, err = run_cli(capsys, "tomo", "--family", "spin", "--target", str(target))
+        assert code == 2
+        assert out == ""
+        assert "target is not Hermitian" in json.loads(err)["error"]
 
     def test_non_toeplitz_phase_target_is_failed_check(self, capsys, z_target):
         code, out, err = run_cli(capsys, "tomo", "--family", "phase:2", "--target", z_target)

@@ -274,3 +274,54 @@ class TestDecompose:
         assert res.reconstruction_error(mixed) <= 1e-9
         assert all(pk.is_extremal(leaf) for _, leaf in res.terms)
         assert abs(res.weights.sum() - 1.0) <= 1e-12
+
+
+class TestStackedSpectra:
+    """One stacked eigendecomposition per face, not one per element."""
+
+    @staticmethod
+    def extremal_inputs():
+        yield pk.sic_tetrahedron_povm()
+        for d in range(2, 9):
+            yield pk.projective_basis_povm(d)
+        for d in (2, 3, 4):  # generic rank-one elements, n = d**2: no kernel
+            yield pk.random_povm(np.random.default_rng(d), d, d * d, element_rank=1)
+
+    def test_extremal_faces_take_one_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for p in self.extremal_inputs():
+            calls.clear()
+            assert pk.perturbation_space(p) == []
+            assert calls == [(len(p), p.dim, p.dim)]
+
+    def test_components_are_one_stacked_array(self, rng):
+        p = pk.random_povm(rng, 3, 5, element_rank=2)
+        basis = pk.perturbation_space(p)
+        for q in basis:
+            assert isinstance(q.components, np.ndarray)
+            assert q.components.shape == (5, 3, 3)
+            q.check(p)
+
+    def test_tuple_components_are_stacked(self):
+        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
+        assert q.components.shape == (2, 2, 2)
+        with pytest.raises(DegeneratePerturbation):
+            pk.Perturbation(components=PAULI_Z)
+
+    def test_check_rejects_leak_and_non_hermitian(self):
+        from povmkit.errors import NonHermitianInput
+
+        p = pk.projective_basis_povm(2)
+        leak = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
+        with pytest.raises(DegeneratePerturbation, match="leaks"):
+            leak.check(p)
+        skew = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
+        with pytest.raises(NonHermitianInput):
+            pk.Perturbation(components=(skew, -skew)).check(pk.coin_flip_povm())

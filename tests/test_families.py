@@ -103,6 +103,14 @@ def test_outcome_nodes_are_finite_povms():
         assert np.linalg.norm(elements.sum(axis=0) - np.eye(c.dim)) <= 1e-12
 
 
+@pytest.mark.parametrize("family", [pk.spin_direction_povm, lambda: pk.phase_povm(3)])
+def test_outcome_rule_is_built_once_read_only(family):
+    first, second = family().outcome_rule(), family().outcome_rule()
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+
+
 class TestSternGerlach:
     def test_member_matches_projectors(self, up, down):
         member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))

@@ -6,7 +6,8 @@ Each digest is the sha256 of a two-stage record stream, as
 records and a state.  A change to a scheme's mixing law, members, Born
 probabilities or outcome points, or to a family's dual, that moves any
 byte of these fails here; such a change must be deliberate, and the new
-digests recorded with it.
+digests recorded with it.  One more digest pins the raw float bytes of
+extremal decompositions and perturbation bases of seeded random POVMs.
 """
 
 import hashlib
@@ -48,6 +49,18 @@ TARGETS = {
 }
 
 
+# (dim, outcomes, element rank or None for full rank): peeled inputs, then
+# one full-rank verdict whose kernel has (n - 1) * d**2 directions.
+DECOMPOSED = (
+    (2, 3, None), (2, 4, None), (2, 5, None), (2, 6, None),
+    (3, 4, 2), (3, 5, 2), (4, 18, 1),
+)
+VERDICT = (5, 10, None)
+DECOMPOSITION = (
+    "f497f6793a75cd2289d4866c090ca05d496971183ee171a2caa0e3cba3ae0bfc"
+)
+
+
 def scheme(name):
     return pk.stern_gerlach_scheme() if name == "spin" else pk.phase_scheme(int(name[6:]))
 
@@ -83,3 +96,21 @@ def test_tomo_family_output(name, seed, tmp_path, capsys):
     argv = ["tomo", "--family", name] + [f"--{key}={path}" for key, path in files.items()]
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == TOMO[name]
+
+
+def test_decomposition_bytes():
+    h = hashlib.sha256()
+
+    def feed(*arrays):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    for k, (d, n, rank) in enumerate(DECOMPOSED + (VERDICT,)):
+        p = pk.random_povm(np.random.default_rng([2013, k]), d, n, rank)
+        for q in pk.perturbation_space(p):
+            feed(np.asarray(q.components))
+        if (d, n, rank) == VERDICT:
+            continue
+        result = pk.decompose_extremal(p)
+        feed(result.weights, *[el for _, term in result.terms for el in term.elements])
+    assert h.hexdigest() == DECOMPOSITION

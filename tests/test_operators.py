@@ -103,3 +103,58 @@ class TestSupport:
             op.support(a, check_band=True)
         # without the band check the small eigenvalue counts as support
         assert op.support(a)[0].shape[1] == 2
+
+
+def random_psd(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return g @ g.conj().T * rng.uniform(0.1, 3.0)
+
+
+class TestStackedSupport:
+    """A stack (n, d, d) gets one check and one eigendecomposition; each
+    slot must come out exactly as the one-matrix call gives it."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("check_band", [False, True])
+    def test_slices_match_single_calls_bit_for_bit(self, d, check_band):
+        rng = np.random.default_rng(d)
+        stack = np.array([random_psd(rng, d, r) for r in range(d + 1)])
+        pairs = op.support(stack, check_band=check_band)
+        assert len(pairs) == d + 1
+        for r, (a, (vecs, vals)) in enumerate(zip(stack, pairs)):
+            one_vecs, one_vals = op.support(a, check_band=check_band)
+            assert vecs.shape == (d, r) and vals.shape == (r,)
+            assert np.array_equal(vecs, one_vecs) and np.array_equal(vals, one_vals)
+
+    def test_stacked_eigh_matches_single_calls(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        w, v = op.eigh(stack)
+        assert w.shape == (5, 4) and v.shape == (5, 4, 4)
+        for a, wk, vk in zip(stack, w, v):
+            one_w, one_v = op.eigh(a)
+            assert np.array_equal(wk, one_w) and np.array_equal(vk, one_v)
+
+    def test_one_non_hermitian_slice_raises(self):
+        stack = np.array([np.eye(3), np.eye(3), np.eye(3)], dtype=complex)
+        stack[1, 0, 2] = 0.5
+        with pytest.raises(NonHermitianInput):
+            op.support(stack)
+
+    def test_one_non_finite_slice_raises(self):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 1, 1] = np.nan
+        with pytest.raises(NonHermitianInput):
+            op.support(stack)
+
+    def test_one_slice_in_gap_band_raises(self):
+        from povmkit.errors import NumericalRankAmbiguity
+
+        stack = np.array([np.diag([1.0, 0.0]), np.diag([1.0, 5e-8]), np.eye(2)])
+        with pytest.raises(NumericalRankAmbiguity):
+            op.support(stack, check_band=True)
+        assert [v.shape[1] for v, _ in op.support(stack)] == [1, 2, 2]
+
+    def test_hermitian_basis_is_cached_read_only(self):
+        assert op.hermitian_basis(3) is op.hermitian_basis(3)
+        assert not op.hermitian_basis(3).flags.writeable
