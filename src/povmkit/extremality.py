@@ -203,7 +203,7 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     :func:`operators.support` call (finiteness and Hermiticity checked
     once); the scaled matrices ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``,
     are grouped by support rank and each group takes one stacked
-    :func:`operators.eigh`.  A zero-norm perturbation, or one unbounded
+    Hermiticity check and one ``np.linalg.eigh``.  A zero-norm perturbation, or one unbounded
     in either direction, raises :class:`DegeneratePerturbation`.
     """
     if q.norm() < 1e-12:
@@ -216,8 +216,11 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     for _, slots, vecs, vals in _rank_groups(supports):
         w = vecs / np.sqrt(vals)[:, None, :]
         scaled = w.conj().swapaxes(1, 2) @ comps[moving[slots]] @ w
-        alpha, _ = op.eigh(0.5 * (scaled + scaled.conj().swapaxes(1, 2)))
-        lo, hi = alpha[:, -1], alpha[:, 0]
+        herm = op.check_hermitian(
+            0.5 * (scaled + scaled.conj().swapaxes(1, 2)), stack=True
+        )
+        alpha, _ = np.linalg.eigh(herm)  # eigenvalues ascend
+        lo, hi = alpha[:, 0], alpha[:, -1]
         if np.any(lo < 0):
             t_plus = min(t_plus, float(np.min(1.0 / -lo[lo < 0])))
         if np.any(hi > 0):

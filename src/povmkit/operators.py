@@ -65,34 +65,30 @@ def check_hermitian(
 ) -> np.ndarray:
     """Validate Hermitian symmetry within ``tol * (1 + ||a||_F)``.
 
-    With ``stack``, ``a`` is a stack ``(n, d, d)`` and each slot is held
-    to its own norm.  Returns the exactly symmetrized ``(a + a†)/2`` so
-    downstream eigensolvers see clean input.
+    With ``stack``, ``a`` must be a stack ``(n, d, d)`` and each slot is
+    held to its own norm; without it, ``a`` must be one matrix.  Returns
+    the exactly symmetrized ``(a + a†)/2`` so downstream eigensolvers see
+    clean input.
     """
     m = as_operator(a, stack=stack)
     adj = m.conj().swapaxes(-1, -2)
-    if stack:
-        defects = np.linalg.norm(m - adj, axis=(-2, -1))
-        bad = bool((defects > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))).any())
-        defect = float(defects.max(initial=0.0))
-    else:  # one matrix: plain floats cost less than 0-d arrays
-        defect = frobenius(m - adj)
-        bad = defect > tol * (1.0 + frobenius(m))
-    if bad:
-        raise NonHermitianInput(f"{name} is not Hermitian: symmetry defect {defect:.3e}")
+    defects = np.linalg.norm(m - adj, axis=(-2, -1))
+    if (defects > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))).any():
+        raise NonHermitianInput(
+            f"{name} is not Hermitian: symmetry defect {defects.max():.3e}"
+        )
     return 0.5 * (m + adj)
 
 
 def eigh(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigen-decomposition of one Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``a == v @ diag(w) @ v†`` and orthonormal
-    columns in ``v``.  A stack ``(n, d, d)`` is checked and decomposed in
-    one call; ``w`` is then ``(n, d)`` and ``v`` is ``(n, d, d)``.
+    columns in ``v``.
     """
-    m = check_hermitian(a, tol=tol, stack=np.ndim(a) == 3)
+    m = check_hermitian(a, tol=tol)
     w, v = np.linalg.eigh(m)
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def min_eigenvalue(a, tol: float = TOL_HERM) -> float:
@@ -127,15 +123,18 @@ def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
 
     ``a`` is one ``(d, d)`` matrix or a stack ``(n, d, d)``; one matrix is
     a stack of one.  The whole stack gets one finiteness and Hermiticity
-    check and one eigendecomposition (:func:`eigh`); the threshold and the
-    band test are taken per slot, against that slot's own ``λ_max``.
+    check (:func:`check_hermitian` with ``stack``) and one
+    ``np.linalg.eigh``; the threshold and the band test are taken per
+    slot, against that slot's own ``λ_max``.
 
     Returns ``(vecs, vals)`` for one matrix, where ``vecs`` holds
     orthonormal support columns and ``vals`` the matching (descending)
     eigenvalues; for a stack, a list of such pairs, one per slot.
     """
     single = np.ndim(a) == 2
-    w, v = eigh(np.asarray(a)[None] if single else a)
+    m = check_hermitian(np.asarray(a)[None] if single else a, stack=True)
+    w, v = np.linalg.eigh(m)
+    w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()  # descending
     thr = threshold * np.maximum(1.0, w[:, 0])
     if check_band:
         lo, hi = thr / GAP_BAND, thr * GAP_BAND

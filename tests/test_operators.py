@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmkit import operators as op
-from povmkit.errors import NonHermitianInput
+from povmkit.errors import InvalidDimension, NonHermitianInput
 
 
 def random_hermitian(rng, d):
@@ -126,14 +126,23 @@ class TestStackedSupport:
             assert vecs.shape == (d, r) and vals.shape == (r,)
             assert np.array_equal(vecs, one_vecs) and np.array_equal(vals, one_vals)
 
-    def test_stacked_eigh_matches_single_calls(self):
-        rng = np.random.default_rng(3)
-        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
-        w, v = op.eigh(stack)
-        assert w.shape == (5, 4) and v.shape == (5, 4, 4)
-        for a, wk, vk in zip(stack, w, v):
-            one_w, one_v = op.eigh(a)
-            assert np.array_equal(wk, one_w) and np.array_equal(vk, one_v)
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_slices_match_one_matrix_eigh(self, d):
+        rng = np.random.default_rng(10 + d)
+        stack = np.array([random_psd(rng, d, r) for r in range(d + 1)])
+        for a, (vecs, vals) in zip(stack, op.support(stack)):
+            w, v = op.eigh(a)
+            r = vals.size
+            assert np.array_equal(vals, w[:r]) and np.array_equal(vecs, v[:, :r])
+
+    def test_eigh_takes_one_matrix_only(self):
+        stack = np.array([np.eye(2), np.eye(2)])
+        with pytest.raises(InvalidDimension):
+            op.eigh(stack)
+        with pytest.raises(InvalidDimension):
+            op.min_eigenvalue(stack)
+        with pytest.raises(InvalidDimension):
+            op.check_hermitian(np.eye(2), stack=True)
 
     def test_one_non_hermitian_slice_raises(self):
         stack = np.array([np.eye(3), np.eye(3), np.eye(3)], dtype=complex)
