@@ -203,8 +203,9 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     :func:`operators.support` call (finiteness and Hermiticity checked
     once); the scaled matrices ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``,
     are grouped by support rank and each group takes one stacked
-    Hermiticity check and one ``np.linalg.eigh``.  A zero-norm perturbation, or one unbounded
-    in either direction, raises :class:`DegeneratePerturbation`.
+    Hermiticity check and one ``np.linalg.eigh``.  A zero-norm
+    perturbation, or one unbounded in either direction, raises
+    :class:`DegeneratePerturbation`.
     """
     if q.norm() < 1e-12:
         raise DegeneratePerturbation("perturbation has zero norm")

@@ -94,6 +94,10 @@ class TestSpinDirection:
         )
         assert abs(p1 - p2) <= 1e-9
 
+    def test_sample_rejects_a_stack_of_states(self, up):
+        with pytest.raises(InvalidDimension):
+            pk.spin_direction_povm().sample(np.array([up, up]), 5, pk.make_rng(1))
+
 
 def test_outcome_nodes_are_finite_povms():
     for c in [pk.spin_direction_povm()] + [pk.phase_povm(d) for d in range(2, 17)]:
