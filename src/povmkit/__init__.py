@@ -37,6 +37,7 @@ from .extremality import (
     Perturbation,
     decompose_extremal,
     is_extremal,
+    kernel_dimension,
     max_step,
     perturbation_space,
 )

@@ -24,11 +24,11 @@ from .errors import (
     SchemaError,
     SpaceMismatch,
 )
-from .extremality import decompose_extremal, perturbation_space
+from .extremality import decompose_extremal, kernel_dimension
 from .families import named_family, verify_scheme_equivalence
 from .merit import bayes_gain, check_equal_optimality
 from .operators import GAP_THRESHOLD, TOL_COMPLETE, TOL_PSD
-from .povm import check_povm, validate_povm
+from .povm import validate_povm
 from .sampling import compare_samples, sample_direct, sample_two_stage
 from .tomography import dual_coefficients, estimate_expectation
 
@@ -60,6 +60,8 @@ def _parse_tolerances(pairs) -> dict:
             out[key] = float(val)
         except ValueError as exc:
             raise SchemaError(f"tolerance {key}: bad value {val!r}") from exc
+        if not np.isfinite(out[key]) or out[key] < 0:
+            raise SchemaError(f"tolerance {key}: needs a finite value >= 0, got {val!r}")
     return out
 
 
@@ -95,9 +97,8 @@ def _cmd_extremal(args) -> int:
     tols = _parse_tolerances(args.tolerance)
     gap = tols.get("gap", GAP_THRESHOLD)
     povm = ser.load_povm(args.povm)
-    check_povm(povm)
-    basis = perturbation_space(povm, gap=gap)
-    _emit({"extremal": not basis, "kernel_dim": len(basis)})
+    k = kernel_dimension(povm, gap=gap)
+    _emit({"extremal": k == 0, "kernel_dim": k})
     return 0
 
 

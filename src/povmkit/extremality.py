@@ -14,6 +14,14 @@ the PSD boundary, split that point off, and continue on the strictly
 smaller face that remains.  The result is a convex combination of at
 most (face dimension + 1) extremal POVMs, each with at most ``dim**2``
 nonzero, linearly independent elements.
+
+Every point the walk visits is one ``_Face``: the stacked ``(n, d, d)``
+elements and their supports from one stacked eigendecomposition.  The
+kernel (``_kernel``) and both step lengths (``_steps``) are read from
+it.  The walk takes only the first canonical kernel direction, moves
+arrays, and builds a :class:`FinitePOVM` only for each term it returns.
+`perturbation_space`, `kernel_dimension`, `is_extremal` and `max_step`
+build the face of one POVM and call the same functions.
 """
 
 from __future__ import annotations
@@ -91,7 +99,57 @@ def _rank_groups(supports) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
     return groups
 
 
-def _canonical_kernel_basis(cols: np.ndarray, dim: int) -> np.ndarray:
+class _Face:
+    """One point of the peeling walk: its stacked elements ``(n, d, d)``
+    and their supports, grouped by rank, from one stacked
+    :func:`operators.support` call (one finiteness and Hermiticity check,
+    one eigendecomposition, the ``gap`` threshold and, with
+    ``check_band``, the :class:`NumericalRankAmbiguity` band test).
+    """
+
+    __slots__ = ("elements", "groups")
+
+    def __init__(self, elements: np.ndarray, gap: float, check_band: bool):
+        self.elements = elements
+        self.groups = _rank_groups(
+            op.support(elements, threshold=gap, check_band=check_band)
+        )
+
+
+def _check_gap(gap: float) -> None:
+    if not 0.0 < gap < 1.0:  # also false for NaN
+        raise ValueError(f"gap must be finite with 0 < gap < 1, got {gap!r}")
+
+
+def _kernel(face: _Face, gap: float) -> tuple[np.ndarray, list[int]]:
+    """Orthonormal kernel of the perturbation constraints at ``face``.
+
+    Returns ``(cols, active)``: one kernel vector per column of ``cols``,
+    in the stacked Hermitian coordinates (``d**2`` rows per slot) of the
+    ``active`` slots, those of nonzero support rank, ascending.  Elements
+    of equal support rank r share one lift of the cached
+    ``hermitian_basis(r)`` and one stacked coordinate map; the constraint
+    ``sum_i Q_i = 0`` takes one SVD.
+    """
+    blocks = [None] * len(face.elements)
+    for r, slots, vecs, _ in face.groups:
+        # coordinate matrices (d**2, r**2) of B -> V B V^dagger, one per slot
+        lifted = vecs[:, None] @ op.hermitian_basis(r) @ vecs.conj().swapaxes(1, 2)[:, None]
+        for i, block in zip(slots.tolist(), op.hermitian_to_coords(lifted).swapaxes(1, 2)):
+            blocks[i] = block
+    active = [i for i, block in enumerate(blocks) if block is not None]
+    if not active:
+        return np.zeros((0, 0)), active
+    blocks = [blocks[i] for i in active]
+    _, s, vt = np.linalg.svd(np.hstack(blocks))
+    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
+    # The blocks are isometries, so the lifted kernel stays orthonormal.
+    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    coeffs = np.split(vt[rank:].T, offsets)
+    return np.vstack([b @ c for b, c in zip(blocks, coeffs)]), active
+
+
+def _canonical_kernel_basis(cols: np.ndarray, dim: int, count: int) -> np.ndarray:
     """Deterministically rotate an orthonormal kernel basis.
 
     ``cols`` holds one kernel vector per column, in the stacked Hermitian
@@ -101,19 +159,25 @@ def _canonical_kernel_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     value of the quadratic form ``sum_i Tr[Q_i]^2`` (so trace-balanced
     directions come first), break ties with a fixed coordinate-weight
     form, and fix each sign by the first significant coordinate.
+
+    Only the leading ``count`` columns are returned.  Every tie cluster
+    they touch is refined whole, so they equal the leading columns of
+    the full basis.
     """
     m, k = cols.shape
     traces = cols.reshape(m // (dim * dim), dim * dim, k)[:, :dim].sum(axis=1)
     vals, rot = np.linalg.eigh(traces.T @ traces)
+    # the full product even for count < k: BLAS sums a narrower one in
+    # another order, which moves the last bits of the walk's terms
     basis = cols @ rot
 
     # refine numerically degenerate clusters with a fixed secondary form
     weights = np.arange(1, m + 1) / m
     scale = 1.0 + abs(float(vals[-1]))
     i = 0
-    while i < len(vals):
+    while i < count:
         j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) <= 1e-9 * scale:
+        while j < k and abs(vals[j] - vals[i]) <= 1e-9 * scale:
             j += 1
         if j - i > 1:
             block = basis[:, i:j]
@@ -122,101 +186,41 @@ def _canonical_kernel_basis(cols: np.ndarray, dim: int) -> np.ndarray:
             basis[:, i:j] = block @ rot2
         i = j
 
-    for c in range(k):
-        col = basis[:, c]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size and col[nz[0]] < 0:
-            basis[:, c] = -col
+    basis = basis[:, :count]
+    big = np.abs(basis) > 1e-8
+    lead = big.argmax(axis=0)  # first significant row, 0 if there is none
+    c = np.arange(count)
+    basis[:, big[lead, c] & (basis[lead, c] < 0)] *= -1.0
     return basis
 
 
-def perturbation_space(
-    p: FinitePOVM,
-    gap: float = op.GAP_THRESHOLD,
-    check_band: bool = False,
-) -> list[Perturbation]:
-    """Orthonormal basis of valid perturbations of ``p``.
-
-    Empty list iff ``p`` is extremal.  Entries with zero element admit
-    no on-support perturbation and are skipped.  Each member's
-    ``components`` is an ``(n, d, d)`` view into one ``(k, n, d, d)``
-    array for the k kernel directions.
-
-    The supports of all n elements come from one stacked
-    :func:`operators.support` call: one finiteness and Hermiticity check
-    and one eigendecomposition, with the ``gap`` threshold and (with
-    ``check_band``) the :class:`NumericalRankAmbiguity` band test per
-    element.  Elements of equal support rank r share one lift of the
-    cached ``hermitian_basis(r)`` and one stacked coordinate map.  ``p``
-    is not validated here: `decompose_extremal` calls this on faces that
-    are POVMs by construction; `is_extremal` checks its input.
-    """
-    d, n = p.dim, len(p)
-    supports = op.support(np.array(p.elements), threshold=gap, check_band=check_band)
-    blocks = [None] * n
-    for r, slots, vecs, _ in _rank_groups(supports):
-        # coordinate matrices (d**2, r**2) of B -> V B V^dagger, one per slot
-        lifted = vecs[:, None] @ op.hermitian_basis(r) @ vecs.conj().swapaxes(1, 2)[:, None]
-        for i, block in zip(slots.tolist(), op.hermitian_to_coords(lifted).swapaxes(1, 2)):
-            blocks[i] = block
-    active = [i for i, block in enumerate(blocks) if block is not None]
-    if not active:
-        return []
-    blocks = [blocks[i] for i in active]
-
-    _, s, vt = np.linalg.svd(np.hstack(blocks))
-    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
-    coeffs = vt[rank:].T
-    k = coeffs.shape[1]
+def _directions(face: _Face, gap: float, count: int | None = None) -> np.ndarray:
+    """The leading ``count`` (default: all) canonical kernel directions at
+    ``face``, as components ``(count, n, d, d)``; none iff it is extremal."""
+    n, d = face.elements.shape[:2]
+    cols, active = _kernel(face, gap)
+    k = cols.shape[1] if count is None else min(count, cols.shape[1])
     if not k:
-        return []
-    # The blocks are isometries, so the lifted kernel stays orthonormal.
-    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
-    cols = np.vstack([b @ c for b, c in zip(blocks, np.split(coeffs, offsets))])
-    # vt is about as large as the kernel: free it before the rotation's
-    # temporaries, which set the peak memory of a large verdict
-    del vt, coeffs
-    cols = _canonical_kernel_basis(cols, d)
+        return np.zeros((0, n, d, d), dtype=complex)
+    cols = _canonical_kernel_basis(cols, d, k)
     coords = np.zeros((k, n, d * d))
     coords[:, active] = cols.T.reshape(k, len(active), d * d)
-    return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
+    return op.coords_to_hermitian(coords, d)
 
 
-def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
-    """True iff ``p`` admits no nonzero perturbation.
-
-    Raises :class:`InvalidPOVM` if ``p`` fails :func:`validate_povm`.
-    """
-    check_povm(p)
-    return not perturbation_space(p, gap=gap)
-
-
-def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> tuple[float, float]:
-    """Largest steps keeping ``P ± t Q`` positive semidefinite.
-
-    Per element the bound is ``1 / max eigenvalue`` of
-    ``-(P_i^{-1/2} Q_i P_i^{-1/2})`` on the support of ``P_i`` (and of
-    the unnegated conjugation for the minus direction); the returned
-    pair is the minimum over elements, both finite and positive.
-
-    Elements whose component is nonzero get one stacked
-    :func:`operators.support` call (finiteness and Hermiticity checked
-    once); the scaled matrices ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``,
-    are grouped by support rank and each group takes one stacked
-    Hermiticity check and one ``np.linalg.eigh``.  A zero-norm
-    perturbation, or one unbounded in either direction, raises
-    :class:`DegeneratePerturbation`.
-    """
-    if q.norm() < 1e-12:
+def _steps(face: _Face, q: np.ndarray) -> tuple[float, float]:
+    """``(t_plus, t_minus)`` for components ``q`` ``(n, d, d)`` at ``face``;
+    see :func:`max_step`."""
+    if op.frobenius(q) < 1e-12:
         raise DegeneratePerturbation("perturbation has zero norm")
-    comps = q.components
-    moving = np.flatnonzero(np.linalg.norm(comps, axis=(1, 2)) > 1e-14)
-    supports = op.support(np.array(p.elements)[moving], threshold=gap)
-    t_plus = np.inf
-    t_minus = np.inf
-    for _, slots, vecs, vals in _rank_groups(supports):
-        w = vecs / np.sqrt(vals)[:, None, :]
-        scaled = w.conj().swapaxes(1, 2) @ comps[moving[slots]] @ w
+    moving = np.linalg.norm(q, axis=(1, 2)) > 1e-14
+    t_plus = t_minus = np.inf
+    for _, slots, vecs, vals in face.groups:
+        keep = moving[slots]
+        if not keep.any():
+            continue
+        w = vecs[keep] / np.sqrt(vals[keep])[:, None, :]
+        scaled = w.conj().swapaxes(1, 2) @ q[slots[keep]] @ w
         herm = op.check_hermitian(
             0.5 * (scaled + scaled.conj().swapaxes(1, 2)), stack=True
         )
@@ -231,6 +235,73 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
             "step unbounded in one direction; not a POVM perturbation"
         )
     return float(t_plus), float(t_minus)
+
+
+def perturbation_space(
+    p: FinitePOVM,
+    gap: float = op.GAP_THRESHOLD,
+    check_band: bool = False,
+) -> list[Perturbation]:
+    """Orthonormal basis of valid perturbations of ``p``.
+
+    Empty list iff ``p`` is extremal.  Entries with zero element admit
+    no on-support perturbation and are skipped.  Each member's
+    ``components`` is an ``(n, d, d)`` view into one ``(k, n, d, d)``
+    array for the k kernel directions, in canonical order
+    (:func:`_canonical_kernel_basis`).
+
+    The supports of all n elements come from one stacked
+    :func:`operators.support` call, with the ``gap`` threshold and (with
+    ``check_band``) the :class:`NumericalRankAmbiguity` band test per
+    element.  ``p`` is not validated here: `decompose_extremal` walks
+    faces that are POVMs by construction; `is_extremal` checks its input.
+    Raises ``ValueError`` unless ``0 < gap < 1``.
+    """
+    _check_gap(gap)
+    face = _Face(np.array(p.elements), gap, check_band)
+    return [Perturbation(components=q) for q in _directions(face, gap)]
+
+
+def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
+    """Dimension of the perturbation space of ``p``; 0 iff ``p`` is extremal.
+
+    Takes the kernel alone, without the canonical rotation of
+    :func:`perturbation_space`.  Raises :class:`InvalidPOVM` if ``p``
+    fails :func:`validate_povm`, and ``ValueError`` unless ``0 < gap < 1``.
+    """
+    _check_gap(gap)
+    check_povm(p)
+    cols, _ = _kernel(_Face(np.array(p.elements), gap, check_band=False), gap)
+    return cols.shape[1]
+
+
+def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
+    """True iff ``p`` admits no nonzero perturbation.
+
+    Raises :class:`InvalidPOVM` if ``p`` fails :func:`validate_povm`.
+    """
+    return kernel_dimension(p, gap=gap) == 0
+
+
+def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> tuple[float, float]:
+    """Largest steps keeping ``P ± t Q`` positive semidefinite.
+
+    Per element the bound is ``1 / max eigenvalue`` of
+    ``-(P_i^{-1/2} Q_i P_i^{-1/2})`` on the support of ``P_i`` (and of
+    the unnegated conjugation for the minus direction); the returned
+    pair is the minimum over elements, both finite and positive.
+
+    The supports come from one stacked :func:`operators.support` call
+    over the elements (finiteness and Hermiticity checked once).  For
+    the elements whose component is nonzero, the scaled matrices
+    ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``, are grouped by support
+    rank and each group takes one stacked Hermiticity check and one
+    ``np.linalg.eigh``.  A zero-norm perturbation, or one unbounded in
+    either direction, raises :class:`DegeneratePerturbation`; a ``gap``
+    outside ``(0, 1)`` raises ``ValueError``.
+    """
+    _check_gap(gap)
+    return _steps(_Face(np.array(p.elements), gap, check_band=False), q.components)
 
 
 @dataclass(frozen=True)
@@ -267,10 +338,6 @@ class DecompositionResult:
         )
 
 
-def _push(p: FinitePOVM, q: Perturbation, t: float) -> FinitePOVM:
-    return p.replace_elements(np.array(p.elements) + t * q.components)
-
-
 def decompose_extremal(
     p: FinitePOVM,
     max_terms: int = 256,
@@ -286,8 +353,15 @@ def decompose_extremal(
     ``r``.  Each step strictly shrinks the face, so there are at most
     (face dimension of ``p``) + 1 terms, pairwise distinct.
 
+    Each visited point is one :class:`_Face`, with the band test: its
+    kernel direction and its step come from the same supports, and the
+    away step reuses ``x``'s face.  The walk moves stacked arrays; a
+    :class:`FinitePOVM` is built only for each returned term.
+
     Raises
     ------
+    ValueError
+        If ``max_terms < 1`` or ``gap`` is not in ``(0, 1)``.
     InvalidPOVM
         If ``p`` fails :func:`validate_povm`.
     TermBudgetExceeded
@@ -296,25 +370,31 @@ def decompose_extremal(
     NumericalRankAmbiguity
         If a support decision falls inside the singular-value gap band.
     """
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+    _check_gap(gap)
     check_povm(p)
     terms = []
-    x, rest = p, 1.0
+    x, rest = _Face(np.array(p.elements), gap, check_band=True), 1.0
     while True:
         if len(terms) >= max_terms:
             raise TermBudgetExceeded(
                 f"decomposition exceeded {max_terms} terms",
-                partial_terms=[(w, e, True) for w, e in terms] + [(rest, x, False)],
+                partial_terms=[(w, e, True) for w, e in terms]
+                + [(rest, p.replace_elements(x.elements), False)],
             )
         e = x
-        while basis := perturbation_space(e, gap=gap, check_band=True):
-            e = _push(e, basis[0], max_step(e, basis[0], gap=gap)[0])
+        while len(q := _directions(e, gap, count=1)):
+            t = _steps(e, q[0])[0]
+            e = _Face(e.elements + t * q[0], gap, check_band=True)
         if e is x:
-            terms.append((rest, x))
+            terms.append((rest, p.replace_elements(x.elements)))
             break
-        diff = np.array(x.elements) - np.array(e.elements)
+        diff = x.elements - e.elements
         dist = float(np.sqrt(sum(op.frobenius(c) ** 2 for c in diff)))
-        away = Perturbation(components=diff / dist)
-        t = max_step(x, away, gap=gap)[0]
-        terms.append((rest * t / (t + dist), e))
-        x, rest = _push(x, away, t), rest * dist / (t + dist)
+        away = diff / dist
+        t = _steps(x, away)[0]
+        terms.append((rest * t / (t + dist), p.replace_elements(e.elements)))
+        x = _Face(x.elements + t * away, gap, check_band=True)
+        rest = rest * dist / (t + dist)
     return DecompositionResult(terms=tuple(terms), depth=len(terms) - 1)

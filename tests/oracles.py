@@ -190,3 +190,29 @@ def phase_cdf(rho, phi):
         ck = np.trace(rho, offset=k)
         total += (2.0 / k) * (ck * (np.exp(1j * k * phi) - 1.0)).imag
     return total / (2.0 * np.pi)
+
+
+def bisection_max_step(elements, components, sign, tol=1e-12, iterations=200):
+    """Largest t with every ``P_i + sign * t * Q_i`` positive semidefinite,
+    by doubling and then bisection on the smallest eigenvalue of each sum.
+
+    A sum counts as PSD while its smallest eigenvalue is at least ``-tol``,
+    so that eigenvalues on a shared kernel (zero up to rounding) pass.
+    """
+
+    def psd(t):
+        return all(
+            np.linalg.eigvalsh(p + sign * t * q)[0] >= -tol
+            for p, q in zip(elements, components)
+        )
+
+    lo, hi = 0.0, 1.0
+    while psd(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if psd(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -85,6 +85,16 @@ class TestValidate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    @pytest.mark.parametrize("key", ["psd", "complete", "gap"])
+    def test_non_finite_or_negative_tolerance(self, capsys, coin_flip_file, key, value):
+        code, out, err = run_cli(
+            capsys, "validate", coin_flip_file, "--tolerance", f"{key}={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert key in json.loads(err)["error"]
+
 
 class TestExtremal:
     def test_coin_flip_verdict(self, capsys, coin_flip_file):
@@ -110,7 +120,22 @@ class TestExtremal:
         assert "error" in json.loads(err)
 
 
+    @pytest.mark.parametrize("gap", ["nan", "inf", "-1", "0", "1"])
+    def test_gap_outside_unit_interval_is_input_error(self, capsys, coin_flip_file, gap):
+        code, out, err = run_cli(capsys, "extremal", coin_flip_file, "--tolerance", f"gap={gap}")
+        assert code == 2
+        assert out == ""
+        assert "gap" in json.loads(err)["error"]
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("max_terms", ["0", "-3"])
+    def test_max_terms_below_one_is_input_error(self, capsys, coin_flip_file, max_terms):
+        code, out, err = run_cli(capsys, "decompose", coin_flip_file, "--max-terms", max_terms)
+        assert code == 2
+        assert out == ""
+        assert "max_terms" in json.loads(err)["error"]
+
     def test_coin_flip(self, capsys, coin_flip_file, tmp_path):
         out_path = tmp_path / "decomp.json"
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import povmkit as pk
+from povmkit import extremality
 from povmkit.catalog import PAULI_Z
 from povmkit.errors import (
     DegeneratePerturbation,
@@ -11,9 +12,10 @@ from povmkit.errors import (
     NumericalRankAmbiguity,
     TermBudgetExceeded,
 )
+from povmkit.operators import hermitian_to_coords
 from povmkit.outcomes import FiniteLabels
 
-from oracles import brute_force_extremal, brute_force_kernel_dim
+from oracles import bisection_max_step, brute_force_extremal, brute_force_kernel_dim
 
 
 def squeeze_first_element(p, eps):
@@ -139,6 +141,25 @@ class TestMaxStep:
         zero = np.zeros((2, 2), dtype=complex)
         with pytest.raises(DegeneratePerturbation):
             pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(zero, zero)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_bisection_oracle(self, seed):
+        # Random Hermitian components held to each element's support; they
+        # need not sum to zero for the step lengths to be defined.
+        rng = np.random.default_rng([2013, seed])
+        d = int(rng.integers(2, 5))
+        rank = None if seed % 2 else int(rng.integers(1, d))
+        p = pk.random_povm(rng, d, int(rng.integers(3, 7)), rank)
+        comps = []
+        for el in p.elements:
+            w, v = np.linalg.eigh(el)
+            keep = v[:, w > 1e-8 * max(1.0, w.max())]
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            comps.append(keep @ keep.conj().T @ (h + h.conj().T) @ keep @ keep.conj().T)
+        comps = np.array(comps) / np.linalg.norm(comps)
+        t_plus, t_minus = pk.max_step(p, pk.Perturbation(components=comps))
+        for t, sign in ((t_plus, 1.0), (t_minus, -1.0)):
+            assert t == pytest.approx(bisection_max_step(p.elements, comps, sign), rel=1e-6)
 
 
 class TestDecompose:
@@ -325,3 +346,90 @@ class TestStackedSpectra:
         skew = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
         with pytest.raises(NonHermitianInput):
             pk.Perturbation(components=(skew, -skew)).check(pk.coin_flip_povm())
+
+
+class TestArguments:
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_max_terms_below_one(self, max_terms):
+        with pytest.raises(ValueError, match="max_terms"):
+            pk.decompose_extremal(pk.coin_flip_povm(), max_terms=max_terms)
+
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf"), -1.0, 0.0, 1.0])
+    def test_gap_outside_unit_interval(self, gap):
+        p = pk.coin_flip_povm()
+        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
+        calls = (
+            lambda: pk.perturbation_space(p, gap=gap),
+            lambda: pk.kernel_dimension(p, gap=gap),
+            lambda: pk.is_extremal(p, gap=gap),
+            lambda: pk.max_step(p, q, gap=gap),
+            lambda: pk.decompose_extremal(p, gap=gap),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="gap"):
+                call()
+
+
+class TestFaceWalk:
+    """The walk carries one face per visited point: one support
+    eigendecomposition and one kernel SVD there, and a FinitePOVM only
+    for each returned term."""
+
+    @staticmethod
+    def inputs():
+        # element rank below d, so that no step eigh has the face's shape
+        for k, (d, n, rank) in enumerate(((3, 5, 2), (3, 10, 1), (4, 18, 1), (4, 5, 2))):
+            yield pk.random_povm(np.random.default_rng([9, k]), d, n, rank)
+
+    def test_one_support_eigh_per_kernel_svd(self, monkeypatch):
+        eighs, svds = [], []
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counted_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for p in self.inputs():
+            eighs.clear()
+            svds.clear()
+            res = pk.decompose_extremal(p)
+            assert len(res.terms) > 1
+            faces = eighs.count((len(p), p.dim, p.dim))
+            # one more for check_povm on entry
+            assert faces == len(svds) + 1
+
+    def test_one_finite_povm_per_term(self, monkeypatch):
+        built = []
+        post_init = pk.FinitePOVM.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(pk.FinitePOVM, "__post_init__", counted)
+        for p in list(self.inputs()) + [pk.sic_tetrahedron_povm()]:
+            built.clear()
+            res = pk.decompose_extremal(p)
+            assert len(built) == len(res.terms)
+
+    def test_walk_direction_is_first_canonical_direction(self):
+        for p in list(self.inputs()) + [pk.coin_flip_povm()]:
+            face = extremality._Face(np.array(p.elements), 1e-8, check_band=True)
+            first = extremality._directions(face, 1e-8, count=1)
+            assert first.tobytes() == pk.perturbation_space(p)[0].components.tobytes()
+
+    def test_canonical_signs_lead_positive(self):
+        for p in list(self.inputs()) + [pk.coin_flip_povm()]:
+            for q in pk.perturbation_space(p):
+                coords = hermitian_to_coords(q.components).ravel()
+                assert coords[np.flatnonzero(np.abs(coords) > 1e-8)[0]] > 0
+
+    def test_kernel_dimension_counts_the_basis(self):
+        for p in list(self.inputs()) + [pk.coin_flip_povm(), pk.sic_tetrahedron_povm()]:
+            assert pk.kernel_dimension(p) == len(pk.perturbation_space(p))
