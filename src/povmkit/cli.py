@@ -4,6 +4,10 @@ Every sampling command takes an explicit ``--seed``; identical argv plus
 seed produce byte-identical outputs.  Exit codes: 0 success/pass, 1
 failed check, 2 malformed input (with a single-line error JSON on
 stderr).
+
+Each command imports the modules it calls inside its own body, so a
+child process that validates a POVM never loads the samplers, the
+families or the decomposition code.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ from .errors import (
     SchemaError,
     SpaceMismatch,
 )
-from .extremality import decompose_extremal, kernel_dimension
-from .families import named_family, verify_scheme_equivalence
-from .merit import bayes_gain, check_equal_optimality
 from .operators import GAP_THRESHOLD, TOL_COMPLETE, TOL_PSD
-from .povm import validate_povm
-from .sampling import compare_samples, sample_direct, sample_two_stage
-from .tomography import dual_coefficients, estimate_expectation
 
 _TOLERANCE_KEYS = ("psd", "complete", "gap")
 
@@ -65,6 +63,16 @@ def _parse_tolerances(pairs) -> dict:
     return out
 
 
+def _check_alpha(alpha):
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise SchemaError(f"--alpha needs 0 < alpha < 1, got {alpha!r}")
+
+
+def _check_tol(tol):
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise SchemaError(f"--tol needs a finite value >= 0, got {tol!r}")
+
+
 def _guard_output(out_path, inputs):
     if out_path is None:
         return
@@ -82,6 +90,8 @@ def _single_state(path):
 # --- subcommand bodies --------------------------------------------------------
 
 def _cmd_validate(args) -> int:
+    from .povm import validate_povm
+
     tols = _parse_tolerances(args.tolerance)
     povm = ser.load_povm(args.povm)
     report = validate_povm(
@@ -94,6 +104,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .extremality import kernel_dimension
+
     tols = _parse_tolerances(args.tolerance)
     gap = tols.get("gap", GAP_THRESHOLD)
     povm = ser.load_povm(args.povm)
@@ -103,6 +115,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .extremality import decompose_extremal
+
     tols = _parse_tolerances(args.tolerance)
     gap = tols.get("gap", GAP_THRESHOLD)
     povm = ser.load_povm(args.povm)
@@ -123,6 +137,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .families import named_family, verify_scheme_equivalence
+
+    _check_tol(args.tol)
     c, s = named_family(args.family)
     states = ser.load_states(args.states)
     regions = ser.load_regions(args.regions)
@@ -143,6 +160,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .families import named_family
+    from .sampling import sample_direct, sample_two_stage
+
     rho = _single_state(args.state)
     _guard_output(args.output, [args.state])
     c, s = named_family(args.family)
@@ -156,6 +176,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    from .sampling import compare_samples
+
+    _check_alpha(args.alpha)
     rec_a = ser.read_records(args.a)
     rec_b = ser.read_records(args.b)
     if args.bins in ("sphere12", "circle16"):
@@ -170,6 +193,10 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_merit(args) -> int:
+    from .families import named_family
+    from .merit import bayes_gain, check_equal_optimality
+
+    _check_tol(args.tol)
     spec = ser.bayes_spec_from_dict(ser.load_json(args.spec))
     _guard_output(args.output, [args.spec])
     c, s = named_family(args.family)
@@ -193,6 +220,9 @@ def _cmd_merit(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    from .families import named_family
+    from .tomography import dual_coefficients, estimate_expectation
+
     target = ser.matrix_from_json(ser.load_json(args.target).get("matrix"), "target")
     _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     if args.povm:

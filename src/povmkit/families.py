@@ -519,9 +519,12 @@ class RandomizedScheme:
         Mode ``"deterministic"`` (``"det"``) integrates the mixing
         parameter by quadrature with about ``budget`` nodes; mode
         ``"montecarlo"`` (``"mc"``) averages ``budget`` draws of ``rng``
-        (default 100000).  Returns ``(value, standard_error)``; the
-        standard error is None in deterministic mode.
+        (default 100000).  ``budget`` None takes the default; below 1, or
+        below 2 in montecarlo mode, it raises `ValueError`.  Returns
+        ``(value, standard_error)``; the standard error is None in
+        deterministic mode.
         """
+        _check_budget(budget, mode)
         require_same_space(self.outcome_space, region.space, "scheme and region")
         rho = op.check_density_matrix(rho)
         if mode in ("deterministic", "det"):
@@ -704,6 +707,13 @@ class EquivalenceReport:
         return max(abs(r.diff) for r in self.rows)
 
 
+def _check_budget(budget, mode):
+    # one Monte Carlo draw has no standard error
+    least = 2 if mode in ("montecarlo", "mc") else 1
+    if budget is not None and budget < least:
+        raise ValueError(f"{mode} budget must be at least {least}, got {budget}")
+
+
 def _with_ids(items, prefix):
     out = []
     for k, item in enumerate(items):
@@ -730,7 +740,9 @@ def verify_scheme_equivalence(
     Deterministic mode integrates the mixing parameter with product
     quadrature split along region boundaries; montecarlo mode draws
     mixing parameters with the given seed and reports standard errors.
+    ``budget`` is as in `RandomizedScheme.average_region_probability`.
     """
+    _check_budget(budget, mode)
     require_same_space(c.space, s.outcome_space, "continuous POVM and scheme")
     rng = None
     if mode in ("montecarlo", "mc"):

@@ -154,8 +154,11 @@ def check_equal_optimality(
 
     ``value`` is the mixing-weighted average over the scheme's mixing
     quadrature nodes; ``spread`` is max - min over all evaluated members,
-    including ``x_samples`` members drawn from the mixing law with ``seed``.
+    including ``x_samples`` members drawn from the mixing law with ``seed``
+    (a negative ``x_samples`` raises `ValueError`).
     """
+    if x_samples < 0:
+        raise ValueError(f"x_samples must be nonnegative, got {x_samples}")
     gain = _gain_kernel(spec, s.dim, budget)
     xs, w = s.mixing_nodes()
     per = []

@@ -3,6 +3,11 @@
 Complex numbers are always two-element arrays ``[re, im]``; every file
 carries ``"schema": 1``.  Serialization is canonical (sorted keys,
 compact separators), so identical inputs produce byte-identical files.
+
+The result types of other modules appear here in annotations only; the
+three that are built here (`DecompositionResult`, `OutcomeRecords`,
+`BayesGainSpec`) are imported where they are built, so that reading a
+POVM loads neither sampling nor decomposition code.
 """
 
 from __future__ import annotations
@@ -15,9 +20,6 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import PovmkitError, SchemaError
-from .extremality import DecompositionResult
-from .families import EquivalenceReport
-from .merit import BayesGainSpec, MeritReport
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -28,8 +30,6 @@ from .outcomes import (
     Sphere,
 )
 from .povm import FinitePOVM, ValidationReport
-from .sampling import GofReport, OutcomeRecords
-from .tomography import DualProcessing, EstimateReport
 
 SCHEMA_VERSION = 1
 _CHUNK_LINES = 4096  # records per write and per bulk parse
@@ -463,6 +463,8 @@ def read_records(path) -> OutcomeRecords:
             first += len(rows)
     if rules is None:
         raise SchemaError(f"{path}: no records")
+    from .sampling import OutcomeRecords
+
     return OutcomeRecords(
         space=space,
         omega=np.concatenate(columns["omega"]),
@@ -506,6 +508,8 @@ def decomposition_from_dict(data: dict) -> DecompositionResult:
         if type(term["weight"]) not in (int, float):
             raise SchemaError(f"decomposition term {k}: 'weight' must be a number")
         terms.append((float(term["weight"]), povm_from_dict(term["povm"])))
+    from .extremality import DecompositionResult
+
     return DecompositionResult(terms=tuple(terms), depth=int(data.get("depth", 0)))
 
 
@@ -551,6 +555,8 @@ def merit_report_to_dict(rep: MeritReport) -> dict:
 
 
 def bayes_spec_from_dict(data: dict) -> BayesGainSpec:
+    from .merit import BayesGainSpec
+
     _check_schema(data, "merit spec")
     try:
         fid = data.get("state")

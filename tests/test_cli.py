@@ -211,6 +211,45 @@ class TestEquiv:
         assert code == 0
         assert "se" in json.loads(out)["rows"][0]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_not_finite_nonnegative_is_input_error(
+        self, capsys, state_file, regions_file, tol
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", "mc", "--budget", "100", "--seed", "3",
+            "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("tol, expected", [("0", 1), ("1", 0)])
+    def test_tol_bounds_are_thresholds(self, capsys, state_file, regions_file, tol, expected):
+        code, out, _ = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", "mc", "--budget", "100", "--seed", "3",
+            "--tol", tol,
+        )
+        assert code == expected
+        assert json.loads(out)["budget"] == 100
+
+    @pytest.mark.parametrize("mode, budget", [
+        ("det", "0"), ("det", "-5"), ("mc", "0"), ("mc", "-5"), ("mc", "1"),
+    ])
+    def test_budget_too_small_is_input_error(
+        self, capsys, state_file, regions_file, mode, budget
+    ):
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", mode, "--budget", budget, "--seed", "3",
+        )
+        assert (code, out) == (2, "")
+        assert "budget" in json.loads(err)["error"]
+
     def test_phase_family(self, capsys, tmp_path):
         states = tmp_path / "s.json"
         ser.save_states(states, [("plus", np.full((2, 2), 0.5))])
@@ -358,6 +397,36 @@ class TestGof:
         assert code == 1
         assert json.loads(out)["p_value"] < 1e-6
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1"])
+    def test_alpha_outside_unit_interval_is_input_error(self, capsys, tmp_path, state_file, alpha):
+        # two different laws: p is far below any alpha in (0, 1)
+        mixed = tmp_path / "mixed_state.json"
+        ser.save_states(mixed, [("mm", np.eye(2) / 2)])
+        a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        for state, path, seed in ((state_file, a, "1"), (str(mixed), b, "2")):
+            run_cli(capsys, "sample", "--family", "spin", "--direct", "--state", state,
+                    "-n", "5000", "--seed", seed, "-o", str(path))
+        code, out, err = run_cli(
+            capsys, "gof", "--a", str(a), "--b", str(b), "--bins", "sphere12", "--alpha", alpha
+        )
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in json.loads(err)["error"]
+
+    def test_one_bin_is_input_error(self, capsys, tmp_path, state_file):
+        recs = tmp_path / "a.ndjson"
+        run_cli(capsys, "sample", "--family", "spin", "--direct", "--state", state_file,
+                "-n", "100", "--seed", "1", "-o", str(recs))
+        whole = tmp_path / "whole.json"
+        whole.write_text(json.dumps({"schema": 1, "regions": [
+            {"space": {"kind": "sphere"}, "caps": [{"axis": [0.0, 0.0, 1.0], "angle": np.pi}]}
+        ]}))
+        code, out, err = run_cli(
+            capsys, "gof", "--a", str(recs), "--b", str(recs), "--bins", str(whole)
+        )
+        assert (code, out) == (2, "")
+        assert "two bins" in json.loads(err)["error"]
+
     def test_malformed_records_is_input_error(self, capsys, tmp_path, state_file):
         # two-stage records from which one apparatus index was dropped
         good = tmp_path / "good.ndjson"
@@ -433,6 +502,33 @@ class TestMerit:
         )
         assert code == 0
         assert json.loads(out)["spread"] <= 1e-9
+
+    @pytest.mark.parametrize("tol, expected", [
+        ("nan", 2), ("inf", 2), ("-1", 2), ("0", 1), ("1", 0),
+    ])
+    def test_tol(self, capsys, tmp_path, tol, expected):
+        # the spread of the phase:2 members is about 1e-15: tol 0 fails it
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"prior": "uniform_circle", "gain": "cosine"}))
+        code, out, err = run_cli(
+            capsys,
+            "merit", "--family", "phase:2", "--spec", str(spec), "--scheme",
+            "--samples", "4", "--seed", "5", "--tol", tol,
+        )
+        assert code == expected
+        if expected == 2:
+            assert out == ""
+            assert "--tol" in json.loads(err)["error"]
+
+    def test_negative_samples_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"prior": "uniform_circle", "gain": "cosine"}))
+        code, out, err = run_cli(
+            capsys,
+            "merit", "--family", "phase:2", "--spec", str(spec), "--scheme", "--samples", "-3",
+        )
+        assert (code, out) == (2, "")
+        assert "x_samples" in json.loads(err)["error"]
 
 
 class TestTomo:

@@ -321,6 +321,29 @@ class TestEquivalence:
                 spin, sg, [up], [cap(Z_AXIS, 1.0)], mode="montecarlo"
             )
 
+    @pytest.mark.parametrize("mode, budget", [
+        ("deterministic", 0), ("deterministic", -5), ("montecarlo", 0), ("montecarlo", -5),
+        ("montecarlo", 1),
+    ])
+    def test_budget_too_small_rejected(self, up, mode, budget):
+        spin = pk.spin_direction_povm()
+        sg = pk.stern_gerlach_scheme()
+        region = cap(Z_AXIS, 1.0)
+        with pytest.raises(ValueError, match="budget"):
+            pk.verify_scheme_equivalence(spin, sg, [up], [region], mode=mode, budget=budget,
+                                         seed=1)
+        with pytest.raises(ValueError, match="budget"):
+            sg.average_region_probability(up, region, mode=mode, budget=budget,
+                                          rng=pk.make_rng(1))
+
+    def test_budget_none_is_the_default(self, up):
+        sg = pk.stern_gerlach_scheme()
+        region = cap(Z_AXIS, 1.0)
+        assert sg.average_region_probability(up, region, mode="mc", rng=pk.make_rng(2)) == (
+            sg.average_region_probability(up, region, mode="mc", budget=100_000,
+                                          rng=pk.make_rng(2))
+        )
+
     def test_quadrature_refinement_below_floor(self, plus):
         spin = pk.spin_direction_povm()
         sg = pk.stern_gerlach_scheme()

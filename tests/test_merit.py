@@ -120,6 +120,10 @@ class TestEqualOptimality:
         report = pk.check_equal_optimality(s, spec, x_samples=0)
         assert abs(report.value - continuous) <= 1e-9
 
+    def test_negative_x_samples_rejected(self, fidelity_spec):
+        with pytest.raises(ValueError, match="x_samples"):
+            pk.check_equal_optimality(pk.stern_gerlach_scheme(), fidelity_spec, x_samples=-3)
+
     def test_mixed_quality_scheme_detected(self, fidelity_spec):
         good = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
         bad = trivial_guess_povm()

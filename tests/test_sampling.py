@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.special import gammaincc
 import povmkit as pk
 from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins, UnsupportedFamily
 from povmkit.outcomes import SPHERE, TWO_PI, Region
-from povmkit.sampling import make_rng
+from povmkit.sampling import _chi2_tail, make_rng
 
 from oracles import arc_probability_quadrature, phase_cdf, spin_polar_cdf
 
@@ -297,10 +299,139 @@ class TestCompareSamples:
         with pytest.raises(ValueError):
             pk.compare_samples(a, a, [Region.of_arcs([(0.0, 1.0)])])
 
+    def test_one_bin_rejected(self, up):
+        a = pk.sample_direct(pk.spin_direction_povm(), up, 100, seed=1)
+        with pytest.raises(ValueError, match="two bins"):
+            pk.compare_samples(a, a, [Region.of_caps([((0.0, 0.0, 1.0), np.pi)])])
 
-def test_import_skips_scipy_special():
-    # scipy.special is loaded by compare_samples only, not by ``import povmkit``
+
+class TestChi2Tail:
+    STATS = np.unique(
+        np.concatenate([np.linspace(0.0, 50.0, 201), np.geomspace(1e-8, 2000.0, 200)])
+    )
+
+    @pytest.mark.parametrize("dofs", [range(1, 101), range(101, 201), range(201, 301)])
+    def test_matches_gammaincc(self, dofs):
+        for dof in dofs:
+            got = np.array([_chi2_tail(float(s), dof) for s in self.STATS])
+            ref = gammaincc(dof / 2.0, self.STATS / 2.0)
+            kept = ref > 1e-300
+            assert np.all(np.abs(got[kept] - ref[kept]) <= 1e-12 * ref[kept]), dof
+            assert np.all((got >= 0.0) & (got <= 1.0)), dof
+            assert np.all(np.diff(got) <= 0.0), dof
+
+    @pytest.mark.parametrize("dof", [1, 2, 11, 300])
+    def test_ends(self, dof):
+        assert _chi2_tail(0.0, dof) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _chi2_tail(1e308, dof) == 0.0
+            assert _chi2_tail(float("inf"), dof) == 0.0
+            assert _chi2_tail(1e-300, dof) == 1.0
+
+
+# the names ``import povmkit`` exported when it imported every module eagerly
+EXPORTS = [
+    "BayesGainSpec", "CIRCLE", "Cap", "Circle", "CirclePhasePOVM", "ContinuousPOVM",
+    "DecompositionResult", "DegeneratePerturbation", "DesignScheme", "DimensionMismatch",
+    "DualProcessing", "EmptySample", "EquivalenceReport", "EstimateReport", "FiniteLabels",
+    "FiniteMixtureScheme", "FinitePOVM", "GofReport", "InvalidDimension", "InvalidPOVM",
+    "MeritReport", "NonHermitianInput", "NotInformationallyComplete", "NumericalRankAmbiguity",
+    "OutcomeRecords", "OutcomeSpace", "Perturbation", "PovmkitError", "RandomizedScheme",
+    "Region", "SPHERE", "SchemaError", "SpaceMismatch", "SparseBins", "Sphere",
+    "SpinDirectionPOVM", "TermBudgetExceeded", "UnsupportedFamily", "ValidationReport",
+    "bayes_gain", "born_probabilities", "check_equal_optimality", "coin_flip_povm",
+    "compare_samples", "decompose_extremal", "dual_coefficients", "estimate_expectation",
+    "is_extremal", "is_informationally_complete", "kernel_dimension", "make_rng", "max_step",
+    "merit_of_mixture", "named_family", "perturbation_space", "phase_dual", "phase_povm",
+    "phase_scheme", "probability_of_region", "projective_basis_povm", "random_density_matrix",
+    "random_povm", "random_pure_state", "sample_direct", "sample_two_stage",
+    "scheme_from_decomposition", "sic_tetrahedron_povm", "spin_direction_povm", "spin_dual",
+    "stern_gerlach_scheme", "validate_povm", "verify_scheme_equivalence",
+]
+# modules a command that only reads and checks a POVM must not load
+HEAVY = ("extremality", "families", "merit", "sampling", "tomography", "quadrature")
+# runs the CLI in this interpreter, then writes its exit code and sys.modules to argv[1]
+PROBE = (
+    "import json, sys\n"
+    "from povmkit.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "json.dump([code, sorted(sys.modules)], open(sys.argv[1], 'w'))\n"
+)
+
+
+def _fresh(*args, cwd=None):
     src = os.path.dirname(os.path.dirname(pk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, povmkit; sys.exit('scipy.special' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True)
+
+
+def _scipy(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_import_skips_scipy_special():
+    # ``import povmkit`` loads no submodule and no scipy
+    code = "import json, sys, povmkit; print(json.dumps(sorted(sys.modules)))"
+    modules = json.loads(_fresh("-c", code).stdout)
+    assert [m for m in modules if m.startswith("povmkit.")] == []
+    assert _scipy(modules) == []
+
+
+def test_exports_resolve():
+    assert sorted(pk.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(pk, name) is not None, name
+    assert set(EXPORTS) <= set(dir(pk))
+    with pytest.raises(AttributeError):
+        pk.no_such_name
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    from povmkit import serialize as ser
+
+    d = tmp_path_factory.mktemp("cli_inputs")
+    ser.save_povm(d / "povm.json", pk.coin_flip_povm())
+    ser.save_states(d / "state.json", [("mm", np.eye(2) / 2)])
+    (d / "regions.json").write_text(json.dumps({"schema": 1, "regions": [
+        {"space": {"kind": "sphere"}, "caps": [{"axis": [0.0, 0.0, 1.0], "angle": 1.0}]}
+    ]}))
+    (d / "spec.json").write_text(json.dumps({"prior": "uniform_sphere", "gain": "fidelity"}))
+    (d / "target.json").write_text(
+        json.dumps({"schema": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]})
+    )
+    spin = pk.spin_direction_povm()
+    for name, seed in (("a", 1), ("b", 2)):
+        ser.write_records(d / f"{name}.ndjson", pk.sample_direct(spin, np.eye(2) / 2, 600, seed))
+    (d / "malformed.json").write_text('{"schema": 1, "dim": 2, "entries": [')
+    return d
+
+
+@pytest.mark.parametrize("argv, code, light", [
+    (["validate", "povm.json"], 0, True),
+    (["validate", "malformed.json"], 2, True),
+    (["validate", "missing.json"], 2, True),
+    (["extremal", "povm.json"], 0, False),
+    (["decompose", "povm.json"], 0, False),
+    (["equiv", "--family", "spin", "--states", "state.json", "--regions", "regions.json"],
+     0, False),
+    (["sample", "--family", "spin", "--scheme", "--state", "state.json", "-n", "100",
+      "--seed", "1", "-o", "sampled.ndjson"], 0, False),
+    (["gof", "--a", "a.ndjson", "--b", "b.ndjson", "--bins", "sphere12"], 0, False),
+    (["merit", "--family", "spin", "--spec", "spec.json"], 0, False),
+    (["tomo", "--family", "spin", "--target", "target.json", "--records", "a.ndjson",
+      "--state", "state.json"], 0, False),
+], ids=["validate", "validate-malformed", "validate-missing", "extremal", "decompose", "equiv",
+        "sample", "gof", "merit", "tomo"])
+def test_cli_import_set(cli_inputs, tmp_path, argv, code, light):
+    # each command in a fresh interpreter: no command loads scipy, and
+    # reading and checking a POVM loads none of the heavy modules
+    report = tmp_path / "modules.json"
+    proc = _fresh("-c", PROBE, str(report), *argv, cwd=cli_inputs)
+    assert proc.returncode == 0, proc.stderr
+    got, modules = json.loads(report.read_text())
+    assert got == code
+    assert _scipy(modules) == []
+    if light:
+        assert [m for m in HEAVY if f"povmkit.{m}" in modules] == []
