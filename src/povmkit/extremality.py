@@ -15,17 +15,25 @@ smaller face that remains.  The result is a convex combination of at
 most (face dimension + 1) extremal POVMs, each with at most ``dim**2``
 nonzero, linearly independent elements.
 
-Every point the walk visits is one ``_Face``: the stacked ``(n, d, d)``
-elements and their supports from one stacked eigendecomposition.  The
-kernel (``_kernel``) and both step lengths (``_steps``) are read from
-it.  The walk takes only the first canonical kernel direction, moves
-arrays, and builds a :class:`FinitePOVM` only for each term it returns.
-`perturbation_space`, `kernel_dimension`, `is_extremal` and `max_step`
-build the face of one POVM and call the same functions.
+The walk works in support coordinates.  At the input it takes one
+stacked support eigendecomposition (with the `NumericalRankAmbiguity`
+band test) and one kernel SVD; from then on slot i is ``V_i B_i V_i^†``
+with its support basis ``V_i`` fixed and ``B_i`` positive definite.  A
+kernel direction moves only the ``B_i``; its step length is the ratio
+test ``b_i / |q_i|`` for rank-one slots and an ``r_i x r_i``
+eigenproblem otherwise, and the slot that hits the boundary loses that
+direction exactly.  The kernel is then downdated to the part that
+vanishes on the removed coordinates, and the canonical direction is
+read from the k kernel coefficients.  Only a step whose own rank
+decision falls inside the band reruns the input-face code on the new
+point (`_Face.build`).  `perturbation_space`, `kernel_dimension`,
+`is_extremal` and `max_step` work on the input face of one POVM.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +107,131 @@ def _rank_groups(supports) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
     return groups
 
 
+def _lift(vecs: np.ndarray) -> np.ndarray:
+    """Coordinate matrices ``(g, d**2, r**2)`` of ``B -> V B V^†``, one
+    per basis ``V`` of ``vecs`` ``(g, d, r)``; isometries on the
+    coordinates of the support columns of ``V``."""
+    r = vecs.shape[2]
+    lifted = vecs[:, None] @ op.hermitian_basis(r) @ vecs.conj().swapaxes(1, 2)[:, None]
+    return op.hermitian_to_coords(lifted).swapaxes(1, 2)
+
+
+def _input_kernel(elements: np.ndarray, gap: float, check_band: bool):
+    """Supports and perturbation kernel of ``elements`` ``(n, d, d)``.
+
+    One stacked :func:`operators.support` call (one finiteness and
+    Hermiticity check, one eigendecomposition, the ``gap`` threshold
+    and, with ``check_band``, the :class:`NumericalRankAmbiguity` band
+    test), one lift of the cached ``hermitian_basis(r)`` per support
+    rank r, and one SVD of the lifts side by side for the constraint
+    ``sum_i Q_i = 0``.  Returns ``(groups, blocks, cols)``: the
+    :func:`_rank_groups`, the ``(d**2, r**2)`` lift of each active slot
+    (ascending), and one orthonormal kernel vector per column of
+    ``cols``, in the stacked Hermitian coordinates of the supports
+    (``r_i**2`` rows per active slot).
+    """
+    groups = _rank_groups(op.support(elements, threshold=gap, check_band=check_band))
+    blocks = [None] * len(elements)
+    for _, slots, vecs, _ in groups:
+        for i, block in zip(slots.tolist(), _lift(vecs)):
+            blocks[i] = block
+    blocks = [b for b in blocks if b is not None]
+    if not blocks:
+        return groups, blocks, np.zeros((0, 0))
+    _, s, vt = np.linalg.svd(np.hstack(blocks))
+    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
+    return groups, blocks, vt[rank:].T
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding(r: int, size: int) -> np.ndarray:
+    """Positions of the Hermitian coordinates of an ``r x r`` matrix among
+    those of a ``size x size`` one that holds it as its leading block."""
+    pairs = {pair: j for j, pair in enumerate(zip(*np.triu_indices(size, 1)))}
+    upper = [size + 2 * pairs[pair] for pair in zip(*np.triu_indices(r, 1))]
+    out = np.array(list(range(r)) + [c + part for c in upper for part in (0, 1)])
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _touching(lo: int, hi: int, size: int) -> np.ndarray:
+    """Mask of the Hermitian coordinates of a ``size x size`` matrix whose
+    entry has a row or column index in ``[lo, hi)``."""
+    hit = np.zeros((size, size), dtype=bool)
+    hit[lo:hi] = hit[:, lo:hi] = True
+    out = np.concatenate([np.diag(hit), np.repeat(hit[np.triu_indices(size, 1)], 2)])
+    out.setflags(write=False)
+    return out
+
+
 class _Face:
-    """One point of the peeling walk: its stacked elements ``(n, d, d)``
-    and their supports, grouped by rank, from one stacked
-    :func:`operators.support` call (one finiteness and Hermiticity check,
-    one eigendecomposition, the ``gap`` threshold and, with
-    ``check_band``, the :class:`NumericalRankAmbiguity` band test).
+    """One point of the peeling walk, in support coordinates.
+
+    Slot i holds ``V_i B_i V_i^†``: ``r_i = rank[i]``, ``V_i`` the first
+    ``r_i`` (orthonormal) columns of ``vecs[i]`` and ``B_i`` the leading
+    ``r_i x r_i`` block of ``core[i]``, positive definite.  Every slot is
+    padded to the largest support rank R of the face it was built from:
+    the other columns of ``vecs[i]`` are zero and the rest of ``core[i]``
+    is the identity.  ``cols`` ``(n R**2, k)`` is an orthonormal basis of
+    the perturbation kernel in the Hermitian coordinates of the cores,
+    ``R**2`` rows per slot, zero outside each ``r_i x r_i`` block.  For
+    active slots, ``lift`` ``(n, d**2, R**2)`` (:func:`_lift` of ``vecs``)
+    maps those coordinates to coordinates on C^d, and ``sec`` ``(n,
+    R**2, R**2)`` is the block ``lift^T diag(0, .., d**2 - 1) lift`` of
+    the secondary form of :func:`_canonical_basis`.
     """
 
-    __slots__ = ("elements", "groups")
+    __slots__ = ("rank", "vecs", "core", "lift", "sec", "cols")
 
-    def __init__(self, elements: np.ndarray, gap: float, check_band: bool):
-        self.elements = elements
-        self.groups = _rank_groups(
-            op.support(elements, threshold=gap, check_band=check_band)
-        )
+    def __init__(self, rank, vecs, core, cols, lift=None, sec=None):
+        self.rank, self.vecs, self.core, self.cols = rank, vecs, core, cols
+        if lift is None:
+            lift = _lift(vecs)
+            ramp = np.arange(lift.shape[1], dtype=float)[:, None]
+            sec = lift.swapaxes(1, 2) @ (ramp * lift)
+        self.lift, self.sec = lift, sec
+
+    @classmethod
+    def build(cls, elements: np.ndarray, gap: float, check_band: bool) -> "_Face":
+        """The face of ``elements`` ``(n, d, d)`` from :func:`_input_kernel`."""
+        groups, _, coeffs = _input_kernel(elements, gap, check_band)
+        n, d = elements.shape[:2]
+        size = max([r for r, *_ in groups], default=1)
+        rank = np.zeros(n, dtype=int)
+        vecs = np.zeros((n, d, size), dtype=complex)
+        core = np.tile(np.eye(size, dtype=complex), (n, 1, 1))
+        for r, slots, v, vals in groups:
+            rank[slots] = r
+            vecs[slots, :, :r] = v
+            core[slots, :r, :r] = vals[:, :, None] * np.eye(r)
+        start = np.cumsum(rank**2) - rank**2
+        cols = np.zeros((n, size * size, coeffs.shape[1]))
+        for r, slots, _, _ in groups:
+            rows = start[slots][:, None] + np.arange(r * r)
+            cols[slots[:, None], _embedding(r, size)] = coeffs[rows]
+        return cls(rank, vecs, core, cols.reshape(n * size * size, -1))
+
+    def elements(self) -> np.ndarray:
+        """The elements ``(n, d, d)``; a slot of rank 0 is exactly zero."""
+        out = self.vecs @ self.core @ self.vecs.conj().swapaxes(1, 2)
+        out[self.rank == 0] = 0.0
+        return out
+
+    def matrices(self, coords: np.ndarray) -> np.ndarray:
+        """The stack ``(n, d, d)`` of ``V_i H_i V_i^†`` for the Hermitian
+        ``H_i`` with coordinates ``coords`` (rows as in ``cols``)."""
+        n, size = self.core.shape[:2]
+        h = op.coords_to_hermitian(coords.reshape(n, size * size), size)
+        return self.vecs @ h @ self.vecs.conj().swapaxes(1, 2)
+
+    def coords(self, a: np.ndarray) -> np.ndarray:
+        """Coordinates (rows as in ``cols``) of ``V_i^† a_i V_i`` for the
+        Hermitian stack ``a`` ``(n, d, d)``."""
+        v = self.vecs
+        out = op.hermitian_to_coords(v.conj().swapaxes(1, 2) @ a @ v)
+        out[self.rank == 0] = 0.0
+        return out.ravel()
 
 
 def _check_gap(gap: float) -> None:
@@ -121,110 +239,98 @@ def _check_gap(gap: float) -> None:
         raise ValueError(f"gap must be finite with 0 < gap < 1, got {gap!r}")
 
 
-def _kernel(face: _Face, gap: float) -> tuple[np.ndarray, list[int]]:
-    """Orthonormal kernel of the perturbation constraints at ``face``.
-
-    Returns ``(cols, active)``: one kernel vector per column of ``cols``,
-    in the stacked Hermitian coordinates (``d**2`` rows per slot) of the
-    ``active`` slots, those of nonzero support rank, ascending.  Elements
-    of equal support rank r share one lift of the cached
-    ``hermitian_basis(r)`` and one stacked coordinate map; the constraint
-    ``sum_i Q_i = 0`` takes one SVD.
-    """
-    blocks = [None] * len(face.elements)
-    for r, slots, vecs, _ in face.groups:
-        # coordinate matrices (d**2, r**2) of B -> V B V^dagger, one per slot
-        lifted = vecs[:, None] @ op.hermitian_basis(r) @ vecs.conj().swapaxes(1, 2)[:, None]
-        for i, block in zip(slots.tolist(), op.hermitian_to_coords(lifted).swapaxes(1, 2)):
-            blocks[i] = block
-    active = [i for i, block in enumerate(blocks) if block is not None]
-    if not active:
-        return np.zeros((0, 0)), active
-    blocks = [blocks[i] for i in active]
-    _, s, vt = np.linalg.svd(np.hstack(blocks))
-    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
-    # The blocks are isometries, so the lifted kernel stays orthonormal.
-    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
-    coeffs = np.split(vt[rank:].T, offsets)
-    return np.vstack([b @ c for b, c in zip(blocks, coeffs)]), active
-
-
-def _canonical_kernel_basis(cols: np.ndarray, dim: int, count: int) -> np.ndarray:
+def _canonical_basis(cols, traces, weigh, lift, count: int) -> np.ndarray:
     """Deterministically rotate an orthonormal kernel basis.
 
-    ``cols`` holds one kernel vector per column, in the stacked Hermitian
-    coordinates of the active slots (``dim**2`` rows per slot).  The SVD
-    returns an arbitrary orthonormal basis of the kernel; to make
-    decompositions reproducible and balanced we order it by increasing
-    value of the quadratic form ``sum_i Tr[Q_i]^2`` (so trace-balanced
-    directions come first), break ties with a fixed coordinate-weight
-    form, and fix each sign by the first significant coordinate.
+    ``cols`` holds one kernel vector per column and ``traces`` its
+    ``Tr[Q_i]`` per slot (one row each).  The SVD returns an arbitrary
+    orthonormal basis of the kernel; to make decompositions reproducible
+    and balanced we order it by increasing value of the quadratic form
+    ``sum_i Tr[Q_i]^2`` (so trace-balanced directions come first), break
+    ties with the fixed form that weighs the j-th of the ``m`` lifted
+    coordinates (``d**2`` per active slot, 1-based) by ``j / m``
+    (``weigh(block)`` applies it to columns of ``cols``), and fix each
+    sign so that the first lifted coordinate above 1e-8 in magnitude
+    (``lift(columns)``, ``m`` rows) is positive.
 
     Only the leading ``count`` columns are returned.  Every tie cluster
     they touch is refined whole, so they equal the leading columns of
     the full basis.
     """
-    m, k = cols.shape
-    traces = cols.reshape(m // (dim * dim), dim * dim, k)[:, :dim].sum(axis=1)
+    k = cols.shape[1]
     vals, rot = np.linalg.eigh(traces.T @ traces)
-    # the full product even for count < k: BLAS sums a narrower one in
-    # another order, which moves the last bits of the walk's terms
-    basis = cols @ rot
-
-    # refine numerically degenerate clusters with a fixed secondary form
-    weights = np.arange(1, m + 1) / m
+    # the numerically degenerate clusters that the leading columns touch
     scale = 1.0 + abs(float(vals[-1]))
-    i = 0
-    while i < count:
-        j = i + 1
+    bounds = [0]
+    while bounds[-1] < count:
+        i = j = bounds[-1]
         while j < k and abs(vals[j] - vals[i]) <= 1e-9 * scale:
             j += 1
+        bounds.append(j)
+    basis = cols @ rot[:, : bounds[-1]]
+
+    # refine them with a fixed secondary form
+    for i, j in zip(bounds, bounds[1:]):
         if j - i > 1:
             block = basis[:, i:j]
-            sec = block.T @ (weights[:, None] * block)
+            sec = block.T @ weigh(block)
             _, rot2 = np.linalg.eigh(0.5 * (sec + sec.T))
             basis[:, i:j] = block @ rot2
-        i = j
 
     basis = basis[:, :count]
-    big = np.abs(basis) > 1e-8
+    lifted = lift(basis)
+    big = np.abs(lifted) > 1e-8
     lead = big.argmax(axis=0)  # first significant row, 0 if there is none
     c = np.arange(count)
-    basis[:, big[lead, c] & (basis[lead, c] < 0)] *= -1.0
+    basis[:, big[lead, c] & (lifted[lead, c] < 0)] *= -1.0
     return basis
 
 
-def _directions(face: _Face, gap: float, count: int | None = None) -> np.ndarray:
-    """The leading ``count`` (default: all) canonical kernel directions at
-    ``face``, as components ``(count, n, d, d)``; none iff it is extremal."""
-    n, d = face.elements.shape[:2]
-    cols, active = _kernel(face, gap)
-    k = cols.shape[1] if count is None else min(count, cols.shape[1])
-    if not k:
-        return np.zeros((0, n, d, d), dtype=complex)
-    cols = _canonical_kernel_basis(cols, d, k)
-    coords = np.zeros((k, n, d * d))
-    coords[:, active] = cols.T.reshape(k, len(active), d * d)
-    return op.coords_to_hermitian(coords, d)
+def _direction(face: _Face) -> np.ndarray:
+    """The first canonical kernel direction at ``face`` (coordinates as in
+    ``face.cols``): the forms of :func:`_canonical_basis`, evaluated on
+    the k kernel coefficients through the per-slot traces, ``sec`` and
+    ``lift``."""
+    n, size = face.core.shape[:2]
+    d2 = face.lift.shape[1]
+    stack = face.cols.reshape(n, size * size, -1)
+    active = face.rank > 0
+    m = int(np.count_nonzero(active)) * d2
+    # lifted coordinate j of the a-th active slot weighs (a d**2 + j + 1) / m
+    scale = ((np.cumsum(active) - 1) * d2 + 1.0)[:, None, None] / m
+
+    def weigh(block):
+        b = block.reshape(n, size * size, -1)
+        return (scale * b + face.sec @ b / m).reshape(block.shape)
+
+    def lift(block):
+        b = block.reshape(n, size * size, -1)[active]
+        return (face.lift[active] @ b).reshape(m, -1)
+
+    return _canonical_basis(face.cols, stack[:, :size].sum(axis=1), weigh, lift, 1)[:, 0]
 
 
-def _steps(face: _Face, q: np.ndarray) -> tuple[float, float]:
-    """``(t_plus, t_minus)`` for components ``q`` ``(n, d, d)`` at ``face``;
-    see :func:`max_step`."""
+def _scaled(vecs, vals, q):
+    """``(W^† q W, W)`` per slot, with ``W = vecs diag(vals)^{-1/2}``; the
+    product exactly symmetrized."""
+    w = vecs / np.sqrt(vals)[:, None, :]
+    scaled = w.conj().swapaxes(1, 2) @ q @ w
+    return 0.5 * (scaled + scaled.conj().swapaxes(1, 2)), w
+
+
+def _steps(groups, q: np.ndarray) -> tuple[float, float]:
+    """``(t_plus, t_minus)`` for components ``q`` ``(n, d, d)`` on the
+    supports ``groups`` (:func:`_rank_groups`); see :func:`max_step`."""
     if op.frobenius(q) < 1e-12:
         raise DegeneratePerturbation("perturbation has zero norm")
     moving = np.linalg.norm(q, axis=(1, 2)) > 1e-14
     t_plus = t_minus = np.inf
-    for _, slots, vecs, vals in face.groups:
+    for _, slots, vecs, vals in groups:
         keep = moving[slots]
         if not keep.any():
             continue
-        w = vecs[keep] / np.sqrt(vals[keep])[:, None, :]
-        scaled = w.conj().swapaxes(1, 2) @ q[slots[keep]] @ w
-        herm = op.check_hermitian(
-            0.5 * (scaled + scaled.conj().swapaxes(1, 2)), stack=True
-        )
-        alpha, _ = np.linalg.eigh(herm)  # eigenvalues ascend
+        scaled, _ = _scaled(vecs[keep], vals[keep], q[slots[keep]])
+        alpha, _ = np.linalg.eigh(op.check_hermitian(scaled, stack=True))
         lo, hi = alpha[:, 0], alpha[:, -1]
         if np.any(lo < 0):
             t_plus = min(t_plus, float(np.min(1.0 / -lo[lo < 0])))
@@ -235,6 +341,110 @@ def _steps(face: _Face, q: np.ndarray) -> tuple[float, float]:
             "step unbounded in one direction; not a POVM perturbation"
         )
     return float(t_plus), float(t_minus)
+
+
+def _trailing(u: np.ndarray) -> np.ndarray:
+    """A unitary ``(r, r)`` whose last ``c`` columns span the columns of
+    ``u`` ``(r, c)``: one complex Householder reflection per column."""
+    r, c = u.shape
+    u = u[::-1].copy()
+    basis = np.eye(r, dtype=complex)
+    for j in range(c):
+        v = u[j:, j].copy()
+        norm = math.sqrt(np.vdot(v, v).real)
+        v[0] += norm * v[0] / abs(v[0]) if v[0] else norm
+        v *= math.sqrt(2.0 / np.vdot(v, v).real)
+        u[j:, j:] -= v[:, None] * (v.conj() @ u[j:, j:])
+        basis[:, j:] -= (basis[:, j:] @ v)[:, None] * v.conj()
+    return basis[::-1, ::-1]
+
+
+def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
+    """Push ``face`` along the kernel direction ``q`` (coordinates as in
+    ``face.cols``, unit norm) to the PSD boundary: ``(t_plus, next face)``.
+
+    Per slot, ``1 + t alpha`` over the eigenvalues ``alpha`` of
+    ``B^{-1/2} H B^{-1/2}`` is the share of each eigendirection of the
+    core left after a step t; for rank-one slots it is the ratio test
+    ``1 + t q_i / b_i``.  The step is the least t that zeroes a share,
+    and that slot loses that direction exactly; any other share at or
+    below ``gap`` is a tie and goes with it.  A slot that keeps part of
+    its support is rotated so that the kept directions lead.  The kernel
+    is downdated to its part that vanishes on the removed coordinates:
+    the nullspace of one small matrix.  A share or a singular value of
+    that matrix inside the band ``(gap/16, 16 gap)``, or a core that
+    rounding has left without a positive spectrum, rebuilds the point
+    with :meth:`_Face.build` and its band test instead.
+    """
+    lo_band, hi_band = gap / op.GAP_BAND, gap * op.GAP_BAND
+    n, size = face.core.shape[:2]
+    h = q.reshape(n, size * size)
+    if size == 1:
+        herm = h[:, :, None]
+        alpha = h / face.core[:, :, 0].real
+    else:
+        lam, vec = np.linalg.eigh(face.core)
+        if (lam[:, 0] <= 0).any():
+            mats = face.matrices(q)
+            face = _Face.build(face.elements(), gap, check_band=True)
+            return _advance(face, face.coords(mats), gap)
+        herm = op.coords_to_hermitian(h, size)
+        scaled, w = _scaled(vec, lam, herm)
+        alpha, y = np.linalg.eigh(scaled)
+    alpha[np.einsum("ij,ij->i", h, h) <= 1e-28] = 0.0
+    hit = int(np.argmin(alpha[:, 0]))
+    if not alpha[hit, 0] < 0:
+        raise DegeneratePerturbation(
+            "step unbounded in one direction; not a POVM perturbation"
+        )
+    t = -1.0 / float(alpha[hit, 0])
+    share = 1.0 + t * alpha
+    share[hit, 0] = 0.0
+    ambiguous = bool(((share > lo_band) & (share < hi_band)).any())
+    drops = (share <= gap).sum(axis=1)  # shares ascend
+
+    rank, vecs, core = face.rank.copy(), face.vecs, face.core + t * herm
+    lift, sec = face.lift, face.sec
+    cols = face.cols.reshape(n, size * size, -1).copy()
+    constraints, removed = [], []
+    for i in np.flatnonzero(drops).tolist():
+        r, lost = int(rank[i]), int(drops[i])
+        keep = rank[i] = r - lost
+        if not keep:
+            constraints.append(cols[i])
+            removed.append((i, slice(None)))
+            core[i] = np.eye(size)
+            continue
+        # rotate the r x r block so that its kept directions lead; `turn`
+        # maps Hermitian coordinates through X -> rot^† X rot
+        rot = np.eye(size, dtype=complex)
+        rot[:r, :r] = _trailing((w[i] @ y[i][:, :lost])[:r])
+        turn = op.hermitian_to_coords(rot.conj().T @ op.hermitian_basis(size) @ rot).T
+        mask = _touching(keep, r, size)
+        cols[i] = turn @ cols[i]
+        constraints.append(cols[i][mask])
+        removed.append((i, mask))
+        sub = (rot.conj().T @ core[i] @ rot)[:keep, :keep]
+        core[i] = np.eye(size)
+        core[i][:keep, :keep] = 0.5 * (sub + sub.conj().T)
+        if lift is face.lift:
+            vecs, lift, sec = vecs.copy(), lift.copy(), sec.copy()
+        vecs[i] = vecs[i] @ rot
+        vecs[i][:, keep:] = 0.0
+        lift[i] = lift[i] @ turn.T
+        lift[i][:, mask] = 0.0
+        sec[i] = turn @ sec[i] @ turn.T
+        sec[i][mask] = sec[i][:, mask] = 0.0
+
+    _, s, vt = np.linalg.svd(np.vstack(constraints))
+    if ambiguous or ((s > lo_band) & (s < hi_band)).any():
+        nxt = _Face(rank, vecs, core, cols, lift, sec)
+        return t, _Face.build(nxt.elements(), gap, check_band=True)
+    cols = cols.reshape(n * size * size, -1) @ vt[np.count_nonzero(s > gap) :].T
+    stack = cols.reshape(n, size * size, -1)
+    for i, rows in removed:
+        stack[i, rows] = 0.0
+    return t, _Face(rank, vecs, core, cols, lift, sec)
 
 
 def perturbation_space(
@@ -248,7 +458,7 @@ def perturbation_space(
     no on-support perturbation and are skipped.  Each member's
     ``components`` is an ``(n, d, d)`` view into one ``(k, n, d, d)``
     array for the k kernel directions, in canonical order
-    (:func:`_canonical_kernel_basis`).
+    (:func:`_canonical_basis`).
 
     The supports of all n elements come from one stacked
     :func:`operators.support` call, with the ``gap`` threshold and (with
@@ -258,8 +468,20 @@ def perturbation_space(
     Raises ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)
-    face = _Face(np.array(p.elements), gap, check_band)
-    return [Perturbation(components=q) for q in _directions(face, gap)]
+    groups, blocks, coeffs = _input_kernel(np.array(p.elements), gap, check_band)
+    n, d, k = len(p), p.dim, coeffs.shape[1]
+    if not k:
+        return []
+    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    cols = np.vstack([b @ c for b, c in zip(blocks, np.split(coeffs, offsets))])
+    m = cols.shape[0]
+    traces = cols.reshape(m // (d * d), d * d, k)[:, :d].sum(axis=1)
+    weights = np.arange(1, m + 1) / m
+    cols = _canonical_basis(cols, traces, lambda b: weights[:, None] * b, lambda b: b, k)
+    active = np.sort(np.concatenate([slots for _, slots, _, _ in groups]))
+    coords = np.zeros((k, n, d * d))
+    coords[:, active] = cols.T.reshape(k, len(active), d * d)
+    return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
 
 
 def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
@@ -271,8 +493,7 @@ def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     """
     _check_gap(gap)
     check_povm(p)
-    cols, _ = _kernel(_Face(np.array(p.elements), gap, check_band=False), gap)
-    return cols.shape[1]
+    return _input_kernel(np.array(p.elements), gap, check_band=False)[2].shape[1]
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -301,7 +522,8 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     outside ``(0, 1)`` raises ``ValueError``.
     """
     _check_gap(gap)
-    return _steps(_Face(np.array(p.elements), gap, check_band=False), q.components)
+    supports = op.support(np.array(p.elements), threshold=gap)
+    return _steps(_rank_groups(supports), q.components)
 
 
 @dataclass(frozen=True)
@@ -324,18 +546,15 @@ class DecompositionResult:
         return np.array([w for w, _ in self.terms])
 
     def reconstruct(self) -> list[np.ndarray]:
-        """Element-wise weighted sum of the terms."""
-        first = self.terms[0][1]
-        out = [np.zeros_like(el) for el in first.elements]
+        """Element-wise weighted sum of the terms, accumulated in term order."""
+        out = np.zeros_like(np.array(self.terms[0][1].elements))
         for w, povm in self.terms:
-            for k, el in enumerate(povm.elements):
-                out[k] = out[k] + w * el
-        return out
+            out = out + w * np.array(povm.elements)
+        return list(out)
 
     def reconstruction_error(self, p: FinitePOVM) -> float:
-        return max(
-            op.frobenius(a - b) for a, b in zip(self.reconstruct(), p.elements)
-        )
+        diff = np.array(self.reconstruct()) - np.array(p.elements)
+        return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
 
 
 def decompose_extremal(
@@ -353,10 +572,14 @@ def decompose_extremal(
     ``r``.  Each step strictly shrinks the face, so there are at most
     (face dimension of ``p``) + 1 terms, pairwise distinct.
 
-    Each visited point is one :class:`_Face`, with the band test: its
-    kernel direction and its step come from the same supports, and the
-    away step reuses ``x``'s face.  The walk moves stacked arrays; a
-    :class:`FinitePOVM` is built only for each returned term.
+    Only the input face takes a stacked support eigendecomposition and a
+    kernel SVD (:meth:`_Face.build`).  Every later point keeps its
+    support bases and moves the positive definite cores ``B_i``
+    (:func:`_advance`): each step drops the direction that hits the
+    boundary exactly and downdates the kernel, and the away step reuses
+    ``x``'s kernel.  A slot removed this way is exactly zero in every
+    later point and term.  The walk moves arrays; a :class:`FinitePOVM`
+    is built only for each returned term.
 
     Raises
     ------
@@ -368,33 +591,34 @@ def decompose_extremal(
         If more than ``max_terms`` terms are needed; the terms found so
         far and the remaining face are attached for diagnostics.
     NumericalRankAmbiguity
-        If a support decision falls inside the singular-value gap band.
+        If a support decision falls inside the singular-value gap band:
+        on the input face, or on a point the walk rebuilds from scratch
+        because a step's own rank decision fell inside the band.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     _check_gap(gap)
     check_povm(p)
     terms = []
-    x, rest = _Face(np.array(p.elements), gap, check_band=True), 1.0
+    x, rest = _Face.build(np.array(p.elements), gap, check_band=True), 1.0
     while True:
+        x_elements = x.elements()
         if len(terms) >= max_terms:
             raise TermBudgetExceeded(
                 f"decomposition exceeded {max_terms} terms",
                 partial_terms=[(w, e, True) for w, e in terms]
-                + [(rest, p.replace_elements(x.elements), False)],
+                + [(rest, p.replace_elements(x_elements), False)],
             )
-        e = x
-        while len(q := _directions(e, gap, count=1)):
-            t = _steps(e, q[0])[0]
-            e = _Face(e.elements + t * q[0], gap, check_band=True)
-        if e is x:
-            terms.append((rest, p.replace_elements(x.elements)))
+        if not x.cols.shape[1]:
+            terms.append((rest, p.replace_elements(x_elements)))
             break
-        diff = x.elements - e.elements
-        dist = float(np.sqrt(sum(op.frobenius(c) ** 2 for c in diff)))
-        away = diff / dist
-        t = _steps(x, away)[0]
-        terms.append((rest * t / (t + dist), p.replace_elements(e.elements)))
-        x = _Face(x.elements + t * away, gap, check_band=True)
+        e = x
+        while e.cols.shape[1]:
+            e = _advance(e, _direction(e), gap)[1]
+        e_elements = e.elements()
+        diff = x_elements - e_elements
+        dist = op.frobenius(diff)
+        t, x = _advance(x, x.coords(diff) / dist, gap)
+        terms.append((rest * t / (t + dist), p.replace_elements(e_elements)))
         rest = rest * dist / (t + dist)
     return DecompositionResult(terms=tuple(terms), depth=len(terms) - 1)

@@ -6,8 +6,9 @@ Each digest is the sha256 of a two-stage record stream, as
 records and a state.  A change to a scheme's mixing law, members, Born
 probabilities or outcome points, or to a family's dual, that moves any
 byte of these fails here; such a change must be deliberate, and the new
-digests recorded with it.  One more digest pins the raw float bytes of
-extremal decompositions and perturbation bases of seeded random POVMs.
+digests recorded with it.  Two more digests pin the raw float bytes of
+the perturbation bases and of the extremal decompositions of seeded
+random POVMs.
 """
 
 import hashlib
@@ -56,8 +57,11 @@ DECOMPOSED = (
     (3, 4, 2), (3, 5, 2), (4, 18, 1),
 )
 VERDICT = (5, 10, None)
+PERTURBATIONS = (
+    "be5ab58cd463e5b5258daad37d03f70abc83d5651a5e923d205fdc45b5506be3"
+)
 DECOMPOSITION = (
-    "f497f6793a75cd2289d4866c090ca05d496971183ee171a2caa0e3cba3ae0bfc"
+    "ce9ad5d27a5aa449af7cebb7bd15a09a94369d08e43265ca316803c56907b71d"
 )
 
 
@@ -98,19 +102,40 @@ def test_tomo_family_output(name, seed, tmp_path, capsys):
     assert sha256(capsys.readouterr().out) == TOMO[name]
 
 
-def test_decomposition_bytes():
+def digest_inputs(shapes):
+    for k, (d, n, rank) in enumerate(shapes):
+        yield pk.random_povm(np.random.default_rng([2013, k]), d, n, rank)
+
+
+def sha256_of(arrays) -> str:
     h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
-    def feed(*arrays):
-        for a in arrays:
-            h.update(np.ascontiguousarray(a).tobytes())
 
-    for k, (d, n, rank) in enumerate(DECOMPOSED + (VERDICT,)):
-        p = pk.random_povm(np.random.default_rng([2013, k]), d, n, rank)
-        for q in pk.perturbation_space(p):
-            feed(np.asarray(q.components))
-        if (d, n, rank) == VERDICT:
-            continue
+def test_perturbation_space_bytes():
+    bases = [q.components for p in digest_inputs(DECOMPOSED + (VERDICT,))
+             for q in pk.perturbation_space(p)]
+    assert sha256_of(bases) == PERTURBATIONS
+
+
+def test_decomposition_bytes():
+    arrays = []
+    for p in digest_inputs(DECOMPOSED):
         result = pk.decompose_extremal(p)
-        feed(result.weights, *[el for _, term in result.terms for el in term.elements])
-    assert h.hexdigest() == DECOMPOSITION
+        arrays += [result.weights] + [el for _, term in result.terms for el in term.elements]
+    assert sha256_of(arrays) == DECOMPOSITION
+
+
+def test_reconstruct_sums_in_term_order():
+    # the per-element loop that DecompositionResult.reconstruct replaced
+    for p in digest_inputs(DECOMPOSED):
+        result = pk.decompose_extremal(p)
+        out = [np.zeros_like(el) for el in result.terms[0][1].elements]
+        for w, term in result.terms:
+            for k, el in enumerate(term.elements):
+                out[k] = out[k] + w * el
+        assert np.array(result.reconstruct()).tobytes() == np.array(out).tobytes()
+        error = max(np.linalg.norm(a - b) for a, b in zip(out, p.elements))
+        assert result.reconstruction_error(p) == pytest.approx(error, rel=1e-12, abs=1e-300)
