@@ -64,8 +64,7 @@ _EXPORTS = {
         "stern_gerlach_scheme",
         "verify_scheme_equivalence",
     ),
-    "merit": ("BayesGainSpec", "MeritReport", "bayes_gain", "check_equal_optimality",
-              "merit_of_mixture"),
+    "merit": ("BayesGainSpec", "MeritReport", "bayes_gain", "check_equal_optimality"),
     "outcomes": ("CIRCLE", "SPHERE", "Cap", "Circle", "FiniteLabels", "OutcomeSpace", "Region",
                  "Sphere"),
     "povm": (

@@ -226,13 +226,8 @@ def _cmd_tomo(args) -> int:
     target = ser.matrix_from_json(ser.load_json(args.target).get("matrix"), "target")
     _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     if args.povm:
-        povm = ser.load_povm(args.povm)
-        dual = dual_coefficients(povm, target)
-        residual = float(
-            np.linalg.norm(
-                sum(c * el for c, el in zip(dual.coefficients, povm.elements)) - target
-            )
-        )
+        dual = dual_coefficients(ser.load_povm(args.povm), target)
+        residual = dual.residual
     else:
         c, _ = named_family(args.family)
         dual = c.dual(target)

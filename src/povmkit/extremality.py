@@ -79,7 +79,7 @@ class Perturbation:
         if op.frobenius(q.sum(axis=0)) > 1e-9:
             raise DegeneratePerturbation("components do not sum to zero")
         op.check_hermitian(q, name="perturbation component", stack=True)
-        pi = np.array([v @ v.conj().T for v, _ in op.support(np.array(p.elements))])
+        pi = np.array([v @ v.conj().T for v, _ in op.support(p.elements)])
         leak = np.linalg.norm(q - pi @ q @ pi, axis=(1, 2))
         bad = leak > tol * (1.0 + np.linalg.norm(q, axis=(1, 2)))
         if np.any(bad):
@@ -468,7 +468,7 @@ def perturbation_space(
     Raises ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)
-    groups, blocks, coeffs = _input_kernel(np.array(p.elements), gap, check_band)
+    groups, blocks, coeffs = _input_kernel(p.elements, gap, check_band)
     n, d, k = len(p), p.dim, coeffs.shape[1]
     if not k:
         return []
@@ -493,7 +493,7 @@ def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     """
     _check_gap(gap)
     check_povm(p)
-    return _input_kernel(np.array(p.elements), gap, check_band=False)[2].shape[1]
+    return _input_kernel(p.elements, gap, check_band=False)[2].shape[1]
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -522,7 +522,7 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     outside ``(0, 1)`` raises ``ValueError``.
     """
     _check_gap(gap)
-    supports = op.support(np.array(p.elements), threshold=gap)
+    supports = op.support(p.elements, threshold=gap)
     return _steps(_rank_groups(supports), q.components)
 
 
@@ -545,15 +545,16 @@ class DecompositionResult:
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.terms])
 
-    def reconstruct(self) -> list[np.ndarray]:
-        """Element-wise weighted sum of the terms, accumulated in term order."""
-        out = np.zeros_like(np.array(self.terms[0][1].elements))
+    def reconstruct(self) -> np.ndarray:
+        """Weighted sum ``(n, d, d)`` of the terms' element stacks,
+        accumulated in term order."""
+        out = np.zeros_like(self.terms[0][1].elements)
         for w, povm in self.terms:
-            out = out + w * np.array(povm.elements)
-        return list(out)
+            out = out + w * povm.elements
+        return out
 
     def reconstruction_error(self, p: FinitePOVM) -> float:
-        diff = np.array(self.reconstruct()) - np.array(p.elements)
+        diff = self.reconstruct() - p.elements
         return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
 
 
@@ -600,7 +601,7 @@ def decompose_extremal(
     _check_gap(gap)
     check_povm(p)
     terms = []
-    x, rest = _Face.build(np.array(p.elements), gap, check_band=True), 1.0
+    x, rest = _Face.build(p.elements, gap, check_band=True), 1.0
     while True:
         x_elements = x.elements()
         if len(terms) >= max_terms:

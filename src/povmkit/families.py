@@ -620,9 +620,10 @@ class FiniteMixtureScheme(RandomizedScheme):
         self.outcome_space = first.space
         self.dim = first.dim
         self.family = "finite_mixture"
-        width = max(len(povm) for _, povm in terms)
+        # pad each member's points with its first point
+        slots = np.arange(max(len(povm) for _, povm in terms))
         self._points = np.array(
-            [povm.points + povm.points[:1] * (width - len(povm)) for _, povm in terms]
+            [povm.points[np.where(slots < len(povm), slots, 0)] for _, povm in terms]
         )
 
     def member(self, x) -> FinitePOVM:

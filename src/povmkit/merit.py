@@ -119,7 +119,7 @@ def _gain_kernel(spec: BayesGainSpec, dim: int, budget: int):
         if isinstance(povm, ContinuousPOVM):
             points, elements = povm.outcome_nodes()
         else:
-            points, elements = np.array(povm.points), np.array(povm.elements)
+            points, elements = povm.points, povm.elements
         gamma = np.zeros((len(points), 2 * d * d))
         for k in range(0, len(w), _PRIOR_CHUNK):
             part = slice(k, k + _PRIOR_CHUNK)
@@ -182,15 +182,3 @@ def _x_label(x):
         return float(arr)
     return [round(float(v), 12) for v in arr]
 
-
-def merit_of_mixture(terms, spec: BayesGainSpec, budget: int = DEFAULT_PRIOR_BUDGET) -> MeritReport:
-    """Weighted figure of a convex decomposition; affine, so it equals
-    the figure of the reconstructed POVM."""
-    pairs = terms.terms if hasattr(terms, "terms") else terms
-    per = []
-    value = 0.0
-    for k, (w, povm) in enumerate(pairs):
-        v = bayes_gain(povm, spec, budget=budget)
-        per.append((k, v))
-        value += w * v
-    return MeritReport(value=float(value), per_member=tuple(per))

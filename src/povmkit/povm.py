@@ -1,42 +1,50 @@
 """Finite POVMs: data model, axioms, Born probabilities.
 
-A finite POVM is an ordered list of (outcome point, element) pairs over
-an outcome space, with PSD elements summing to the identity.
+A finite POVM is n outcome points over an outcome space and, aligned with
+them, one read-only complex ``(n, d, d)`` stack of PSD elements summing to
+the identity.  The POVM owns both arrays; every consumer works on the
+whole stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as op
-from .errors import DimensionMismatch, InvalidPOVM
+from .errors import DimensionMismatch, InvalidDimension, InvalidPOVM
 from .outcomes import (
     Circle,
     FiniteLabels,
     OutcomeSpace,
     Region,
+    Sphere,
     normalize_angle,
     require_same_space,
     unit_vector,
 )
 
 
-def _coerce_point(space: OutcomeSpace, point):
+def _coerce_points(space: OutcomeSpace, points) -> np.ndarray:
+    """The points as one read-only array: labels in ``0..n-1``, angles
+    mapped into ``[0, 2 pi)``, or unit 3-vectors, one row each."""
     if isinstance(space, FiniteLabels):
-        p = int(point)
-        if not 0 <= p < space.n:
-            raise ValueError(f"label {p} outside 0..{space.n - 1}")
-        return p
-    if isinstance(space, Circle):
-        return float(normalize_angle(float(point)))
-    v = unit_vector(point)
-    v.setflags(write=False)
-    return v
+        pts = np.asarray(points).astype(int)
+        bad = (pts < 0) | (pts >= space.n)
+        if bad.any():
+            raise ValueError(f"label {pts[bad][0]} outside 0..{space.n - 1}")
+    elif isinstance(space, Circle):
+        pts = normalize_angle(np.asarray(points, dtype=float))
+    else:
+        pts = unit_vector(points)
+    if pts.ndim != 1 + isinstance(space, Sphere) or len(pts) != len(points):
+        raise ValueError(f"expected one {space} point per entry, got shape {pts.shape}")
+    pts.setflags(write=False)
+    return pts
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FinitePOVM:
     """Ordered finite POVM over an outcome space.
 
@@ -47,60 +55,67 @@ class FinitePOVM:
     space : OutcomeSpace
         Where the outcome points live.
     entries : sequence of (point, element)
-        Element matrices are coerced to complex ndarrays; points are
-        validated against the space.
+        Copied into ``points`` and ``elements``.
     allow_duplicates : bool
         Permit repeated outcome points (distinct apparatus outcomes
         mapped to the same point).
+
+    ``elements`` is one owned, read-only complex ``(n, d, d)`` stack,
+    checked once for finiteness, square shape and ``dim``; ``points`` is
+    one read-only array of the coerced points: ``(n,)`` labels or angles,
+    or ``(n, 3)`` unit vectors.
     """
 
     dim: int
     space: OutcomeSpace
-    entries: tuple = field(default=())
-    allow_duplicates: bool = False
+    points: np.ndarray
+    elements: np.ndarray
+    allow_duplicates: bool
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, dim: int, space: OutcomeSpace, entries=(), allow_duplicates: bool = False):
+        if not len(entries):
             raise ValueError("a POVM needs at least one entry")
-        coerced = []
-        for point, element in self.entries:
-            m = op.as_operator(element, dim=self.dim)
-            m.setflags(write=False)
-            coerced.append((_coerce_point(self.space, point), m))
-        object.__setattr__(self, "entries", tuple(coerced))
+        points, elements = zip(*entries)
+        self._store(dim, space, _coerce_points(space, points), elements, allow_duplicates)
+
+    def _store(self, dim, space, points, elements, allow_duplicates):
+        try:
+            stack = np.array(elements, dtype=complex)
+        except ValueError as exc:
+            raise InvalidDimension(f"elements are not matrices of one shape: {exc}") from exc
+        stack = op.as_operator(stack, dim=dim, stack=True)
+        if len(stack) != len(points):
+            raise ValueError(f"{len(stack)} elements for {len(points)} points")
+        stack.setflags(write=False)
+        for name, value in zip(
+            ("dim", "space", "points", "elements", "allow_duplicates"),
+            (dim, space, points, stack, allow_duplicates),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.elements)
 
     @property
-    def points(self) -> list:
-        return [pt for pt, _ in self.entries]
-
-    @property
-    def elements(self) -> list[np.ndarray]:
-        return [el for _, el in self.entries]
+    def entries(self) -> tuple:
+        """``(point, element)`` pairs: views into ``points`` and ``elements``."""
+        return tuple(zip(self.points, self.elements))
 
     def element_sum(self) -> np.ndarray:
-        return np.sum(self.elements, axis=0)
+        return self.elements.sum(axis=0)
 
     def traces(self) -> np.ndarray:
-        return np.array([float(np.trace(el).real) for el in self.elements])
+        return np.trace(self.elements, axis1=1, axis2=2).real
 
     def nonzero_indices(self, threshold: float = op.GAP_THRESHOLD) -> list[int]:
         """Indices of entries whose element is numerically nonzero."""
-        return [
-            i
-            for i, el in enumerate(self.elements)
-            if op.frobenius(el) > threshold
-        ]
+        return np.flatnonzero(op.frobenius(self.elements, stack=True) > threshold).tolist()
 
     def replace_elements(self, elements) -> "FinitePOVM":
-        return FinitePOVM(
-            dim=self.dim,
-            space=self.space,
-            entries=tuple(zip(self.points, elements)),
-            allow_duplicates=self.allow_duplicates,
-        )
+        """The POVM with these elements (copied) at the same points."""
+        new = object.__new__(FinitePOVM)
+        new._store(self.dim, self.space, self.points, elements, self.allow_duplicates)
+        return new
 
 
 @dataclass(frozen=True)
@@ -150,30 +165,33 @@ def validate_povm(
     tol_psd: float = op.TOL_PSD,
     tol_complete: float = op.TOL_COMPLETE,
 ) -> ValidationReport:
-    """Check the POVM axioms entry by entry.
+    """Check the POVM axioms on the element stack, every call afresh.
 
     PSD margins are minimum eigenvalues scaled by ``1 + ||element||_F``;
-    completeness defect is ``||sum(elements) - I||_F``.
+    completeness defect is ``||sum(elements) - I||_F``.  One stacked
+    ``eigh``; the per-element norms are bit for bit those of each alone.
     """
-    dims = {el.shape[0] for el in p.elements}
-    if dims != {p.dim}:
-        raise DimensionMismatch(f"element dimensions {dims} != POVM dim {p.dim}")
-    herm = tuple(op.frobenius(el - el.conj().T) / (1.0 + op.frobenius(el)) for el in p.elements)
-    els = np.array(p.elements)
-    syms = 0.5 * (els + els.conj().transpose(0, 2, 1))
+    els = p.elements
+    if els.shape[1:] != (p.dim, p.dim):
+        raise DimensionMismatch(f"element dimensions {{{els.shape[1]}}} != POVM dim {p.dim}")
+    adj = els.conj().swapaxes(1, 2)
+    syms = 0.5 * (els + adj)
+    norm, skew, sym = op.frobenius(np.concatenate([els, els - adj, syms]), stack=True).reshape(3, -1)
+    herm = skew / (1.0 + norm)
     lowest = np.linalg.eigh(syms)[0][:, 0]  # eigenvalues ascend
-    margins = tuple(float(w) / (1.0 + op.frobenius(sym)) for w, sym in zip(lowest, syms))
+    margins = lowest / (1.0 + sym)
     defect = op.frobenius(p.element_sum() - np.eye(p.dim))
     dupes = ()
     if not p.allow_duplicates:
-        pts = np.array(p.points)
+        pts = p.points
         same = (pts[:, None] == pts[None]).reshape(len(pts), len(pts), -1).all(axis=2)
-        dupes = tuple(np.flatnonzero(np.triu(same, 1).any(axis=0)).tolist())
+        # entry j repeats an earlier point iff two of entries 0..j equal it
+        dupes = tuple(np.flatnonzero(same.cumsum(axis=0).diagonal() > 1).tolist())
     return ValidationReport(
         dim=p.dim,
         n_entries=len(p),
-        hermiticity_defects=herm,
-        psd_margins=margins,
+        hermiticity_defects=tuple(herm.tolist()),
+        psd_margins=tuple(margins.tolist()),
         completeness_defect=float(defect),
         duplicate_points=dupes,
         tol_psd=tol_psd,
@@ -195,7 +213,7 @@ def born_probabilities(p: FinitePOVM, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state dimension {rho.shape[0]} != POVM dimension {p.dim}"
         )
-    probs = np.array([float(np.trace(rho @ el).real) for el in p.elements])
+    probs = np.trace(rho @ p.elements, axis1=1, axis2=2).real
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -203,4 +221,4 @@ def probability_of_region(p: FinitePOVM, rho: np.ndarray, r: Region) -> float:
     """``sum_i chi_r(point_i) Tr[rho P_i]`` with exact membership tests."""
     require_same_space(p.space, r.space, "POVM and region")
     probs = born_probabilities(p, rho)
-    return float(np.sum(probs[r.contains(np.array(p.points))]))
+    return float(np.sum(probs[r.contains(p.points)]))

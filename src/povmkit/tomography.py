@@ -28,25 +28,29 @@ _MATCH_CHUNK = 1 << 16  # record-point pairs per matching step; bounds memory
 
 def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
     """True iff the elements span the d**2-dimensional Hermitian space."""
-    coords = op.hermitian_to_coords(np.array(p.elements)).T
+    return _spans(op.hermitian_to_coords(p.elements).T, gap)
+
+
+def _spans(coords: np.ndarray, gap: float) -> bool:
+    """True iff the columns of ``coords`` ``(d**2, n)`` span its rows."""
     s = np.linalg.svd(coords, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0
-    rank = int(np.count_nonzero(s > gap * scale))
-    return rank == p.dim**2
+    return int(np.count_nonzero(s > gap * scale)) == len(coords)
 
 
 @dataclass(frozen=True)
 class DualProcessing:
     """Outcome function reproducing a target operator under the POVM.
 
-    A finite dual holds per-entry ``coefficients`` and its POVM's outcome
-    ``points``; a continuous dual holds its ``family`` and an ``operator``
+    A finite dual holds per-entry ``coefficients``, its POVM's outcome
+    ``points`` and its ``residual`` ``||sum_i f(i) P_i - A||_F``; a continuous dual holds its ``family`` and an ``operator``
     Y, and evaluates ``Tr[Y M(omega)]`` (`ContinuousPOVM.expectation`).
     """
 
     target: np.ndarray
     coefficients: np.ndarray | None = field(default=None, compare=False)
     points: np.ndarray | None = field(default=None, compare=False)
+    residual: float | None = field(default=None, compare=False)
     family: ContinuousPOVM | None = field(default=None, compare=False)
     operator: np.ndarray | None = field(default=None, compare=False)
 
@@ -121,19 +125,17 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
     a = op.check_hermitian(a, name="target")
     if a.shape[0] != p.dim:
         raise DimensionMismatch(f"target dimension {a.shape[0]} != POVM dimension {p.dim}")
-    if not is_informationally_complete(p, gap=gap):
+    mat = op.hermitian_to_coords(p.elements).T
+    if not _spans(mat, gap):
         raise NotInformationallyComplete(
             "POVM elements do not span the operator space"
         )
-    mat = op.hermitian_to_coords(np.array(p.elements)).T
-    rhs = op.hermitian_to_coords(a)
-    coeff, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    residual = op.frobenius(
-        sum(c * el for c, el in zip(coeff, p.elements)) - a
-    )
+    coeff, *_ = np.linalg.lstsq(mat, op.hermitian_to_coords(a), rcond=None)
+    # summed in entry order, as sum(c * el for ...) would
+    residual = op.frobenius(np.cumsum(coeff[:, None, None] * p.elements, axis=0)[-1] - a)
     if residual > 1e-8 * (1.0 + op.frobenius(a)):
         raise NotInformationallyComplete(f"dual residual {residual:.3e} too large")
-    return DualProcessing(target=a, coefficients=coeff, points=np.array(p.points))
+    return DualProcessing(target=a, coefficients=coeff, points=p.points, residual=residual)
 
 
 def spin_dual(a: np.ndarray) -> DualProcessing:

@@ -23,7 +23,7 @@ def squeeze_first_element(p, eps):
     largest, then restore completeness by the symmetric normalization."""
     w, v = np.linalg.eigh(p.elements[0])
     w[0] = eps * w[-1]
-    raw = [v @ np.diag(w) @ v.conj().T] + p.elements[1:]
+    raw = [v @ np.diag(w) @ v.conj().T, *p.elements[1:]]
     sw, sv = np.linalg.eigh(np.sum(raw, axis=0))
     inv_sqrt = sv @ np.diag(sw**-0.5) @ sv.conj().T
     return p.replace_elements([inv_sqrt @ a @ inv_sqrt for a in raw])
@@ -427,14 +427,15 @@ class TestFaceWalk:
                 assert len(nz) + len(zero) == len(p)
 
     def test_one_finite_povm_per_term(self, monkeypatch):
+        # every FinitePOVM, from entries or by replace_elements, is stored once
         built = []
-        post_init = pk.FinitePOVM.__post_init__
+        store = pk.FinitePOVM._store
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            post_init(self)
+            store(self, *args)
 
-        monkeypatch.setattr(pk.FinitePOVM, "__post_init__", counted)
+        monkeypatch.setattr(pk.FinitePOVM, "_store", counted)
         for p in list(self.inputs()) + [pk.sic_tetrahedron_povm()]:
             built.clear()
             res = pk.decompose_extremal(p)

@@ -330,7 +330,7 @@ class TestChi2Tail:
             assert _chi2_tail(1e-300, dof) == 1.0
 
 
-# the names ``import povmkit`` exported when it imported every module eagerly
+# the names ``import povmkit`` exports
 EXPORTS = [
     "BayesGainSpec", "CIRCLE", "Cap", "Circle", "CirclePhasePOVM", "ContinuousPOVM",
     "DecompositionResult", "DegeneratePerturbation", "DesignScheme", "DimensionMismatch",
@@ -343,7 +343,7 @@ EXPORTS = [
     "bayes_gain", "born_probabilities", "check_equal_optimality", "coin_flip_povm",
     "compare_samples", "decompose_extremal", "dual_coefficients", "estimate_expectation",
     "is_extremal", "is_informationally_complete", "kernel_dimension", "make_rng", "max_step",
-    "merit_of_mixture", "named_family", "perturbation_space", "phase_dual", "phase_povm",
+    "named_family", "perturbation_space", "phase_dual", "phase_povm",
     "phase_scheme", "probability_of_region", "projective_basis_povm", "random_density_matrix",
     "random_povm", "random_pure_state", "sample_direct", "sample_two_stage",
     "scheme_from_decomposition", "sic_tetrahedron_povm", "spin_direction_povm", "spin_dual",
