@@ -1,11 +1,9 @@
-"""Dense Hermitian linear algebra for small dimensions.
+"""Dense Hermitian linear algebra for d <= 16, where LAPACK is exact enough.
 
-Operators are plain complex ndarrays.  The Hermitian matrices of size d
-form a real vector space of dimension d**2; this module fixes an
-isometric real coordinate map on that space (diagonal entries first,
-then sqrt(2)-scaled real/imaginary parts of the upper triangle) so that
-rank and kernel questions reduce to real SVDs.  Everything here targets
-d <= 16, where dense LAPACK routines are effectively exact.
+Operators are complex ndarrays.  Isometric real coordinates on the d**2
+dimensional Hermitian space (diagonal first, then sqrt(2)-scaled real and
+imaginary parts of the upper triangle) turn rank and kernel questions
+into real SVDs.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ GAP_BAND = 16.0
 
 
 def frobenius(a: np.ndarray, stack: bool = False):
-    """Frobenius norm of a matrix; with ``stack``, the array of the norms
-    of the matrices of a stack ``(n, d, d)``, bit for bit those of each
-    alone (the same BLAS dot products, by one stacked ``matmul``)."""
+    """Frobenius norm of a matrix; with ``stack``, of each of a stack
+    ``(n, d, d)``: the same BLAS dot products, so the same bits."""
     if not stack:
         return float(np.linalg.norm(a))
     x = np.asarray(a, dtype=complex).reshape(len(a), 1, -1)
@@ -41,17 +38,8 @@ def frobenius(a: np.ndarray, stack: bool = False):
 
 
 def as_operator(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
-    """Coerce input to a square complex matrix, checking finiteness.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, or with ``stack`` a stack ``(n, d, d)`` of them.
-    dim : int, optional
-        If given, the required dimension.
-    stack : bool
-        Accept (only) a stack of matrices.
-    """
+    """Coerce ``a`` to a finite square complex matrix, of dimension ``dim``
+    if given; with ``stack``, to a stack ``(n, d, d)`` of them only."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
         what = "a stack of square matrices" if stack else "a square matrix"
@@ -127,11 +115,8 @@ def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
     ``(thr/16, 16*thr)`` raises :class:`NumericalRankAmbiguity`; rank
     decisions in the decomposition engine must not hinge on such values.
 
-    ``a`` is one ``(d, d)`` matrix or a stack ``(n, d, d)``; one matrix is
-    a stack of one.  The whole stack gets one finiteness and Hermiticity
-    check (:func:`check_hermitian` with ``stack``) and one
-    ``np.linalg.eigh``; the threshold and the band test are taken per
-    slot, against that slot's own ``λ_max``.
+    ``a`` is one ``(d, d)`` matrix or a stack ``(n, d, d)``, checked
+    and decomposed at once; each slot is held to its own ``λ_max``.
 
     Returns ``(vecs, vals)`` for one matrix, where ``vecs`` holds
     orthonormal support columns and ``vals`` the matching (descending)

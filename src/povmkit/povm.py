@@ -1,9 +1,7 @@
 """Finite POVMs: data model, axioms, Born probabilities.
 
-A finite POVM is n outcome points over an outcome space and, aligned with
-them, one read-only complex ``(n, d, d)`` stack of PSD elements summing to
-the identity.  The POVM owns both arrays; every consumer works on the
-whole stack.
+A finite POVM is n outcome points over an outcome space and one owned,
+read-only ``(n, d, d)`` stack of PSD elements summing to the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .errors import DimensionMismatch, InvalidDimension, InvalidPOVM
+from .errors import DimensionMismatch, InvalidPOVM
 from .outcomes import (
     Circle,
     FiniteLabels,
@@ -27,8 +25,7 @@ from .outcomes import (
 
 
 def _coerce_points(space: OutcomeSpace, points) -> np.ndarray:
-    """The points as one read-only array: labels in ``0..n-1``, angles
-    mapped into ``[0, 2 pi)``, or unit 3-vectors, one row each."""
+    """Labels in range, angles in [0, 2 pi) or unit 3-vectors, read-only."""
     if isinstance(space, FiniteLabels):
         pts = np.asarray(points).astype(int)
         bad = (pts < 0) | (pts >= space.n)
@@ -38,33 +35,19 @@ def _coerce_points(space: OutcomeSpace, points) -> np.ndarray:
         pts = normalize_angle(np.asarray(points, dtype=float))
     else:
         pts = unit_vector(points)
-    if pts.ndim != 1 + isinstance(space, Sphere) or len(pts) != len(points):
-        raise ValueError(f"expected one {space} point per entry, got shape {pts.shape}")
+    if pts.ndim != 1 + isinstance(space, Sphere):
+        raise ValueError(f"points of shape {pts.shape} on the {space}")
     pts.setflags(write=False)
     return pts
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class FinitePOVM:
-    """Ordered finite POVM over an outcome space.
-
-    Parameters
-    ----------
-    dim : int
-        Hilbert-space dimension.
-    space : OutcomeSpace
-        Where the outcome points live.
-    entries : sequence of (point, element)
-        Copied into ``points`` and ``elements``.
-    allow_duplicates : bool
-        Permit repeated outcome points (distinct apparatus outcomes
-        mapped to the same point).
-
-    ``elements`` is one owned, read-only complex ``(n, d, d)`` stack,
-    checked once for finiteness, square shape and ``dim``; ``points`` is
-    one read-only array of the coerced points: ``(n,)`` labels or angles,
-    or ``(n, 3)`` unit vectors.
-    """
+    """Ordered finite POVM over an outcome space, from ``(point, element)``
+    ``entries``.  It owns ``elements``, a read-only complex ``(n, d, d)``
+    stack checked once (finite, square, ``dim``), and read-only ``points``:
+    ``(n,)`` labels or angles, or ``(n, 3)`` unit vectors.
+    ``allow_duplicates`` permits repeated outcome points."""
 
     dim: int
     space: OutcomeSpace
@@ -73,32 +56,25 @@ class FinitePOVM:
     allow_duplicates: bool
 
     def __init__(self, dim: int, space: OutcomeSpace, entries=(), allow_duplicates: bool = False):
-        if not len(entries):
+        if not entries:
             raise ValueError("a POVM needs at least one entry")
         points, elements = zip(*entries)
         self._store(dim, space, _coerce_points(space, points), elements, allow_duplicates)
 
     def _store(self, dim, space, points, elements, allow_duplicates):
-        try:
-            stack = np.array(elements, dtype=complex)
-        except ValueError as exc:
-            raise InvalidDimension(f"elements are not matrices of one shape: {exc}") from exc
-        stack = op.as_operator(stack, dim=dim, stack=True)
+        stack = op.as_operator(np.array(elements, dtype=complex), dim=dim, stack=True)
         if len(stack) != len(points):
             raise ValueError(f"{len(stack)} elements for {len(points)} points")
         stack.setflags(write=False)
-        for name, value in zip(
-            ("dim", "space", "points", "elements", "allow_duplicates"),
-            (dim, space, points, stack, allow_duplicates),
-        ):
-            object.__setattr__(self, name, value)
+        vars(self).update(dim=dim, space=space, points=points, elements=stack,
+                          allow_duplicates=allow_duplicates)
 
     def __len__(self):
         return len(self.elements)
 
     @property
     def entries(self) -> tuple:
-        """``(point, element)`` pairs: views into ``points`` and ``elements``."""
+        """``(point, element)`` views into ``points`` and ``elements``."""
         return tuple(zip(self.points, self.elements))
 
     def element_sum(self) -> np.ndarray:
@@ -112,7 +88,7 @@ class FinitePOVM:
         return np.flatnonzero(op.frobenius(self.elements, stack=True) > threshold).tolist()
 
     def replace_elements(self, elements) -> "FinitePOVM":
-        """The POVM with these elements (copied) at the same points."""
+        """These elements, copied, at the same points."""
         new = object.__new__(FinitePOVM)
         new._store(self.dim, self.space, self.points, elements, self.allow_duplicates)
         return new
@@ -165,11 +141,10 @@ def validate_povm(
     tol_psd: float = op.TOL_PSD,
     tol_complete: float = op.TOL_COMPLETE,
 ) -> ValidationReport:
-    """Check the POVM axioms on the element stack, every call afresh.
+    """Check the POVM axioms on the element stack, afresh on each call.
 
     PSD margins are minimum eigenvalues scaled by ``1 + ||element||_F``;
-    completeness defect is ``||sum(elements) - I||_F``.  One stacked
-    ``eigh``; the per-element norms are bit for bit those of each alone.
+    completeness defect is ``||sum(elements) - I||_F``.
     """
     els = p.elements
     if els.shape[1:] != (p.dim, p.dim):
@@ -185,7 +160,7 @@ def validate_povm(
     if not p.allow_duplicates:
         pts = p.points
         same = (pts[:, None] == pts[None]).reshape(len(pts), len(pts), -1).all(axis=2)
-        # entry j repeats an earlier point iff two of entries 0..j equal it
+        # j repeats an earlier point iff two of points 0..j equal it
         dupes = tuple(np.flatnonzero(same.cumsum(axis=0).diagonal() > 1).tolist())
     return ValidationReport(
         dim=p.dim,

@@ -216,3 +216,32 @@ def bisection_max_step(elements, components, sign, tol=1e-12, iterations=200):
         else:
             hi = mid
     return lo
+
+
+def validate_per_element(povm, tol_psd=1e-9, tol_complete=1e-9, tol_herm=1e-10):
+    """The POVM axioms checked one element at a time with numpy alone:
+    ``(hermiticity defects, PSD margins, completeness defect, duplicate
+    points, passed)``.  Defects and margins are scaled by ``1 + ||.||_F``
+    of the element (margins: of its Hermitian part), the completeness
+    defect is ``||sum - I||_F``, and an entry is a duplicate when an
+    earlier entry has the same point."""
+    herm, margins = [], []
+    for el in povm.elements:
+        el = np.array(el)
+        herm.append(float(np.linalg.norm(el - el.conj().T)) / (1.0 + float(np.linalg.norm(el))))
+        sym = 0.5 * (el + el.conj().T)
+        lowest = np.linalg.eigh(sym)[0][0]
+        margins.append(float(lowest) / (1.0 + float(np.linalg.norm(sym))))
+    defect = float(np.linalg.norm(sum(np.array(el) for el in povm.elements) - np.eye(povm.dim)))
+    points = [np.atleast_1d(pt) for pt in povm.points]
+    dupes = []
+    if not povm.allow_duplicates:
+        dupes = [j for j in range(len(points))
+                 if any(np.array_equal(points[i], points[j]) for i in range(j))]
+    passed = (
+        all(m >= -tol_psd for m in margins)
+        and defect <= tol_complete
+        and all(h <= tol_herm for h in herm)
+        and not dupes
+    )
+    return herm, margins, defect, dupes, passed

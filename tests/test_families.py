@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit.errors import InvalidDimension
-from povmkit.outcomes import SPHERE, Region
+from povmkit.outcomes import CIRCLE, SPHERE, Region
 from oracles import arc_probability_quadrature, cap_probability_quadrature
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -377,3 +377,31 @@ class TestEquivalence:
         )
         assert se > 0
         assert abs(val - exact) <= 5 * se
+
+
+class TestFiniteMixturePadding:
+    """Members with fewer entries are padded with their first point at
+    zero probability."""
+
+    @pytest.mark.parametrize(
+        "space, short, long",
+        [
+            (CIRCLE, [0.5, 2.0], [1.0, 3.0, 5.0]),
+            (SPHERE, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+    )
+    def test_unequal_member_lengths(self, space, short, long):
+        def uniform(points):
+            el = np.eye(2, dtype=complex) / len(points)
+            return pk.FinitePOVM(2, space, tuple((pt, el) for pt in points))
+
+        scheme = pk.FiniteMixtureScheme([(0.25, uniform(short)), (0.75, uniform(long))])
+        points = scheme.outcome_points([0, 1, 0])
+        assert points.shape == (3, 3) + np.shape(short[0])
+        assert np.array_equal(points[0], np.array(short + short[:1], dtype=float))
+        assert np.array_equal(points[1], np.array(long, dtype=float))
+        assert np.array_equal(points[2], points[0])
+        rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+        probs = scheme.member_probabilities([0, 1], rho)
+        assert np.allclose(probs, [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)

@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import povmkit as pk
+from povmkit import operators as op
 from povmkit.errors import DimensionMismatch, SpaceMismatch
-from povmkit.outcomes import SPHERE, FiniteLabels, Region
+from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels, Region
+from povmkit.povm import check_povm
+
+from oracles import validate_per_element
 
 
 def make_state(rng, d=2):
@@ -57,6 +61,130 @@ class TestValidate:
         object.__setattr__(p, "dim", 3)
         with pytest.raises(DimensionMismatch):
             pk.validate_povm(p)
+
+
+NEAR_DEGENERATE = ("random", "psd_edge", "complete_edge", "skew", "duplicate")
+
+
+def near_degenerate_povm(rng, d, n, rank, kind):
+    """A random POVM with elements of rank ``rank``, moved to the edge of
+    one axiom: a lowest eigenvalue near ``-TOL_PSD``, a completeness
+    defect near ``TOL_COMPLETE``, a skew part near ``TOL_HERM`` or a
+    repeated label."""
+    els = np.array(pk.random_povm(rng, d, n, rank).elements)
+    labels = list(range(n))
+    scale = 1.0 + np.linalg.norm(els[0])
+    if kind == "psd_edge":
+        w, v = np.linalg.eigh(els[0])
+        w[0] = -1e-9 * scale * rng.uniform(0.5, 1.5)
+        els[0] = (v * w) @ v.conj().T
+    elif kind == "complete_edge":
+        els *= 1.0 + rng.uniform(-2e-9, 2e-9) / np.sqrt(d)
+    elif kind == "skew":
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        skew = (g - g.conj().T) / np.linalg.norm(g - g.conj().T)
+        els[0] = els[0] + rng.uniform(0.25, 2.0) * 0.5e-10 * scale * skew
+    elif kind == "duplicate":
+        labels[-1] = labels[0]
+    return pk.FinitePOVM(d, FiniteLabels(n), tuple(zip(labels, els)))
+
+
+class TestStackedValidation:
+    """`validate_povm` takes the whole element stack at once, on every call."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_element_oracle(self, seed, d, data):
+        rank = data.draw(st.integers(1, d), label="rank")
+        n = data.draw(st.integers(max(2, -(-d // rank)), d * d + 1), label="n")
+        kind = data.draw(st.sampled_from(NEAR_DEGENERATE), label="kind")
+        p = near_degenerate_povm(np.random.default_rng(seed), d, n, rank, kind)
+        rep = pk.validate_povm(p)
+        herm, margins, defect, dupes, passed = validate_per_element(p)
+        assert np.allclose(rep.hermiticity_defects, herm, rtol=1e-15, atol=0)
+        assert np.allclose(rep.psd_margins, margins, rtol=1e-15, atol=0)
+        assert np.isclose(rep.completeness_defect, defect, rtol=1e-15, atol=0)
+        assert list(rep.duplicate_points) == dupes
+        assert rep.passed == passed
+
+    def test_one_eigh_and_no_cache(self, monkeypatch):
+        eighs, norms = [], []
+        eigh, norm = np.linalg.eigh, np.linalg.norm
+
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counted_norm(a, *args, **kwargs):
+            norms.append(np.shape(a))
+            return norm(a, *args, **kwargs)
+
+        small = pk.random_povm(np.random.default_rng(1), 3, 4)
+        large = pk.random_povm(np.random.default_rng(2), 3, 40)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        counts = []
+        # the second call on the same object recomputes everything
+        for check in (pk.validate_povm, check_povm):
+            for p in (small, large, large):
+                eighs.clear()
+                norms.clear()
+                check(p)
+                assert eighs == [(len(p), 3, 3)]
+                counts.append(len(norms))
+        assert len(set(counts)) == 1
+
+
+class TestStorage:
+    def test_one_operator_check_per_povm(self, monkeypatch):
+        calls = []
+        as_operator = op.as_operator
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return as_operator(a, *args, **kwargs)
+
+        entries = pk.random_povm(np.random.default_rng(3), 3, 7).entries
+        monkeypatch.setattr(op, "as_operator", counted)
+        p = pk.FinitePOVM(3, FiniteLabels(7), entries)
+        assert calls == [(7, 3, 3)]
+        calls.clear()
+        p.replace_elements(p.elements)
+        assert calls == [(7, 3, 3)]
+
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        a = np.eye(2, dtype=complex) / 2
+        p = pk.FinitePOVM(2, FiniteLabels(2), ((0, a), (1, a.copy())))
+        assert a.flags.writeable
+        a[0, 0] = 5
+        assert p.elements[0][0, 0] == 0.5
+        stack = np.array(p.elements)
+        q = p.replace_elements(stack)
+        stack[0, 0, 0] = 5
+        assert q.elements[0, 0, 0] == 0.5
+        for arr in (p.elements, p.points, q.elements):
+            assert not arr.flags.writeable
+
+    def test_views_of_the_storage(self, up, down):
+        v = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        p = pk.FinitePOVM(2, SPHERE, ((v[0], up), (v[1], down)))
+        assert p.elements.shape == (2, 2, 2) and p.points.shape == (2, 3)
+        assert [np.array_equal(a, b) for a, b in zip(p.elements, (up, down))] == [True, True]
+        for (pt, el), want_pt, want_el in zip(p.entries, p.points, p.elements):
+            assert np.shares_memory(pt, p.points) and np.shares_memory(el, p.elements)
+            assert np.array_equal(pt, want_pt) and np.array_equal(el, want_el)
+        circle = pk.FinitePOVM(2, CIRCLE, ((-0.5, up), (7.0, down)))
+        assert circle.points.tolist() == [2 * np.pi - 0.5, 7.0 - 2 * np.pi]
+
+    def test_points_checked_once_per_space(self, up, down):
+        with pytest.raises(ValueError, match="label 2 outside"):
+            pk.FinitePOVM(2, FiniteLabels(2), ((0, up), (2, down)))
+        with pytest.raises(ValueError, match="deviates"):
+            pk.FinitePOVM(2, SPHERE, (((0, 0, 1.0), up), ((0, 0, -1.1), down)))
+        with pytest.raises(ValueError, match="points of shape"):
+            pk.FinitePOVM(2, CIRCLE, (((0.0, 1.0), up), ((1.0, 2.0), down)))
+        with pytest.raises(ValueError, match="2 elements for 3 points"):
+            pk.FinitePOVM(2, FiniteLabels(3), ((0, up), (1, down), (2, up))).replace_elements([up, down])
 
 
 class TestBorn:

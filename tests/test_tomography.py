@@ -103,6 +103,17 @@ class TestFiniteDuals:
         rebuilt = sum(c * el for c, el in zip(dual.coefficients, p.elements))
         assert np.linalg.norm(rebuilt - a) <= 1e-8
 
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 9), (3, 9), (4, 20)])
+    def test_residual_is_summed_in_entry_order(self, d, n):
+        # the residual that `tomo --povm` prints: the per-entry sum, bit for bit
+        rng = np.random.default_rng([61, d, n])
+        p = pk.random_povm(rng, d, n)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = g + g.conj().T
+        dual = pk.dual_coefficients(p, a)
+        rebuilt = sum(c * el for c, el in zip(dual.coefficients, p.elements))
+        assert dual.residual == np.linalg.norm(rebuilt - a)
+
 
 class TestExpectation:
     @pytest.mark.parametrize("name", FAMILIES)
