@@ -62,7 +62,10 @@ class FinitePOVM:
         self._store(dim, space, _coerce_points(space, points), elements, allow_duplicates)
 
     def _store(self, dim, space, points, elements, allow_duplicates):
-        stack = op.as_operator(np.array(elements, dtype=complex), dim=dim, stack=True)
+        try:
+            stack = op.as_operator(np.array(elements, dtype=complex), dim=dim, stack=True)
+        except ValueError:  # unequal shapes: name the first bad element
+            stack = np.array([op.as_operator(el, dim=dim) for el in elements])
         if len(stack) != len(points):
             raise ValueError(f"{len(stack)} elements for {len(points)} points")
         stack.setflags(write=False)

@@ -32,7 +32,7 @@ def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) ->
 
 
 def _spans(coords: np.ndarray, gap: float) -> bool:
-    """True iff the columns of ``coords`` ``(d**2, n)`` span its rows."""
+    """True iff the n columns of ``coords`` ``(d**2, n)`` span R^(d**2)."""
     s = np.linalg.svd(coords, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0
     return int(np.count_nonzero(s > gap * scale)) == len(coords)
@@ -43,16 +43,17 @@ class DualProcessing:
     """Outcome function reproducing a target operator under the POVM.
 
     A finite dual holds per-entry ``coefficients``, its POVM's outcome
-    ``points`` and its ``residual`` ``||sum_i f(i) P_i - A||_F``; a continuous dual holds its ``family`` and an ``operator``
-    Y, and evaluates ``Tr[Y M(omega)]`` (`ContinuousPOVM.expectation`).
+    ``points`` and its ``residual`` ``||sum_i f(i) P_i - A||_F``; a
+    continuous dual holds its ``family`` and an ``operator`` Y, and
+    evaluates ``Tr[Y M(omega)]`` (`ContinuousPOVM.expectation`).
     """
 
     target: np.ndarray
     coefficients: np.ndarray | None = field(default=None, compare=False)
     points: np.ndarray | None = field(default=None, compare=False)
-    residual: float | None = field(default=None, compare=False)
     family: ContinuousPOVM | None = field(default=None, compare=False)
     operator: np.ndarray | None = field(default=None, compare=False)
+    residual: float | None = field(default=None, compare=False)
 
     def evaluate(self, records) -> np.ndarray:
         """Per-record processing values ``f(omega)``, one per outcome.

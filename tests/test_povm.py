@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit import operators as op
-from povmkit.errors import DimensionMismatch, SpaceMismatch
+from povmkit.errors import DimensionMismatch, InvalidDimension, SpaceMismatch
 from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels, Region
 from povmkit.povm import check_povm
 
@@ -175,6 +175,12 @@ class TestStorage:
             assert np.array_equal(pt, want_pt) and np.array_equal(el, want_el)
         circle = pk.FinitePOVM(2, CIRCLE, ((-0.5, up), (7.0, down)))
         assert circle.points.tolist() == [2 * np.pi - 0.5, 7.0 - 2 * np.pi]
+
+    def test_element_of_another_dimension_is_named(self, up):
+        with pytest.raises(InvalidDimension, match="expected dimension 2, got 3"):
+            pk.FinitePOVM(2, FiniteLabels(2), ((0, up), (1, np.eye(3) / 2)))
+        with pytest.raises(InvalidDimension, match="expected dimension 2, got 3"):
+            pk.FinitePOVM(2, FiniteLabels(2), ((0, np.eye(3) / 2), (1, np.eye(3) / 2)))
 
     def test_points_checked_once_per_space(self, up, down):
         with pytest.raises(ValueError, match="label 2 outside"):
