@@ -182,7 +182,7 @@ class TestStorage:
         with pytest.raises(InvalidDimension, match="expected dimension 2, got 3"):
             pk.FinitePOVM(2, FiniteLabels(2), ((0, np.eye(3) / 2), (1, np.eye(3) / 2)))
 
-    def test_points_checked_once_per_space(self, up, down):
+    def test_points_are_checked(self, up, down):
         with pytest.raises(ValueError, match="label 2 outside"):
             pk.FinitePOVM(2, FiniteLabels(2), ((0, up), (2, down)))
         with pytest.raises(ValueError, match="deviates"):
