@@ -26,8 +26,12 @@ direction exactly.  The kernel is then downdated to the part that
 vanishes on the removed coordinates, and the canonical direction is
 read from the k kernel coefficients.  Only a step whose own rank
 decision falls inside the band reruns the input-face code on the new
-point (`_Face.build`).  `perturbation_space`, `kernel_dimension`,
-`is_extremal` and `max_step` work on the input face of one POVM.
+point (`_Face.build`).
+
+A face has one layout, the one `operators.support` returns: every slot
+padded to the largest support rank.  `perturbation_space`,
+`kernel_dimension` and `is_extremal` read the `_Face.build` of one
+POVM, and `max_step` its padded supports.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .errors import DegeneratePerturbation, TermBudgetExceeded
+from .errors import DegeneratePerturbation, DimensionMismatch, TermBudgetExceeded
 from .povm import FinitePOVM, check_povm
 
 
@@ -66,6 +70,16 @@ class Perturbation:
     def norm(self) -> float:
         return op.frobenius(self.components)
 
+    def _matching(self, p: FinitePOVM) -> np.ndarray:
+        """The components, checked against ``p``: count, dimension, Hermiticity."""
+        q = self.components
+        if len(q) != len(p):
+            raise DegeneratePerturbation("component count does not match POVM")
+        if q.shape[1] != p.dim:
+            raise DimensionMismatch(f"component dimension {q.shape[1]} does not match POVM")
+        op.check_hermitian(q, name="perturbation component", stack=True)
+        return q
+
     def check(self, p: FinitePOVM, tol: float = 1e-8) -> None:
         """Raise if this is not a valid perturbation for ``p``.
 
@@ -73,13 +87,11 @@ class Perturbation:
         support call over the elements; each component is held to its
         element's support.
         """
-        q = self.components
-        if len(q) != len(p):
-            raise DegeneratePerturbation("component count does not match POVM")
+        q = self._matching(p)
         if op.frobenius(q.sum(axis=0)) > 1e-9:
             raise DegeneratePerturbation("components do not sum to zero")
-        op.check_hermitian(q, name="perturbation component", stack=True)
-        pi = np.array([v @ v.conj().T for v, _ in op.support(p.elements)])
+        _, vecs, _ = op.support(p.elements)
+        pi = vecs @ vecs.conj().swapaxes(1, 2)
         leak = np.linalg.norm(q - pi @ q @ pi, axis=(1, 2))
         bad = leak > tol * (1.0 + np.linalg.norm(q, axis=(1, 2)))
         if np.any(bad):
@@ -88,23 +100,6 @@ class Perturbation:
             )
         if abs(self.norm() - 1.0) > 1e-8:
             raise DegeneratePerturbation("perturbation is not normalized")
-
-
-def _rank_groups(supports) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Group per-slot ``(vecs, vals)`` pairs by support rank.
-
-    Returns ``(r, slots, vecs, vals)`` for each rank ``r > 0`` present,
-    ascending, with ``vecs`` stacked ``(g, d, r)`` and ``vals`` ``(g, r)``
-    for the ``g`` slots (ascending indices) of that rank.
-    """
-    ranks = np.array([len(vals) for _, vals in supports])
-    groups = []
-    for r in sorted(set(ranks.tolist()) - {0}):
-        slots = np.flatnonzero(ranks == r)
-        vecs = np.array([supports[i][0] for i in slots])
-        vals = np.array([supports[i][1] for i in slots])
-        groups.append((r, slots, vecs, vals))
-    return groups
 
 
 def _lift(vecs: np.ndarray) -> np.ndarray:
@@ -116,40 +111,11 @@ def _lift(vecs: np.ndarray) -> np.ndarray:
     return op.hermitian_to_coords(lifted).swapaxes(1, 2)
 
 
-def _input_kernel(elements: np.ndarray, gap: float, check_band: bool):
-    """Supports and perturbation kernel of ``elements`` ``(n, d, d)``.
-
-    One stacked :func:`operators.support` call (one finiteness and
-    Hermiticity check, one eigendecomposition, the ``gap`` threshold
-    and, with ``check_band``, the :class:`NumericalRankAmbiguity` band
-    test), one lift of the cached ``hermitian_basis(r)`` per support
-    rank r, and one SVD of the lifts side by side for the constraint
-    ``sum_i Q_i = 0``.  Returns ``(groups, blocks, cols)``: the
-    :func:`_rank_groups`, the ``(d**2, r**2)`` lift of each active slot
-    (ascending), and one orthonormal kernel vector per column of
-    ``cols``, in the stacked Hermitian coordinates of the supports
-    (``r_i**2`` rows per active slot).
-    """
-    groups = _rank_groups(op.support(elements, threshold=gap, check_band=check_band))
-    blocks = [None] * len(elements)
-    for _, slots, vecs, _ in groups:
-        for i, block in zip(slots.tolist(), _lift(vecs)):
-            blocks[i] = block
-    blocks = [b for b in blocks if b is not None]
-    if not blocks:
-        return groups, blocks, np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(np.hstack(blocks))
-    rank = int(np.count_nonzero(s > gap * max(1.0, float(s[0]))))
-    return groups, blocks, vt[rank:].T
-
-
 @functools.lru_cache(maxsize=None)
-def _embedding(r: int, size: int) -> np.ndarray:
-    """Positions of the Hermitian coordinates of an ``r x r`` matrix among
-    those of a ``size x size`` one that holds it as its leading block."""
-    pairs = {pair: j for j, pair in enumerate(zip(*np.triu_indices(size, 1)))}
-    upper = [size + 2 * pairs[pair] for pair in zip(*np.triu_indices(r, 1))]
-    out = np.array(list(range(r)) + [c + part for c in upper for part in (0, 1)])
+def _reach(size: int) -> np.ndarray:
+    """Largest row or column index of the entry behind each Hermitian
+    coordinate of a ``size x size`` matrix."""
+    out = np.concatenate([np.arange(size), np.repeat(np.triu_indices(size, 1)[1], 2)])
     out.setflags(write=False)
     return out
 
@@ -184,33 +150,32 @@ class _Face:
 
     __slots__ = ("rank", "vecs", "core", "lift", "sec", "cols")
 
-    def __init__(self, rank, vecs, core, cols, lift=None, sec=None):
+    def __init__(self, rank, vecs, core, cols, lift, sec):
         self.rank, self.vecs, self.core, self.cols = rank, vecs, core, cols
-        if lift is None:
-            lift = _lift(vecs)
-            ramp = np.arange(lift.shape[1], dtype=float)[:, None]
-            sec = lift.swapaxes(1, 2) @ (ramp * lift)
         self.lift, self.sec = lift, sec
 
     @classmethod
     def build(cls, elements: np.ndarray, gap: float, check_band: bool) -> "_Face":
-        """The face of ``elements`` ``(n, d, d)`` from :func:`_input_kernel`."""
-        groups, _, coeffs = _input_kernel(elements, gap, check_band)
-        n, d = elements.shape[:2]
-        size = max([r for r, *_ in groups], default=1)
-        rank = np.zeros(n, dtype=int)
-        vecs = np.zeros((n, d, size), dtype=complex)
-        core = np.tile(np.eye(size, dtype=complex), (n, 1, 1))
-        for r, slots, v, vals in groups:
-            rank[slots] = r
-            vecs[slots, :, :r] = v
-            core[slots, :r, :r] = vals[:, :, None] * np.eye(r)
-        start = np.cumsum(rank**2) - rank**2
-        cols = np.zeros((n, size * size, coeffs.shape[1]))
-        for r, slots, _, _ in groups:
-            rows = start[slots][:, None] + np.arange(r * r)
-            cols[slots[:, None], _embedding(r, size)] = coeffs[rows]
-        return cls(rank, vecs, core, cols.reshape(n * size * size, -1))
+        """The face of ``elements`` ``(n, d, d)``.
+
+        One stacked :func:`operators.support` call (one finiteness and
+        Hermiticity check, one eigendecomposition, the ``gap`` threshold
+        and, with ``check_band``, the :class:`NumericalRankAmbiguity` band
+        test), one :func:`_lift` of the padded support bases, and one SVD
+        for the constraint ``sum_i Q_i = 0`` of the lifts of every slot's
+        ``r_i x r_i`` block side by side, ``(d**2, sum_i r_i**2)``.
+        """
+        rank, vecs, vals = op.support(elements, threshold=gap, check_band=check_band)
+        n, d, size = vecs.shape
+        lift = _lift(vecs)
+        sec = lift.swapaxes(1, 2) @ (np.arange(d * d, dtype=float)[:, None] * lift)
+        block = _reach(size) < rank[:, None]  # max(row, col) < r_i
+        _, s, vt = np.linalg.svd(lift.swapaxes(0, 1)[:, block])
+        cut = np.count_nonzero(s > gap * np.max(s, initial=1.0))
+        cols = np.zeros((n, size * size, len(vt) - cut))
+        cols[block] = vt[cut:].T
+        core = vals[..., None] * np.eye(size, dtype=complex)
+        return cls(rank, vecs, core, cols.reshape(n * size * size, -1), lift, sec)
 
     def elements(self) -> np.ndarray:
         """The elements ``(n, d, d)``; a slot of rank 0 is exactly zero."""
@@ -224,6 +189,13 @@ class _Face:
         n, size = self.core.shape[:2]
         h = op.coords_to_hermitian(coords.reshape(n, size * size), size)
         return self.vecs @ h @ self.vecs.conj().swapaxes(1, 2)
+
+    def lifted(self, columns: np.ndarray) -> np.ndarray:
+        """``columns`` (rows as in ``cols``) in coordinates on C^d, through
+        ``lift``: ``d**2`` rows per active slot."""
+        n, size = self.core.shape[:2]
+        out = self.lift @ columns.reshape(n, size * size, -1)
+        return out[self.rank > 0].reshape(-1, columns.shape[1])
 
     def coords(self, a: np.ndarray) -> np.ndarray:
         """Coordinates (rows as in ``cols``) of ``V_i^† a_i V_i`` for the
@@ -303,11 +275,7 @@ def _direction(face: _Face) -> np.ndarray:
         b = block.reshape(n, size * size, -1)
         return (scale * b + face.sec @ b / m).reshape(block.shape)
 
-    def lift(block):
-        b = block.reshape(n, size * size, -1)[active]
-        return (face.lift[active] @ b).reshape(m, -1)
-
-    return _canonical_basis(face.cols, stack[:, :size].sum(axis=1), weigh, lift, 1)[:, 0]
+    return _canonical_basis(face.cols, stack[:, :size].sum(axis=1), weigh, face.lifted, 1)[:, 0]
 
 
 def _scaled(vecs, vals, q):
@@ -316,31 +284,6 @@ def _scaled(vecs, vals, q):
     w = vecs / np.sqrt(vals)[:, None, :]
     scaled = w.conj().swapaxes(1, 2) @ q @ w
     return 0.5 * (scaled + scaled.conj().swapaxes(1, 2)), w
-
-
-def _steps(groups, q: np.ndarray) -> tuple[float, float]:
-    """``(t_plus, t_minus)`` for components ``q`` ``(n, d, d)`` on the
-    supports ``groups`` (:func:`_rank_groups`); see :func:`max_step`."""
-    if op.frobenius(q) < 1e-12:
-        raise DegeneratePerturbation("perturbation has zero norm")
-    moving = np.linalg.norm(q, axis=(1, 2)) > 1e-14
-    t_plus = t_minus = np.inf
-    for _, slots, vecs, vals in groups:
-        keep = moving[slots]
-        if not keep.any():
-            continue
-        scaled, _ = _scaled(vecs[keep], vals[keep], q[slots[keep]])
-        alpha, _ = np.linalg.eigh(op.check_hermitian(scaled, stack=True))
-        lo, hi = alpha[:, 0], alpha[:, -1]
-        if np.any(lo < 0):
-            t_plus = min(t_plus, float(np.min(1.0 / -lo[lo < 0])))
-        if np.any(hi > 0):
-            t_minus = min(t_minus, float(np.min(1.0 / hi[hi > 0])))
-    if not np.isfinite(t_plus) or not np.isfinite(t_minus):
-        raise DegeneratePerturbation(
-            "step unbounded in one direction; not a POVM perturbation"
-        )
-    return float(t_plus), float(t_minus)
 
 
 def _trailing(u: np.ndarray) -> np.ndarray:
@@ -460,27 +403,27 @@ def perturbation_space(
     array for the k kernel directions, in canonical order
     (:func:`_canonical_basis`).
 
-    The supports of all n elements come from one stacked
+    The kernel is the one of the walk's input face: one stacked
     :func:`operators.support` call, with the ``gap`` threshold and (with
     ``check_band``) the :class:`NumericalRankAmbiguity` band test per
-    element.  ``p`` is not validated here: `decompose_extremal` walks
-    faces that are POVMs by construction; `is_extremal` checks its input.
+    element, and one SVD.  ``p`` is not validated here: `decompose_extremal`
+    walks faces that are POVMs by construction; `is_extremal` checks its
+    input.
     Raises ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)
-    groups, blocks, coeffs = _input_kernel(p.elements, gap, check_band)
-    n, d, k = len(p), p.dim, coeffs.shape[1]
+    face = _Face.build(p.elements, gap, check_band)
+    n, d, k = len(p), p.dim, face.cols.shape[1]
     if not k:
         return []
-    offsets = np.cumsum([b.shape[1] for b in blocks])[:-1]
-    cols = np.vstack([b @ c for b, c in zip(blocks, np.split(coeffs, offsets))])
+    active, cols = face.rank > 0, face.lifted(face.cols)
+    del face  # free the kernel and lifts before the canonical rotation
     m = cols.shape[0]
     traces = cols.reshape(m // (d * d), d * d, k)[:, :d].sum(axis=1)
     weights = np.arange(1, m + 1) / m
     cols = _canonical_basis(cols, traces, lambda b: weights[:, None] * b, lambda b: b, k)
-    active = np.sort(np.concatenate([slots for _, slots, _, _ in groups]))
     coords = np.zeros((k, n, d * d))
-    coords[:, active] = cols.T.reshape(k, len(active), d * d)
+    coords[:, active] = cols.T.reshape(k, -1, d * d)
     return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
 
 
@@ -493,7 +436,7 @@ def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     """
     _check_gap(gap)
     check_povm(p)
-    return _input_kernel(p.elements, gap, check_band=False)[2].shape[1]
+    return _Face.build(p.elements, gap, check_band=False).cols.shape[1]
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -513,17 +456,31 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     pair is the minimum over elements, both finite and positive.
 
     The supports come from one stacked :func:`operators.support` call
-    over the elements (finiteness and Hermiticity checked once).  For
-    the elements whose component is nonzero, the scaled matrices
-    ``W_i^† Q_i W_i``, ``W_i = V_i Λ_i^{-1/2}``, are grouped by support
-    rank and each group takes one stacked Hermiticity check and one
-    ``np.linalg.eigh``.  A zero-norm perturbation, or one unbounded in
-    either direction, raises :class:`DegeneratePerturbation`; a ``gap``
-    outside ``(0, 1)`` raises ``ValueError``.
+    over the elements (finiteness and Hermiticity checked once), padded
+    to the largest rank, and the scaled matrices ``W_i^† Q_i W_i``,
+    ``W_i = V_i Λ_i^{-1/2}``, take one stacked ``np.linalg.eigh``;
+    elements whose component is zero do not bound the step.
+
+    A component count or dimension other than ``p``'s raises
+    :class:`DegeneratePerturbation` or :class:`DimensionMismatch`, a
+    non-Hermitian component :class:`NonHermitianInput`.  A zero-norm
+    perturbation, or one unbounded in either direction, raises
+    :class:`DegeneratePerturbation`; a ``gap`` outside ``(0, 1)``
+    raises ``ValueError``.
     """
     _check_gap(gap)
-    supports = op.support(p.elements, threshold=gap)
-    return _steps(_rank_groups(supports), q.components)
+    q = q._matching(p)
+    if op.frobenius(q) < 1e-12:
+        raise DegeneratePerturbation("perturbation has zero norm")
+    _, vecs, vals = op.support(p.elements, threshold=gap)
+    alpha = np.linalg.eigh(_scaled(vecs, vals, q)[0])[0]
+    alpha[np.linalg.norm(q, axis=(1, 2)) <= 1e-14] = 0.0
+    shrink, grow = -alpha[:, 0].min(), alpha[:, -1].max()
+    if not (shrink > 0 and grow > 0):
+        raise DegeneratePerturbation(
+            "step unbounded in one direction; not a POVM perturbation"
+        )
+    return 1.0 / float(shrink), 1.0 / float(grow)
 
 
 @dataclass(frozen=True)

@@ -108,24 +108,24 @@ def check_density_matrix(rho, tol_psd: float = TOL_PSD, tol_trace: float = TOL_T
 
 
 def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
-    """Support eigenpairs of a PSD matrix, or of each slot of a stack.
+    """Support eigenpairs of each slot of a stack ``(n, d, d)`` of PSD
+    matrices, checked and decomposed at once.
 
-    Eigenvalues above ``threshold * max(1, λ_max)`` count as nonzero.
-    With ``check_band`` a value falling inside the ambiguity band
-    ``(thr/16, 16*thr)`` raises :class:`NumericalRankAmbiguity`; rank
-    decisions in the decomposition engine must not hinge on such values.
+    Eigenvalues above ``threshold * max(1, λ_max)`` count as nonzero,
+    each slot held to its own ``λ_max``.  With ``check_band`` a value
+    falling inside the ambiguity band ``(thr/16, 16*thr)`` raises
+    :class:`NumericalRankAmbiguity`; rank decisions in the decomposition
+    engine must not hinge on such values.
 
-    ``a`` is one ``(d, d)`` matrix or a stack ``(n, d, d)``, checked
-    and decomposed at once; each slot is held to its own ``λ_max``.
-
-    Returns ``(vecs, vals)`` for one matrix, where ``vecs`` holds
-    orthonormal support columns and ``vals`` the matching (descending)
-    eigenvalues; for a stack, a list of such pairs, one per slot.
+    Returns ``(rank, vecs, vals)``, padded to the largest rank R (at
+    least 1): ``rank`` ``(n,)``, and per slot i the first ``rank[i]``
+    columns of ``vecs[i]`` ``(d, R)`` are orthonormal support vectors
+    and the same entries of ``vals[i]`` ``(R,)`` their descending
+    eigenvalues; the columns beyond are zero and the values beyond 1.
     """
-    single = np.ndim(a) == 2
-    m = check_hermitian(np.asarray(a)[None] if single else a, stack=True)
+    m = check_hermitian(a, stack=True)
     w, v = np.linalg.eigh(m)
-    w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()  # descending
+    w, v = w[:, ::-1], v[:, :, ::-1]  # descending
     thr = threshold * np.maximum(1.0, w[:, 0])
     if check_band:
         lo, hi = thr / GAP_BAND, thr * GAP_BAND
@@ -136,9 +136,12 @@ def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
                 f"eigenvalue inside gap band ({lo[i]:.3e}, {hi[i]:.3e})"
             )
     # eigenvalues descend, so the support is a leading block of columns
-    ranks = np.count_nonzero(w > thr[:, None], axis=1)
-    pairs = [(vi[:, :r], wi[:r]) for vi, wi, r in zip(v, w, ranks.tolist())]
-    return pairs[0] if single else pairs
+    rank = np.count_nonzero(w > thr[:, None], axis=1)
+    size = max(1, int(rank.max(initial=0)))
+    kept = np.arange(size) < rank[:, None]
+    vecs = np.where(kept[:, None], v[:, :, :size], 0.0)
+    vals = np.where(kept, w[:, :size], 1.0)
+    return rank, vecs, vals
 
 
 # --- real coordinates on the Hermitian space -------------------------------
@@ -192,8 +195,8 @@ def coords_to_hermitian(v: np.ndarray, d: int) -> np.ndarray:
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of the d x d Hermitian matrices, stacked.
 
-    Cached and read-only: the perturbation kernel lifts it once per
-    support rank on every call.
+    Cached and read-only: the perturbation kernel lifts it on every
+    call.
     """
     basis = coords_to_hermitian(np.eye(d * d), d)
     basis.setflags(write=False)

@@ -8,7 +8,9 @@ from povmkit import extremality, quadrature
 from povmkit.catalog import PAULI_Z
 from povmkit.errors import (
     DegeneratePerturbation,
+    DimensionMismatch,
     InvalidPOVM,
+    NonHermitianInput,
     NumericalRankAmbiguity,
     TermBudgetExceeded,
 )
@@ -27,6 +29,22 @@ def squeeze_first_element(p, eps):
     sw, sv = np.linalg.eigh(np.sum(raw, axis=0))
     inv_sqrt = sv @ np.diag(sw**-0.5) @ sv.conj().T
     return p.replace_elements([inv_sqrt @ a @ inv_sqrt for a in raw])
+
+
+def povm_of_ranks(rng, d, ranks):
+    """Random POVM whose element i has rank ``ranks[i]`` (0: a zero
+    element), by Gaussian factors and the symmetric normalization."""
+    raw = []
+    for r in ranks:
+        g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        raw.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(np.sum(raw, axis=0))
+    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
+    return pk.FinitePOVM(
+        dim=d,
+        space=FiniteLabels(len(ranks)),
+        entries=tuple((i, inv_sqrt @ a @ inv_sqrt) for i, a in enumerate(raw)),
+    )
 
 
 def trivial_povm(d=2):
@@ -141,6 +159,24 @@ class TestMaxStep:
         zero = np.zeros((2, 2), dtype=complex)
         with pytest.raises(DegeneratePerturbation):
             pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(zero, zero)))
+
+    @pytest.mark.parametrize("count", [3, 1])
+    def test_component_count_must_match(self, count):
+        comps = [PAULI_Z / 2.0, -PAULI_Z / 2.0, PAULI_Z / 2.0][:count]
+        with pytest.raises(DegeneratePerturbation, match="count"):
+            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=comps))
+
+    def test_component_dimension_must_match(self):
+        comps = np.zeros((2, 3, 3), dtype=complex)
+        comps[0, 0, 0], comps[1, 0, 0] = 1.0, -1.0
+        with pytest.raises(DimensionMismatch):
+            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=comps))
+
+    def test_skew_components_rejected(self):
+        # the anti-Hermitian part must not be symmetrized away
+        skew = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
+        with pytest.raises(NonHermitianInput):
+            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(skew, -skew)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bisection_oracle(self, seed):
@@ -290,6 +326,45 @@ class TestDecompose:
         assert abs(res.weights.sum() - 1.0) <= 1e-12
 
 
+class TestMixedRanks:
+    """Elements of different support ranks, and zero elements: every slot
+    is padded to the largest rank, and the results agree with the
+    oracles."""
+
+    INPUTS = ((3, (1, 2, 3, 0)), (4, (1, 1, 2, 3, 0, 4)), (3, (2, 2, 1, 1, 0)))
+
+    @pytest.mark.parametrize("d, ranks", INPUTS)
+    def test_kernel_matches_oracle(self, d, ranks):
+        p = povm_of_ranks(np.random.default_rng([d, *ranks]), d, ranks)
+        assert [np.linalg.matrix_rank(el, tol=1e-8) for el in p.elements] == list(ranks)
+        basis = pk.perturbation_space(p)
+        assert len(basis) == pk.kernel_dimension(p) == brute_force_kernel_dim(p) > 0
+        for q in basis:
+            q.check(p)
+
+    @pytest.mark.parametrize("d, ranks", INPUTS)
+    def test_max_step_matches_bisection_oracle(self, d, ranks):
+        p = povm_of_ranks(np.random.default_rng([d, *ranks]), d, ranks)
+        q = pk.perturbation_space(p)[0]
+        t_plus, t_minus = pk.max_step(p, q)
+        for t, sign in ((t_plus, 1.0), (t_minus, -1.0)):
+            expected = bisection_max_step(p.elements, q.components, sign)
+            assert t == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("d, ranks", INPUTS)
+    def test_decomposition_matches_oracle(self, d, ranks):
+        p = povm_of_ranks(np.random.default_rng([d, *ranks]), d, ranks)
+        res = pk.decompose_extremal(p)
+        assert len(res.terms) > 1
+        assert res.reconstruction_error(p) <= 1e-8
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
+        for _, term in res.terms:
+            assert pk.validate_povm(term).passed
+            assert brute_force_extremal(term)
+            # a zero element stays exactly zero
+            assert not term.elements[ranks.index(0)].any()
+
+
 class TestStackedSpectra:
     """One stacked eigendecomposition per face, not one per element."""
 
@@ -397,6 +472,51 @@ class TestFaceWalk:
             # check_povm on entry, then the input face
             assert eighs.count((len(p), p.dim, p.dim)) == 2
             assert svds.count((p.dim**2, coords)) == 1
+
+    @pytest.mark.parametrize("verdict", ["perturbation_space", "kernel_dimension"])
+    def test_verdicts_take_one_support_eigh_and_one_kernel_svd(self, verdict, monkeypatch):
+        eighs, svds = [], []
+        eigh, svd, check = np.linalg.eigh, np.linalg.svd, extremality.check_povm
+
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counted_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def uncounted_check(p):
+            before = len(eighs)
+            check(p)
+            del eighs[before:]
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(extremality, "check_povm", uncounted_check)
+        mixed = povm_of_ranks(np.random.default_rng(3), 3, (1, 2, 3, 0))
+        for p in list(self.inputs()) + [mixed]:
+            coords = sum(np.linalg.matrix_rank(el, tol=1e-8) ** 2 for el in p.elements)
+            eighs.clear()
+            svds.clear()
+            getattr(pk, verdict)(p)
+            assert eighs.count((len(p), p.dim, p.dim)) == 1
+            assert svds == [(p.dim**2, coords)]
+
+    def test_face_build_lifts_once(self, monkeypatch):
+        lifts = []
+        lift = extremality._lift
+
+        def counted(vecs):
+            lifts.append(vecs.shape)
+            return lift(vecs)
+
+        monkeypatch.setattr(extremality, "_lift", counted)
+        mixed = povm_of_ranks(np.random.default_rng(3), 3, (1, 2, 3, 0))
+        for p in list(self.inputs()) + [mixed]:
+            lifts.clear()
+            extremality._Face.build(p.elements, 1e-8, check_band=True)
+            assert len(lifts) == 1
 
     def test_removed_slots_stay_zero(self, monkeypatch):
         steps = []

@@ -91,18 +91,28 @@ class TestCoordinates:
 
 class TestSupport:
     def test_rank_of_projector(self, up):
-        vecs, vals = op.support(up)
-        assert vecs.shape == (2, 1)
-        assert np.isclose(vals[0], 1.0)
+        rank, vecs, vals = op.support(up[None])
+        assert rank.tolist() == [1] and vecs.shape == (1, 2, 1)
+        assert np.isclose(vals[0, 0], 1.0)
 
     def test_band_ambiguity(self):
         from povmkit.errors import NumericalRankAmbiguity
 
-        a = np.diag([1.0, 5e-8])  # inside the 16x band around 1e-8
+        a = np.diag([1.0, 5e-8])[None]  # inside the 16x band around 1e-8
         with pytest.raises(NumericalRankAmbiguity):
             op.support(a, check_band=True)
         # without the band check the small eigenvalue counts as support
-        assert op.support(a)[0].shape[1] == 2
+        assert op.support(a)[0].tolist() == [2]
+
+    def test_takes_a_stack_only(self, up):
+        with pytest.raises(InvalidDimension):
+            op.support(up)
+
+    def test_zero_slots_pad_to_one_column(self):
+        rank, vecs, vals = op.support(np.zeros((2, 3, 3)))
+        assert rank.tolist() == [0, 0]
+        assert vecs.shape == (2, 3, 1) and not vecs.any()
+        assert np.array_equal(vals, np.ones((2, 1)))
 
 
 def random_psd(rng, d, rank):
@@ -111,29 +121,35 @@ def random_psd(rng, d, rank):
 
 
 class TestStackedSupport:
-    """A stack (n, d, d) gets one check and one eigendecomposition; each
-    slot must come out exactly as the one-matrix call gives it."""
+    """A stack (n, d, d) gets one check and one eigendecomposition, padded
+    to the largest rank; each slot's support must come out exactly as a
+    stack of that slot alone gives it."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("check_band", [False, True])
     def test_slices_match_single_calls_bit_for_bit(self, d, check_band):
         rng = np.random.default_rng(d)
         stack = np.array([random_psd(rng, d, r) for r in range(d + 1)])
-        pairs = op.support(stack, check_band=check_band)
-        assert len(pairs) == d + 1
-        for r, (a, (vecs, vals)) in enumerate(zip(stack, pairs)):
-            one_vecs, one_vals = op.support(a, check_band=check_band)
-            assert vecs.shape == (d, r) and vals.shape == (r,)
-            assert np.array_equal(vecs, one_vecs) and np.array_equal(vals, one_vals)
+        rank, vecs, vals = op.support(stack, check_band=check_band)
+        assert rank.tolist() == list(range(d + 1))
+        assert vecs.shape == (d + 1, d, d) and vals.shape == (d + 1, d)
+        for r, a in enumerate(stack):
+            one_rank, one_vecs, one_vals = op.support(a[None], check_band=check_band)
+            assert one_rank.tolist() == [r] and one_vecs.shape == (1, d, max(r, 1))
+            assert np.array_equal(vecs[r, :, :r], one_vecs[0, :, :r])
+            assert np.array_equal(vals[r, :r], one_vals[0, :r])
+            # beyond the rank: zero columns and unit values
+            assert not vecs[r, :, r:].any() and not one_vecs[0, :, r:].any()
+            assert np.all(vals[r, r:] == 1.0) and np.all(one_vals[0, r:] == 1.0)
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_slices_match_one_matrix_eigh(self, d):
         rng = np.random.default_rng(10 + d)
         stack = np.array([random_psd(rng, d, r) for r in range(d + 1)])
-        for a, (vecs, vals) in zip(stack, op.support(stack)):
+        rank, vecs, vals = op.support(stack)
+        for a, r, v_pad, w_pad in zip(stack, rank.tolist(), vecs, vals):
             w, v = op.eigh(a)
-            r = vals.size
-            assert np.array_equal(vals, w[:r]) and np.array_equal(vecs, v[:, :r])
+            assert np.array_equal(w_pad[:r], w[:r]) and np.array_equal(v_pad[:, :r], v[:, :r])
 
     def test_eigh_takes_one_matrix_only(self):
         stack = np.array([np.eye(2), np.eye(2)])
@@ -162,7 +178,7 @@ class TestStackedSupport:
         stack = np.array([np.diag([1.0, 0.0]), np.diag([1.0, 5e-8]), np.eye(2)])
         with pytest.raises(NumericalRankAmbiguity):
             op.support(stack, check_band=True)
-        assert [v.shape[1] for v, _ in op.support(stack)] == [1, 2, 2]
+        assert op.support(stack)[0].tolist() == [1, 2, 2]
 
     def test_hermitian_basis_is_cached_read_only(self):
         assert op.hermitian_basis(3) is op.hermitian_basis(3)
