@@ -34,7 +34,6 @@ its aliases, ``phase:<d>``) to the (continuous POVM, scheme) pair.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +92,6 @@ def _bloch_vector(psi: np.ndarray) -> np.ndarray:
 
 
 # --- continuous POVMs -------------------------------------------------------
-
-@functools.cache
-def _frozen_rule(rule, *args) -> tuple[np.ndarray, np.ndarray]:
-    """``rule(*args)``, built once per argument tuple and read-only, as
-    every instance of a family shares its outcome rule."""
-    points, weights = rule(*args)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
 
 class ContinuousPOVM:
     """Base: a density of unit-trace PSD matrices over circle or sphere.
@@ -308,7 +297,7 @@ class SpinDirectionPOVM(ContinuousPOVM):
     def outcome_rule(self):
         """Product Gauss rule, exact for integrands of degree < 32 in n;
         built once, read-only."""
-        return _frozen_rule(quad.sphere_nodes, 16, 32)
+        return quad.frozen_rule(quad.sphere_nodes, 16, 32)
 
 
 _PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
@@ -448,7 +437,7 @@ class CirclePhasePOVM(ContinuousPOVM):
     def outcome_rule(self):
         """64-point trapezoid rule, exact for trigonometric degree < 64;
         built once, read-only."""
-        return _frozen_rule(quad.circle_nodes, 64)
+        return quad.frozen_rule(quad.circle_nodes, 64)
 
 
 def spin_direction_povm() -> SpinDirectionPOVM:

@@ -4,36 +4,59 @@ Sphere integrals use Gauss-Legendre nodes in the polar cosine crossed
 with a uniform (periodic trapezoid) azimuthal rule; both are spectrally
 accurate for the low-degree integrands that occur here.  Regions made of
 pairwise disjoint caps are integrated cap by cap in cap-aligned frames,
-so indicator discontinuities never cross a quadrature domain.
+so indicator discontinuities never cross a quadrature domain.  The
+reference Gauss-Legendre rule of each order and the families' outcome
+rules are built once per process and shared read-only (`frozen_rule`).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .outcomes import TWO_PI, Cap, Region
+from .outcomes import TWO_PI, Region
 
 DEFAULT_SPHERE_BUDGET = 8192  # 64 polar x 128 azimuthal nodes
 
 
+@functools.cache
+def frozen_rule(rule, *args) -> tuple[np.ndarray, np.ndarray]:
+    """``rule(*args)``, built once per argument tuple and read-only.
+
+    Every entry lives as long as the process, so this serves only
+    one-dimensional rules (O(n) per order) and the families' fixed
+    outcome rules; a sphere grid whose size a caller's budget sets is
+    built per call.
+    """
+    points, weights = rule(*args)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [a, b], as fresh arrays mapped
+    from the shared reference rule on [-1, 1]."""
+    x, w = frozen_rule(np.polynomial.legendre.leggauss, n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
 
 def rotation_to(axis: np.ndarray) -> np.ndarray:
-    """Deterministic rotation matrix mapping +z to ``axis``."""
+    """Deterministic rotation matrix mapping +z to the unit vector ``axis``.
+
+    Rodrigues' formula about ``z x axis``; only an axis whose cross
+    product with +z has a squared norm below the smallest normal float is
+    taken to be a pole.
+    """
     axis = np.asarray(axis, dtype=float)
     z = np.array([0.0, 0.0, 1.0])
     c = float(np.clip(axis @ z, -1.0, 1.0))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
     v = np.cross(z, axis)
     s2 = float(v @ v)
+    if s2 < np.finfo(float).tiny:
+        return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
     vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
@@ -69,33 +92,18 @@ def sphere_band_nodes(
     return pts @ rot.T, w
 
 
-def sphere_cap_nodes(cap: Cap, n_u: int, n_phi: int):
-    return sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, n_u, n_phi)
-
-
 def sphere_nodes(n_u: int, n_phi: int):
     return sphere_band_nodes(np.array([0.0, 0.0, 1.0]), -1.0, 1.0, n_u, n_phi)
-
-
-def integrate_sphere(f, budget: int = DEFAULT_SPHERE_BUDGET) -> float | np.ndarray:
-    """Surface integral of a smooth function over the whole sphere.
-
-    ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
-    array of values.
-    """
-    n_u, n_phi = sphere_grid(budget)
-    pts, w = sphere_nodes(n_u, n_phi)
-    vals = np.asarray(f(pts))
-    return np.tensordot(w, vals, axes=(0, 0))
 
 
 def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDGET):
     """Surface integral of a smooth function over a cap-union region.
 
-    The caps must be pairwise disjoint (complement handled by
-    subtracting from the full-sphere integral); this keeps every
-    quadrature sub-domain free of indicator jumps, so accuracy is set by
-    the smooth integrand alone.
+    ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
+    array of values.  The caps must be pairwise disjoint (complement
+    handled by subtracting from the full-sphere integral); this keeps
+    every quadrature sub-domain free of indicator jumps, so accuracy is
+    set by the smooth integrand alone.
     """
     if region.caps is None:
         raise ValueError("sphere region required")
@@ -106,7 +114,7 @@ def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDG
     n_u, n_phi = sphere_grid(budget)
     total = 0.0
     for cap in region.caps:
-        pts, w = sphere_cap_nodes(cap, n_u, n_phi)
+        pts, w = sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, n_u, n_phi)
         total = total + np.tensordot(w, np.asarray(f(pts)), axes=(0, 0))
     if region.complement:
         pts, w = sphere_nodes(n_u, n_phi)

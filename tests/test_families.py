@@ -58,17 +58,13 @@ class TestSpinDirection:
         assert np.allclose(m @ m, m)
 
     def test_density_integrates_to_identity(self):
-        from povmkit.quadrature import integrate_sphere
-
-        spin = pk.spin_direction_povm()
         from povmkit.families import plus_spinors
+        from povmkit.quadrature import sphere_grid, sphere_nodes
 
-        def f(pts):
-            s = plus_spinors(pts)
-            return np.einsum("ni,nj->nij", s, s.conj())
-
-        total = integrate_sphere(f) / (2 * np.pi)
-        assert np.linalg.norm(total - np.eye(2)) <= 1e-6
+        pts, w = sphere_nodes(*sphere_grid(8192))
+        s = plus_spinors(pts)
+        total = np.tensordot(w, np.einsum("ni,nj->nij", s, s.conj()), axes=(0, 0))
+        assert np.linalg.norm(total / (2 * np.pi) - np.eye(2)) <= 1e-6
 
     def test_rejects_overlapping_caps(self, up):
         spin = pk.spin_direction_povm()

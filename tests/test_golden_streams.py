@@ -6,9 +6,10 @@ Each digest is the sha256 of a two-stage record stream, as
 records and a state.  A change to a scheme's mixing law, members, Born
 probabilities or outcome points, or to a family's dual, that moves any
 byte of these fails here; such a change must be deliberate, and the new
-digests recorded with it.  Two more digests pin the raw float bytes of
-the perturbation bases and of the extremal decompositions of seeded
-random POVMs.
+digests recorded with it.  The `equiv --mode det` digests pin what the
+deterministic mixing quadrature prints.  Two more digests pin the raw
+float bytes of the perturbation bases and of the extremal decompositions
+of seeded random POVMs.
 """
 
 import hashlib
@@ -41,6 +42,31 @@ REPORTS = {
 TOMO = {
     "spin": "086c8e98153a1ead403c0ef47652ff8aedeab8ca89c51de3ee99c709c421e104",
     "phase:3": "066ef5521bfecd7973d92752743974bd1585b9b581482a76448a451ea53e0e77",
+}
+
+EQUIV = {
+    ("spin", None): "45dcb088ed2fedc09e55f75e922e7a4c5fd90aaef87cffe34a55ec02851217ba",
+    ("spin", 2048): "2a3082d2287731dcd91672eedefb3ee710f4b2239cc48b31bb26bf1335c73ba6",
+    ("phase:3", None): "d9deeb12fb192b3b10e0b82a382ecc274f7ab86ce6635ac24bfeb868b1e397e9",
+    ("phase:3", 300): "6d5b6949035295b2b4dc3be223b91294e335b4288789de2de60d72267a8eb0cd",
+    ("phase:8", None): "2fba34eed41a9232347a2afd6bd6cb879e24529830501f14240d0521dd9f02b2",
+}
+
+# one region, two disjoint ones and a complement on the sphere; one to
+# three arcs on the circle (the last wraps through 0)
+EQUIV_REGIONS = {
+    "sphere": [
+        {"id": "cap", "caps": [{"axis": [0.6, 0.0, 0.8], "angle": 1.0}]},
+        {"id": "two", "caps": [{"axis": [0.0, 0.0, 1.0], "angle": 0.7},
+                               {"axis": [0.0, -0.6, -0.8], "angle": 0.9}]},
+        {"id": "rest", "caps": [{"axis": [0.48, 0.6, -0.64], "angle": 1.2}],
+         "complement": True},
+    ],
+    "circle": [
+        {"id": "arc", "arcs": [[0.3, 2.2]]},
+        {"id": "two", "arcs": [[-1.0, 0.4], [2.5, 3.1]]},
+        {"id": "three", "arcs": [[0.1, 0.9], [1.7, 2.0], [5.5, 6.6]]},
+    ],
 }
 
 TARGETS = {
@@ -100,6 +126,23 @@ def test_tomo_family_output(name, seed, tmp_path, capsys):
     argv = ["tomo", "--family", name] + [f"--{key}={path}" for key, path in files.items()]
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out) == TOMO[name]
+
+
+@pytest.mark.parametrize("name, budget", list(EQUIV))
+def test_equiv_det_output(name, budget, tmp_path, capsys):
+    c, _ = pk.named_family(name)
+    rng = np.random.default_rng(14)
+    states = [(f"rho{k}", pk.random_density_matrix(rng, c.dim)) for k in range(2)]
+    kind = "sphere" if name == "spin" else "circle"
+    regions = [{"space": {"kind": kind}, **r} for r in EQUIV_REGIONS[kind]]
+    files = {key: tmp_path / f"{key}.json" for key in ("states", "regions")}
+    ser.save_states(files["states"], states)
+    ser.write_json(files["regions"], {"schema": 1, "regions": regions})
+    argv = ["equiv", "--family", name, "--mode", "det"]
+    argv += [f"--{key}={path}" for key, path in files.items()]
+    argv += [] if budget is None else [f"--budget={budget}"]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == EQUIV[name, budget]
 
 
 def digest_inputs(shapes):

@@ -1,0 +1,127 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import povmkit as pk
+from povmkit import quadrature as quad
+from povmkit.outcomes import Region
+
+ORDERS = (1, 2, 12, 16, 24, 64)
+ULP2 = 2 * np.finfo(float).eps  # 4.4e-16
+
+
+class TestReferenceRule:
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_cached_rule_is_read_only_and_equals_leggauss(self, n):
+        x, w = quad.frozen_rule(np.polynomial.legendre.leggauss, n)
+        assert not x.flags.writeable and not w.flags.writeable
+        fresh = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == fresh[0].tobytes()
+        assert w.tobytes() == fresh[1].tobytes()
+        again = quad.frozen_rule(np.polynomial.legendre.leggauss, n)
+        assert again[0] is x and again[1] is w
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_mapped_rule_is_fresh_and_exact(self, n):
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        # the uncached mapping, bit for bit
+        expected = (0.5 + 0.75 * (ref_x + 1.0)).tobytes(), (0.75 * ref_w).tobytes()
+        x, w = quad.gauss_legendre(n, 0.5, 2.0)
+        assert (x.tobytes(), w.tobytes()) == expected
+        x[:] = w[:] = 0.0
+        x, w = quad.gauss_legendre(n, 0.5, 2.0)
+        assert (x.tobytes(), w.tobytes()) == expected
+
+    @pytest.mark.parametrize("name, budget", [("spin", None), ("spin", 2048), ("phase:3", None),
+                                              ("phase:3", 300), ("phase:8", None)])
+    def test_det_equivalence_builds_each_order_once(self, name, budget, monkeypatch):
+        orders, mapped = [], []
+        leggauss, gauss_legendre = np.polynomial.legendre.leggauss, quad.gauss_legendre
+
+        def counted_leggauss(n):
+            orders.append(n)
+            return leggauss(n)
+
+        def counted_gauss_legendre(n, a, b):
+            mapped.append(n)
+            return gauss_legendre(n, a, b)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+        monkeypatch.setattr(quad, "gauss_legendre", counted_gauss_legendre)
+        c, s = pk.named_family(name)
+        rng = np.random.default_rng(8)
+        states = [pk.random_density_matrix(rng, c.dim) for _ in range(3)]
+        if name == "spin":
+            regions = [Region.of_caps([((0.6, 0.0, 0.8), 1.0)]),
+                       Region.of_caps([((0.0, 0.0, 1.0), 0.7), ((0.0, -0.6, -0.8), 0.9)]),
+                       Region.of_caps([((0.48, 0.6, -0.64), 1.2)], complement=True)]
+        else:
+            regions = [Region.of_arcs([(0.3, 2.2)]),
+                       Region.of_arcs([(-1.0, 0.4), (2.5, 3.1)]),
+                       Region.of_arcs([(0.1, 0.9), (1.7, 2.0), (5.5, 6.6)])]
+        pk.verify_scheme_equivalence(c, s, states, regions, mode="det", budget=budget)
+        assert orders and sorted(orders) == sorted(set(orders))
+        assert set(mapped) == set(orders)
+        assert len(mapped) > 3 * len(orders)
+
+
+def test_rules_are_shared_safely_across_threads(monkeypatch):
+    # a fresh cache key, so that the threads race to build every rule
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(n))
+    expected = {n: (0.5 + 0.75 * (x + 1.0), 0.75 * w)
+                for n, (x, w) in ((n, leggauss(n)) for n in ORDERS)}
+    wrong = []
+
+    def work():
+        for _ in range(20):
+            for n, (ex, ew) in expected.items():
+                x, w = quad.gauss_legendre(n, 0.5, 2.0)
+                if x.tobytes() != ex.tobytes() or w.tobytes() != ew.tobytes():
+                    wrong.append(n)
+                x[:] = w[:] = 0.0
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def near_pole_axes():
+    for k in (3, 5, 7, 8, 10, 15, 20, 50, 100, 150, 154, 155, 160, 198):
+        t = 10.0**-k
+        for sign in (1.0, -1.0):
+            yield np.array([t, 0.0, sign * np.sqrt(1.0 - t * t)])
+
+
+class TestRotationTo:
+    AXES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.48, 0.6, -0.64), (1.0, 0.0, 0.0),
+            (0.0, -0.6, 0.8)]
+
+    def test_maps_z_to_axis(self):
+        # an axis 1e-7 rad from a pole was taken to be the pole itself
+        for axis in [np.array(a) for a in self.AXES] + list(near_pole_axes()):
+            rot = quad.rotation_to(axis)
+            assert np.abs(rot @ np.array([0.0, 0.0, 1.0]) - axis).max() <= ULP2
+            assert np.abs(rot @ rot.T - np.eye(3)).max() <= ULP2
+            assert abs(np.linalg.det(rot) - 1.0) <= ULP2
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_pole_cap_equivalence(self, t, sign):
+        c, s = pk.named_family("spin")
+        rng = np.random.default_rng(21)
+        states = [pk.random_density_matrix(rng, 2) for _ in range(3)]
+        region = Region.of_caps([((t, 0.0, sign), 1.0)])
+        report = pk.verify_scheme_equivalence(c, s, states, [region], mode="det")
+        assert report.max_abs_diff <= 1e-15
