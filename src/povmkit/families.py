@@ -12,29 +12,31 @@ Two continuous POVMs are built in:
 Both are covariant, ``M(g.omega) = U_g M(omega) U_g^dagger`` under
 rotations and phase shifts, and have one exact randomization,
 `DesignScheme`: a finite design ``sum_k w_k M(omega_k) = I`` moved by a
-uniformly random group element, declaring the moved points (the
-antipodal pair ``{+z, -z}`` for spin, the d-point comb for phase).
-Explicit finite mixtures of finite POVMs (`FiniteMixtureScheme`) are
-schemes too.  Region probabilities of scheme averages agree with the
-continuous POVM exactly; `verify_scheme_equivalence` checks that
-numerically state by state.
+uniformly random motion of the outcome space, declaring the moved points
+(the antipodal pair ``{+z, -z}`` for spin, the d-point comb for phase).
+The mixing law belongs to the outcome space, not to the family: uniform
+shifts of the circle and uniform (Haar) rotations of the sphere, one law
+each for every design on that space.  Explicit finite mixtures of finite
+POVMs (`FiniteMixtureScheme`) are schemes too.  Region probabilities of
+scheme averages agree with the continuous POVM exactly;
+`verify_scheme_equivalence` checks that numerically state by state.
 
 Everything that depends on the family lives on these classes: a
 continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
 ``Tr[A M(omega)]`` in closed form (`ContinuousPOVM.expectation`, which
-Born probabilities and dual processings evaluate), its rank-one kets and
-group action (from which `DesignScheme` builds its members), and the
-finite POVM of an exact outcome quadrature
-(`ContinuousPOVM.outcome_nodes`) on which Bayes gains, canonical duals
-and dual residuals are computed; one vectorized two-stage kernel
-(`RandomizedScheme.sample`) and the Monte Carlo average run for every
-scheme.  `named_family` is the one table from family names (``spin``,
-its aliases, ``phase:<d>``) to the (continuous POVM, scheme) pair.
+Born probabilities and dual processings evaluate), its rank-one kets
+(from which `DesignScheme` builds its members), and the finite POVM of
+an exact outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which
+Bayes gains, canonical duals and dual residuals are computed; one
+vectorized two-stage kernel (`RandomizedScheme.sample`) and the Monte
+Carlo average run for every scheme.  `named_family` is the one table
+from family names (``spin``, its aliases, ``phase:<d>``) to the
+(continuous POVM, scheme) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,14 +108,9 @@ class ContinuousPOVM:
 
     The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
     kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
-    ``int |psi><psi| domega/2pi = I``.  What `DesignScheme` needs of the
-    family's group: ``move(xs, point)``, a design point's images under
-    elements carrying the family's pole to each mixing parameter x;
-    ``preimage(region, point)``, the x whose image of ``point`` lies in
-    ``region``; ``mixing_law(points, weights)``, the law of x for a design:
-    ``(sample(rng, size), nodes(), average(terms, budget))``: draws, a
-    quadrature rule with weights summing to 1, and the mixing average of
-    ``sum_k chi_{R_k}(x) f_k(x)`` over pairs of a function and a region.
+    ``int |psi><psi| domega/2pi = I``.  A family writes no group code:
+    `DesignScheme` moves a design by its outcome space's mixing law, and
+    the family's covariance is what makes every moved design a POVM.
     """
 
     dim: int
@@ -216,37 +213,6 @@ class SpinDirectionPOVM(ContinuousPOVM):
         vec = np.array([a[0, 1].real, -a[0, 1].imag, (a[0, 0].real - a[1, 1].real) / 2.0])
         return (a[0, 0].real + a[1, 1].real) / 2.0 + np.asarray(points, dtype=float) @ vec
 
-    def move(self, xs, point):
-        return point[2] * xs
-
-    def preimage(self, region, point):
-        caps = [(tuple(point[2] * c.axis_array), c.angle) for c in region.caps]
-        return Region.of_caps(caps, complement=region.complement)
-
-    def mixing_law(self, points, weights):
-        """x uniform on the sphere, density ``1/4pi``.  Any rotation carrying
-        +z to x carries -z to -x, so x fixes the member of a design at the
-        poles; the images of other points depend on the rotation."""
-        if np.any(points[:, :2] != 0.0) or np.any(np.abs(points[:, 2]) != 1.0):
-            raise ValueError("sphere designs sit at the poles (0, 0, 1) and (0, 0, -1)")
-
-        def sample(rng, size):
-            u = rng.uniform(-1.0, 1.0, size)
-            phi = rng.uniform(0.0, TWO_PI, size)
-            s = np.sqrt(1.0 - u * u)
-            return np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
-
-        def average(terms, budget):
-            budget = budget or quad.DEFAULT_SPHERE_BUDGET
-            total = sum(quad.integrate_sphere_region(f, region, budget) for f, region in terms)
-            return float(total) / (2.0 * TWO_PI)
-
-        def nodes():
-            pts, w = quad.sphere_nodes(8, 16)
-            return list(pts), w / (2.0 * TWO_PI)
-
-        return sample, nodes, average
-
     @staticmethod
     def cap_operator(axis, angle: float) -> np.ndarray:
         """Exact integral of ``|n><n| dn/2pi`` over a closed cap.
@@ -332,42 +298,6 @@ class CirclePhasePOVM(ContinuousPOVM):
         phis = np.asarray(points, dtype=float)
         sums = np.exp(1j * np.multiply.outer(phis, np.arange(1, self.dim))) @ _superdiagonals(a)
         return (np.trace(a).real + 2.0 * sums.real) / self.dim
-
-    def move(self, xs, point):
-        return normalize_angle(xs + point)
-
-    def preimage(self, region, point):
-        return Region.of_arcs([(a - point, b - point) for a, b in region.arcs])
-
-    def mixing_law(self, points, weights):
-        """x uniform on ``[0, 2pi/p)``, density ``p/2pi``, where shifts by
-        ``2pi/p`` permute the weighted design (largest such p): a shift by
-        a whole period only relabels a member's entries."""
-        z = np.exp(1j * points)
-
-        def permutes(p):
-            moved = z * np.exp(1j * TWO_PI / p)
-            j = np.abs(moved[:, None] - z).argmin(axis=1)
-            return np.allclose(moved, z[j], rtol=0, atol=1e-12) and np.allclose(weights, weights[j])
-
-        p = next(p for p in range(len(points), 0, -1) if permutes(p))
-        window = TWO_PI / p
-
-        def average(terms, budget):
-            budget = budget or 1024
-            total = 0.0
-            for f, region in terms:
-                pieces = quad.intersect_arcs_with_window(region.arcs, 0.0, window)
-                if pieces:
-                    order = int(min(64, max(12, budget // max(1, len(pieces) * len(points)))))
-                    total += quad.integrate_intervals(f, pieces, order=order)
-            return float(total) * p / TWO_PI
-
-        def nodes():
-            x, w = quad.gauss_legendre(16, 0.0, window)
-            return list(x), w * p / TWO_PI
-
-        return (lambda rng, size: rng.uniform(0.0, window, size)), nodes, average
 
     @staticmethod
     def _interval_operator(d: int, a: float, b: float) -> np.ndarray:
@@ -458,7 +388,8 @@ class RandomizedScheme:
     and outcome points in bulk (`member_probabilities`, `outcome_points`)
     and the deterministic mixing average of a region probability
     (``_deterministic_average(rho, region, budget)``); sampling and the
-    Monte Carlo average are shared.
+    Monte Carlo average are shared.  `DesignScheme` takes its law from its
+    outcome space, `FiniteMixtureScheme` from its term weights.
     """
 
     outcome_space: OutcomeSpace
@@ -531,16 +462,84 @@ class RandomizedScheme:
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
+class _Shifts:
+    """The circle's mixing law: x uniform on ``[0, 2pi)``, moving a point
+    ``phi`` to ``phi + x``."""
+
+    def sample(self, rng, size):
+        return rng.uniform(0.0, TWO_PI, size)
+
+    def move(self, xs, points):
+        return normalize_angle(np.reshape(xs, (-1, 1)) + points)
+
+    def nodes(self):
+        x, w = quad.circle_nodes(16)
+        return x, w / TWO_PI
+
+    def integral(self, f, region, budget):
+        order = int(min(64, max(12, (budget or 1024) // max(1, len(region.arcs)))))
+        return float(quad.integrate_intervals(f, region.arcs, order=order)) / TWO_PI
+
+
+class _Rotations:
+    """The sphere's mixing law: ``x = (alpha, cos beta, gamma)``, the ZYZ
+    Euler angles of ``R(x) = R_z(alpha) R_y(beta) R_z(gamma)``, uniform in
+    each coordinate, which is the Haar law on SO(3); x moves ``p`` to
+    ``R(x) p``, and the image of +z is ``(sin beta cos alpha,
+    sin beta sin alpha, cos beta)``."""
+
+    _LOW, _SPAN = np.array([0.0, -1.0, 0.0]), np.array([TWO_PI, 2.0, TWO_PI])
+
+    def sample(self, rng, size):
+        return self._LOW + self._SPAN * rng.random((size, 3))
+
+    def move(self, xs, points):
+        alpha, u, gamma = np.reshape(xs, (-1, 3)).T
+        if not np.all(np.abs(u) <= 1.0):
+            raise ValueError("a rotation needs cos beta in [-1, 1]")
+        ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
+        s = np.sqrt(1.0 - u * u)
+        rot = np.array([  # R(x), entry by entry along the draws: shape (3, 3, n)
+            [ca * u * cg - sa * sg, -ca * u * sg - sa * cg, ca * s],
+            [sa * u * cg + ca * sg, ca * cg - sa * u * sg, sa * s],
+            [-s * cg, s * sg, u],
+        ])
+        return np.ascontiguousarray(np.einsum("ijn,kj->nki", rot, np.asarray(points, dtype=float)))
+
+    def nodes(self):
+        u, wu = quad.gauss_legendre(4, -1.0, 1.0)
+        alpha, gamma = np.arange(8) * (TWO_PI / 8), np.arange(4) * (TWO_PI / 4)
+        grid = np.stack(np.meshgrid(alpha, u, gamma, indexing="ij"), axis=-1).reshape(-1, 3)
+        return grid, np.tile(np.repeat(wu / 64.0, 4), 8)
+
+    def integral(self, f, region, budget):
+        caps = replace(region, complement=False)
+        budget = budget or quad.DEFAULT_SPHERE_BUDGET
+        return float(quad.integrate_sphere_region(f, caps, budget)) / (2.0 * TWO_PI)
+
+
+# One law per outcome space: ``sample(rng, size)`` draws mixing parameters
+# x, ``move(xs, points)`` gives each point's image under each x, shape
+# (n, k) or (n, k, 3), ``nodes()`` is a rule in x whose weights sum to 1,
+# and ``integral(f, region, budget)`` integrates ``f`` over the region's
+# arcs or caps under the uniform probability law (a complement is left to
+# the caller).
+_MIXING_LAWS = {CIRCLE: _Shifts(), SPHERE: _Rotations()}
+
+
 class DesignScheme(RandomizedScheme):
-    """A finite design of a covariant family, moved by a random group element.
+    """A finite design of a covariant family, moved by a uniform motion.
 
     ``design`` is a pair of outcome points ``omega_k`` and weights ``w_k``
-    with ``sum_k w_k M(omega_k) = I``.  Draw g uniformly from the family's
-    group, measure ``{w_k M(g.omega_k)} = {w_k U_g M(omega_k) U_g^dagger}``
-    and declare ``g.omega_k``: by covariance and the invariance of the
-    uniform law every region probability averages to the continuous one
-    (Chiribella, D'Ariano, Schlingemann, J. Math. Phys. 51, 022111, 2010).
-    The mixing parameter x is the image of the family's pole under g.
+    with ``sum_k w_k M(omega_k) = I``.  Draw a motion g of the outcome
+    space from its uniform law, a shift of the circle or a rotation of the
+    sphere, measure ``{w_k M(g.omega_k)} = {w_k U_g M(omega_k) U_g^dagger}``
+    and declare ``g.omega_k``: by covariance every member is a POVM, and
+    by the invariance of the uniform law every region probability averages
+    to the continuous one (Chiribella, D'Ariano, Schlingemann, J. Math.
+    Phys. 51, 022111, 2010).  The mixing parameter x is g itself: the
+    shift on the circle, the Euler angles ``(alpha, cos beta, gamma)`` on
+    the sphere; the design's points may lie anywhere on the space.
     """
 
     def __init__(self, continuous: ContinuousPOVM, design):
@@ -550,7 +549,8 @@ class DesignScheme(RandomizedScheme):
         self.outcome_space = continuous.space
         self.dim = continuous.dim
         self.family = continuous.family
-        self.sample_x, self.mixing_nodes, self._average = continuous.mixing_law(points, weights)
+        self._law = _MIXING_LAWS[continuous.space]
+        self.sample_x, self.mixing_nodes = self._law.sample, self._law.nodes
         check_povm(self._povm(points))
 
     def _povm(self, points) -> FinitePOVM:
@@ -565,25 +565,31 @@ class DesignScheme(RandomizedScheme):
         return self._povm(self.outcome_points(x)[0])
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        points = self.outcome_points(xs)
+        return self._probabilities(self.outcome_points(xs), rho)
+
+    def _probabilities(self, points, rho):
         born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
         return born.reshape(points.shape[:2]) * self.design[1]
 
+    def _draw_members(self, rho, n: int, rng):
+        xs = self.sample_x(rng, n)
+        points = self.outcome_points(xs)  # one move serves the probabilities and the points
+        return xs, self._probabilities(points, rho), points
+
     def outcome_points(self, xs):
-        xs = np.asarray(xs, dtype=float).reshape(-1, *self.design[0].shape[1:])
-        return np.stack([self.continuous.move(xs, p) for p in self.design[0]], axis=1)
+        return self._law.move(xs, self.design[0])
 
     def _deterministic_average(self, rho, region, budget):
-        """Each design point's Born column, integrated over the preimage of
-        the region under that point's move."""
-        c = self.continuous
-        return self._average(
-            [
-                (lambda xs, p=p, w=w: w * c.born(rho, c.move(xs, p)), c.preimage(region, p))
-                for p, w in zip(*self.design)
-            ],
-            budget,
+        """Each moved point ``g.omega_k`` is uniform on the outcome space,
+        so the average is ``sum_k w_k`` times the uniform-law integral of
+        ``Tr[rho M]`` over the region: one integral, whatever the design.
+        ``Tr[rho M]`` integrates to ``1/dim`` over the whole space, which
+        gives a complement."""
+        total = float(self.design[1].sum())
+        inside = total * self._law.integral(
+            lambda pts: self.continuous.born(rho, pts), region, budget
         )
+        return total / self.dim - inside if region.complement else inside
 
 
 class FiniteMixtureScheme(RandomizedScheme):
@@ -726,12 +732,16 @@ def verify_scheme_equivalence(
     """Compare continuous region probabilities with scheme averages.
 
     ``states`` is a list of density matrices (optionally ``(id, rho)``
-    pairs), ``regions`` a list of regions (optionally ``(id, region)``).
-    Deterministic mode integrates the mixing parameter with product
-    quadrature split along region boundaries; montecarlo mode draws
-    mixing parameters with the given seed and reports standard errors.
-    ``budget`` is as in `RandomizedScheme.average_region_probability`.
+    pairs), ``regions`` a list of regions (optionally ``(id, region)``);
+    an empty list raises `ValueError`.  Deterministic mode computes each
+    scheme average by quadrature; montecarlo mode draws mixing parameters
+    with the given seed and reports standard errors.  ``budget`` is as in
+    `RandomizedScheme.average_region_probability`.
     """
+    states, regions = _with_ids(states, "state"), _with_ids(regions, "region")
+    for name, items in (("states", states), ("regions", regions)):
+        if not items:
+            raise ValueError(f"{name} is empty: nothing to compare")
     _check_budget(budget, mode)
     require_same_space(c.space, s.outcome_space, "continuous POVM and scheme")
     rng = None
@@ -742,9 +752,9 @@ def verify_scheme_equivalence(
 
         rng = make_rng(seed)
     rows = []
-    for sid, rho in _with_ids(states, "state"):
+    for sid, rho in states:
         rho = op.check_density_matrix(rho)
-        for rid, region in _with_ids(regions, "region"):
+        for rid, region in regions:
             require_same_space(c.space, region.space, "POVM and region")
             p_cont = c.region_probability(rho, region)
             p_sch, se = s.average_region_probability(

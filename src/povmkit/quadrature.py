@@ -100,13 +100,14 @@ def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDG
     """Surface integral of a smooth function over a cap-union region.
 
     ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
-    array of values.  The caps must be pairwise disjoint (complement
-    handled by subtracting from the full-sphere integral); this keeps
-    every quadrature sub-domain free of indicator jumps, so accuracy is
-    set by the smooth integrand alone.
+    array of values.  The caps must be pairwise disjoint and not
+    complemented; this keeps every quadrature sub-domain free of indicator
+    jumps, so accuracy is set by the smooth integrand alone.
     """
     if region.caps is None:
         raise ValueError("sphere region required")
+    if region.complement:
+        raise ValueError("complemented region: integrate its caps and subtract them from the whole")
     if not region.caps_pairwise_disjoint():
         raise ValueError(
             "closed-form region integration requires pairwise disjoint caps"
@@ -116,10 +117,6 @@ def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDG
     for cap in region.caps:
         pts, w = sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, n_u, n_phi)
         total = total + np.tensordot(w, np.asarray(f(pts)), axes=(0, 0))
-    if region.complement:
-        pts, w = sphere_nodes(n_u, n_phi)
-        whole = np.tensordot(w, np.asarray(f(pts)), axes=(0, 0))
-        total = whole - total
     return total
 
 
@@ -127,16 +124,6 @@ def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Periodic trapezoid rule on [0, 2*pi)."""
     phi = np.arange(n) * (TWO_PI / n)
     return phi, np.full(n, TWO_PI / n)
-
-
-def intersect_arcs_with_window(arcs, lo: float, hi: float):
-    """Intersections of normalized arcs [a, b) with the window [lo, hi)."""
-    out = []
-    for a, b in arcs:
-        s, e = max(a, lo), min(b, hi)
-        if e > s:
-            out.append((s, e))
-    return out
 
 
 def integrate_intervals(f, intervals, order: int = 24):

@@ -111,22 +111,28 @@ def test_outcome_rule_is_built_once_read_only(family):
         assert not a.flags.writeable
 
 
+IDENTITY = np.array([0.0, 1.0, 0.0])  # (alpha, cos beta, gamma) of the identity rotation
+
+
 class TestSternGerlach:
     def test_member_matches_projectors(self, up, down):
-        member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+        member = pk.stern_gerlach_scheme().member(IDENTITY)
         assert len(member) == 2
         assert np.allclose(member.elements[0], up)
         assert np.allclose(member.elements[1], down)
         assert np.allclose(member.points[0], [0, 0, 1.0])
         assert np.allclose(member.points[1], [0, 0, -1.0])
 
+    @pytest.mark.parametrize("x", [[0.0, 1.5, 0.0], [0.0, -1.0 - 1e-12, 0.0], [0.0, np.nan, 0.0]])
+    def test_member_outside_the_rotations_rejected(self, x):
+        with pytest.raises(ValueError, match="cos beta"):
+            pk.stern_gerlach_scheme().member(x)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_members_valid_povms(self, seed):
-        rng = np.random.default_rng(seed)
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        member = pk.stern_gerlach_scheme().member(n)
+        sg = pk.stern_gerlach_scheme()
+        member = sg.member(sg.sample_x(np.random.default_rng(seed), 1)[0])
         assert not member.allow_duplicates
         assert pk.validate_povm(member).passed
         assert len(member) == len(member.nonzero_indices()) == 2
@@ -197,8 +203,8 @@ class TestPhaseFamily:
         assert abs(val - (0.5 + 1.0 / np.pi)) <= 1e-9
 
     def test_unfolded_mixing_equivalent(self, rng):
-        # the comb is (2 pi / d)-periodic up to relabeling: sliding the
-        # window by whole periods never changes the average
+        # the comb is (2 pi / d)-periodic up to relabeling: a shift by whole
+        # comb spacings gives the same member
         d = 3
         scheme = pk.phase_scheme(d)
         window = scheme.design[0][1]  # the comb spacing 2 pi / d
@@ -247,6 +253,40 @@ def irregular_phase_design():
     return phis, np.linalg.solve(a, [2.0, 0.0, 0.0])
 
 
+def tetrahedron_design():
+    """The regular tetrahedron with weights 1/2: sum_k n_k = 0, so
+    sum_k |n_k><n_k| / 2 = I."""
+    points = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                       [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
+    return points, np.full(4, 0.5)
+
+
+EQUATOR = ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 1.0])
+
+# designs off the poles and off a comb, on each outcome space
+OTHER_DESIGNS = {
+    "equator": (pk.spin_direction_povm, EQUATOR),
+    "tetrahedron": (pk.spin_direction_povm, tetrahedron_design()),
+    "irregular_phase": (lambda: pk.phase_povm(2), irregular_phase_design()),
+}
+OTHER_REGIONS = {
+    SPHERE: [
+        cap((0.6, 0.0, 0.8), 1.0),
+        Region.of_caps([(Z_AXIS, 0.7), ((0.0, -0.6, -0.8), 0.9)]),
+        Region.of_caps([((0.48, 0.6, -0.64), 1.2)], complement=True),
+    ],
+    CIRCLE: [Region.of_arcs([(0.4, 2.5)]), Region.of_arcs([(5.0, 7.0), (2.0, 3.0)])],
+}
+
+
+def built_in_and_other_schemes():
+    yield "spin", pk.stern_gerlach_scheme(), True
+    for d in range(2, 9):
+        yield f"phase:{d}", pk.phase_scheme(d), True
+    for name, (family, design) in OTHER_DESIGNS.items():
+        yield name, pk.DesignScheme(family(), design), False
+
+
 class TestDesignScheme:
     @pytest.mark.parametrize("design, period", [
         ((np.arange(3) * 2 * np.pi / 3, np.full(3, 2 / 3)), 3),  # a comb finer than d
@@ -255,10 +295,18 @@ class TestDesignScheme:
     def test_other_phase_designs(self, rng, design, period):
         ph = pk.phase_povm(2)
         scheme = pk.DesignScheme(ph, design)
-        assert scheme.sample_x(rng, 1000).max() < 2 * np.pi / period
+        # one law for every design: the image of the point 0 covers the whole
+        # circle, not one period, and a shift by a period only relabels
+        xs = scheme.sample_x(rng, 1000)
+        images = scheme.outcome_points(xs)[:, 0]
+        assert 0.0 <= images.min() and images.max() < 2 * np.pi
+        assert images.max() - images.min() > 0.99 * 2 * np.pi
+        for x in xs[:5]:
+            moved = scheme.outcome_points([x, x + 2 * np.pi / period])
+            assert np.allclose(np.sort(moved[0]), np.sort(moved[1]), rtol=0, atol=1e-12)
         assert np.sum(scheme.mixing_nodes()[1]) == pytest.approx(1.0)
         rho = pk.random_density_matrix(rng, 2)
-        arcs = [Region.of_arcs([(0.4, 2.5)]), Region.of_arcs([(5.0, 7.0), (2.0, 3.0)])]
+        arcs = OTHER_REGIONS[CIRCLE]
         det = pk.verify_scheme_equivalence(ph, scheme, [rho], arcs)
         assert det.max_abs_diff <= 1e-9
         mc = pk.verify_scheme_equivalence(
@@ -269,10 +317,36 @@ class TestDesignScheme:
         for x in scheme.sample_x(rng, 5):
             assert pk.validate_povm(scheme.member(x)).passed
 
+    @pytest.mark.parametrize("name", ["equator", "tetrahedron"])
+    def test_sphere_designs_off_the_poles(self, rng, name):
+        family, design = OTHER_DESIGNS[name]
+        spin = family()
+        scheme = pk.DesignScheme(spin, design)
+        assert np.sum(scheme.mixing_nodes()[1]) == pytest.approx(1.0)
+        states = [pk.random_density_matrix(rng, 2) for _ in range(2)]
+        regions = OTHER_REGIONS[SPHERE]
+        det = pk.verify_scheme_equivalence(spin, scheme, states, regions)
+        assert det.max_abs_diff <= 1e-9
+        mc = pk.verify_scheme_equivalence(
+            spin, scheme, states, regions, mode="mc", budget=20_000, seed=3
+        )
+        for row in mc.rows:
+            assert abs(row.diff) <= 5 * row.std_error
+        for x in scheme.sample_x(rng, 20):
+            assert pk.validate_povm(scheme.member(x)).passed
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_moved_members_are_povms(self, seed):
+        rng = np.random.default_rng(seed)
+        for name, scheme, built_in in built_in_and_other_schemes():
+            for x in scheme.sample_x(rng, 3):
+                member = scheme.member(x)
+                assert pk.validate_povm(member).passed, (name, x)
+                if built_in:
+                    assert pk.is_extremal(member), (name, x)
+
     def test_invalid_designs_rejected(self):
-        equator = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
-        with pytest.raises(ValueError, match="poles"):
-            pk.DesignScheme(pk.spin_direction_povm(), (equator, [1.0, 1.0]))
         with pytest.raises(pk.InvalidPOVM):
             pk.DesignScheme(pk.spin_direction_povm(), ([[0.0, 0.0, 1.0]], [1.0]))
         with pytest.raises(pk.InvalidPOVM):
@@ -308,6 +382,15 @@ class TestEquivalence:
         row = rep.rows[0]
         assert row.std_error is not None
         assert abs(row.diff) <= 5 * row.std_error
+
+    @pytest.mark.parametrize("name", ["states", "regions"])
+    def test_empty_lists_rejected(self, up, name):
+        lists = {"states": [up], "regions": [cap(Z_AXIS, 1.0)], name: []}
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            pk.verify_scheme_equivalence(
+                pk.spin_direction_povm(), pk.stern_gerlach_scheme(), lists["states"],
+                lists["regions"],
+            )
 
     def test_montecarlo_requires_seed(self, up):
         spin = pk.spin_direction_povm()

@@ -27,15 +27,15 @@ def sha256(text: str) -> str:
 
 
 STREAMS = {
-    "spin": "cc1f28d04d9812b47fa00e5963ba33e212eb8dcaf57b3273a9eca7aead3ab8e7",
-    "phase:2": "d2c39103ff9364117b3c2686b8893b0942951bf5ba4a248d792bc98faec5af00",
-    "phase:3": "5b8abbec4e5f8ed94ce0ea97e0efc30e15f19e91d5cb9d99e6768794394e4714",
-    "phase:8": "7da296b632b1c27cd590c0c00dfea4bafffe5943c3f9332b237baf90f171bc37",
+    "spin": "c676dae805fa9ed881813e9ea278e9a366b4f98e71506fac72f0862f163837cf",
+    "phase:2": "e3f66149f903cb7e309ecf3d70f85e9806a9bcb94d1e857311e72fb344a3968d",
+    "phase:3": "b8c4ac6952063b5d593360184e17d77e4750239f673170f87e7a8d2b14ba164d",
+    "phase:8": "e712cfb8917e6e6d06c8546d633cef92a7b5452e3b86a40e0c15a21a4622208b",
 }
 
 REPORTS = {
-    "spin": "cf5f3afe7da404338d6017b188ac62ef894ce2f72188a5e259bca8176ca9eeb5",
-    "phase:3": "e641306c90c624a9a3ab778d14de51521571367da98d289481cf4c25cc1bb17f",
+    "spin": "ca5261323b2bc04fb9ef36963786ad800f799abbef732ccf8187b4a8e6fdf60b",
+    "phase:3": "6320fd6c4bd5fa14a345194e530afb3e31f46a9f50259ee510db191481e2ddf9",
 }
 
 
@@ -45,11 +45,11 @@ TOMO = {
 }
 
 EQUIV = {
-    ("spin", None): "45dcb088ed2fedc09e55f75e922e7a4c5fd90aaef87cffe34a55ec02851217ba",
-    ("spin", 2048): "2a3082d2287731dcd91672eedefb3ee710f4b2239cc48b31bb26bf1335c73ba6",
-    ("phase:3", None): "d9deeb12fb192b3b10e0b82a382ecc274f7ab86ce6635ac24bfeb868b1e397e9",
-    ("phase:3", 300): "6d5b6949035295b2b4dc3be223b91294e335b4288789de2de60d72267a8eb0cd",
-    ("phase:8", None): "2fba34eed41a9232347a2afd6bd6cb879e24529830501f14240d0521dd9f02b2",
+    ("spin", None): "fe8558c9d55e74894395d8ce4ed9e935307bcd8994e0e6fb2ccced2fc8fcb2a5",
+    ("spin", 2048): "cf99df13c25a4a1b25523a7cb8fffb785813c0de177a81f67a150f5a280bd57c",
+    ("phase:3", None): "1fe3d551fc06acb1aec384c577145519309981d7fcc52ba611e5b8c6084b87e7",
+    ("phase:3", 300): "b0333fc10af1a00db955f9cda67035d317414cb7b016e16dacd40212de45281b",
+    ("phase:8", None): "ed1ec598e0ed3dc6e747d009ebdbdb66732bd3e6d55466d46011071f9a8e0ab3",
 }
 
 # one region, two disjoint ones and a complement on the sphere; one to

@@ -5,6 +5,10 @@ import povmkit as pk
 from povmkit.errors import DimensionMismatch, SpaceMismatch
 from povmkit.outcomes import SPHERE
 
+# rotations as (alpha, cos beta, gamma): the identity, and a half turn about y
+IDENTITY = np.array([0.0, 1.0, 0.0])
+FLIP = np.array([0.0, -1.0, 0.0])
+
 
 def trivial_guess_povm(point=(0.0, 0.0, 1.0)):
     return pk.FinitePOVM(
@@ -34,7 +38,7 @@ class TestBayesGain:
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_stern_gerlach_member_two_thirds(self, fidelity_spec):
-        member = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+        member = pk.stern_gerlach_scheme().member(IDENTITY)
         value = pk.bayes_gain(member, fidelity_spec)
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
@@ -125,7 +129,7 @@ class TestEqualOptimality:
             pk.check_equal_optimality(pk.stern_gerlach_scheme(), fidelity_spec, x_samples=-3)
 
     def test_mixed_quality_scheme_detected(self, fidelity_spec):
-        good = pk.stern_gerlach_scheme().member(np.array([0.0, 0.0, 1.0]))
+        good = pk.stern_gerlach_scheme().member(IDENTITY)
         bad = trivial_guess_povm()
         scheme = pk.FiniteMixtureScheme([(0.5, good), (0.5, bad)])
         report = pk.check_equal_optimality(scheme, fidelity_spec, x_samples=0)
@@ -148,8 +152,8 @@ class TestMixtureMerit:
 
     def test_antipodal_members_agree(self, fidelity_spec):
         sg = pk.stern_gerlach_scheme()
-        v1 = pk.bayes_gain(sg.member(np.array([0.0, 0.0, 1.0])), fidelity_spec)
-        v2 = pk.bayes_gain(sg.member(np.array([0.0, 0.0, -1.0])), fidelity_spec)
+        v1 = pk.bayes_gain(sg.member(IDENTITY), fidelity_spec)
+        v2 = pk.bayes_gain(sg.member(FLIP), fidelity_spec)
         assert abs(v1 - v2) <= 1e-12
 
 

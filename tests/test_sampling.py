@@ -22,6 +22,13 @@ def hemisphere():
     return Region.of_caps([((0.0, 0.0, 1.0), np.pi / 2)])
 
 
+def pole_image(xs):
+    """The image of +z under each rotation ``x = (alpha, cos beta, gamma)``."""
+    alpha, u, _ = np.asarray(xs, dtype=float).T
+    s = np.sqrt(1.0 - u * u)
+    return np.column_stack([s * np.cos(alpha), s * np.sin(alpha), u])
+
+
 class TestRng:
     def test_reproducible(self):
         a = make_rng(7).uniform(size=5)
@@ -171,14 +178,15 @@ class TestTwoStage:
         recs = pk.sample_two_stage(sg, up, 5000, seed=6)
         assert recs.x is not None and recs.i is not None
         signs = np.where(recs.i == 0, 1.0, -1.0)
-        assert np.allclose(recs.omega, signs[:, None] * recs.x)
+        assert np.allclose(recs.omega, signs[:, None] * pole_image(recs.x))
 
     def test_conditional_born_rule(self, up):
-        # P(i = up | x) = cos^2(theta_x / 2); test the joint moment
-        # E[1{i=up} 1{x in upper hemisphere}] = int_{u>0} (1+u)/2 du/2 = 3/8
+        # P(i = up | x) = cos^2(theta_x / 2), with n_x the image of +z; test
+        # the joint moment E[1{i=up} 1{n_x in upper hemisphere}]
+        # = int_{u>0} (1+u)/2 du/2 = 3/8
         n = 200_000
         recs = pk.sample_two_stage(pk.stern_gerlach_scheme(), up, n, seed=8)
-        upper = recs.x[:, 2] > 0
+        upper = pole_image(recs.x)[:, 2] > 0
         moment = np.mean((recs.i == 0) & upper)
         assert abs(moment - 3.0 / 8.0) <= 4 * np.sqrt(0.375 * 0.625 / n)
 
@@ -191,12 +199,13 @@ class TestTwoStage:
         assert np.allclose(recs.omega, expected)
 
     def test_mixing_marginal_uniform(self, up):
-        # the x-marginal must follow the mixing law regardless of the state
+        # the x-marginal must follow the mixing law regardless of the state:
+        # the image of +z is uniform on the sphere
         from povmkit.sampling import sphere12_bins
 
         n = 120_000
         recs = pk.sample_two_stage(pk.stern_gerlach_scheme(), up, n, seed=12)
-        counts = np.bincount(sphere12_bins(recs.x), minlength=12).astype(float)
+        counts = np.bincount(sphere12_bins(pole_image(recs.x)), minlength=12).astype(float)
         expected = n / 12.0
         stat = float(np.sum((counts - expected) ** 2 / expected))
         from scipy.special import gammaincc
@@ -226,7 +235,8 @@ class TestTwoStage:
         guess = pk.FinitePOVM(
             dim=2, space=SPHERE, entries=((np.array([0.0, 0.0, 1.0]), np.eye(2)),)
         )
-        sg_member = pk.stern_gerlach_scheme().member(axis)
+        sg_member = pk.stern_gerlach_scheme().member([0.0, axis[2], 0.0])
+        assert np.allclose(sg_member.points, [axis, -axis], rtol=0, atol=1e-15)
         scheme = pk.FiniteMixtureScheme([(0.3, guess), (0.7, sg_member)])
         rho = pk.random_density_matrix(np.random.default_rng(8), 2)
         n = 20_000
