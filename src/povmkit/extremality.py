@@ -17,27 +17,31 @@ nonzero, linearly independent elements.
 
 The walk works in support coordinates.  At the input it takes one
 stacked support eigendecomposition (with the `NumericalRankAmbiguity`
-band test) and one kernel SVD; from then on slot i is ``V_i B_i V_i^†``
-with its support basis ``V_i`` fixed and ``B_i`` positive definite.  A
-kernel direction moves only the ``B_i``; its step length is the ratio
-test ``b_i / |q_i|`` for rank-one slots and an ``r_i x r_i``
+band test); from then on slot i is ``V_i B_i V_i^†`` with ``B_i``
+positive definite.  Each step moves along a null vector found by
+elimination, as in the classical proof of Carathéodory's theorem and in
+recombination (Litterer & Lyons, Ann. Appl. Probab. 22, 1301, 2012):
+the active slots are taken in slot order until their block coordinates
+(``r_i**2`` each) number more than ``d**2``, and one small SVD of their
+lifts gives a perturbation that moves only them.  No kernel basis is
+kept, so no step grows with the number of slots.  The step length is
+the ratio test ``b_i / |q_i|`` for rank-one slots and an ``r_i x r_i``
 eigenproblem otherwise, and the slot that hits the boundary loses that
-direction exactly.  The kernel is then downdated to the part that
-vanishes on the removed coordinates, and the canonical direction is
-read from the k kernel coefficients.  Only a step whose own rank
-decision falls inside the band reruns the input-face code on the new
-point (`_Face.build`).
+direction exactly; a slot that keeps part of its support takes its new
+``V_i`` from one eigendecomposition of its moved core.  A point is
+extremal when the lifts of all its active slots are independent.  Only
+a step whose own rank decision falls inside the band reruns the
+input-face code on the new point (`_Face.build`).
 
 A face has one layout, the one `operators.support` returns: every slot
 padded to the largest support rank.  `perturbation_space`,
-`kernel_dimension` and `is_extremal` read the `_Face.build` of one
-POVM, and `max_step` its padded supports.
+`kernel_dimension` and `is_extremal` read `_Face.kernel` over all active
+slots of one POVM's face, and `max_step` its padded supports.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,17 +124,6 @@ def _reach(size: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _touching(lo: int, hi: int, size: int) -> np.ndarray:
-    """Mask of the Hermitian coordinates of a ``size x size`` matrix whose
-    entry has a row or column index in ``[lo, hi)``."""
-    hit = np.zeros((size, size), dtype=bool)
-    hit[lo:hi] = hit[:, lo:hi] = True
-    out = np.concatenate([np.diag(hit), np.repeat(hit[np.triu_indices(size, 1)], 2)])
-    out.setflags(write=False)
-    return out
-
-
 class _Face:
     """One point of the peeling walk, in support coordinates.
 
@@ -139,20 +132,18 @@ class _Face:
     ``r_i x r_i`` block of ``core[i]``, positive definite.  Every slot is
     padded to the largest support rank R of the face it was built from:
     the other columns of ``vecs[i]`` are zero and the rest of ``core[i]``
-    is the identity.  ``cols`` ``(n R**2, k)`` is an orthonormal basis of
-    the perturbation kernel in the Hermitian coordinates of the cores,
-    ``R**2`` rows per slot, zero outside each ``r_i x r_i`` block.  For
-    active slots, ``lift`` ``(n, d**2, R**2)`` (:func:`_lift` of ``vecs``)
-    maps those coordinates to coordinates on C^d, and ``sec`` ``(n,
-    R**2, R**2)`` is the block ``lift^T diag(0, .., d**2 - 1) lift`` of
-    the secondary form of :func:`_canonical_basis`.
+    is the identity.  A perturbation is given in the Hermitian
+    coordinates of the cores, ``R**2`` per slot and zero outside each
+    ``r_i x r_i`` block; for active slots, ``lift`` ``(n, d**2, R**2)``
+    (:func:`_lift` of ``vecs``) maps them to coordinates on C^d.  No
+    kernel basis is kept: :meth:`kernel` solves for the perturbations
+    that move a given set of slots.
     """
 
-    __slots__ = ("rank", "vecs", "core", "lift", "sec", "cols")
+    __slots__ = ("rank", "vecs", "core", "lift")
 
-    def __init__(self, rank, vecs, core, cols, lift, sec):
-        self.rank, self.vecs, self.core, self.cols = rank, vecs, core, cols
-        self.lift, self.sec = lift, sec
+    def __init__(self, rank, vecs, core, lift):
+        self.rank, self.vecs, self.core, self.lift = rank, vecs, core, lift
 
     @classmethod
     def build(cls, elements: np.ndarray, gap: float, check_band: bool) -> "_Face":
@@ -161,21 +152,27 @@ class _Face:
         One stacked :func:`operators.support` call (one finiteness and
         Hermiticity check, one eigendecomposition, the ``gap`` threshold
         and, with ``check_band``, the :class:`NumericalRankAmbiguity` band
-        test), one :func:`_lift` of the padded support bases, and one SVD
-        for the constraint ``sum_i Q_i = 0`` of the lifts of every slot's
-        ``r_i x r_i`` block side by side, ``(d**2, sum_i r_i**2)``.
+        test) and one :func:`_lift` of the padded support bases.
         """
         rank, vecs, vals = op.support(elements, threshold=gap, check_band=check_band)
-        n, d, size = vecs.shape
-        lift = _lift(vecs)
-        sec = lift.swapaxes(1, 2) @ (np.arange(d * d, dtype=float)[:, None] * lift)
-        block = _reach(size) < rank[:, None]  # max(row, col) < r_i
-        _, s, vt = np.linalg.svd(lift.swapaxes(0, 1)[:, block])
+        core = vals[..., None] * np.eye(vecs.shape[2], dtype=complex)
+        return cls(rank, vecs, core, _lift(vecs))
+
+    def kernel(self, slots: np.ndarray, gap: float) -> np.ndarray:
+        """Orthonormal basis ``(len(slots), R**2, k)`` of the perturbations
+        that move only ``slots`` (active, ascending), in core coordinates.
+
+        One SVD for the constraint ``sum_i Q_i = 0`` of the lifts of each
+        slot's ``r_i x r_i`` block side by side, ``(d**2, sum r_i**2)``;
+        singular values at or below ``gap * max(1, s_max)`` count as zero.
+        """
+        size = self.core.shape[1]
+        block = _reach(size) < self.rank[slots, None]  # max(row, col) < r_i
+        _, s, vt = np.linalg.svd(self.lift[slots].swapaxes(0, 1)[:, block])
         cut = np.count_nonzero(s > gap * np.max(s, initial=1.0))
-        cols = np.zeros((n, size * size, len(vt) - cut))
-        cols[block] = vt[cut:].T
-        core = vals[..., None] * np.eye(size, dtype=complex)
-        return cls(rank, vecs, core, cols.reshape(n * size * size, -1), lift, sec)
+        out = np.zeros((len(slots), size * size, len(vt) - cut))
+        out[block] = vt[cut:].T
+        return out
 
     def elements(self) -> np.ndarray:
         """The elements ``(n, d, d)``; a slot of rank 0 is exactly zero."""
@@ -185,21 +182,14 @@ class _Face:
 
     def matrices(self, coords: np.ndarray) -> np.ndarray:
         """The stack ``(n, d, d)`` of ``V_i H_i V_i^†`` for the Hermitian
-        ``H_i`` with coordinates ``coords`` (rows as in ``cols``)."""
+        ``H_i`` with core coordinates ``coords``."""
         n, size = self.core.shape[:2]
         h = op.coords_to_hermitian(coords.reshape(n, size * size), size)
         return self.vecs @ h @ self.vecs.conj().swapaxes(1, 2)
 
-    def lifted(self, columns: np.ndarray) -> np.ndarray:
-        """``columns`` (rows as in ``cols``) in coordinates on C^d, through
-        ``lift``: ``d**2`` rows per active slot."""
-        n, size = self.core.shape[:2]
-        out = self.lift @ columns.reshape(n, size * size, -1)
-        return out[self.rank > 0].reshape(-1, columns.shape[1])
-
     def coords(self, a: np.ndarray) -> np.ndarray:
-        """Coordinates (rows as in ``cols``) of ``V_i^† a_i V_i`` for the
-        Hermitian stack ``a`` ``(n, d, d)``."""
+        """Core coordinates of ``V_i^† a_i V_i`` for the Hermitian stack
+        ``a`` ``(n, d, d)``."""
         v = self.vecs
         out = op.hermitian_to_coords(v.conj().swapaxes(1, 2) @ a @ v)
         out[self.rank == 0] = 0.0
@@ -211,129 +201,86 @@ def _check_gap(gap: float) -> None:
         raise ValueError(f"gap must be finite with 0 < gap < 1, got {gap!r}")
 
 
-def _canonical_basis(cols, traces, weigh, lift, count: int) -> np.ndarray:
+def _canonical_basis(cols: np.ndarray, traces: np.ndarray) -> np.ndarray:
     """Deterministically rotate an orthonormal kernel basis.
 
-    ``cols`` holds one kernel vector per column and ``traces`` its
+    ``cols`` ``(m, k)`` holds one kernel vector per column, in lifted
+    coordinates (``d**2`` per active slot), and ``traces`` its
     ``Tr[Q_i]`` per slot (one row each).  The SVD returns an arbitrary
-    orthonormal basis of the kernel; to make decompositions reproducible
-    and balanced we order it by increasing value of the quadratic form
+    orthonormal basis of the kernel; to make the basis reproducible and
+    balanced we order it by increasing value of the quadratic form
     ``sum_i Tr[Q_i]^2`` (so trace-balanced directions come first), break
-    ties with the fixed form that weighs the j-th of the ``m`` lifted
-    coordinates (``d**2`` per active slot, 1-based) by ``j / m``
-    (``weigh(block)`` applies it to columns of ``cols``), and fix each
-    sign so that the first lifted coordinate above 1e-8 in magnitude
-    (``lift(columns)``, ``m`` rows) is positive.
-
-    Only the leading ``count`` columns are returned.  Every tie cluster
-    they touch is refined whole, so they equal the leading columns of
-    the full basis.
+    ties with the fixed form that weighs the j-th of the ``m``
+    coordinates (1-based) by ``j / m``, and fix each sign so that the
+    first coordinate above 1e-8 in magnitude is positive.
     """
-    k = cols.shape[1]
+    m, k = cols.shape
     vals, rot = np.linalg.eigh(traces.T @ traces)
-    # the numerically degenerate clusters that the leading columns touch
     scale = 1.0 + abs(float(vals[-1]))
-    bounds = [0]
-    while bounds[-1] < count:
-        i = j = bounds[-1]
+    weights = np.arange(1, m + 1) / m
+    basis = cols @ rot
+    i = 0
+    while i < k:
+        # refine each numerically degenerate cluster with the fixed form
+        j = i
         while j < k and abs(vals[j] - vals[i]) <= 1e-9 * scale:
             j += 1
-        bounds.append(j)
-    basis = cols @ rot[:, : bounds[-1]]
-
-    # refine them with a fixed secondary form
-    for i, j in zip(bounds, bounds[1:]):
         if j - i > 1:
             block = basis[:, i:j]
-            sec = block.T @ weigh(block)
+            sec = block.T @ (weights[:, None] * block)
             _, rot2 = np.linalg.eigh(0.5 * (sec + sec.T))
             basis[:, i:j] = block @ rot2
+        i = j
 
-    basis = basis[:, :count]
-    lifted = lift(basis)
-    big = np.abs(lifted) > 1e-8
+    big = np.abs(basis) > 1e-8
     lead = big.argmax(axis=0)  # first significant row, 0 if there is none
-    c = np.arange(count)
-    basis[:, big[lead, c] & (lifted[lead, c] < 0)] *= -1.0
+    c = np.arange(k)
+    basis[:, big[lead, c] & (basis[lead, c] < 0)] *= -1.0
     return basis
 
 
-def _direction(face: _Face) -> np.ndarray:
-    """The first canonical kernel direction at ``face`` (coordinates as in
-    ``face.cols``): the forms of :func:`_canonical_basis`, evaluated on
-    the k kernel coefficients through the per-slot traces, ``sec`` and
-    ``lift``."""
-    n, size = face.core.shape[:2]
-    d2 = face.lift.shape[1]
-    stack = face.cols.reshape(n, size * size, -1)
-    active = face.rank > 0
-    m = int(np.count_nonzero(active)) * d2
-    # lifted coordinate j of the a-th active slot weighs (a d**2 + j + 1) / m
-    scale = ((np.cumsum(active) - 1) * d2 + 1.0)[:, None, None] / m
-
-    def weigh(block):
-        b = block.reshape(n, size * size, -1)
-        return (scale * b + face.sec @ b / m).reshape(block.shape)
-
-    return _canonical_basis(face.cols, stack[:, :size].sum(axis=1), weigh, face.lifted, 1)[:, 0]
-
-
 def _scaled(vecs, vals, q):
-    """``(W^† q W, W)`` per slot, with ``W = vecs diag(vals)^{-1/2}``; the
+    """``W^† q W`` per slot, with ``W = vecs diag(vals)^{-1/2}``; the
     product exactly symmetrized."""
     w = vecs / np.sqrt(vals)[:, None, :]
     scaled = w.conj().swapaxes(1, 2) @ q @ w
-    return 0.5 * (scaled + scaled.conj().swapaxes(1, 2)), w
-
-
-def _trailing(u: np.ndarray) -> np.ndarray:
-    """A unitary ``(r, r)`` whose last ``c`` columns span the columns of
-    ``u`` ``(r, c)``: one complex Householder reflection per column."""
-    r, c = u.shape
-    u = u[::-1].copy()
-    basis = np.eye(r, dtype=complex)
-    for j in range(c):
-        v = u[j:, j].copy()
-        norm = math.sqrt(np.vdot(v, v).real)
-        v[0] += norm * v[0] / abs(v[0]) if v[0] else norm
-        v *= math.sqrt(2.0 / np.vdot(v, v).real)
-        u[j:, j:] -= v[:, None] * (v.conj() @ u[j:, j:])
-        basis[:, j:] -= (basis[:, j:] @ v)[:, None] * v.conj()
-    return basis[::-1, ::-1]
+    return 0.5 * (scaled + scaled.conj().swapaxes(1, 2))
 
 
 def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
-    """Push ``face`` along the kernel direction ``q`` (coordinates as in
-    ``face.cols``, unit norm) to the PSD boundary: ``(t_plus, next face)``.
+    """Push ``face`` along the perturbation ``q`` (core coordinates, unit
+    norm) to the PSD boundary: ``(t_plus, next face)``.
 
-    Per slot, ``1 + t alpha`` over the eigenvalues ``alpha`` of
-    ``B^{-1/2} H B^{-1/2}`` is the share of each eigendirection of the
-    core left after a step t; for rank-one slots it is the ratio test
-    ``1 + t q_i / b_i``.  The step is the least t that zeroes a share,
-    and that slot loses that direction exactly; any other share at or
-    below ``gap`` is a tie and goes with it.  A slot that keeps part of
-    its support is rotated so that the kept directions lead.  The kernel
-    is downdated to its part that vanishes on the removed coordinates:
-    the nullspace of one small matrix.  A share or a singular value of
-    that matrix inside the band ``(gap/16, 16 gap)``, or a core that
-    rounding has left without a positive spectrum, rebuilds the point
-    with :meth:`_Face.build` and its band test instead.
+    Only the slots where ``q`` is nonzero move.  Per moved slot,
+    ``1 + t alpha`` over the eigenvalues ``alpha`` of ``B^{-1/2} H
+    B^{-1/2}`` is the share of each eigendirection of the core left
+    after a step t; for rank-one slots it is the ratio test ``1 + t q_i
+    / b_i``.  The step is the least t that zeroes a share, and that slot
+    loses that direction exactly; any other share at or below ``gap`` is
+    a tie and goes with it.  A slot that keeps part of its support takes
+    its new support from one eigendecomposition of its moved core, with
+    the lost shares removed, and only that slot is lifted again.  A
+    share inside the band ``(gap/16, 16 gap)``, or a core that rounding
+    has left without a positive spectrum, rebuilds the point with
+    :meth:`_Face.build` and its band test instead.
     """
     lo_band, hi_band = gap / op.GAP_BAND, gap * op.GAP_BAND
     n, size = face.core.shape[:2]
     h = q.reshape(n, size * size)
+    moved = np.flatnonzero(h.any(axis=1))
+    h = h[moved]
+    core = face.core[moved]
     if size == 1:
         herm = h[:, :, None]
-        alpha = h / face.core[:, :, 0].real
+        alpha = h / core[:, :, 0].real
     else:
-        lam, vec = np.linalg.eigh(face.core)
+        lam, vec = np.linalg.eigh(core)
         if (lam[:, 0] <= 0).any():
             mats = face.matrices(q)
             face = _Face.build(face.elements(), gap, check_band=True)
             return _advance(face, face.coords(mats), gap)
         herm = op.coords_to_hermitian(h, size)
-        scaled, w = _scaled(vec, lam, herm)
-        alpha, y = np.linalg.eigh(scaled)
+        alpha, y = np.linalg.eigh(_scaled(vec, lam, herm))
     alpha[np.einsum("ij,ij->i", h, h) <= 1e-28] = 0.0
     hit = int(np.argmin(alpha[:, 0]))
     if not alpha[hit, 0] < 0:
@@ -343,51 +290,34 @@ def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
     t = -1.0 / float(alpha[hit, 0])
     share = 1.0 + t * alpha
     share[hit, 0] = 0.0
-    ambiguous = bool(((share > lo_band) & (share < hi_band)).any())
     drops = (share <= gap).sum(axis=1)  # shares ascend
 
-    rank, vecs, core = face.rank.copy(), face.vecs, face.core + t * herm
-    lift, sec = face.lift, face.sec
-    cols = face.cols.reshape(n, size * size, -1).copy()
-    constraints, removed = [], []
-    for i in np.flatnonzero(drops).tolist():
-        r, lost = int(rank[i]), int(drops[i])
+    core += t * herm
+    rank, vecs, lift = face.rank.copy(), face.vecs, face.lift
+    for j in np.flatnonzero(drops).tolist():
+        i, lost = moved[j], int(drops[j])
+        r = int(rank[i])
         keep = rank[i] = r - lost
         if not keep:
-            constraints.append(cols[i])
-            removed.append((i, slice(None)))
-            core[i] = np.eye(size)
+            core[j] = np.eye(size)
             continue
-        # rotate the r x r block so that its kept directions lead; `turn`
-        # maps Hermitian coordinates through X -> rot^† X rot
-        rot = np.eye(size, dtype=complex)
-        rot[:r, :r] = _trailing((w[i] @ y[i][:, :lost])[:r])
-        turn = op.hermitian_to_coords(rot.conj().T @ op.hermitian_basis(size) @ rot).T
-        mask = _touching(keep, r, size)
-        cols[i] = turn @ cols[i]
-        constraints.append(cols[i][mask])
-        removed.append((i, mask))
-        sub = (rot.conj().T @ core[i] @ rot)[:keep, :keep]
-        core[i] = np.eye(size)
-        core[i][:keep, :keep] = 0.5 * (sub + sub.conj().T)
-        if lift is face.lift:
-            vecs, lift, sec = vecs.copy(), lift.copy(), sec.copy()
-        vecs[i] = vecs[i] @ rot
-        vecs[i][:, keep:] = 0.0
-        lift[i] = lift[i] @ turn.T
-        lift[i][:, mask] = 0.0
-        sec[i] = turn @ sec[i] @ turn.T
-        sec[i][mask] = sec[i][:, mask] = 0.0
-
-    _, s, vt = np.linalg.svd(np.vstack(constraints))
-    if ambiguous or ((s > lo_band) & (s < hi_band)).any():
-        nxt = _Face(rank, vecs, core, cols, lift, sec)
+        # B + t H = g diag(share) g^† with g = B^{1/2} y; drop the lost part
+        g = (vec[j] * np.sqrt(lam[j])) @ y[j][:, :lost]
+        kept = core[j] - (g * share[j, :lost]) @ g.conj().T
+        vals, u = np.linalg.eigh(0.5 * (kept + kept.conj().T)[:r, :r])
+        if vecs is face.vecs:
+            vecs, lift = vecs.copy(), lift.copy()
+        vecs[i, :, :keep] = face.vecs[i, :, :r] @ u[:, lost:]
+        vecs[i, :, keep:] = 0.0
+        lift[i] = _lift(vecs[i : i + 1])[0]
+        core[j] = np.eye(size)
+        core[j, :keep, :keep] = np.diag(vals[lost:])
+    cores = face.core.copy()
+    cores[moved] = core
+    nxt = _Face(rank, vecs, cores, lift)
+    if ((share > lo_band) & (share < hi_band)).any():
         return t, _Face.build(nxt.elements(), gap, check_band=True)
-    cols = cols.reshape(n * size * size, -1) @ vt[np.count_nonzero(s > gap) :].T
-    stack = cols.reshape(n, size * size, -1)
-    for i, rows in removed:
-        stack[i, rows] = 0.0
-    return t, _Face(rank, vecs, core, cols, lift, sec)
+    return t, nxt
 
 
 def perturbation_space(
@@ -413,15 +343,14 @@ def perturbation_space(
     """
     _check_gap(gap)
     face = _Face.build(p.elements, gap, check_band)
-    n, d, k = len(p), p.dim, face.cols.shape[1]
+    active = np.flatnonzero(face.rank)
+    null = face.kernel(active, gap)
+    n, d, k = len(p), p.dim, null.shape[2]
     if not k:
         return []
-    active, cols = face.rank > 0, face.lifted(face.cols)
-    del face  # free the kernel and lifts before the canonical rotation
-    m = cols.shape[0]
-    traces = cols.reshape(m // (d * d), d * d, k)[:, :d].sum(axis=1)
-    weights = np.arange(1, m + 1) / m
-    cols = _canonical_basis(cols, traces, lambda b: weights[:, None] * b, lambda b: b, k)
+    cols = (face.lift[active] @ null).reshape(-1, k)
+    del face, null  # free the lifts before the canonical rotation
+    cols = _canonical_basis(cols, cols.reshape(len(active), d * d, k)[:, :d].sum(axis=1))
     coords = np.zeros((k, n, d * d))
     coords[:, active] = cols.T.reshape(k, -1, d * d)
     return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
@@ -436,7 +365,8 @@ def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     """
     _check_gap(gap)
     check_povm(p)
-    return _Face.build(p.elements, gap, check_band=False).cols.shape[1]
+    face = _Face.build(p.elements, gap, check_band=False)
+    return face.kernel(np.flatnonzero(face.rank), gap).shape[2]
 
 
 def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
@@ -473,7 +403,7 @@ def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> t
     if op.frobenius(q) < 1e-12:
         raise DegeneratePerturbation("perturbation has zero norm")
     _, vecs, vals = op.support(p.elements, threshold=gap)
-    alpha = np.linalg.eigh(_scaled(vecs, vals, q)[0])[0]
+    alpha = np.linalg.eigh(_scaled(vecs, vals, q))[0]
     alpha[np.linalg.norm(q, axis=(1, 2)) <= 1e-14] = 0.0
     shrink, grow = -alpha[:, 0].min(), alpha[:, -1].max()
     if not (shrink > 0 and grow > 0):
@@ -523,21 +453,25 @@ def decompose_extremal(
     """Decompose ``p`` into a convex combination of extremal POVMs.
 
     Carathéodory peeling: from the current POVM ``x`` (initially ``p``),
-    push along the first canonical perturbation to the PSD boundary until
-    an extremal point ``e`` of ``x``'s face is reached; then step from
-    ``x`` away from ``e`` to the boundary point ``r``, record ``e`` with
-    the weight ``λ`` that gives ``x = λ e + (1 - λ) r``, and continue on
-    ``r``.  Each step strictly shrinks the face, so there are at most
-    (face dimension of ``p``) + 1 terms, pairwise distinct.
+    push along perturbations to the PSD boundary until an extremal point
+    ``e`` of ``x``'s face is reached; then step from ``x`` away from
+    ``e`` to the boundary point ``r``, record ``e`` with the weight
+    ``λ`` that gives ``x = λ e + (1 - λ) r``, and continue on ``r``.
+    Each step strictly shrinks the face, so there are at most (face
+    dimension of ``p``) + 1 terms, pairwise distinct.
 
-    Only the input face takes a stacked support eigendecomposition and a
-    kernel SVD (:meth:`_Face.build`).  Every later point keeps its
-    support bases and moves the positive definite cores ``B_i``
-    (:func:`_advance`): each step drops the direction that hits the
-    boundary exactly and downdates the kernel, and the away step reuses
-    ``x``'s kernel.  A slot removed this way is exactly zero in every
-    later point and term.  The walk moves arrays; a :class:`FinitePOVM`
-    is built only for each returned term.
+    Only the input face takes a stacked support eigendecomposition
+    (:meth:`_Face.build`).  Every later point moves the positive
+    definite cores ``B_i`` (:func:`_advance`).  The walk to ``e`` steps
+    along a null vector of the first active slots whose block
+    coordinates number more than ``d**2`` (:meth:`_Face.kernel`), so each
+    step solves a problem of at most ``d**2 + R**2`` columns, R the
+    largest support rank; ``e`` is reached when all active slots are
+    independent.  The away step moves every slot where ``x`` and ``e``
+    differ.  Each step drops the direction that hits the boundary
+    exactly: a slot removed this way is exactly zero in every later
+    point and term.  The walk moves arrays; a :class:`FinitePOVM` is
+    built only for each returned term.
 
     Raises
     ------
@@ -557,7 +491,7 @@ def decompose_extremal(
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     _check_gap(gap)
     check_povm(p)
-    terms = []
+    terms, d2 = [], p.dim**2
     x, rest = _Face.build(p.elements, gap, check_band=True), 1.0
     while True:
         x_elements = x.elements()
@@ -567,12 +501,21 @@ def decompose_extremal(
                 partial_terms=[(w, e, True) for w, e in terms]
                 + [(rest, p.replace_elements(x_elements), False)],
             )
-        if not x.cols.shape[1]:
+        e = x
+        while True:
+            # the active slots in slot order, until their block coordinates
+            # number more than d**2: then they have a null vector
+            active = np.flatnonzero(e.rank)
+            slots = active[: np.searchsorted(np.cumsum(e.rank[active] ** 2), d2, "right") + 1]
+            null = e.kernel(slots, gap)
+            if not null.shape[2]:
+                break
+            q = np.zeros((len(e.rank), null.shape[1]))
+            q[slots] = null[..., 0]
+            e = _advance(e, q.ravel(), gap)[1]
+        if e is x:
             terms.append((rest, p.replace_elements(x_elements)))
             break
-        e = x
-        while e.cols.shape[1]:
-            e = _advance(e, _direction(e), gap)[1]
         e_elements = e.elements()
         diff = x_elements - e_elements
         dist = op.frobenius(diff)

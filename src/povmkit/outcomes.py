@@ -62,12 +62,14 @@ def normalize_angle(phi):
 
 
 def unit_vector(v, tol: float = 1e-6) -> np.ndarray:
-    """Validate and renormalize a 3-vector, or each row of an ``(n, 3)``
-    stack, whose norm must be 1 within tol; a vector unit up to rounding
-    is copied unchanged, so loading is exact."""
+    """Validate and renormalize a finite 3-vector, or each row of an
+    ``(n, 3)`` stack, whose norm must be 1 within tol; a vector unit up
+    to rounding is copied unchanged, so loading is exact."""
     a = np.array(v, dtype=float)
     if a.shape[-1:] != (3,) or a.ndim > 2:
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("vector contains NaN or Inf entries")
     # the BLAS dot of np.linalg.norm, row by row: the same bits
     norm = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
     off = abs(norm - 1.0)

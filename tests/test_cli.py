@@ -73,6 +73,18 @@ class TestValidate:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_nan_sphere_point_is_input_error(self, capsys, tmp_path):
+        c, _ = pk.named_family("spin")
+        entries = (((0.0, 0.0, 1.0), np.diag([1.0, 0.0])), ((0.0, 0.0, -1.0), np.diag([0.0, 1.0])))
+        data = ser.povm_to_dict(pk.FinitePOVM(dim=2, space=c.space, entries=entries))
+        data["entries"][0]["point"] = [float("nan"), 0.0, 1.0]
+        path = tmp_path / "nan_point.json"
+        path.write_text(json.dumps(data))  # the NaN literal, which json reads back
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "NaN" in json.loads(err)["error"]
+
     def test_tolerance_override(self, capsys, coin_flip_file):
         code, _, _ = run_cli(
             capsys, "validate", coin_flip_file, "--tolerance", "psd=1e-6"

@@ -87,7 +87,7 @@ PERTURBATIONS = (
     "be5ab58cd463e5b5258daad37d03f70abc83d5651a5e923d205fdc45b5506be3"
 )
 DECOMPOSITION = (
-    "ce9ad5d27a5aa449af7cebb7bd15a09a94369d08e43265ca316803c56907b71d"
+    "e645c468d29e774c5c05957a33c2233e58245bfd17e15762f3525846878777a9"
 )
 
 

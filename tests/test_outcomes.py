@@ -25,6 +25,19 @@ def test_unit_vector_rejects_bad_norm():
     assert np.isclose(np.linalg.norm(v), 1.0)
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [[0.0, 0.0, 1.0], [0.0, np.inf, 0.0]]])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        unit_vector(bad)
+
+
+def test_cap_rejects_nan_axis():
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Cap((np.nan, 0.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Region.of_caps([((0.0, np.nan, 1.0), 1.0)])
+
+
 class TestArcs:
     def test_wraparound_split(self):
         r = Region.of_arcs([(5.5, TWO_PI + 1.2)])
