@@ -60,7 +60,7 @@ from .outcomes import (
     normalize_angle,
     require_same_space,
 )
-from .povm import FinitePOVM, born_probabilities, check_povm, probability_of_region
+from .povm import FinitePOVM, born_probabilities, check_povm, coerce_points, probability_of_region
 
 # --- state vectors ----------------------------------------------------------
 
@@ -384,9 +384,11 @@ class RandomizedScheme:
     """Classical mixture over x of finite POVMs with relabeled outcomes.
 
     Subclasses give the mixing law (``sample_x(rng, size)``,
-    `mixing_nodes`), the members (``member(x)``), their Born probabilities
-    and outcome points in bulk (`member_probabilities`, `outcome_points`)
-    and the deterministic mixing average of a region probability
+    `mixing_nodes`), one member as a `FinitePOVM` (``member(x)``), the
+    members in bulk (`members`: stacked points and elements, which Bayes
+    gains score in one contraction), their Born probabilities and outcome
+    points in bulk (`member_probabilities`, `outcome_points`) and the
+    deterministic mixing average of a region probability
     (``_deterministic_average(rho, region, budget)``); sampling and the
     Monte Carlo average are shared.  `DesignScheme` takes its law from its
     outcome space, `FiniteMixtureScheme` from its term weights.
@@ -399,6 +401,13 @@ class RandomizedScheme:
     def mixing_nodes(self):
         """Mixing quadrature nodes and weights normalized to sum to 1."""
         raise UnsupportedFamily(f"no mixing quadrature for scheme {self.family!r}")
+
+    def members(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The members at mixing parameters ``xs`` as stacks: outcome points
+        as a `FinitePOVM` stores them, shape (n, m) or (n, m, 3), and
+        elements, shape (n, m, dim, dim), padded with zeros to a common
+        entry count m."""
+        raise NotImplementedError
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
         """Born probabilities of each member's entries, shape (n, m)."""
@@ -466,11 +475,16 @@ class _Shifts:
     """The circle's mixing law: x uniform on ``[0, 2pi)``, moving a point
     ``phi`` to ``phi + x``."""
 
+    shape = ()  # of one mixing parameter
+
     def sample(self, rng, size):
         return rng.uniform(0.0, TWO_PI, size)
 
     def move(self, xs, points):
-        return normalize_angle(np.reshape(xs, (-1, 1)) + points)
+        xs = np.reshape(xs, (-1, 1))
+        if not np.isfinite(xs).all():
+            raise ValueError("a shift needs a finite mixing parameter x")
+        return normalize_angle(xs + points)
 
     def nodes(self):
         x, w = quad.circle_nodes(16)
@@ -489,22 +503,26 @@ class _Rotations:
     sin beta sin alpha, cos beta)``."""
 
     _LOW, _SPAN = np.array([0.0, -1.0, 0.0]), np.array([TWO_PI, 2.0, TWO_PI])
+    shape = (3,)  # of one mixing parameter
 
     def sample(self, rng, size):
         return self._LOW + self._SPAN * rng.random((size, 3))
 
     def move(self, xs, points):
-        alpha, u, gamma = np.reshape(xs, (-1, 3)).T
-        if not np.all(np.abs(u) <= 1.0):
-            raise ValueError("a rotation needs cos beta in [-1, 1]")
+        xs = np.reshape(xs, (-1, 3))
+        alpha, u, gamma = xs.T
+        if not (np.isfinite(xs).all() and np.all(np.abs(u) <= 1.0)):
+            raise ValueError("a rotation needs a finite mixing parameter x with cos beta in [-1, 1]")
         ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
         s = np.sqrt(1.0 - u * u)
-        rot = np.array([  # R(x), entry by entry along the draws: shape (3, 3, n)
-            [ca * u * cg - sa * sg, -ca * u * sg - sa * cg, ca * s],
-            [sa * u * cg + ca * sg, ca * cg - sa * u * sg, sa * s],
-            [-s * cg, s * sg, u],
-        ])
-        return np.ascontiguousarray(np.einsum("ijn,kj->nki", rot, np.asarray(points, dtype=float)))
+        px, py, pz = np.asarray(points, dtype=float).T[:, :, None]
+        # R_z(alpha) R_y(beta) R_z(gamma) p, one factor at a time and entry by
+        # entry along (point, draw), so a draw moves to the same bits in a
+        # batch of any size
+        x, y = cg * px - sg * py, sg * px + cg * py
+        x, z = u * x + s * pz, u * pz - s * x
+        moved = np.stack([ca * x - sa * y, sa * x + ca * y, z], axis=-1)
+        return np.ascontiguousarray(moved.swapaxes(0, 1))
 
     def nodes(self):
         u, wu = quad.gauss_legendre(4, -1.0, 1.0)
@@ -518,9 +536,10 @@ class _Rotations:
         return float(quad.integrate_sphere_region(f, caps, budget)) / (2.0 * TWO_PI)
 
 
-# One law per outcome space: ``sample(rng, size)`` draws mixing parameters
-# x, ``move(xs, points)`` gives each point's image under each x, shape
-# (n, k) or (n, k, 3), ``nodes()`` is a rule in x whose weights sum to 1,
+# One law per outcome space: ``shape`` is that of one mixing parameter x,
+# ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
+# each point's image under each x, shape (n, k) or (n, k, 3), and rejects
+# a non-finite x, ``nodes()`` is a rule in x whose weights sum to 1,
 # and ``integral(f, region, budget)`` integrates ``f`` over the region's
 # arcs or caps under the uniform probability law (a complement is left to
 # the caller).
@@ -551,18 +570,36 @@ class DesignScheme(RandomizedScheme):
         self.family = continuous.family
         self._law = _MIXING_LAWS[continuous.space]
         self.sample_x, self.mixing_nodes = self._law.sample, self._law.nodes
-        check_povm(self._povm(points))
+        elements = self._elements_at(points[None])[0]
+        check_povm(FinitePOVM(self.dim, self.outcome_space, tuple(zip(points, elements))))
 
-    def _povm(self, points) -> FinitePOVM:
-        kets = self.continuous.kets(points)
-        elements = (
-            kets[:, :, None] * kets.conj()[:, None, :] * self.design[1][:, None, None]
+    def _elements_at(self, moved):
+        """``w_k |psi><psi| / ket_norm`` at moved design points, one
+        ``(m, dim, dim)`` stack per row of ``moved``."""
+        kets = self.continuous.kets(moved.reshape(-1, *moved.shape[2:]))
+        kets = kets.reshape(*moved.shape[:2], self.dim)
+        return (
+            kets[..., :, None] * kets.conj()[..., None, :] * self.design[1][:, None, None]
             / self.continuous.ket_norm
         )
-        return FinitePOVM(self.dim, self.outcome_space, tuple(zip(points, elements)))
+
+    def members(self, xs):
+        """One move of the design by all of ``xs``, one broadcast of kets."""
+        moved = self.outcome_points(xs)
+        points = coerce_points(self.outcome_space, moved.reshape(-1, *moved.shape[2:]))
+        return points.reshape(moved.shape), self._elements_at(moved)
 
     def member(self, x) -> FinitePOVM:
-        return self._povm(self.outcome_points(x)[0])
+        """The member at one mixing parameter x (a shift, or the three
+        Euler coordinates of a rotation); any other shape raises
+        `ValueError`."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self._law.shape:
+            raise ValueError(
+                f"member takes one mixing parameter of shape {self._law.shape}, got shape {x.shape}"
+            )
+        points, elements = self.members(x[None])
+        return FinitePOVM(self.dim, self.outcome_space, tuple(zip(points[0], elements[0])))
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
         return self._probabilities(self.outcome_points(xs), rho)
@@ -615,14 +652,21 @@ class FiniteMixtureScheme(RandomizedScheme):
         self.outcome_space = first.space
         self.dim = first.dim
         self.family = "finite_mixture"
-        # pad each member's points with its first point
+        # pad each member's points with its first point, its elements with zeros
         slots = np.arange(max(len(povm) for _, povm in terms))
         self._points = np.array(
             [povm.points[np.where(slots < len(povm), slots, 0)] for _, povm in terms]
         )
+        self._elements = np.zeros((len(terms), len(slots), self.dim, self.dim), dtype=complex)
+        for k, (_, povm) in enumerate(terms):
+            self._elements[k, : len(povm)] = povm.elements
 
     def member(self, x) -> FinitePOVM:
         return self.terms[int(x)][1]
+
+    def members(self, xs):
+        xs = np.asarray(xs, dtype=int)
+        return self._points[xs], self._elements[xs]
 
     def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
         w = np.array([w for w, _ in self.terms])

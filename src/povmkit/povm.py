@@ -24,7 +24,7 @@ from .outcomes import (
 )
 
 
-def _coerce_points(space: OutcomeSpace, points) -> np.ndarray:
+def coerce_points(space: OutcomeSpace, points) -> np.ndarray:
     """Labels in range, angles in [0, 2 pi) or unit 3-vectors, read-only."""
     if isinstance(space, FiniteLabels):
         pts = np.asarray(points).astype(int)
@@ -59,7 +59,7 @@ class FinitePOVM:
         if not entries:
             raise ValueError("a POVM needs at least one entry")
         points, elements = zip(*entries)
-        self._store(dim, space, _coerce_points(space, points), elements, allow_duplicates)
+        self._store(dim, space, coerce_points(space, points), elements, allow_duplicates)
 
     def _store(self, dim, space, points, elements, allow_duplicates):
         try:

@@ -346,6 +346,41 @@ class TestDesignScheme:
                 if built_in:
                     assert pk.is_extremal(member), (name, x)
 
+    def test_members_stack_the_single_members(self, rng):
+        # one move and one broadcast give every member bit for bit
+        for name, scheme, _ in built_in_and_other_schemes():
+            xs = scheme.sample_x(rng, 5)
+            points, elements = scheme.members(xs)
+            assert elements.shape == points.shape[:2] + (scheme.dim, scheme.dim)
+            for x, pts, els in zip(xs, points, elements):
+                member = scheme.member(x)
+                assert np.array_equal(member.points, pts), name
+                assert np.array_equal(member.elements, els), name
+
+    @pytest.mark.parametrize("scheme, x", [
+        (pk.stern_gerlach_scheme(), [0.0, 0.5, 0.0, 1.0, 0.2, 3.0]),  # two rotations
+        (pk.stern_gerlach_scheme(), [[0.0, 0.5, 0.0]]),
+        (pk.stern_gerlach_scheme(), 0.5),
+        (pk.phase_scheme(3), [0.1, 0.2]),  # two shifts
+        (pk.phase_scheme(3), [0.1]),
+    ])
+    def test_member_takes_one_mixing_parameter(self, scheme, x):
+        with pytest.raises(ValueError, match="one mixing parameter"):
+            scheme.member(x)
+
+    @pytest.mark.parametrize("scheme, x", [
+        (pk.phase_scheme(3), np.nan),
+        (pk.phase_scheme(3), np.inf),
+        (pk.phase_scheme(3), -np.inf),
+        (pk.stern_gerlach_scheme(), [np.inf, 0.5, 0.0]),
+        (pk.stern_gerlach_scheme(), [0.0, 0.5, np.nan]),
+    ])
+    def test_non_finite_mixing_parameter_rejected(self, scheme, x):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite mixing parameter"):
+            scheme.member(x)
+        with pytest.raises(ValueError, match="finite mixing parameter"):
+            scheme.members([x])
+
     def test_invalid_designs_rejected(self):
         with pytest.raises(pk.InvalidPOVM):
             pk.DesignScheme(pk.spin_direction_povm(), ([[0.0, 0.0, 1.0]], [1.0]))
@@ -481,6 +516,11 @@ class TestFiniteMixturePadding:
         assert np.array_equal(points[0], np.array(short + short[:1], dtype=float))
         assert np.array_equal(points[1], np.array(long, dtype=float))
         assert np.array_equal(points[2], points[0])
+        stacked, elements = scheme.members([0, 1, 0])
+        assert np.array_equal(stacked, points)
+        assert np.array_equal(elements[0, :2], uniform(short).elements)
+        assert not elements[0, 2:].any()
+        assert np.array_equal(elements[1], uniform(long).elements)
         rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         probs = scheme.member_probabilities([0, 1], rho)
         assert np.allclose(probs, [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)

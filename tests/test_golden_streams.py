@@ -34,7 +34,7 @@ STREAMS = {
 }
 
 REPORTS = {
-    "spin": "ca5261323b2bc04fb9ef36963786ad800f799abbef732ccf8187b4a8e6fdf60b",
+    "spin": "5b1f381b8e7a8a6e6197050be9cef8627692031b565be7f246cf2feba0577a45",
     "phase:3": "6320fd6c4bd5fa14a345194e530afb3e31f46a9f50259ee510db191481e2ddf9",
 }
 

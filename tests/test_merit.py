@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import povmkit as pk
+from povmkit import families
 from povmkit.errors import DimensionMismatch, SpaceMismatch
 from povmkit.outcomes import SPHERE
 
@@ -135,6 +136,84 @@ class TestEqualOptimality:
         report = pk.check_equal_optimality(scheme, fidelity_spec, x_samples=0)
         assert report.spread > 1e-3
         assert report.spread == pytest.approx(1.0 / 6.0, abs=1e-9)
+
+
+class TestBulkMembers:
+    """`check_equal_optimality` builds every member with one move and scores
+    them in one contraction; each value is the Bayes gain of that member."""
+
+    @staticmethod
+    def evaluated(s, x_samples, seed):
+        nodes, _ = s.mixing_nodes()
+        return list(nodes) + list(s.sample_x(pk.make_rng(seed), x_samples))
+
+    @pytest.mark.parametrize("family", ["spin"] + [f"phase:{d}" for d in range(2, 9)])
+    def test_each_value_is_the_member_gain(self, fidelity_spec, cosine_spec, family):
+        spec = fidelity_spec if family == "spin" else cosine_spec
+        _, s = pk.named_family(family)
+        report = pk.check_equal_optimality(s, spec, x_samples=16, seed=4, budget=256)
+        xs = self.evaluated(s, 16, 4)
+        assert len(report.per_member) == len(xs)
+        for x, (_, value) in zip(xs, report.per_member):
+            assert value == pk.bayes_gain(s.member(x), spec, budget=256)
+
+    def test_mixture_of_unequal_entry_counts(self, fidelity_spec):
+        # zero elements pad the shorter terms, which may move a sum by an ulp
+        rng = np.random.default_rng(6)
+        terms = []
+        for n in (2, 5, 3):
+            axes = rng.normal(size=(n, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            base = pk.random_povm(rng, 2, n)
+            terms.append(pk.FinitePOVM(2, SPHERE, tuple(zip(axes, base.elements))))
+        s = pk.FiniteMixtureScheme([(0.2, terms[0]), (0.5, terms[1]), (0.3, terms[2])])
+        report = pk.check_equal_optimality(s, fidelity_spec, x_samples=6, seed=1)
+        for x, (label, value) in zip(self.evaluated(s, 6, 1), report.per_member):
+            assert label == x
+            assert abs(value - pk.bayes_gain(s.member(x), fidelity_spec)) <= 1e-15
+        assert report.value == pytest.approx(
+            sum(w * pk.bayes_gain(t, fidelity_spec) for w, t in s.terms), abs=1e-15
+        )
+
+    @pytest.mark.parametrize("family", ["spin", "phase:3"])
+    def test_one_move_and_no_finite_povm(self, monkeypatch, fidelity_spec, cosine_spec, family):
+        spec = fidelity_spec if family == "spin" else cosine_spec
+        _, s = pk.named_family(family)
+        moves, stores = [], []
+
+        def counting(method, calls):
+            def counted(self, *args):
+                calls.append(np.shape(args[0]))
+                return method(self, *args)
+            return counted
+
+        for law in (families._Shifts, families._Rotations):
+            monkeypatch.setattr(law, "move", counting(law.move, moves))
+        monkeypatch.setattr(pk.FinitePOVM, "_store", counting(pk.FinitePOVM._store, stores))
+        report = pk.check_equal_optimality(s, spec, x_samples=16, seed=2, budget=256)
+        # all mixing nodes and draws in one move
+        assert [shape[0] for shape in moves] == [len(report.per_member)]
+        assert not stores
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [0, -5, 0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["spin", "phase:3"])
+    def test_budget_below_one_or_not_finite_rejected(self, fidelity_spec, cosine_spec,
+                                                     family, budget):
+        spec = fidelity_spec if family == "spin" else cosine_spec
+        c, s = pk.named_family(family)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="budget"):
+                pk.bayes_gain(c, spec, budget=budget)
+            with pytest.raises(ValueError, match="budget"):
+                pk.bayes_gain(s.member(s.sample_x(pk.make_rng(0), 1)[0]), spec, budget=budget)
+            with pytest.raises(ValueError, match="budget"):
+                pk.check_equal_optimality(s, spec, budget=budget)
+
+    def test_budget_one_is_accepted(self, cosine_spec):
+        value = pk.bayes_gain(pk.phase_povm(3), cosine_spec, budget=1)
+        assert value == pytest.approx(5.0 / 6.0, abs=1e-9)
 
 
 class TestMixtureMerit:
