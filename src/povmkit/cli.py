@@ -5,20 +5,22 @@ seed produce byte-identical outputs.  Exit codes: 0 success/pass, 1
 failed check, 2 malformed input (with a single-line error JSON on
 stderr).
 
-Each command imports the modules it calls inside its own body, so a
-child process that validates a POVM never loads the samplers, the
-families or the decomposition code.
+Each command first reads its JSON input with the standard library alone
+(`povmkit.jsonio`) and imports the modules it calls inside its own body,
+after that read.  So a missing or unreadable file, invalid JSON, a top
+level that is not an object, a wrong schema version, an argparse usage
+error or a bad ``--tolerance``, ``--tol`` or ``--alpha`` value exits 2
+before numpy loads; and a child that validates a POVM never loads the
+samplers, the families or the decomposition code.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import serialize as ser
 from .errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -28,18 +30,18 @@ from .errors import (
     SchemaError,
     SpaceMismatch,
 )
-from .operators import GAP_THRESHOLD, TOL_COMPLETE, TOL_PSD
+from .jsonio import _check_schema, dumps_canonical, load_json, write_json
 
 _TOLERANCE_KEYS = ("psd", "complete", "gap")
 
 
 def _emit(obj: dict):
-    sys.stdout.write(ser.dumps_canonical(obj))
+    sys.stdout.write(dumps_canonical(obj))
     sys.stdout.write("\n")
 
 
 def _fail_input(message: str) -> int:
-    sys.stderr.write(ser.dumps_canonical({"error": message}))
+    sys.stderr.write(dumps_canonical({"error": message}))
     sys.stderr.write("\n")
     return 2
 
@@ -58,7 +60,7 @@ def _parse_tolerances(pairs) -> dict:
             out[key] = float(val)
         except ValueError as exc:
             raise SchemaError(f"tolerance {key}: bad value {val!r}") from exc
-        if not np.isfinite(out[key]) or out[key] < 0:
+        if not math.isfinite(out[key]) or out[key] < 0:
             raise SchemaError(f"tolerance {key}: needs a finite value >= 0, got {val!r}")
     return out
 
@@ -69,7 +71,7 @@ def _check_alpha(alpha):
 
 
 def _check_tol(tol):
-    if tol is not None and not 0.0 <= tol < np.inf:
+    if tol is not None and not 0.0 <= tol < math.inf:
         raise SchemaError(f"--tol needs a finite value >= 0, got {tol!r}")
 
 
@@ -82,20 +84,24 @@ def _guard_output(out_path, inputs):
             raise SchemaError(f"output {out_path!r} would overwrite input {p!r}")
 
 
-def _single_state(path):
-    states = ser.load_states(path)
-    return states[0][1]
+def _read(path, what: str) -> dict:
+    """The JSON object in ``path``, its schema version checked as ``what``."""
+    data = load_json(path)
+    _check_schema(data, what)
+    return data
 
 
 # --- subcommand bodies --------------------------------------------------------
 
 def _cmd_validate(args) -> int:
+    tols = _parse_tolerances(args.tolerance)
+    data = _read(args.povm, "povm")
+    from . import serialize as ser
+    from .operators import TOL_COMPLETE, TOL_PSD
     from .povm import validate_povm
 
-    tols = _parse_tolerances(args.tolerance)
-    povm = ser.load_povm(args.povm)
     report = validate_povm(
-        povm,
+        ser.povm_from_dict(data),
         tol_psd=tols.get("psd", TOL_PSD),
         tol_complete=tols.get("complete", TOL_COMPLETE),
     )
@@ -104,27 +110,32 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    from .extremality import kernel_dimension
-
     tols = _parse_tolerances(args.tolerance)
+    data = _read(args.povm, "povm")
+    from .extremality import kernel_dimension
+    from .operators import GAP_THRESHOLD
+    from .serialize import povm_from_dict
+
     gap = tols.get("gap", GAP_THRESHOLD)
-    povm = ser.load_povm(args.povm)
-    k = kernel_dimension(povm, gap=gap)
+    k = kernel_dimension(povm_from_dict(data), gap=gap)
     _emit({"extremal": k == 0, "kernel_dim": k})
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    from .extremality import decompose_extremal
-
     tols = _parse_tolerances(args.tolerance)
+    data = _read(args.povm, "povm")
+    from . import serialize as ser
+    from .extremality import decompose_extremal
+    from .operators import GAP_THRESHOLD
+
     gap = tols.get("gap", GAP_THRESHOLD)
-    povm = ser.load_povm(args.povm)
+    povm = ser.povm_from_dict(data)
     _guard_output(args.output, [args.povm])
     result = decompose_extremal(povm, max_terms=args.max_terms, gap=gap)
     payload = ser.decomposition_to_dict(result)
     if args.output:
-        ser.write_json(args.output, payload)
+        write_json(args.output, payload)
     _emit(
         {
             "terms": len(result.terms),
@@ -137,9 +148,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    _check_tol(args.tol)
+    from . import serialize as ser
     from .families import named_family, verify_scheme_equivalence
 
-    _check_tol(args.tol)
     c, s = named_family(args.family)
     states = ser.load_states(args.states)
     regions = ser.load_regions(args.regions)
@@ -152,7 +164,7 @@ def _cmd_equiv(args) -> int:
     )
     payload = ser.equivalence_report_to_dict(report)
     if args.output:
-        ser.write_json(args.output, payload)
+        write_json(args.output, payload)
     _emit(payload)
     if args.tol is not None and report.max_abs_diff > args.tol:
         return 1
@@ -160,25 +172,28 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    data = _read(args.state, "states")
     from .families import named_family
     from .sampling import sample_direct, sample_two_stage
+    from .serialize import states_from_dict, write_records
 
-    rho = _single_state(args.state)
+    rho = states_from_dict(data)[0][1]
     _guard_output(args.output, [args.state])
     c, s = named_family(args.family)
     if args.scheme:
         records = sample_two_stage(s, rho, args.n, args.seed)
     else:
         records = sample_direct(c, rho, args.n, args.seed)
-    ser.write_records(args.output, records)
+    write_records(args.output, records)
     _emit({"written": args.output, "n": len(records)})
     return 0
 
 
 def _cmd_gof(args) -> int:
+    _check_alpha(args.alpha)
+    from . import serialize as ser
     from .sampling import compare_samples
 
-    _check_alpha(args.alpha)
     rec_a = ser.read_records(args.a)
     rec_b = ser.read_records(args.b)
     if args.bins in ("sphere12", "circle16"):
@@ -193,11 +208,13 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_merit(args) -> int:
+    _check_tol(args.tol)
+    data = _read(args.spec, "merit spec")
+    from . import serialize as ser
     from .families import named_family
     from .merit import bayes_gain, check_equal_optimality
 
-    _check_tol(args.tol)
-    spec = ser.bayes_spec_from_dict(ser.load_json(args.spec))
+    spec = ser.bayes_spec_from_dict(data)
     _guard_output(args.output, [args.spec])
     c, s = named_family(args.family)
     if args.scheme:
@@ -206,7 +223,7 @@ def _cmd_merit(args) -> int:
         )
         payload = ser.merit_report_to_dict(report)
         if args.output:
-            ser.write_json(args.output, payload)
+            write_json(args.output, payload)
         _emit(payload)
         if args.tol is not None and report.spread > args.tol:
             return 1
@@ -214,16 +231,18 @@ def _cmd_merit(args) -> int:
     value = bayes_gain(c, spec)
     payload = {"schema": 1, "value": value}
     if args.output:
-        ser.write_json(args.output, payload)
+        write_json(args.output, payload)
     _emit(payload)
     return 0
 
 
 def _cmd_tomo(args) -> int:
+    data = load_json(args.target)
+    from . import serialize as ser
     from .families import named_family
     from .tomography import dual_coefficients, estimate_expectation
 
-    target = ser.matrix_from_json(ser.load_json(args.target).get("matrix"), "target")
+    target = ser.matrix_from_json(data.get("matrix"), "target")
     _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     if args.povm:
         dual = dual_coefficients(ser.load_povm(args.povm), target)
@@ -235,11 +254,11 @@ def _cmd_tomo(args) -> int:
     payload = {"dual": ser.dual_to_dict(dual), "residual": residual}
     if args.records:
         records = ser.read_records(args.records)
-        rho = _single_state(args.state) if args.state else None
+        rho = ser.load_states(args.state)[0][1] if args.state else None
         est = estimate_expectation(records, dual, rho_exact=rho)
         payload["estimate"] = ser.estimate_report_to_dict(est)
     if args.output:
-        ser.write_json(args.output, payload)
+        write_json(args.output, payload)
     _emit(payload)
     return 0
 
@@ -352,7 +371,7 @@ def main(argv=None) -> int:
     ) as exc:
         return _fail_input(str(exc))
     except PovmkitError as exc:
-        sys.stderr.write(ser.dumps_canonical({"check_failed": str(exc)}))
+        sys.stderr.write(dumps_canonical({"check_failed": str(exc)}))
         sys.stderr.write("\n")
         return 1
     except ValueError as exc:

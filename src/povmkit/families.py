@@ -750,8 +750,11 @@ class EquivalenceReport:
 def _check_budget(budget, mode):
     # one Monte Carlo draw has no standard error
     least = 2 if mode in ("montecarlo", "mc") else 1
-    if budget is not None and budget < least:
+    if budget is None or least <= budget < np.inf:
+        return
+    if budget < least:
         raise ValueError(f"{mode} budget must be at least {least}, got {budget}")
+    raise ValueError(f"{mode} budget must be finite, got {budget}")
 
 
 def _with_ids(items, prefix):

@@ -20,6 +20,14 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import PovmkitError, SchemaError
+from .jsonio import (  # noqa: F401  (dumps_canonical is re-exported)
+    SCHEMA_VERSION,
+    _check_schema,
+    _objects,
+    dumps_canonical,
+    load_json,
+    write_json,
+)
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -31,48 +39,7 @@ from .outcomes import (
 )
 from .povm import FinitePOVM, ValidationReport
 
-SCHEMA_VERSION = 1
 _CHUNK_LINES = 4096  # records per write and per bulk parse
-
-
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _check_schema(data: dict, what: str):
-    if not isinstance(data, dict):
-        raise SchemaError(f"{what}: expected a JSON object")
-    version = data.get("schema", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{what}: unsupported schema version {version}")
-
-
-def load_json(path) -> dict:
-    """The JSON object in a file; anything else raises `SchemaError`."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON, or an integer beyond Python's digit limit
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return data
-
-
-def _objects(data: dict, key: str, what: str) -> list[dict]:
-    """``data[key]``, which must be a nonempty list of JSON objects."""
-    items = data.get(key)
-    if not (isinstance(items, list) and items and all(isinstance(i, dict) for i in items)):
-        raise SchemaError(f"{what}: {key!r} must be a nonempty list of objects")
-    return items
-
-
-def write_json(path, obj: dict):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
-        fh.write("\n")
 
 
 # --- matrices ----------------------------------------------------------------
@@ -229,8 +196,7 @@ def load_regions(path) -> list[tuple[str, Region]]:
 
 # --- states -------------------------------------------------------------------
 
-def load_states(path) -> list[tuple[str, np.ndarray]]:
-    data = load_json(path)
+def states_from_dict(data: dict) -> list[tuple[str, np.ndarray]]:
     _check_schema(data, "states")
     if "states" in data:
         items = _objects(data, "states", "states")
@@ -246,6 +212,10 @@ def load_states(path) -> list[tuple[str, np.ndarray]]:
             (str(obj.get("id", f"state{k}")), matrix_from_json(obj["matrix"], what=f"state {k}"))
         )
     return out
+
+
+def load_states(path) -> list[tuple[str, np.ndarray]]:
+    return states_from_dict(load_json(path))
 
 
 def save_states(path, states):

@@ -1,4 +1,8 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -776,5 +780,92 @@ def test_no_command_is_input_error(capsys):
 
 
 def test_missing_file(capsys):
-    code, _, err = run_cli(capsys, "validate", "/nonexistent/povm.json")
+    code, out, err = run_cli(capsys, "validate", "/nonexistent/povm.json")
     assert code == 2
+    assert out == ""
+    assert err == (
+        '{"error":"cannot read /nonexistent/povm.json: [Errno 2] No such file or directory: '
+        "'/nonexistent/povm.json'\"}\n"
+    )
+
+
+def test_directory_is_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith(f"cannot read {tmp_path}: ")
+
+
+MALFORMED = '{"error":"malformed.json is not valid JSON: Expecting value: line 1 column 37 (char 36)"}'
+MISSING = (
+    '{"error":"cannot read missing.json: [Errno 2] No such file or directory: \'missing.json\'"}'
+)
+
+
+def _fresh_cli(tmp_path, *argv):
+    """``python -m povmkit.cli`` in a fresh interpreter, in a directory with
+    a POVM, a malformed file, a JSON list and a file of schema version 2."""
+    ser.save_povm(tmp_path / "povm.json", pk.coin_flip_povm())
+    (tmp_path / "malformed.json").write_text('{"schema": 1, "dim": 2, "entries": [')
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "schema2.json").write_text('{"schema": 2}')
+    src = os.path.dirname(os.path.dirname(pk.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "povmkit.cli", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["validate", "missing.json"], MISSING),
+    (["validate", "malformed.json"], MALFORMED),
+    (["extremal", "missing.json"], MISSING),
+    (["extremal", "malformed.json"], MALFORMED),
+    (["decompose", "missing.json"], MISSING),
+    (["decompose", "malformed.json"], MALFORMED),
+    (["validate", "list.json"], '{"error":"list.json: expected a JSON object"}'),
+    (["validate", "schema2.json"], '{"error":"povm: unsupported schema version 2"}'),
+    (["validate", "povm.json", "--tolerance", "psd=nan"],
+     '{"error":"tolerance psd: needs a finite value >= 0, got \'nan\'"}'),
+    (["equiv", "--family", "spin", "--states", "povm.json", "--regions", "povm.json",
+      "--tol", "nan"], '{"error":"--tol needs a finite value >= 0, got nan"}'),
+])
+def test_input_error_bytes(tmp_path, argv, line):
+    proc = _fresh_cli(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
+def test_unknown_command_bytes(tmp_path):
+    # argparse's own text: the usage, then one error line, whose list of
+    # choices is formatted differently across Python versions
+    proc = _fresh_cli(tmp_path, "bogus")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert lines[:2] == [
+        "usage: povmkit [-h]",
+        "               {validate,extremal,decompose,equiv,sample,gof,merit,tomo} ...",
+    ]
+    assert lines[2].startswith("povmkit: error: argument command: invalid choice: 'bogus'")
+    assert len(lines) == 3
+
+
+def test_jsonio_imports_only_stdlib_and_errors():
+    # the CLI reads JSON through ``jsonio`` before any array module loads;
+    # an import of anything else there would load it on every error path
+    from povmkit import jsonio
+
+    with open(jsonio.__file__) as fh:
+        tree = ast.parse(fh.read())
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [("." * node.level) + (node.module or "")]
+        else:
+            continue
+        for name in names:
+            stdlib = not name.startswith(".") and name.split(".")[0] in sys.stdlib_module_names
+            if not (stdlib or name in (".errors", "povmkit.errors")):
+                foreign.append(name)
+    assert foreign == []

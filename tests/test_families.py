@@ -450,6 +450,20 @@ class TestEquivalence:
             sg.average_region_probability(up, region, mode=mode, budget=budget,
                                           rng=pk.make_rng(1))
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["deterministic", "montecarlo"])
+    @pytest.mark.parametrize("family", ["spin", "phase:3"])
+    def test_budget_not_finite_rejected(self, family, mode, budget):
+        c, s = pk.named_family(family)
+        rho = np.eye(c.dim) / c.dim
+        region = cap(Z_AXIS, 1.0) if c.space == SPHERE else Region.of_arcs([(0.0, 1.0)])
+        with pytest.raises(ValueError, match="budget"):
+            pk.verify_scheme_equivalence(c, s, [rho], [region], mode=mode, budget=budget,
+                                         seed=1)
+        with pytest.raises(ValueError, match="budget"):
+            s.average_region_probability(rho, region, mode=mode, budget=budget,
+                                         rng=pk.make_rng(1))
+
     def test_budget_none_is_the_default(self, up):
         sg = pk.stern_gerlach_scheme()
         region = cap(Z_AXIS, 1.0)

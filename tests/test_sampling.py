@@ -361,6 +361,8 @@ EXPORTS = [
 ]
 # modules a command that only reads and checks a POVM must not load
 HEAVY = ("extremality", "families", "merit", "sampling", "tomography", "quadrature")
+# modules an input error found from argv and the raw JSON must not load
+ARRAYS = ("numpy", "povmkit.serialize", "povmkit.outcomes", "povmkit.povm", "povmkit.operators")
 # runs the CLI in this interpreter, then writes its exit code and sys.modules to argv[1]
 PROBE = (
     "import json, sys\n"
@@ -415,33 +417,51 @@ def cli_inputs(tmp_path_factory):
     for name, seed in (("a", 1), ("b", 2)):
         ser.write_records(d / f"{name}.ndjson", pk.sample_direct(spin, np.eye(2) / 2, 600, seed))
     (d / "malformed.json").write_text('{"schema": 1, "dim": 2, "entries": [')
+    (d / "list.json").write_text("[1]")
+    (d / "schema2.json").write_text('{"schema": 2}')
     return d
 
 
-@pytest.mark.parametrize("argv, code, light", [
-    (["validate", "povm.json"], 0, True),
-    (["validate", "malformed.json"], 2, True),
-    (["validate", "missing.json"], 2, True),
-    (["extremal", "povm.json"], 0, False),
-    (["decompose", "povm.json"], 0, False),
+@pytest.mark.parametrize("argv, code, light, numpy", [
+    (["validate", "povm.json"], 0, True, True),
+    (["extremal", "povm.json"], 0, False, True),
+    (["decompose", "povm.json"], 0, False, True),
     (["equiv", "--family", "spin", "--states", "state.json", "--regions", "regions.json"],
-     0, False),
+     0, False, True),
     (["sample", "--family", "spin", "--scheme", "--state", "state.json", "-n", "100",
-      "--seed", "1", "-o", "sampled.ndjson"], 0, False),
-    (["gof", "--a", "a.ndjson", "--b", "b.ndjson", "--bins", "sphere12"], 0, False),
-    (["merit", "--family", "spin", "--spec", "spec.json"], 0, False),
+      "--seed", "1", "-o", "sampled.ndjson"], 0, False, True),
+    (["gof", "--a", "a.ndjson", "--b", "b.ndjson", "--bins", "sphere12"], 0, False, True),
+    (["merit", "--family", "spin", "--spec", "spec.json"], 0, False, True),
     (["tomo", "--family", "spin", "--target", "target.json", "--records", "a.ndjson",
-      "--state", "state.json"], 0, False),
-], ids=["validate", "validate-malformed", "validate-missing", "extremal", "decompose", "equiv",
-        "sample", "gof", "merit", "tomo"])
-def test_cli_import_set(cli_inputs, tmp_path, argv, code, light):
-    # each command in a fresh interpreter: no command loads scipy, and
-    # reading and checking a POVM loads none of the heavy modules
+      "--state", "state.json"], 0, False, True),
+    (["validate", "malformed.json"], 2, True, False),
+    (["validate", "missing.json"], 2, True, False),
+    (["extremal", "malformed.json"], 2, True, False),
+    (["extremal", "missing.json"], 2, True, False),
+    (["decompose", "malformed.json"], 2, True, False),
+    (["decompose", "missing.json"], 2, True, False),
+    (["validate", "list.json"], 2, True, False),
+    (["validate", "schema2.json"], 2, True, False),
+    (["bogus"], 2, True, False),
+    (["validate", "povm.json", "--tolerance", "psd=nan"], 2, True, False),
+    (["equiv", "--family", "spin", "--states", "state.json", "--regions", "regions.json",
+      "--tol", "nan"], 2, True, False),
+], ids=["validate", "extremal", "decompose", "equiv", "sample", "gof", "merit", "tomo",
+        "validate-malformed", "validate-missing", "extremal-malformed", "extremal-missing",
+        "decompose-malformed", "decompose-missing", "not-an-object", "schema-version",
+        "unknown-command", "bad-tolerance", "equiv-tol-nan"])
+def test_cli_import_set(cli_inputs, tmp_path, argv, code, light, numpy):
+    # each command in a fresh interpreter: no command loads scipy, reading
+    # and checking a POVM loads none of the heavy modules, and an input
+    # error found from argv and the raw JSON loads no array module
     report = tmp_path / "modules.json"
     proc = _fresh("-c", PROBE, str(report), *argv, cwd=cli_inputs)
     assert proc.returncode == 0, proc.stderr
     got, modules = json.loads(report.read_text())
     assert got == code
     assert _scipy(modules) == []
+    assert ("numpy" in modules) == numpy
+    if not numpy:
+        assert [m for m in ARRAYS if m in modules] == []
     if light:
         assert [m for m in HEAVY if f"povmkit.{m}" in modules] == []
