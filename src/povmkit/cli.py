@@ -367,7 +367,7 @@ def main(argv=None) -> int:
         InvalidPOVM,
         NonHermitianInput,
         SpaceMismatch,
-        FileNotFoundError,
+        OSError,  # a path that cannot be opened: missing, a directory, no permission
     ) as exc:
         return _fail_input(str(exc))
     except PovmkitError as exc:

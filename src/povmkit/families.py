@@ -36,6 +36,7 @@ from family names (``spin``, its aliases, ``phase:<d>``) to the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -276,6 +277,22 @@ def _superdiagonals(a: np.ndarray) -> np.ndarray:
     return np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
 
 
+def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
+    """Fourier sums ``sum_{k=1}^{K} c_k e^{ik phi}`` at phases of any shape.
+
+    Horner's rule in ``z = e^{i phi}``: one exponential per phase, then
+    K-1 complex multiply-adds.  ``c`` has shape (K,) or (K, m); the result
+    has the shape of ``phis``, after a leading axis of length m for (K, m).
+    """
+    z = np.exp(1j * np.asarray(phis, dtype=float))
+    c = c.reshape(c.shape + (1,) * z.ndim)
+    acc = c[-1] * z
+    for ck in c[-2::-1]:
+        acc += ck
+        acc *= z
+    return acc
+
+
 class CirclePhasePOVM(ContinuousPOVM):
     """Covariant phase measurement: density ``|phi><phi|/d``, measure d*dphi/2pi."""
 
@@ -294,9 +311,9 @@ class CirclePhasePOVM(ContinuousPOVM):
 
     def expectation(self, a, points):
         """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
-        superdiagonal sum of ``a``."""
-        phis = np.asarray(points, dtype=float)
-        sums = np.exp(1j * np.multiply.outer(phis, np.arange(1, self.dim))) @ _superdiagonals(a)
+        superdiagonal sum of ``a``, at phases of any shape (the result has
+        the same shape); one exponential per phase (`_phase_sums`)."""
+        sums = _phase_sums(_superdiagonals(a), points)
         return (np.trace(a).real + 2.0 * sums.real) / self.dim
 
     @staticmethod
@@ -324,23 +341,22 @@ class CirclePhasePOVM(ContinuousPOVM):
 
         With ``c_k`` the k-th superdiagonal sum of ``rho``, the CDF is
         ``(phi + sum_k (2/k) Im[c_k (e^{ik phi} - 1)]) / 2pi`` and its
-        density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one
-        ``(n, d-1)`` Fourier matrix gives both.  Each draw starts from
-        linear interpolation in the CDF tabulated on a fixed grid, whose
-        cell is its initial bracket; a Newton step that leaves the bracket
-        is replaced by the bracket's midpoint, and only unconverged draws
-        are iterated.
+        density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one Horner
+        pass in ``e^{i phi}`` gives both (`_phase_sums`).  Each draw starts
+        from linear interpolation in the CDF tabulated on a fixed grid,
+        whose cell is its initial bracket; a Newton step that leaves the
+        bracket is replaced by the bracket's midpoint, and only unconverged
+        draws are iterated.
         """
         targets = rng.uniform(0.0, 1.0, n)
-        k = np.arange(1, self.dim)
         c = _superdiagonals(rho)
-        cdf_weights = 2.0 * c / k
+        cdf_weights = 2.0 * c / np.arange(1, self.dim)
         weights = np.column_stack([cdf_weights, 2.0 * c])
         offset = cdf_weights.imag.sum()
 
         def cdf_and_density(phi):
-            sums = np.exp(1j * np.outer(phi, k)) @ weights
-            return (phi + sums[:, 0].imag - offset) / TWO_PI, (1.0 + sums[:, 1].real) / TWO_PI
+            cdf_sums, density_sums = _phase_sums(weights, phi)
+            return (phi + cdf_sums.imag - offset) / TWO_PI, (1.0 + density_sums.real) / TWO_PI
 
         grid = np.linspace(0.0, TWO_PI, _PHASE_GRID + 1)
         table = np.maximum.accumulate(cdf_and_density(grid)[0])
@@ -449,9 +465,9 @@ class RandomizedScheme:
         parameter by quadrature with about ``budget`` nodes; mode
         ``"montecarlo"`` (``"mc"``) averages ``budget`` draws of ``rng``
         (default 100000).  ``budget`` None takes the default; below 1, or
-        below 2 in montecarlo mode, it raises `ValueError`.  Returns
-        ``(value, standard_error)``; the standard error is None in
-        deterministic mode.
+        in montecarlo mode not an integer or below 2, it raises
+        `ValueError`.  Returns ``(value, standard_error)``; the standard
+        error is None in deterministic mode.
         """
         _check_budget(budget, mode)
         require_same_space(self.outcome_space, region.space, "scheme and region")
@@ -748,8 +764,10 @@ class EquivalenceReport:
 
 
 def _check_budget(budget, mode):
-    # one Monte Carlo draw has no standard error
-    least = 2 if mode in ("montecarlo", "mc") else 1
+    montecarlo = mode in ("montecarlo", "mc")
+    if montecarlo and budget is not None and not isinstance(budget, numbers.Integral):
+        raise ValueError(f"{mode} budget must be an integer draw count, got {budget!r}")
+    least = 2 if montecarlo else 1  # one Monte Carlo draw has no standard error
     if budget is None or least <= budget < np.inf:
         return
     if budget < least:

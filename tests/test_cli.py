@@ -835,6 +835,20 @@ def test_input_error_bytes(tmp_path, argv, line):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gof", "--a", ".", "--b", "direct.ndjson", "--bins", "sphere12"],
+    ["decompose", "povm.json", "-o", "."],
+    ["sample", "--family", "spin", "--direct", "--state", "state.json", "-n", "10",
+     "--seed", "1", "-o", "."],
+])
+def test_directory_path_is_input_error(tmp_path, argv):
+    # NDJSON records and output paths are opened directly, not by load_json
+    ser.save_states(tmp_path / "state.json", [("up", np.diag([1.0, 0.0]))])
+    proc = _fresh_cli(tmp_path, *argv)
+    line = '{"error":"[Errno 21] Is a directory: \'.\'"}'
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
 def test_unknown_command_bytes(tmp_path):
     # argparse's own text: the usage, then one error line, whose list of
     # choices is formatted differently across Python versions

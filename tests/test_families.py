@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit.errors import InvalidDimension
+from povmkit.families import _phase_sums
 from povmkit.outcomes import CIRCLE, SPHERE, Region
 from oracles import arc_probability_quadrature, cap_probability_quadrature
 
@@ -245,6 +246,39 @@ class TestPhaseFamily:
         assert abs(p1 - p2) <= 1e-9
 
 
+class TestPhaseSums:
+    """Horner's rule for the phase family's Fourier sums."""
+
+    @pytest.mark.parametrize("columns", [None, 2])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_direct_sum(self, d, columns):
+        rng = np.random.default_rng([70, d])
+        shape = (d - 1,) if columns is None else (d - 1, columns)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # multiples of 2**-30, so that k * phi is exact and the direct sum
+        # below is a true reference even at |phi| = 1e4
+        phis = np.round(rng.uniform(-1e4, 1e4, 500) * 2.0**30) / 2.0**30
+        phis[:3] = [0.0, -1e4, 1e4]
+        direct = np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c
+        got = _phase_sums(c, phis)
+        assert got.shape == (phis.shape if columns is None else (columns,) + phis.shape)
+        error = np.abs(got - direct.T).max(axis=-1)
+        assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_expectation_keeps_shape(self, d):
+        rng = np.random.default_rng([71, d])
+        ph = pk.phase_povm(d)
+        rho = pk.random_density_matrix(rng, d)
+        phis = rng.uniform(0.0, 2 * np.pi, (4, 5))
+        stacked = ph.expectation(rho, phis)
+        assert stacked.shape == (4, 5)
+        assert np.array_equal(stacked.ravel(), ph.expectation(rho, phis.ravel()))
+        one = ph.expectation(rho, phis[1, 2])
+        assert np.shape(one) == ()
+        assert one == pytest.approx(stacked[1, 2], abs=1e-15)
+
+
 def irregular_phase_design():
     """Three points with no shift symmetry whose weights make a d=2 design:
     sum w_k = 2 and sum w_k exp(i phi_k) = 0."""
@@ -463,6 +497,22 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="budget"):
             s.average_region_probability(rho, region, mode=mode, budget=budget,
                                          rng=pk.make_rng(1))
+
+    @pytest.mark.parametrize("family", ["spin", "phase:3"])
+    def test_montecarlo_budget_not_integer_rejected(self, family):
+        c, s = pk.named_family(family)
+        rho = np.eye(c.dim) / c.dim
+        region = cap(Z_AXIS, 1.0) if c.space == SPHERE else Region.of_arcs([(0.0, 1.0)])
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            pk.verify_scheme_equivalence(c, s, [rho], [region], mode="mc", budget=2.5, seed=1)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            s.average_region_probability(rho, region, mode="mc", budget=2.5,
+                                         rng=pk.make_rng(1))
+        # the quadrature takes about ``budget`` nodes, so any finite value will do
+        report = pk.verify_scheme_equivalence(c, s, [rho], [region], mode="det", budget=2.5)
+        assert report.max_abs_diff <= 1e-9
+        value, _ = s.average_region_probability(rho, region, mode="det", budget=2.5)
+        assert value == pytest.approx(c.region_probability(rho, region), abs=1e-9)
 
     def test_budget_none_is_the_default(self, up):
         sg = pk.stern_gerlach_scheme()

@@ -41,15 +41,15 @@ REPORTS = {
 
 TOMO = {
     "spin": "086c8e98153a1ead403c0ef47652ff8aedeab8ca89c51de3ee99c709c421e104",
-    "phase:3": "066ef5521bfecd7973d92752743974bd1585b9b581482a76448a451ea53e0e77",
+    "phase:3": "4233e9a1f1c419049d8bff14f6e2c1af3b402379ed2d89a096934936dc9af68a",
 }
 
 EQUIV = {
     ("spin", None): "fe8558c9d55e74894395d8ce4ed9e935307bcd8994e0e6fb2ccced2fc8fcb2a5",
     ("spin", 2048): "cf99df13c25a4a1b25523a7cb8fffb785813c0de177a81f67a150f5a280bd57c",
-    ("phase:3", None): "1fe3d551fc06acb1aec384c577145519309981d7fcc52ba611e5b8c6084b87e7",
-    ("phase:3", 300): "b0333fc10af1a00db955f9cda67035d317414cb7b016e16dacd40212de45281b",
-    ("phase:8", None): "ed1ec598e0ed3dc6e747d009ebdbdb66732bd3e6d55466d46011071f9a8e0ab3",
+    ("phase:3", None): "3e7634bd363640c1332686ed38c5a2d1f216cb6f2deed819b49ffca72fbef566",
+    ("phase:3", 300): "49451e089c87d8baa24f5bf02875ab39170c6170af78d4b1c1d23cacd9c97acf",
+    ("phase:8", None): "6f0e604a04b7fc4481ff4f9034511f24703fe1f688ba57baa215e56745efa2e2",
 }
 
 # one region, two disjoint ones and a complement on the sphere; one to

@@ -125,6 +125,15 @@ class TestExpectation:
             error = np.abs(c.expectation(a, points) - kets_expectation(kets, ket_norm, a)).max()
             assert error <= 1e-12 * (1.0 + np.linalg.norm(a))
 
+    @pytest.mark.parametrize("name", FAMILIES[1:])
+    def test_phases_outside_one_turn(self, name):
+        rng = np.random.default_rng(63)
+        c, _ = pk.named_family(name)
+        points = np.concatenate([rng.uniform(-40.0, 0.0, 100), rng.uniform(2 * np.pi, 40.0, 100)])
+        a = random_hermitian(rng, c.dim)
+        oracle = kets_expectation(phase_kets(c.dim, points), c.dim, a)
+        assert np.abs(c.expectation(a, points) - oracle).max() <= 1e-12 * (1.0 + np.linalg.norm(a))
+
     @pytest.mark.parametrize("name", ["spin", "phase:3"])
     def test_born_is_clipped_expectation(self, name):
         rng = np.random.default_rng(61)
