@@ -17,6 +17,7 @@ samplers, the families or the decomposition code.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -76,12 +77,19 @@ def _check_tol(tol):
 
 
 def _guard_output(out_path, inputs):
+    """Reject an ``-o`` path before any work: an input, a directory or a
+    path in a missing directory, with the error ``open`` would raise; the
+    file is neither created nor truncated."""
     if out_path is None:
         return
     target = os.path.abspath(out_path)
     for p in inputs:
         if p is not None and os.path.abspath(p) == target:
             raise SchemaError(f"output {out_path!r} would overwrite input {p!r}")
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if not os.path.isdir(os.path.dirname(target)):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
 
 
 def _read(path, what: str) -> dict:

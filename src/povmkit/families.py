@@ -10,26 +10,28 @@ Two continuous POVMs are built in:
   ``|phi> = sum_n exp(i n phi) |n>`` (squared norm d).
 
 Both are covariant, ``M(g.omega) = U_g M(omega) U_g^dagger`` under
-rotations and phase shifts, and have one exact randomization,
-`DesignScheme`: a finite design ``sum_k w_k M(omega_k) = I`` moved by a
-uniformly random motion of the outcome space, declaring the moved points
-(the antipodal pair ``{+z, -z}`` for spin, the d-point comb for phase).
-The mixing law belongs to the outcome space, not to the family: uniform
-shifts of the circle and uniform (Haar) rotations of the sphere, one law
-each for every design on that space.  Explicit finite mixtures of finite
-POVMs (`FiniteMixtureScheme`) are schemes too.  Region probabilities of
-scheme averages agree with the continuous POVM exactly;
-`verify_scheme_equivalence` checks that numerically state by state.
+rotations and phase shifts, and have one exact randomization: a finite
+design ``sum_k w_k M(omega_k) = I`` moved by a uniformly random motion of
+the outcome space, declaring the moved points (the antipodal pair
+``{+z, -z}`` for spin, the d-point comb for phase).  The mixing law
+belongs to the outcome space, not to the family: uniform shifts of the
+circle and uniform (Haar) rotations of the sphere.  Every scheme is one
+`RandomizedScheme`: term weights ``lam`` (T,), a padded stack of outcome
+points (T, K) or (T, K, 3), and either design weights (T, K) moved by the
+law (`DesignScheme`, T = 1) or explicit elements (T, K, d, d) and no law
+(`FiniteMixtureScheme`).  Region probabilities of scheme averages agree
+with the continuous POVM exactly; `verify_scheme_equivalence` checks
+that numerically state by state.
 
 Everything that depends on the family lives on these classes: a
 continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
 ``Tr[A M(omega)]`` in closed form (`ContinuousPOVM.expectation`, which
 Born probabilities and dual processings evaluate), its rank-one kets
-(from which `DesignScheme` builds its members), and the finite POVM of
-an exact outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which
-Bayes gains, canonical duals and dual residuals are computed; one
-vectorized two-stage kernel (`RandomizedScheme.sample`) and the Monte
-Carlo average run for every scheme.  `named_family` is the one table
+(from which a design's members are built), and the finite POVM of an
+exact outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which
+Bayes gains, canonical duals and dual residuals are computed; every
+method of `RandomizedScheme`, from two-stage sampling to the mixing
+averages, runs for every scheme.  `named_family` is the one table
 from family names (``spin``, its aliases, ``phase:<d>``) to the
 (continuous POVM, scheme) pair.
 """
@@ -61,7 +63,7 @@ from .outcomes import (
     normalize_angle,
     require_same_space,
 )
-from .povm import FinitePOVM, born_probabilities, check_povm, coerce_points, probability_of_region
+from .povm import FinitePOVM, check_povm, coerce_points
 
 # --- state vectors ----------------------------------------------------------
 
@@ -109,9 +111,10 @@ class ContinuousPOVM:
 
     The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
     kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
-    ``int |psi><psi| domega/2pi = I``.  A family writes no group code:
-    `DesignScheme` moves a design by its outcome space's mixing law, and
-    the family's covariance is what makes every moved design a POVM.
+    ``int |psi><psi| domega/2pi = I``.  A family writes no group code: a
+    `RandomizedScheme` with design weights moves a design by its outcome
+    space's mixing law, and the family's covariance is what makes every
+    moved design a POVM.
     """
 
     dim: int
@@ -399,40 +402,97 @@ def phase_povm(d: int) -> CirclePhasePOVM:
 class RandomizedScheme:
     """Classical mixture over x of finite POVMs with relabeled outcomes.
 
-    Subclasses give the mixing law (``sample_x(rng, size)``,
-    `mixing_nodes`), one member as a `FinitePOVM` (``member(x)``), the
-    members in bulk (`members`: stacked points and elements, which Bayes
-    gains score in one contraction), their Born probabilities and outcome
-    points in bulk (`member_probabilities`, `outcome_points`) and the
-    deterministic mixing average of a region probability
-    (``_deterministic_average(rho, region, budget)``); sampling and the
-    Monte Carlo average are shared.  `DesignScheme` takes its law from its
-    outcome space, `FiniteMixtureScheme` from its term weights.
+    One layout serves every scheme: ``terms`` ``(lam_t, P_t)``, weights
+    ``lam`` (T,), outcome points padded to K entries with each term's
+    first point, (T, K) or (T, K, 3), and either design weights (T, K) of
+    a `continuous` family moved by a law of `_MIXING_LAWS` (`DesignScheme`,
+    T = 1: x is the motion g, entry k is ``w_k M(g.omega_k)`` at
+    ``g.omega_k``) or explicit elements (T, K, dim, dim) and no law
+    (`FiniteMixtureScheme`: x is the term index, drawn with probability
+    ``lam_t``).  Every method serves both.
     """
 
     outcome_space: OutcomeSpace
     dim: int
     family: str
+    _law = None
+
+    def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` mixing parameters drawn from the mixing law."""
+        if self._law is None:
+            return rng.choice(len(self.lam), size=size, p=self.lam / self.lam.sum())
+        return self._law.sample(rng, size)
 
     def mixing_nodes(self):
         """Mixing quadrature nodes and weights normalized to sum to 1."""
-        raise UnsupportedFamily(f"no mixing quadrature for scheme {self.family!r}")
+        if self._law is None:
+            return np.arange(len(self.lam)), self.lam.copy()
+        return self._law.nodes()
 
-    def members(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """The members at mixing parameters ``xs`` as stacks: outcome points
-        as a `FinitePOVM` stores them, shape (n, m) or (n, m, 3), and
-        elements, shape (n, m, dim, dim), padded with zeros to a common
-        entry count m."""
-        raise NotImplementedError
-
-    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        """Born probabilities of each member's entries, shape (n, m)."""
-        raise NotImplementedError
+    def _term_index(self, xs) -> np.ndarray:
+        """The term indices in ``0..T-1`` that mixing parameters name."""
+        xs = np.asarray(xs, dtype=float)
+        if not np.all((xs >= 0) & (xs < len(self.lam)) & (xs == np.floor(xs))):
+            raise ValueError(f"mixing parameter is not a term index in 0..{len(self.lam) - 1}")
+        return xs.astype(int)
 
     def outcome_points(self, xs) -> np.ndarray:
         """Outcome points per member entry, aligned with member_probabilities:
-        shape (n, m) on the circle and label sets, (n, m, 3) on the sphere."""
-        raise NotImplementedError
+        shape (n, K) on the circle and label sets, (n, K, 3) on the sphere."""
+        if self._law is None:
+            return self._points[self._term_index(xs)]
+        return self._law.move(xs, self._points[0])
+
+    def members(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The members at mixing parameters ``xs`` as stacks: outcome points
+        as a `FinitePOVM` stores them, (n, K) or (n, K, 3), and elements,
+        (n, K, dim, dim); a design takes one move and one broadcast of kets."""
+        if self._law is None:
+            t = self._term_index(xs)
+            return self._points[t], self._elements[t]
+        moved = self.outcome_points(xs)
+        points = coerce_points(self.outcome_space, moved.reshape(-1, *moved.shape[2:]))
+        return points.reshape(moved.shape), self._elements_at(moved)
+
+    def _elements_at(self, moved):
+        """``w_k |psi><psi| / ket_norm`` at moved design points, one
+        ``(K, dim, dim)`` stack per row of ``moved``."""
+        kets = self.continuous.kets(moved.reshape(-1, *moved.shape[2:]))
+        kets = kets.reshape(*moved.shape[:2], self.dim)
+        return (
+            kets[..., :, None] * kets.conj()[..., None, :] * self._weights[0][:, None, None]
+            / self.continuous.ket_norm
+        )
+
+    def member(self, x) -> FinitePOVM:
+        """The member at one mixing parameter x (a term index, a shift, or
+        the three Euler coordinates of a rotation), with only its term's own
+        entries; any other shape raises `ValueError`."""
+        x = np.asarray(x, dtype=float)
+        shape = () if self._law is None else self._law.shape
+        if x.shape != shape:
+            raise ValueError(f"member takes one mixing parameter of shape {shape}, got {x.shape}")
+        points, elements = self.members(x[None])
+        term = self.terms[0 if self._law is not None else int(x)][1]
+        entries = tuple(zip(points[0, : len(term)], elements[0, : len(term)]))
+        return FinitePOVM(self.dim, self.outcome_space, entries, term.allow_duplicates)
+
+    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
+        """Born probabilities of each member's entries, shape (n, K)."""
+        return self._entries(xs, rho)[0]
+
+    def _entries(self, xs, rho):
+        """Born probabilities and outcome points of the members at ``xs``:
+        one move of a design, or rows of one stacked Born table."""
+        if np.shape(rho) != (self.dim, self.dim):
+            raise DimensionMismatch(f"state of shape {np.shape(rho)} in dimension {self.dim}")
+        if self._law is None:
+            t = self._term_index(xs)
+            born = np.trace(rho @ self._elements, axis1=2, axis2=3).real
+            return np.clip(born, 0.0, 1.0)[t], self._points[t]
+        points = self.outcome_points(xs)
+        born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
+        return born.reshape(points.shape[:2]) * self._weights[0], points
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator):
         """``n`` two-stage draws ``(x, i, omega)``.
@@ -441,15 +501,12 @@ class RandomizedScheme:
         Born probabilities of member x (one uniform per draw against their
         cumulative sum), and declare that entry's outcome point omega.
         """
-        xs, probs, points = self._draw_members(rho, n, rng)
+        xs = self.sample_x(rng, n)
+        probs, points = self._entries(xs, rho)
         cum = np.cumsum(probs, axis=1)
         cum /= cum[:, -1:]
         i = (rng.uniform(0.0, 1.0, n)[:, None] > cum).sum(axis=1)
         return xs, i, points[np.arange(n), i]
-
-    def _draw_members(self, rho, n: int, rng):
-        xs = self.sample_x(rng, n)
-        return xs, self.member_probabilities(xs, rho), np.asarray(self.outcome_points(xs))
 
     def average_region_probability(
         self,
@@ -477,14 +534,32 @@ class RandomizedScheme:
         if mode in ("montecarlo", "mc"):
             if rng is None:
                 raise ValueError("montecarlo mode needs an rng")
-            return self._montecarlo_average(rho, region, budget or 100_000, rng)
+            n = budget or 100_000
+            vals = self._region_masses(*self._entries(self.sample_x(rng, n), rho), region)
+            return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
         raise ValueError(f"unknown mode {mode!r}")
 
-    def _montecarlo_average(self, rho, region, n: int, rng) -> tuple[float, float]:
-        _, probs, points = self._draw_members(rho, n, rng)
+    @staticmethod
+    def _region_masses(probs, points, region):
+        """Each member's probability of the region, from its entries."""
         inside = region.contains(points.reshape(probs.size, *points.shape[2:]))
-        vals = (probs * inside.reshape(probs.shape)).sum(axis=1)
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+        return (probs * inside.reshape(probs.shape)).sum(axis=1)
+
+    def _deterministic_average(self, rho, region, budget):
+        """A mixture's average is ``sum_t lam_t`` times its terms' region
+        probabilities.  A design's moved points are uniform on the outcome
+        space, so its average is ``sum_t lam_t sum_k w_tk`` times the
+        uniform-law integral of ``Tr[rho M]`` over the region, whatever the
+        design; that integral is ``1/dim`` over the whole space, which
+        gives a complement."""
+        if self._law is None:
+            masses = self._region_masses(*self._entries(np.arange(len(self.lam)), rho), region)
+            return float((self.lam * masses).sum())
+        total = float(self.lam @ self._weights.sum(axis=1))
+        inside = total * self._law.integral(
+            lambda pts: self.continuous.born(rho, pts), region, budget
+        )
+        return total / self.dim - inside if region.complement else inside
 
 
 class _Shifts:
@@ -585,71 +660,19 @@ class DesignScheme(RandomizedScheme):
         self.dim = continuous.dim
         self.family = continuous.family
         self._law = _MIXING_LAWS[continuous.space]
-        self.sample_x, self.mixing_nodes = self._law.sample, self._law.nodes
-        elements = self._elements_at(points[None])[0]
-        check_povm(FinitePOVM(self.dim, self.outcome_space, tuple(zip(points, elements))))
-
-    def _elements_at(self, moved):
-        """``w_k |psi><psi| / ket_norm`` at moved design points, one
-        ``(m, dim, dim)`` stack per row of ``moved``."""
-        kets = self.continuous.kets(moved.reshape(-1, *moved.shape[2:]))
-        kets = kets.reshape(*moved.shape[:2], self.dim)
-        return (
-            kets[..., :, None] * kets.conj()[..., None, :] * self.design[1][:, None, None]
-            / self.continuous.ket_norm
-        )
-
-    def members(self, xs):
-        """One move of the design by all of ``xs``, one broadcast of kets."""
-        moved = self.outcome_points(xs)
-        points = coerce_points(self.outcome_space, moved.reshape(-1, *moved.shape[2:]))
-        return points.reshape(moved.shape), self._elements_at(moved)
-
-    def member(self, x) -> FinitePOVM:
-        """The member at one mixing parameter x (a shift, or the three
-        Euler coordinates of a rotation); any other shape raises
-        `ValueError`."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self._law.shape:
-            raise ValueError(
-                f"member takes one mixing parameter of shape {self._law.shape}, got shape {x.shape}"
-            )
-        points, elements = self.members(x[None])
-        return FinitePOVM(self.dim, self.outcome_space, tuple(zip(points[0], elements[0])))
-
-    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        return self._probabilities(self.outcome_points(xs), rho)
-
-    def _probabilities(self, points, rho):
-        born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
-        return born.reshape(points.shape[:2]) * self.design[1]
-
-    def _draw_members(self, rho, n: int, rng):
-        xs = self.sample_x(rng, n)
-        points = self.outcome_points(xs)  # one move serves the probabilities and the points
-        return xs, self._probabilities(points, rho), points
-
-    def outcome_points(self, xs):
-        return self._law.move(xs, self.design[0])
-
-    def _deterministic_average(self, rho, region, budget):
-        """Each moved point ``g.omega_k`` is uniform on the outcome space,
-        so the average is ``sum_k w_k`` times the uniform-law integral of
-        ``Tr[rho M]`` over the region: one integral, whatever the design.
-        ``Tr[rho M]`` integrates to ``1/dim`` over the whole space, which
-        gives a complement."""
-        total = float(self.design[1].sum())
-        inside = total * self._law.integral(
-            lambda pts: self.continuous.born(rho, pts), region, budget
-        )
-        return total / self.dim - inside if region.complement else inside
+        self.lam, self._points, self._weights = np.ones(1), points[None], weights[None]
+        elements = self._elements_at(self._points)[0]
+        self.terms = [(1.0, FinitePOVM(self.dim, self.outcome_space, tuple(zip(points, elements))))]
+        check_povm(self.terms[0][1])
 
 
 class FiniteMixtureScheme(RandomizedScheme):
     """Explicit finite mixture of finite POVMs over a shared outcome space.
 
-    The mixing parameter is the term index.  Members with fewer entries
-    than the largest are padded with zero-probability entries, so every
+    ``terms`` are pairs ``(lam_t, P_t)`` of nonnegative weights summing to
+    1 and valid POVMs of one dimension and space.  The mixing parameter is
+    the term index.  Members with fewer entries than the largest are
+    padded with zero-probability entries at their first point, so every
     member has the same entry count in `member_probabilities` and
     `outcome_points`.
     """
@@ -658,13 +681,16 @@ class FiniteMixtureScheme(RandomizedScheme):
         terms = [(float(w), povm) for w, povm in terms]
         if not terms:
             raise ValueError("mixture needs at least one term")
-        total = sum(w for w, _ in terms)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {total}, not 1")
+        lam = np.array([w for w, _ in terms])
+        if not (np.isfinite(lam).all() and (lam >= 0.0).all() and abs(lam.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"mixture weights must be nonnegative and sum to 1: {lam.tolist()}")
         first = terms[0][1]
         for _, povm in terms:
             require_same_space(first.space, povm.space, "mixture members")
-        self.terms = terms
+            if povm.dim != first.dim:
+                raise DimensionMismatch(f"mixture members of dimension {first.dim} and {povm.dim}")
+            check_povm(povm)
+        self.terms, self.lam = terms, lam
         self.outcome_space = first.space
         self.dim = first.dim
         self.family = "finite_mixture"
@@ -677,33 +703,6 @@ class FiniteMixtureScheme(RandomizedScheme):
         for k, (_, povm) in enumerate(terms):
             self._elements[k, : len(povm)] = povm.elements
 
-    def member(self, x) -> FinitePOVM:
-        return self.terms[int(x)][1]
-
-    def members(self, xs):
-        xs = np.asarray(xs, dtype=int)
-        return self._points[xs], self._elements[xs]
-
-    def sample_x(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        w = np.array([w for w, _ in self.terms])
-        return rng.choice(len(self.terms), size=size, p=w / w.sum())
-
-    def mixing_nodes(self):
-        return list(range(len(self.terms))), np.array([w for w, _ in self.terms])
-
-    def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        table = np.zeros(self._points.shape[:2])
-        for k, (_, povm) in enumerate(self.terms):
-            table[k, : len(povm)] = born_probabilities(povm, rho)
-        return table[np.asarray(xs, dtype=int)]
-
-    def outcome_points(self, xs):
-        return self._points[np.asarray(xs, dtype=int)]
-
-    def _deterministic_average(self, rho, region, budget):
-        return float(
-            sum(w * probability_of_region(povm, rho, region) for w, povm in self.terms)
-        )
 
 def stern_gerlach_scheme() -> DesignScheme:
     """The antipodal pair ``{+z, -z}`` with unit weights, uniformly rotated."""

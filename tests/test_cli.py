@@ -849,6 +849,27 @@ def test_directory_path_is_input_error(tmp_path, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("output", ["out", "missing/out.json"])
+@pytest.mark.parametrize("command, work", [
+    ("sample", "povmkit.sampling.sample_direct"),
+    ("decompose", "povmkit.extremality.decompose_extremal"),
+])
+def test_bad_output_exits_before_the_work(capsys, monkeypatch, tmp_path, coin_flip_file,
+                                          state_file, command, work, output):
+    # a directory, or a path in a missing directory, is reported at once
+    (tmp_path / "out").mkdir()
+    monkeypatch.setattr(work, lambda *args, **kwargs: pytest.fail(f"{work} ran"))
+    argv = {
+        "sample": ["sample", "--family", "spin", "--direct", "--state", state_file,
+                   "-n", "10", "--seed", "1"],
+        "decompose": ["decompose", coin_flip_file],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "-o", str(tmp_path / output))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].endswith(f"{str(tmp_path / output)!r}")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_unknown_command_bytes(tmp_path):
     # argparse's own text: the usage, then one error line, whose list of
     # choices is formatted differently across Python versions

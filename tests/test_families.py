@@ -557,6 +557,24 @@ class TestEquivalence:
         assert abs(val - exact) <= 5 * se
 
 
+LABELS = pk.FiniteLabels(6)
+MIXTURE_REGIONS = {
+    LABELS: [Region.of_labels(LABELS, [0, 2, 3]), Region.of_labels(LABELS, [1, 4, 5])],
+    CIRCLE: OTHER_REGIONS[CIRCLE],
+    SPHERE: OTHER_REGIONS[SPHERE],  # the last is a complement
+}
+
+
+def random_points(rng, space, n):
+    """``n`` distinct outcome points on a space."""
+    if space == CIRCLE:
+        return rng.uniform(0.0, 2 * np.pi, n)
+    if space == SPHERE:
+        points = rng.normal(size=(n, 3))
+        return points / np.linalg.norm(points, axis=1, keepdims=True)
+    return rng.choice(space.n, n, replace=False)
+
+
 class TestFiniteMixturePadding:
     """Members with fewer entries are padded with their first point at
     zero probability."""
@@ -588,3 +606,77 @@ class TestFiniteMixturePadding:
         rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         probs = scheme.member_probabilities([0, 1], rho)
         assert np.allclose(probs, [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("space", [LABELS, CIRCLE, SPHERE])
+    def test_deterministic_average_is_the_sum_over_terms(self, rng, space):
+        # one stacked Born table and one region mask over all T K entries,
+        # against one region probability per term
+        lam = [0.2, 0.5, 0.3]
+        terms = [
+            pk.FinitePOVM(3, space, tuple(zip(random_points(rng, space, n),
+                                              pk.random_povm(rng, 3, n).elements)))
+            for n in (2, 5, 3)
+        ]
+        scheme = pk.FiniteMixtureScheme(list(zip(lam, terms)))
+        rho = pk.random_density_matrix(rng, 3)
+        for region in MIXTURE_REGIONS[space]:
+            value, _ = scheme.average_region_probability(rho, region)
+            oracle = sum(w * pk.probability_of_region(p, rho, region) for w, p in zip(lam, terms))
+            assert value == pytest.approx(oracle, rel=0, abs=1e-15)
+
+
+def two_povms():
+    """The projective measurement along z and a one-outcome POVM."""
+    z_basis = ((Z_AXIS, np.diag([1.0, 0.0])), ((0.0, 0.0, -1.0), np.diag([0.0, 1.0])))
+    return (pk.FinitePOVM(2, SPHERE, z_basis),
+            pk.FinitePOVM(2, SPHERE, (((1.0, 0.0, 0.0), np.eye(2)),)))
+
+
+class TestFiniteMixtureInputs:
+    @pytest.mark.parametrize("weights", [(1.5, -0.5), (np.nan, 1.0), (0.5, np.inf)])
+    def test_weights_finite_and_nonnegative(self, weights):
+        a, b = two_povms()
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            pk.FiniteMixtureScheme(list(zip(weights, (a, b))))
+
+    def test_members_are_povms(self):
+        a, _ = two_povms()
+        not_psd = pk.FinitePOVM(2, SPHERE, ((Z_AXIS, np.eye(2)),
+                                            ((1.0, 0.0, 0.0), np.diag([1.0, -1.0]))))
+        with pytest.raises(pk.InvalidPOVM):
+            pk.FiniteMixtureScheme([(0.5, a), (0.5, not_psd)])
+        qutrit = pk.FinitePOVM(3, SPHERE, ((Z_AXIS, np.eye(3)),))
+        with pytest.raises(pk.DimensionMismatch):
+            pk.FiniteMixtureScheme([(0.5, a), (0.5, qutrit)])
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x: s.member(x),
+        lambda s, x: s.members([0, x]),
+        lambda s, x: s.member_probabilities([x, 0], np.eye(2) / 2),
+        lambda s, x: s.outcome_points([x]),
+    ], ids=["member", "members", "member_probabilities", "outcome_points"])
+    def test_mixing_parameter_is_a_term_index(self, call):
+        a, b = two_povms()
+        scheme = pk.FiniteMixtureScheme([(0.25, a), (0.75, b)])
+        for x in (-1, 1.7, 2, np.nan, np.inf):
+            with pytest.raises(ValueError, match="term index in 0..1"):
+                call(scheme, x)
+        call(scheme, 1.0)  # records store x as a float
+        assert scheme.member(1.0).elements.shape == (1, 2, 2)  # the term's own entries
+
+    def test_state_of_another_dimension(self):
+        a, b = two_povms()
+        scheme = pk.FiniteMixtureScheme([(0.25, a), (0.75, b)])
+        with pytest.raises(pk.DimensionMismatch):
+            scheme.member_probabilities([0, 1], np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("cls", [pk.DesignScheme, pk.FiniteMixtureScheme])
+def test_scheme_subclasses_define_only_init(cls):
+    # every method lives on RandomizedScheme, over one layout; a subclass
+    # only builds that layout
+    defined = {
+        name for name, value in vars(cls).items()
+        if not (name.startswith("__") and name.endswith("__")) or callable(value)
+    }
+    assert defined == {"__init__"}
