@@ -9,9 +9,10 @@ Each command first reads its JSON input with the standard library alone
 (`povmkit.jsonio`) and imports the modules it calls inside its own body,
 after that read.  So a missing or unreadable file, invalid JSON, a top
 level that is not an object, a wrong schema version, an argparse usage
-error or a bad ``--tolerance``, ``--tol`` or ``--alpha`` value exits 2
-before numpy loads; and a child that validates a POVM never loads the
-samplers, the families or the decomposition code.
+error, a bad ``--tolerance``, ``--tol`` or ``--alpha`` value or an
+unusable ``-o`` path exits 2 before numpy loads; and a child that
+validates a POVM never loads the samplers, the families or the
+decomposition code.
 """
 
 from __future__ import annotations
@@ -133,13 +134,13 @@ def _cmd_extremal(args) -> int:
 def _cmd_decompose(args) -> int:
     tols = _parse_tolerances(args.tolerance)
     data = _read(args.povm, "povm")
+    _guard_output(args.output, [args.povm])
     from . import serialize as ser
     from .extremality import decompose_extremal
     from .operators import GAP_THRESHOLD
 
     gap = tols.get("gap", GAP_THRESHOLD)
     povm = ser.povm_from_dict(data)
-    _guard_output(args.output, [args.povm])
     result = decompose_extremal(povm, max_terms=args.max_terms, gap=gap)
     payload = ser.decomposition_to_dict(result)
     if args.output:
@@ -157,13 +158,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_equiv(args) -> int:
     _check_tol(args.tol)
+    _guard_output(args.output, [args.states, args.regions])
     from . import serialize as ser
     from .families import named_family, verify_scheme_equivalence
 
     c, s = named_family(args.family)
     states = ser.load_states(args.states)
     regions = ser.load_regions(args.regions)
-    _guard_output(args.output, [args.states, args.regions])
     mode = "deterministic" if args.mode == "det" else "montecarlo"
     if mode == "montecarlo" and args.seed is None:
         raise SchemaError("montecarlo mode requires --seed")
@@ -181,12 +182,12 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_sample(args) -> int:
     data = _read(args.state, "states")
+    _guard_output(args.output, [args.state])
     from .families import named_family
     from .sampling import sample_direct, sample_two_stage
     from .serialize import states_from_dict, write_records
 
     rho = states_from_dict(data)[0][1]
-    _guard_output(args.output, [args.state])
     c, s = named_family(args.family)
     if args.scheme:
         records = sample_two_stage(s, rho, args.n, args.seed)
@@ -218,12 +219,12 @@ def _cmd_gof(args) -> int:
 def _cmd_merit(args) -> int:
     _check_tol(args.tol)
     data = _read(args.spec, "merit spec")
+    _guard_output(args.output, [args.spec])
     from . import serialize as ser
     from .families import named_family
     from .merit import bayes_gain, check_equal_optimality
 
     spec = ser.bayes_spec_from_dict(data)
-    _guard_output(args.output, [args.spec])
     c, s = named_family(args.family)
     if args.scheme:
         report = check_equal_optimality(
@@ -246,12 +247,12 @@ def _cmd_merit(args) -> int:
 
 def _cmd_tomo(args) -> int:
     data = load_json(args.target)
+    _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     from . import serialize as ser
     from .families import named_family
     from .tomography import dual_coefficients, estimate_expectation
 
     target = ser.matrix_from_json(data.get("matrix"), "target")
-    _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     if args.povm:
         dual = dual_coefficients(ser.load_povm(args.povm), target)
         residual = dual.residual

@@ -88,6 +88,14 @@ def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(phis, np.arange(d)))
 
 
+def _checked_state(rho, dim: int) -> np.ndarray:
+    """A density matrix of dimension ``dim``; another raises `DimensionMismatch`."""
+    rho = op.check_density_matrix(rho)
+    if rho.shape[0] != dim:
+        raise DimensionMismatch(f"state dimension {rho.shape[0]} != POVM dimension {dim}")
+    return rho
+
+
 def _bloch_vector(psi: np.ndarray) -> np.ndarray:
     a, b = psi
     return np.array(
@@ -139,7 +147,7 @@ class ContinuousPOVM:
 
     def region_probability(self, rho: np.ndarray, region: Region) -> float:
         require_same_space(self.space, region.space, "POVM and region")
-        rho = op.check_density_matrix(rho)
+        rho = _checked_state(rho, self.dim)
         val = float(np.trace(rho @ self.region_operator(region)).real)
         return min(max(val, 0.0), 1.0)
 
@@ -528,7 +536,7 @@ class RandomizedScheme:
         """
         _check_budget(budget, mode)
         require_same_space(self.outcome_space, region.space, "scheme and region")
-        rho = op.check_density_matrix(rho)
+        rho = _checked_state(rho, self.dim)
         if mode in ("deterministic", "det"):
             return self._deterministic_average(rho, region, budget), None
         if mode in ("montecarlo", "mc"):

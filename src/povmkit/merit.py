@@ -13,32 +13,32 @@ mixture of gains; members of a randomization of an optimal measurement
 are therefore equally optimal, which `check_equal_optimality` verifies
 by evaluating members at mixing quadrature nodes and random draws.
 
-One function scores every POVM: a stack of POVMs with a leading member
-axis, points ``(M, K)`` or ``(M, K, 3)`` and elements ``(M, K, d, d)``.
-`bayes_gain` scores one POVM, a finite one through its own entries and a
-continuous one through its finite outcome quadrature;
-`check_equal_optimality` builds all of a scheme's members at once
-(`RandomizedScheme.members`, one move of the design) and scores them in
-one contraction with the prior.
+Both gains are also affine in a feature of the declared outcome: ``n``
+on the sphere, ``(cos phi, sin phi)`` on the circle.  So the prior enters
+only through its first moments, which have closed forms, and no prior
+quadrature is built.  One function scores every POVM: a stack of POVMs
+with a leading member axis, points ``(M, K)`` or ``(M, K, 3)`` and
+elements ``(M, K, d, d)``.  `bayes_gain` scores one POVM, a finite one
+through its own entries and a continuous one through its finite outcome
+quadrature; `check_equal_optimality` builds all of a scheme's members at
+once (`RandomizedScheme.members`, one move of the design) and scores
+them in one contraction with the moments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import operators as op
-from . import quadrature as quad
+from .catalog import PAULI_X, PAULI_Y, PAULI_Z
 from .errors import DimensionMismatch
-from .families import ContinuousPOVM, RandomizedScheme, phase_kets, plus_spinors
-from .outcomes import CIRCLE, SPHERE, TWO_PI, require_same_space
+from .families import ContinuousPOVM, RandomizedScheme
+from .outcomes import CIRCLE, SPHERE, require_same_space
 from .povm import FinitePOVM
 from .sampling import make_rng
-
-DEFAULT_PRIOR_BUDGET = 8192
-_PRIOR_CHUNK = 512  # prior nodes per accumulation step; bounds memory
-_POINT_CHUNK = 4096  # outcome points per product: bounds memory for large mixtures
 
 
 @dataclass(frozen=True)
@@ -91,73 +91,56 @@ class MeritReport:
 
 
 def _gain_kernel(spec: BayesGainSpec, budget, space, dim: int, points, elements) -> np.ndarray:
-    """Bayes gains of a stack of POVMs on one outcome space, with the prior
-    built once.
+    """Bayes gains of a stack of POVMs on one outcome space.
 
     ``points`` has shape (M, K) or (M, K, 3) and ``elements`` (M, K, d, d):
-    M POVMs of K entries each (zero elements may pad them).  With prior
-    nodes ``(w_t, rho_t)`` and gain ``g(t, omega)``, the gain of outcomes
-    ``omega_k`` with elements ``E_k`` is ``sum_k <Gamma_k, E_k>`` where
-    ``Gamma_k = sum_t w_t g(t, omega_k) rho_t``: one matrix product per
-    prior chunk over all ``M K`` points (in blocks of `_POINT_CHUNK`), then
-    one dot per POVM.
+    M POVMs of K entries each (zero elements may pad them).  The gain of
+    declaring ``omega`` is affine in a feature ``f(omega)``, so the prior
+    average of ``g(t, omega) rho_t`` is ``(W_0 + f(omega) . W_1)/2`` with
+    the prior's first moments ``W_0 = E[rho_t]``, ``W_1 = E[f(t) rho_t]``:
+
+    * sphere, d = 2, ``f = n``: ``W_0 = I/2`` and ``W_1 = sigma/6``;
+    * circle, fiducial ``rho0``, ``f = (cos phi, sin phi)``: ``W_0 =
+      diag(rho0)``, and on the first off-diagonals only ``W_c = rho0/2``
+      and ``W_s[a, b] = (i/2)(a - b) rho0[a, b]``.
+
+    The gains are one `np.einsum` over the element stack, a fixed-order sum
+    with no BLAS call, so their bits do not depend on the BLAS thread
+    count.  ``budget`` has no effect; one below 1, or not finite, raises
+    `ValueError`.
     """
     if not 1 <= budget < np.inf:
         raise ValueError(f"budget must be finite and at least 1, got {budget}")
     if spec.prior == "uniform_sphere":
-        prior_space = SPHERE
-        params, w = quad.sphere_nodes(*quad.sphere_grid(budget))
-        w = w / (2.0 * TWO_PI)  # uniform prior dm/4pi
-        kets = plus_spinors(params)
-        weighted = w[:, None, None] * (kets[:, :, None] * kets.conj()[:, None, :])
-
-        def g(t, omega):
-            return 0.5 * (1.0 + t @ omega.T)  # fidelity |<m|n>|^2
+        require_same_space(SPHERE, space, "prior and POVM")
+        if dim != 2:
+            raise DimensionMismatch(f"prior states of dimension 2, POVM dimension {dim}")
+        moments = np.stack([np.eye(2) / 2, PAULI_X / 6, PAULI_Y / 6, PAULI_Z / 6])
+        feature = np.concatenate([np.ones((*points.shape[:2], 1)), points], axis=-1)
     else:
-        prior_space = CIRCLE
-        params, w = quad.circle_nodes(max(64, min(1024, budget)))
-        w = w / TWO_PI
-        # U_t rho0 U_t^dagger with U_t = diag(exp(i n t))
-        kets = phase_kets(dim, params)
-        weighted = w[:, None, None] * (
-            kets[:, :, None] * spec.fiducial(dim) * kets.conj()[:, None, :]
-        )
-
-        def g(t, omega):  # (1 + cos(t - phi))/2, in place: one (T, n) array
-            out = np.subtract.outer(t, omega)
-            np.cos(out, out=out)
-            out += 1.0
-            out *= 0.5
-            return out
-    require_same_space(prior_space, space, "prior and POVM")
-    d = weighted.shape[-1]
-    if dim != d:
-        raise DimensionMismatch(f"prior states of dimension {d}, POVM dimension {dim}")
-    # w_t rho_t as (re, im) pairs, so each chunk is one real matrix product
-    weighted = weighted.reshape(len(w), d * d).view(float)
-    m, k = elements.shape[:2]
-    flat = points.reshape(m * k, *points.shape[2:])
-    gamma = np.zeros((m * k, 2 * d * d))
-    for r in range(0, m * k, _POINT_CHUNK):
-        rows = slice(r, r + _POINT_CHUNK)
-        for c in range(0, len(w), _PRIOR_CHUNK):
-            part = slice(c, c + _PRIOR_CHUNK)
-            gamma[rows] += g(params[part], flat[rows]).T @ weighted[part]
-    # Re Tr[Gamma_k E_k] for Hermitian E_k, summed over k: one BLAS dot per POVM
-    terms = elements.reshape(m, 1, -1).view(float)
-    return (terms @ gamma.reshape(m, -1, 1)).ravel()
+        rho0 = spec.fiducial(dim)
+        require_same_space(CIRCLE, space, "prior and POVM")
+        k = np.subtract.outer(np.arange(dim), np.arange(dim))  # a - b
+        near = np.abs(k) == 1
+        moments = np.stack([(k == 0) * rho0, near * rho0 / 2, near * (0.5j * k) * rho0])
+        feature = np.stack([np.ones_like(points), np.cos(points), np.sin(points)], axis=-1)
+    # Re Tr[W E] for Hermitian W and E is the dot of their (re, im) pairs
+    w = (moments / 2).reshape(len(moments), -1).view(float)
+    e = elements.reshape(*elements.shape[:2], -1).view(float)
+    return np.einsum("mkf,fj,mkj->m", feature, w, e)
 
 
 def bayes_gain(
     povm: FinitePOVM | ContinuousPOVM,
     spec: BayesGainSpec,
-    budget: int = DEFAULT_PRIOR_BUDGET,
+    budget: int = 8192,
 ) -> float:
     """Prior-averaged expected gain of a POVM's declared outcomes.
 
     The POVM's outcomes must live on the prior's space; a continuous
-    POVM is evaluated through its finite outcome quadrature.  A budget
-    below 1, or not finite, raises `ValueError`.
+    POVM is evaluated through its finite outcome quadrature.  ``budget``
+    is accepted but has no effect: the prior enters through closed-form
+    moments.  One below 1, or not finite, raises `ValueError`.
     """
     if isinstance(povm, ContinuousPOVM):
         points, elements = povm.outcome_nodes()
@@ -171,23 +154,23 @@ def check_equal_optimality(
     spec: BayesGainSpec,
     x_samples: int = 16,
     seed: int = 0,
-    budget: int = DEFAULT_PRIOR_BUDGET,
+    budget: int = 8192,
 ) -> MeritReport:
     """Evaluate the Bayes gain of members at quadrature nodes and random draws.
 
     ``value`` is the mixing-weighted average over the scheme's mixing
     quadrature nodes; ``spread`` is max - min over all evaluated members,
     including ``x_samples`` members drawn from the mixing law with ``seed``
-    (a negative ``x_samples`` raises `ValueError`, as does a budget below 1
-    or not finite).  All members are built by one `RandomizedScheme.members`
-    call and scored by one contraction.
+    (a negative ``x_samples`` raises `ValueError`).  All members are built
+    by one `RandomizedScheme.members` call and scored by one contraction.
+    ``budget`` is as in `bayes_gain`: accepted, with no effect.
     """
     if x_samples < 0:
         raise ValueError(f"x_samples must be nonnegative, got {x_samples}")
     nodes, w = s.mixing_nodes()
     xs = np.concatenate([np.asarray(nodes), s.sample_x(make_rng(seed), x_samples)])
     vals = _gain_kernel(spec, budget, s.outcome_space, s.dim, *s.members(xs))
-    value = float(np.dot(w, vals[: len(w)]))
+    value = math.fsum(w * vals[: len(w)])
     return MeritReport(value=value, per_member=tuple(zip(map(_x_label, xs), vals.tolist())))
 
 

@@ -192,6 +192,37 @@ def phase_cdf(rho, phi):
     return total / (2.0 * np.pi)
 
 
+def bayes_gain_quadrature(kind, points, elements, fiducial=None, nodes=16):
+    """Bayes gain of a finite POVM, averaged over a product-grid prior rule.
+
+    ``kind`` is ``"sphere"``: prior states ``(I + m . sigma)/2`` uniform on
+    the sphere, fidelity gain ``(1 + m . n)/2``, on a grid of ``nodes``
+    Gauss-Legendre cosines times ``2 nodes`` equally spaced azimuths; or
+    ``"circle"``: ``rho_t[a, b] = exp(i (a - b) t) rho0[a, b]`` for t
+    uniform, cosine gain ``(1 + cos(t - phi))/2``, on ``8 nodes`` equally
+    spaced t.  Both integrands are trigonometric polynomials of low degree,
+    which these rules integrate exactly.
+    """
+    elements = np.asarray(elements)
+    if kind == "sphere":
+        u, wu = np.polynomial.legendre.leggauss(nodes)
+        az = np.arange(2 * nodes) * (np.pi / nodes)
+        s = np.sqrt(1.0 - u * u)
+        m = np.stack([np.outer(s, np.cos(az)), np.outer(s, np.sin(az)),
+                      np.outer(u, np.ones_like(az))], axis=-1).reshape(-1, 3)
+        w = np.repeat(wu / 2.0, len(az)) / len(az)
+        rho = (np.eye(2) + np.einsum("ti,iab->tab", m, np.array(SIG))) / 2.0
+        gain = (1.0 + m @ np.asarray(points, dtype=float).T) / 2.0
+    else:
+        t = np.arange(8 * nodes) * (2.0 * np.pi / (8 * nodes))
+        w = np.full(len(t), 1.0 / len(t))
+        k = np.subtract.outer(np.arange(len(fiducial)), np.arange(len(fiducial)))
+        rho = np.exp(1j * k[None] * t[:, None, None]) * fiducial
+        gain = (1.0 + np.cos(np.subtract.outer(t, np.asarray(points, dtype=float)))) / 2.0
+    probs = np.einsum("tab,kba->tk", rho, elements).real
+    return float(np.sum(w[:, None] * gain * probs))
+
+
 def bisection_max_step(elements, components, sign, tol=1e-12, iterations=200):
     """Largest t with every ``P_i + sign * t * Q_i`` positive semidefinite,
     by doubling and then bisection on the smallest eigenvalue of each sum.

@@ -301,6 +301,19 @@ class TestEquiv:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("mode", ["det", "mc"])
+    def test_state_dimension_mismatch_is_input_error(self, capsys, tmp_path, regions_file,
+                                                     mode):
+        states = tmp_path / "qutrit.json"
+        ser.save_states(states, [("mm", np.eye(3) / 3)])
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", str(states),
+            "--regions", regions_file, "--mode", mode, "--seed", "3",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "state dimension 3 != POVM dimension 2"
+
 
 class TestSample:
     def test_direct_deterministic(self, capsys, state_file, tmp_path):
@@ -802,16 +815,28 @@ MISSING = (
 )
 
 
-def _fresh_cli(tmp_path, *argv):
+# runs the CLI, then writes sys.modules to argv[1] and exits with its code
+MODULES_PROBE = (
+    "import json, sys\n"
+    "from povmkit.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh_cli(tmp_path, *argv, modules=None):
     """``python -m povmkit.cli`` in a fresh interpreter, in a directory with
-    a POVM, a malformed file, a JSON list and a file of schema version 2."""
+    a POVM, a malformed file, a JSON list and a file of schema version 2;
+    with ``modules``, the modules loaded at exit are written to that path."""
     ser.save_povm(tmp_path / "povm.json", pk.coin_flip_povm())
     (tmp_path / "malformed.json").write_text('{"schema": 1, "dim": 2, "entries": [')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "schema2.json").write_text('{"schema": 2}')
     src = os.path.dirname(os.path.dirname(pk.__file__))
+    run = ["-m", "povmkit.cli"] if modules is None else ["-c", MODULES_PROBE, str(modules)]
     return subprocess.run(
-        [sys.executable, "-m", "povmkit.cli", *argv], cwd=tmp_path,
+        [sys.executable, *run, *argv], cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), capture_output=True, text=True,
     )
 
@@ -840,13 +865,23 @@ def test_input_error_bytes(tmp_path, argv, line):
     ["decompose", "povm.json", "-o", "."],
     ["sample", "--family", "spin", "--direct", "--state", "state.json", "-n", "10",
      "--seed", "1", "-o", "."],
+    ["equiv", "--family", "spin", "--states", "state.json", "--regions", "povm.json",
+     "-o", "."],
+    ["merit", "--family", "spin", "--spec", "spec.json", "-o", "."],
+    ["tomo", "--family", "spin", "--target", "target.json", "-o", "."],
 ])
 def test_directory_path_is_input_error(tmp_path, argv):
-    # NDJSON records and output paths are opened directly, not by load_json
+    # NDJSON records and output paths are opened directly, not by load_json;
+    # an output path is checked before numpy loads, records by their reader
     ser.save_states(tmp_path / "state.json", [("up", np.diag([1.0, 0.0]))])
-    proc = _fresh_cli(tmp_path, *argv)
+    (tmp_path / "spec.json").write_text('{"prior": "uniform_sphere", "gain": "fidelity"}')
+    (tmp_path / "target.json").write_text('{"schema": 1, "matrix": [[[1, 0], [0, 0]], '
+                                          '[[0, 0], [-1, 0]]]}')
+    proc = _fresh_cli(tmp_path, *argv, modules=tmp_path / "modules.json")
     line = '{"error":"[Errno 21] Is a directory: \'.\'"}'
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    assert ("numpy" in modules) == (argv[0] == "gof")
 
 
 @pytest.mark.parametrize("output", ["out", "missing/out.json"])

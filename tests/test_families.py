@@ -671,6 +671,24 @@ class TestFiniteMixtureInputs:
             scheme.member_probabilities([0, 1], np.eye(3) / 3)
 
 
+@pytest.mark.parametrize("name", ["spin", "phase:2", "phase:3"])
+@pytest.mark.parametrize("path", [
+    lambda c, s, rho, r: c.region_probability(rho, r),
+    lambda c, s, rho, r: s.average_region_probability(rho, r),
+    lambda c, s, rho, r: s.average_region_probability(rho, r, "mc", 10, pk.make_rng(0)),
+    lambda c, s, rho, r: pk.FiniteMixtureScheme([(1.0, s.member(s.mixing_nodes()[0][0]))])
+    .average_region_probability(rho, r),
+    lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r]),
+], ids=["continuous", "det", "mc", "mixture-det", "equivalence"])
+def test_state_of_another_dimension(name, path):
+    # one check serves the continuous POVM and every scheme average
+    c, s = pk.named_family(name)
+    rho = np.eye(c.dim + 1) / (c.dim + 1)
+    match = f"state dimension {c.dim + 1} != POVM dimension {c.dim}"
+    with pytest.raises(pk.DimensionMismatch, match=match):
+        path(c, s, rho, Region.full(c.space))
+
+
 @pytest.mark.parametrize("cls", [pk.DesignScheme, pk.FiniteMixtureScheme])
 def test_scheme_subclasses_define_only_init(cls):
     # every method lives on RandomizedScheme, over one layout; a subclass

@@ -13,6 +13,10 @@ of seeded random POVMs.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,8 +38,8 @@ STREAMS = {
 }
 
 REPORTS = {
-    "spin": "5b1f381b8e7a8a6e6197050be9cef8627692031b565be7f246cf2feba0577a45",
-    "phase:3": "6320fd6c4bd5fa14a345194e530afb3e31f46a9f50259ee510db191481e2ddf9",
+    "spin": "c6534b3e016efb9d36102a8710d43484d13c044c55c1883240881c078c172874",
+    "phase:3": "4ad7412a57e98678e5f7e17fcc96d3e1764ed49d8d03b33380359a7b65028243",
 }
 
 
@@ -105,14 +109,34 @@ def test_two_stage_stream(name, seed):
     assert sha256("\n".join(ser.records_to_lines(records))) == STREAMS[name]
 
 
-@pytest.mark.parametrize("name, prior, gain", [
-    ("spin", "uniform_sphere", "fidelity"),
-    ("phase:3", "uniform_circle", "cosine"),
-])
-def test_equal_optimality_report(name, prior, gain):
+REPORT_CASES = [("spin", "uniform_sphere", "fidelity"), ("phase:3", "uniform_circle", "cosine")]
+
+
+def report_digest(name, prior, gain):
     spec = pk.BayesGainSpec(prior=prior, gain=gain)
     report = pk.check_equal_optimality(scheme(name), spec, x_samples=16, seed=5)
-    assert sha256(ser.dumps_canonical(ser.merit_report_to_dict(report))) == REPORTS[name]
+    return sha256(ser.dumps_canonical(ser.merit_report_to_dict(report)))
+
+
+@pytest.mark.parametrize("name, prior, gain", REPORT_CASES)
+def test_equal_optimality_report(name, prior, gain):
+    assert report_digest(name, prior, gain) == REPORTS[name]
+
+
+def test_equal_optimality_reports_with_one_blas_thread():
+    # the gains are fixed-order sums with no BLAS call, so a child with one
+    # BLAS thread prints the same digests
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "import test_golden_streams as g\n"
+        "print(json.dumps({case[0]: g.report_digest(*case) for case in g.REPORT_CASES}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pk.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == REPORTS
 
 
 @pytest.mark.parametrize("name, seed", [("spin", 11), ("phase:3", 12)])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit import families
 from povmkit.errors import DimensionMismatch, SpaceMismatch
-from povmkit.outcomes import SPHERE
+from povmkit.outcomes import CIRCLE, SPHERE
+from oracles import bayes_gain_quadrature
 
 # rotations as (alpha, cos beta, gamma): the identity, and a half turn about y
 IDENTITY = np.array([0.0, 1.0, 0.0])
@@ -99,6 +102,35 @@ class TestBayesGain:
             with_axes(b), fidelity_spec
         )
         assert abs(lhs - rhs) <= 1e-10
+
+
+class TestPriorQuadratureOracle:
+    """The closed-form moments against a prior quadrature of the oracles,
+    on random finite POVMs at random outcome points."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_sphere(self, seed, n):
+        rng = np.random.default_rng(seed)
+        axes = rng.normal(size=(n, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        elements = pk.random_povm(rng, 2, n).elements
+        povm = pk.FinitePOVM(2, SPHERE, tuple(zip(axes, elements)), allow_duplicates=True)
+        spec = pk.BayesGainSpec(prior="uniform_sphere", gain="fidelity")
+        oracle = bayes_gain_quadrature("sphere", povm.points, elements)
+        assert abs(pk.bayes_gain(povm, spec) - oracle) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_circle(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        phis = rng.uniform(0.0, 2 * np.pi, n)
+        elements = pk.random_povm(rng, d, n).elements
+        povm = pk.FinitePOVM(d, CIRCLE, tuple(zip(phis, elements)), allow_duplicates=True)
+        rho0 = pk.random_density_matrix(rng, d, rank=int(rng.integers(2, d + 1)))
+        spec = pk.BayesGainSpec(prior="uniform_circle", gain="cosine", fiducial_state=rho0)
+        oracle = bayes_gain_quadrature("circle", povm.points, elements, fiducial=rho0)
+        assert abs(pk.bayes_gain(povm, spec) - oracle) <= 1e-12
 
 
 class TestEqualOptimality:
