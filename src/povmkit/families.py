@@ -88,14 +88,6 @@ def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(phis, np.arange(d)))
 
 
-def _checked_state(rho, dim: int) -> np.ndarray:
-    """A density matrix of dimension ``dim``; another raises `DimensionMismatch`."""
-    rho = op.check_density_matrix(rho)
-    if rho.shape[0] != dim:
-        raise DimensionMismatch(f"state dimension {rho.shape[0]} != POVM dimension {dim}")
-    return rho
-
-
 def _bloch_vector(psi: np.ndarray) -> np.ndarray:
     a, b = psi
     return np.array(
@@ -109,9 +101,9 @@ def _bloch_vector(psi: np.ndarray) -> np.ndarray:
 class ContinuousPOVM:
     """Base: a density of unit-trace PSD matrices over circle or sphere.
 
-    In finite dimension the density is a low-degree polynomial in the
-    outcome (in n on the sphere, in exp(i phi) on the circle), so an
-    outcome quadrature integrates it exactly and the family acts as the
+    In finite dimension the density is a polynomial of degree ``degree``
+    in the outcome (in n on the sphere, in exp(+-i phi) on the circle), so
+    an outcome quadrature integrates it exactly and the family acts as the
     finite POVM of `outcome_nodes`; what is affine or quadratic in the
     POVM (Bayes gains, the frame operator of `dual`, dual residuals) is
     computed on those nodes.  A family gives ``Tr[A M(omega)]`` in closed
@@ -129,6 +121,7 @@ class ContinuousPOVM:
     space: OutcomeSpace
     family: str
     ket_norm: int  # squared norm of the kets
+    degree: int  # of the density as a polynomial in the outcome
 
     def density(self, omega) -> np.ndarray:
         ket = self.kets(omega)[0]
@@ -147,7 +140,7 @@ class ContinuousPOVM:
 
     def region_probability(self, rho: np.ndarray, region: Region) -> float:
         require_same_space(self.space, region.space, "POVM and region")
-        rho = _checked_state(rho, self.dim)
+        rho = op.check_density_matrix(rho, self.dim)
         val = float(np.trace(rho @ self.region_operator(region)).real)
         return min(max(val, 0.0), 1.0)
 
@@ -214,6 +207,7 @@ class SpinDirectionPOVM(ContinuousPOVM):
         self.space = SPHERE
         self.family = "spin_direction"
         self.ket_norm = 1
+        self.degree = 1
 
     def kets(self, points):
         return plus_spinors(points)
@@ -316,6 +310,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         self.space = CIRCLE
         self.family = "phase"
         self.ket_norm = d
+        self.degree = d - 1
 
     def kets(self, points):
         return phase_kets(self.dim, points)
@@ -527,7 +522,8 @@ class RandomizedScheme:
         """Mixing average of member region probabilities.
 
         Mode ``"deterministic"`` (``"det"``) integrates the mixing
-        parameter by quadrature with about ``budget`` nodes; mode
+        parameter by quadrature with about ``budget`` nodes (by default, on
+        the sphere, the fewest exact for the family's degree); mode
         ``"montecarlo"`` (``"mc"``) averages ``budget`` draws of ``rng``
         (default 100000).  ``budget`` None takes the default; below 1, or
         in montecarlo mode not an integer or below 2, it raises
@@ -536,7 +532,7 @@ class RandomizedScheme:
         """
         _check_budget(budget, mode)
         require_same_space(self.outcome_space, region.space, "scheme and region")
-        rho = _checked_state(rho, self.dim)
+        rho = op.check_density_matrix(rho, self.dim)
         if mode in ("deterministic", "det"):
             return self._deterministic_average(rho, region, budget), None
         if mode in ("montecarlo", "mc"):
@@ -564,9 +560,7 @@ class RandomizedScheme:
             masses = self._region_masses(*self._entries(np.arange(len(self.lam)), rho), region)
             return float((self.lam * masses).sum())
         total = float(self.lam @ self._weights.sum(axis=1))
-        inside = total * self._law.integral(
-            lambda pts: self.continuous.born(rho, pts), region, budget
-        )
+        inside = total * self._law.integral(self.continuous, rho, region, budget)
         return total / self.dim - inside if region.complement else inside
 
 
@@ -589,9 +583,10 @@ class _Shifts:
         x, w = quad.circle_nodes(16)
         return x, w / TWO_PI
 
-    def integral(self, f, region, budget):
+    def integral(self, c, rho, region, budget):
         order = int(min(64, max(12, (budget or 1024) // max(1, len(region.arcs)))))
-        return float(quad.integrate_intervals(f, region.arcs, order=order)) / TWO_PI
+        total = quad.integrate_intervals(lambda phis: c.born(rho, phis), region.arcs, order=order)
+        return float(total) / TWO_PI
 
 
 class _Rotations:
@@ -629,19 +624,24 @@ class _Rotations:
         grid = np.stack(np.meshgrid(alpha, u, gamma, indexing="ij"), axis=-1).reshape(-1, 3)
         return grid, np.tile(np.repeat(wu / 64.0, 4), 8)
 
-    def integral(self, f, region, budget):
+    def integral(self, c, rho, region, budget):
+        # without a budget, the fewest nodes exact for the density's degree L:
+        # ceil((L + 1) / 2) polar by L + 1 azimuthal (`quadrature`)
+        grid = ((c.degree + 2) // 2, c.degree + 1) if budget is None else quad.sphere_grid(budget)
         caps = replace(region, complement=False)
-        budget = budget or quad.DEFAULT_SPHERE_BUDGET
-        return float(quad.integrate_sphere_region(f, caps, budget)) / (2.0 * TWO_PI)
+        total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), caps, grid)
+        return float(total) / (2.0 * TWO_PI)
 
 
 # One law per outcome space: ``shape`` is that of one mixing parameter x,
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
 # each point's image under each x, shape (n, k) or (n, k, 3), and rejects
 # a non-finite x, ``nodes()`` is a rule in x whose weights sum to 1,
-# and ``integral(f, region, budget)`` integrates ``f`` over the region's
-# arcs or caps under the uniform probability law (a complement is left to
-# the caller).
+# and ``integral(c, rho, region, budget)`` integrates the Born density
+# ``Tr[rho M(omega)]`` of the family ``c`` over the region's arcs or caps
+# under the uniform probability law (a complement is left to the caller):
+# with Gauss-Legendre nodes on each arc, about ``budget`` nodes on each
+# cap, or without a budget the fewest cap nodes exact for ``c.degree``.
 _MIXING_LAWS = {CIRCLE: _Shifts(), SPHERE: _Rotations()}
 
 
@@ -825,7 +825,6 @@ def verify_scheme_equivalence(
         rng = make_rng(seed)
     rows = []
     for sid, rho in states:
-        rho = op.check_density_matrix(rho)
         for rid, region in regions:
             require_same_space(c.space, region.space, "POVM and region")
             p_cont = c.region_probability(rho, region)

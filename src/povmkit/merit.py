@@ -65,12 +65,7 @@ class BayesGainSpec:
 
     def fiducial(self, d: int) -> np.ndarray:
         if self.fiducial_state is not None:
-            rho = op.check_density_matrix(self.fiducial_state)
-            if rho.shape[0] != d:
-                raise DimensionMismatch(
-                    f"fiducial state dimension {rho.shape[0]} != POVM dimension {d}"
-                )
-            return rho
+            return op.check_density_matrix(self.fiducial_state, d)
         e = np.ones(d, dtype=complex) / np.sqrt(d)
         return np.outer(e, e.conj())
 

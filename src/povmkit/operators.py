@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .errors import InvalidDimension, NonHermitianInput, NumericalRankAmbiguity
+from .errors import DimensionMismatch, InvalidDimension, NonHermitianInput, NumericalRankAmbiguity
 
 MAX_DIM = 16
 
@@ -85,25 +85,24 @@ def eigh(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def min_eigenvalue(a, tol: float = TOL_HERM) -> float:
-    w, _ = eigh(a, tol=tol)
-    return float(w[-1])
+def check_density_matrix(
+    rho, dim: int | None = None, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE
+) -> np.ndarray:
+    """Validate a density matrix (Hermitian, PSD, unit trace), of dimension
+    ``dim`` if given: another raises `DimensionMismatch`.
 
-
-def is_psd(a, tol: float = TOL_PSD) -> bool:
-    """True iff the minimum eigenvalue is ``>= -tol * (1 + ||a||_F)``."""
-    m = check_hermitian(a)
-    return min_eigenvalue(m) >= -tol * (1.0 + frobenius(m))
-
-
-def check_density_matrix(rho, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD, unit trace)."""
+    Its least eigenvalue must be ``>= -tol_psd * (1 + ||rho||_F)`` and its
+    trace within ``tol_trace * (1 + ||rho||_F)`` of 1.
+    """
     m = check_hermitian(rho, name="state")
-    if not is_psd(m, tol=tol_psd):
+    scale = 1.0 + frobenius(m)
+    if np.linalg.eigvalsh(m)[0] < -tol_psd * scale:
         raise NonHermitianInput("state is not positive semidefinite")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol_trace * (1.0 + frobenius(m)):
+    if abs(tr - 1.0) > tol_trace * scale:
         raise NonHermitianInput(f"state trace {tr} differs from 1")
+    if dim is not None and m.shape[0] != dim:
+        raise DimensionMismatch(f"state dimension {m.shape[0]} != POVM dimension {dim}")
     return m
 
 

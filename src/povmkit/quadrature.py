@@ -1,12 +1,17 @@
 """Deterministic quadrature on the sphere and the circle.
 
 Sphere integrals use Gauss-Legendre nodes in the polar cosine crossed
-with a uniform (periodic trapezoid) azimuthal rule; both are spectrally
-accurate for the low-degree integrands that occur here.  Regions made of
+with a uniform (periodic trapezoid) azimuthal rule.  Regions made of
 pairwise disjoint caps are integrated cap by cap in cap-aligned frames,
-so indicator discontinuities never cross a quadrature domain.  The
-reference Gauss-Legendre rule of each order and the families' outcome
-rules are built once per process and shared read-only (`frozen_rule`).
+so indicator discontinuities never cross a quadrature domain.  On a cap,
+``ceil((L + 1) / 2)`` polar by ``L + 1`` azimuthal nodes integrate a
+polynomial of degree L in n exactly: the azimuths average every monomial
+exactly, which leaves a polynomial of degree at most L in the polar
+cosine for the Gauss nodes to integrate exactly (1 x 2 nodes for the
+affine spin density).  A grid sized by a node budget (`sphere_grid`)
+serves integrands of no stated degree.  The reference Gauss-Legendre
+rule of each order and the families' outcome rules are built once per
+process and shared read-only (`frozen_rule`).
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import functools
 import numpy as np
 
 from .outcomes import TWO_PI, Region
-
-DEFAULT_SPHERE_BUDGET = 8192  # 64 polar x 128 azimuthal nodes
 
 
 @functools.cache
@@ -96,13 +99,14 @@ def sphere_nodes(n_u: int, n_phi: int):
     return sphere_band_nodes(np.array([0.0, 0.0, 1.0]), -1.0, 1.0, n_u, n_phi)
 
 
-def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDGET):
+def integrate_sphere_region(f, region: Region, grid: tuple[int, int]):
     """Surface integral of a smooth function over a cap-union region.
 
     ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
-    array of values.  The caps must be pairwise disjoint and not
-    complemented; this keeps every quadrature sub-domain free of indicator
-    jumps, so accuracy is set by the smooth integrand alone.
+    array of values; each cap gets ``grid = (n_u, n_phi)`` polar and
+    azimuthal nodes in its own frame.  The caps must be pairwise disjoint
+    and not complemented; this keeps every quadrature sub-domain free of
+    indicator jumps, so accuracy is set by the smooth integrand alone.
     """
     if region.caps is None:
         raise ValueError("sphere region required")
@@ -112,10 +116,9 @@ def integrate_sphere_region(f, region: Region, budget: int = DEFAULT_SPHERE_BUDG
         raise ValueError(
             "closed-form region integration requires pairwise disjoint caps"
         )
-    n_u, n_phi = sphere_grid(budget)
     total = 0.0
     for cap in region.caps:
-        pts, w = sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, n_u, n_phi)
+        pts, w = sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, *grid)
         total = total + np.tensordot(w, np.asarray(f(pts)), axes=(0, 0))
     return total
 

@@ -29,7 +29,7 @@ from itertools import count
 import numpy as np
 
 from . import operators as op
-from .errors import DimensionMismatch, EmptySample, SparseBins
+from .errors import EmptySample, SparseBins
 from .outcomes import CIRCLE, SPHERE, TWO_PI, normalize_angle, require_same_space
 
 _MASK64 = (1 << 64) - 1
@@ -70,12 +70,7 @@ class OutcomeRecords:
 def _checked_state(rho: np.ndarray, dim: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    rho = op.check_density_matrix(rho)
-    if rho.shape[0] != dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != family dimension {dim}"
-        )
-    return rho
+    return op.check_density_matrix(rho, dim)
 
 
 def sample_direct(c: ContinuousPOVM, rho: np.ndarray, n: int, seed: int) -> OutcomeRecords:

@@ -173,6 +173,6 @@ def estimate_expectation(
     se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     exact = None
     if rho_exact is not None:
-        rho = op.check_density_matrix(rho_exact)
+        rho = op.check_density_matrix(rho_exact, len(dual.target))
         exact = float(np.trace(rho @ dual.target).real)
     return EstimateReport(estimate=mean, std_error=se, n=n, exact=exact)

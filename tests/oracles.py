@@ -58,6 +58,28 @@ def cap_probability_quadrature(rho, axis, theta0):
     return val
 
 
+def cap_probability_grid(rho, axis, theta0, nodes=16):
+    """<n|rho|n> dn/(2 pi) over a polar cap on a product grid of its own.
+
+    ``nodes`` Gauss-Legendre polar cosines on ``[cos theta0, 1]`` times
+    ``2 nodes`` equally spaced azimuths in the cap's frame; the density
+    ``(1 + n . r)/2``, with Bloch vector ``r_k = Tr[rho sigma_k]``, is
+    affine in n, so the grid integrates it exactly.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    c = np.cos(theta0)
+    u, wu = c + (1 - c) * (x + 1) / 2, (1 - c) / 2 * w
+    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    s = np.sqrt(1 - u * u)
+    local = np.stack(
+        [np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)), np.outer(u, np.ones_like(phi))],
+        axis=-1,
+    )
+    bloch = np.array([np.trace(rho @ sig).real for sig in SIG])
+    density = (1 + local @ _rot_to(axis).T @ bloch) / 2
+    return float(wu @ density.sum(axis=1)) * (np.pi / nodes) / (2 * np.pi)
+
+
 def arc_probability_quadrature(rho, a, b):
     """Adaptive quadrature of <phi|rho|phi> dphi/(2 pi) over [a, b]."""
     d = rho.shape[0]

@@ -361,7 +361,7 @@ class TestSample:
             "-n", "10", "--seed", "1", "-o", str(out),
         )
         assert code == 2
-        assert "error" in json.loads(err)
+        assert json.loads(err)["error"] == "state dimension 2 != POVM dimension 3"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
@@ -501,7 +501,7 @@ class TestMerit:
         code, out, err = run_cli(capsys, "merit", "--family", "phase:3", "--spec", str(spec))
         assert code == 2
         assert out == ""
-        assert "dimension 2 != POVM dimension 3" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == "state dimension 2 != POVM dimension 3"
 
     def test_fiducial_trace_is_input_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -655,6 +655,15 @@ class TestTomo:
         assert payload["estimate"]["exact"] == pytest.approx(1.0)
         est = payload["estimate"]
         assert abs(est["estimate"] - est["exact"]) <= 5 * est["std_error"]
+
+    def test_state_dimension_mismatch_is_input_error(self, capsys, tmp_path, z_target,
+                                                     spin_records):
+        state = tmp_path / "qutrit.json"
+        ser.save_states(state, [("mm", np.eye(3) / 3)])
+        code, out, err = run_cli(capsys, "tomo", "--family", "spin", "--target", z_target,
+                                 "--records", spin_records, "--state", str(state))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "state dimension 3 != POVM dimension 2"
 
     def test_invalid_povm_is_input_error(self, capsys, tmp_path, z_target):
         # a SIC scaled by 1.4 sums to 1.4 I: no dual coefficients for it

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import povmkit as pk
+from povmkit import operators as op
 from povmkit.errors import InvalidDimension
 from povmkit.families import _phase_sums
 from povmkit.outcomes import CIRCLE, SPHERE, Region
-from oracles import arc_probability_quadrature, cap_probability_quadrature
+from oracles import arc_probability_quadrature, cap_probability_grid, cap_probability_quadrature
 
 Z_AXIS = (0.0, 0.0, 1.0)
 
@@ -557,6 +558,67 @@ class TestEquivalence:
         assert abs(val - exact) <= 5 * se
 
 
+def disjoint_caps(rng, count):
+    """``count`` random caps, each narrower than half its distance to the
+    nearest other, so no two meet."""
+    axes = rng.normal(size=(count, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    gaps = np.arccos(np.clip(axes @ axes.T, -1.0, 1.0)) + 2 * np.pi * np.eye(count)
+    angles = rng.uniform(0.05, 0.95, count) * np.minimum(np.pi, gaps.min(axis=1) / 2)
+    return [(tuple(axis), float(angle)) for axis, angle in zip(axes, angles)]
+
+
+class TestExactCapRule:
+    """Without a budget a spin det row integrates each cap on 1 x 2 nodes,
+    exact for the affine density; a budget keeps the budget-sized grid."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_grid_oracle_and_closed_form(self, seed, count, complement):
+        rng = np.random.default_rng(seed)
+        rho = pk.random_density_matrix(rng, 2)
+        caps = disjoint_caps(rng, count)
+        region = Region.of_caps(caps, complement=complement)
+        sg = pk.stern_gerlach_scheme()
+        value, se = sg.average_region_probability(rho, region, mode="det")
+        inside = sum(cap_probability_grid(rho, axis, angle) for axis, angle in caps)
+        assert se is None
+        assert abs(value - (1.0 - inside if complement else inside)) <= 1e-14
+        assert abs(value - pk.spin_direction_povm().region_probability(rho, region)) <= 1e-14
+
+    @pytest.mark.parametrize("budget, points", [(None, 2), (2048, 2048)])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_born_points_per_cap(self, monkeypatch, budget, points, complement):
+        counts = []
+        expectation = pk.SpinDirectionPOVM.expectation
+
+        def counted(self, a, pts):
+            counts.append(len(pts))
+            return expectation(self, a, pts)
+
+        monkeypatch.setattr(pk.SpinDirectionPOVM, "expectation", counted)
+        region = Region.of_caps([(Z_AXIS, 0.7), ((0.0, -0.6, -0.8), 0.9)], complement=complement)
+        rho = pk.random_density_matrix(np.random.default_rng(4), 2)
+        rep = pk.verify_scheme_equivalence(pk.spin_direction_povm(), pk.stern_gerlach_scheme(),
+                                           [rho], [region], mode="det", budget=budget)
+        assert rep.max_abs_diff <= 1e-15
+        assert counts == [points, points]
+
+    @pytest.mark.parametrize("name", ["spin", "phase:3"])
+    @pytest.mark.parametrize("mode, budget", [("det", None), ("mc", 10)])
+    def test_one_row_checks_its_state_twice(self, monkeypatch, name, mode, budget):
+        # once for the continuous probability, once for the scheme average
+        calls = []
+        check = op.check_density_matrix
+        monkeypatch.setattr(op, "check_density_matrix",
+                            lambda *args: calls.append(args) or check(*args))
+        c, s = pk.named_family(name)
+        rho = pk.random_density_matrix(np.random.default_rng(5), c.dim)
+        pk.verify_scheme_equivalence(c, s, [rho], [Region.full(c.space)], mode=mode,
+                                     budget=budget, seed=1)
+        assert len(calls) == 2
+
+
 LABELS = pk.FiniteLabels(6)
 MIXTURE_REGIONS = {
     LABELS: [Region.of_labels(LABELS, [0, 2, 3]), Region.of_labels(LABELS, [1, 4, 5])],
@@ -679,9 +741,16 @@ class TestFiniteMixtureInputs:
     lambda c, s, rho, r: pk.FiniteMixtureScheme([(1.0, s.member(s.mixing_nodes()[0][0]))])
     .average_region_probability(rho, r),
     lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r]),
-], ids=["continuous", "det", "mc", "mixture-det", "equivalence"])
+    lambda c, s, rho, r: pk.sample_direct(c, rho, 10, seed=0),
+    lambda c, s, rho, r: pk.sample_two_stage(s, rho, 10, seed=0),
+    lambda c, s, rho, r: pk.BayesGainSpec("uniform_circle", "cosine", rho).fiducial(c.dim),
+    lambda c, s, rho, r: pk.estimate_expectation(
+        pk.sample_direct(c, np.eye(c.dim) / c.dim, 10, seed=0), c.dual(np.eye(c.dim)), rho),
+], ids=["continuous", "det", "mc", "mixture-det", "equivalence", "direct", "two-stage",
+        "fiducial", "estimate"])
 def test_state_of_another_dimension(name, path):
-    # one check serves the continuous POVM and every scheme average
+    # one check serves the continuous POVM, every scheme average, both
+    # samplers, the merit fiducial and the estimate's exact value
     c, s = pk.named_family(name)
     rho = np.eye(c.dim + 1) / (c.dim + 1)
     match = f"state dimension {c.dim + 1} != POVM dimension {c.dim}"

@@ -12,9 +12,12 @@ float bytes of the perturbation bases and of the extremal decompositions
 of seeded random POVMs.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -49,7 +52,7 @@ TOMO = {
 }
 
 EQUIV = {
-    ("spin", None): "fe8558c9d55e74894395d8ce4ed9e935307bcd8994e0e6fb2ccced2fc8fcb2a5",
+    ("spin", None): "ff9aeaef99508302316a8feb401100c6fc5eb3365cb54e0cf896d3698b0757f7",
     ("spin", 2048): "cf99df13c25a4a1b25523a7cb8fffb785813c0de177a81f67a150f5a280bd57c",
     ("phase:3", None): "3e7634bd363640c1332686ed38c5a2d1f216cb6f2deed819b49ffca72fbef566",
     ("phase:3", 300): "49451e089c87d8baa24f5bf02875ab39170c6170af78d4b1c1d23cacd9c97acf",
@@ -123,20 +126,27 @@ def test_equal_optimality_report(name, prior, gain):
     assert report_digest(name, prior, gain) == REPORTS[name]
 
 
-def test_equal_optimality_reports_with_one_blas_thread():
-    # the gains are fixed-order sums with no BLAS call, so a child with one
-    # BLAS thread prints the same digests
+def in_one_blas_thread(expression: str):
+    """The JSON value of ``expression``, evaluated in a child process with
+    one BLAS thread, where this module is ``g``."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
         "import test_golden_streams as g\n"
-        "print(json.dumps({case[0]: g.report_digest(*case) for case in g.REPORT_CASES}))\n"
+        f"print(json.dumps({expression}))\n"
     )
     src = os.path.dirname(os.path.dirname(pk.__file__))
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == REPORTS
+    return json.loads(proc.stdout)
+
+
+def test_equal_optimality_reports_with_one_blas_thread():
+    # the gains are fixed-order sums with no BLAS call, so a child with one
+    # BLAS thread prints the same digests
+    digests = in_one_blas_thread("{case[0]: g.report_digest(*case) for case in g.REPORT_CASES}")
+    assert digests == REPORTS
 
 
 @pytest.mark.parametrize("name, seed", [("spin", 11), ("phase:3", 12)])
@@ -152,21 +162,35 @@ def test_tomo_family_output(name, seed, tmp_path, capsys):
     assert sha256(capsys.readouterr().out) == TOMO[name]
 
 
-@pytest.mark.parametrize("name, budget", list(EQUIV))
-def test_equiv_det_output(name, budget, tmp_path, capsys):
+def equiv_digest(name, budget, directory) -> str:
+    """sha256 of what ``equiv --mode det`` prints for the pinned inputs,
+    written to ``directory``."""
     c, _ = pk.named_family(name)
     rng = np.random.default_rng(14)
     states = [(f"rho{k}", pk.random_density_matrix(rng, c.dim)) for k in range(2)]
     kind = "sphere" if name == "spin" else "circle"
     regions = [{"space": {"kind": kind}, **r} for r in EQUIV_REGIONS[kind]]
-    files = {key: tmp_path / f"{key}.json" for key in ("states", "regions")}
+    files = {key: pathlib.Path(directory) / f"{key}.json" for key in ("states", "regions")}
     ser.save_states(files["states"], states)
     ser.write_json(files["regions"], {"schema": 1, "regions": regions})
     argv = ["equiv", "--family", name, "--mode", "det"]
     argv += [f"--{key}={path}" for key, path in files.items()]
     argv += [] if budget is None else [f"--budget={budget}"]
-    assert main(argv) == 0
-    assert sha256(capsys.readouterr().out) == EQUIV[name, budget]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return sha256(out.getvalue())
+
+
+@pytest.mark.parametrize("name, budget", list(EQUIV))
+def test_equiv_det_output(name, budget, tmp_path):
+    assert equiv_digest(name, budget, tmp_path) == EQUIV[name, budget]
+
+
+def test_equiv_det_outputs_with_one_blas_thread(tmp_path):
+    # the mixing quadrature prints the same bytes with one BLAS thread
+    digests = in_one_blas_thread(f"[g.equiv_digest(*key, {str(tmp_path)!r}) for key in g.EQUIV]")
+    assert digests == list(EQUIV.values())
 
 
 def digest_inputs(shapes):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import povmkit as pk
 from povmkit import operators as op
-from povmkit.errors import InvalidDimension, NonHermitianInput
+from povmkit.errors import DimensionMismatch, InvalidDimension, NonHermitianInput
 
 
 def random_hermitian(rng, d):
@@ -43,14 +44,17 @@ class TestEigh:
 
 
 class TestPsd:
+    """PSD boundary cases, through the state check on unit-trace inputs."""
+
     def test_projector(self, up):
-        assert op.is_psd(up)
+        assert np.array_equal(op.check_density_matrix(up), up)
 
     def test_pauli_z(self, paulis):
-        assert not op.is_psd(paulis[2])
+        with pytest.raises(NonHermitianInput, match="not positive semidefinite"):
+            op.check_density_matrix((np.eye(2) + 1.5 * paulis[2]) / 2)
 
     def test_near_boundary(self, paulis):
-        assert op.is_psd((np.eye(2) + 0.999 * paulis[0]) / 2)
+        op.check_density_matrix((np.eye(2) + 0.999 * paulis[0]) / 2)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
@@ -59,8 +63,30 @@ class TestPsd:
         g1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         g2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         a, b = g1 @ g1.conj().T, g2 @ g2.conj().T
-        assert op.is_psd(a) and op.is_psd(b)
-        assert op.is_psd(a + b)
+        for m in (a, b, a + b):
+            op.check_density_matrix(m / np.trace(m).real)
+
+
+class TestCheckDensityMatrix:
+    def test_trace_and_dimension(self, up):
+        with pytest.raises(NonHermitianInput, match="state trace 2.0 differs from 1"):
+            op.check_density_matrix(2 * up)
+        assert np.array_equal(op.check_density_matrix(up, 2), up)
+        with pytest.raises(DimensionMismatch, match=r"^state dimension 3 != POVM dimension 2$"):
+            op.check_density_matrix(np.eye(3) / 3, 2)
+
+    def test_one_eigvalsh_and_no_eigh(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+            return lambda a: calls.append(name) or solver(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+        rho = pk.random_density_matrix(np.random.default_rng(3), 4)
+        assert np.array_equal(op.check_density_matrix(rho, 4), (rho + rho.conj().T) / 2)
+        assert calls == ["eigvalsh"]
 
 
 class TestCoordinates:
@@ -156,7 +182,7 @@ class TestStackedSupport:
         with pytest.raises(InvalidDimension):
             op.eigh(stack)
         with pytest.raises(InvalidDimension):
-            op.min_eigenvalue(stack)
+            op.check_density_matrix(stack / 2)
         with pytest.raises(InvalidDimension):
             op.check_hermitian(np.eye(2), stack=True)
 
