@@ -37,6 +37,8 @@ A face has one layout, the one `operators.support` returns: every slot
 padded to the largest support rank.  `perturbation_space`,
 `kernel_dimension` and `is_extremal` read `_Face.kernel` over all active
 slots of one POVM's face, and `max_step` its padded supports.
+`perturbation_space` returns that SVD's orthonormal basis, lifted to
+``C^d``; its bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -201,44 +203,6 @@ def _check_gap(gap: float) -> None:
         raise ValueError(f"gap must be finite with 0 < gap < 1, got {gap!r}")
 
 
-def _canonical_basis(cols: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Deterministically rotate an orthonormal kernel basis.
-
-    ``cols`` ``(m, k)`` holds one kernel vector per column, in lifted
-    coordinates (``d**2`` per active slot), and ``traces`` its
-    ``Tr[Q_i]`` per slot (one row each).  The SVD returns an arbitrary
-    orthonormal basis of the kernel; to make the basis reproducible and
-    balanced we order it by increasing value of the quadratic form
-    ``sum_i Tr[Q_i]^2`` (so trace-balanced directions come first), break
-    ties with the fixed form that weighs the j-th of the ``m``
-    coordinates (1-based) by ``j / m``, and fix each sign so that the
-    first coordinate above 1e-8 in magnitude is positive.
-    """
-    m, k = cols.shape
-    vals, rot = np.linalg.eigh(traces.T @ traces)
-    scale = 1.0 + abs(float(vals[-1]))
-    weights = np.arange(1, m + 1) / m
-    basis = cols @ rot
-    i = 0
-    while i < k:
-        # refine each numerically degenerate cluster with the fixed form
-        j = i
-        while j < k and abs(vals[j] - vals[i]) <= 1e-9 * scale:
-            j += 1
-        if j - i > 1:
-            block = basis[:, i:j]
-            sec = block.T @ (weights[:, None] * block)
-            _, rot2 = np.linalg.eigh(0.5 * (sec + sec.T))
-            basis[:, i:j] = block @ rot2
-        i = j
-
-    big = np.abs(basis) > 1e-8
-    lead = big.argmax(axis=0)  # first significant row, 0 if there is none
-    c = np.arange(k)
-    basis[:, big[lead, c] & (basis[lead, c] < 0)] *= -1.0
-    return basis
-
-
 def _scaled(vecs, vals, q):
     """``W^† q W`` per slot, with ``W = vecs diag(vals)^{-1/2}``; the
     product exactly symmetrized."""
@@ -320,47 +284,38 @@ def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
     return t, nxt
 
 
-def perturbation_space(
-    p: FinitePOVM,
-    gap: float = op.GAP_THRESHOLD,
-    check_band: bool = False,
-) -> list[Perturbation]:
+def perturbation_space(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> list[Perturbation]:
     """Orthonormal basis of valid perturbations of ``p``.
 
     Empty list iff ``p`` is extremal.  Entries with zero element admit
     no on-support perturbation and are skipped.  Each member's
     ``components`` is an ``(n, d, d)`` view into one ``(k, n, d, d)``
-    array for the k kernel directions, in canonical order
-    (:func:`_canonical_basis`).
+    array for the k kernel directions.
 
-    The kernel is the one of the walk's input face: one stacked
-    :func:`operators.support` call, with the ``gap`` threshold and (with
-    ``check_band``) the :class:`NumericalRankAmbiguity` band test per
-    element, and one SVD.  ``p`` is not validated here: `decompose_extremal`
-    walks faces that are POVMs by construction; `is_extremal` checks its
-    input.
+    The basis is the one the SVD of the walk's input face returns
+    (:meth:`_Face.kernel`: one stacked :func:`operators.support` call
+    with the ``gap`` threshold, and one SVD), lifted to ``C^d``; its
+    bytes do not depend on the BLAS thread count.  ``p`` is not
+    validated here; `kernel_dimension` and `is_extremal` check theirs.
     Raises ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)
-    face = _Face.build(p.elements, gap, check_band)
+    face = _Face.build(p.elements, gap, check_band=False)
     active = np.flatnonzero(face.rank)
     null = face.kernel(active, gap)
     n, d, k = len(p), p.dim, null.shape[2]
     if not k:
         return []
-    cols = (face.lift[active] @ null).reshape(-1, k)
-    del face, null  # free the lifts before the canonical rotation
-    cols = _canonical_basis(cols, cols.reshape(len(active), d * d, k)[:, :d].sum(axis=1))
     coords = np.zeros((k, n, d * d))
-    coords[:, active] = cols.T.reshape(k, -1, d * d)
+    coords[:, active] = (face.lift[active] @ null).transpose(2, 0, 1)
     return [Perturbation(components=q) for q in op.coords_to_hermitian(coords, d)]
 
 
 def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     """Dimension of the perturbation space of ``p``; 0 iff ``p`` is extremal.
 
-    Takes the kernel alone, without the canonical rotation of
-    :func:`perturbation_space`.  Raises :class:`InvalidPOVM` if ``p``
+    Takes the kernel alone, without lifting it as
+    :func:`perturbation_space` does.  Raises :class:`InvalidPOVM` if ``p``
     fails :func:`validate_povm`, and ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)

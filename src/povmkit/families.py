@@ -826,7 +826,6 @@ def verify_scheme_equivalence(
     rows = []
     for sid, rho in states:
         for rid, region in regions:
-            require_same_space(c.space, region.space, "POVM and region")
             p_cont = c.region_probability(rho, region)
             p_sch, se = s.average_region_probability(
                 rho, region, mode=mode, budget=budget, rng=rng

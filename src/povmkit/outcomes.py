@@ -99,11 +99,16 @@ class Cap:
 
 
 def _normalize_arcs(arcs) -> tuple[tuple[float, float], ...]:
-    """Split wrap-around arcs, merge overlaps, sort by start angle."""
+    """Split wrap-around arcs, merge overlaps, sort by start angle.
+
+    Raises ``ValueError`` for an endpoint that is not finite.
+    """
     pieces = []
     for a, b in arcs:
         a = float(a)
         b = float(b)
+        if not np.isfinite(a) or not np.isfinite(b):
+            raise ValueError(f"arc endpoints must be finite, got [{a}, {b}]")
         length = b - a
         if length <= 0:
             continue

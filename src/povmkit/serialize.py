@@ -60,6 +60,15 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 
 # --- outcome spaces and points ------------------------------------------------
 
+def _flag(data: dict, key: str, what: str) -> bool:
+    """``data[key]``, which must be a JSON ``true`` or ``false``; false
+    when absent."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{what}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def space_to_dict(space: OutcomeSpace) -> dict:
     if isinstance(space, FiniteLabels):
         return {"kind": "labels", "n": space.n}
@@ -75,10 +84,10 @@ def space_from_dict(obj) -> OutcomeSpace:
         raise SchemaError("space: expected an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "labels":
-        try:
-            return FiniteLabels(int(obj["n"]))
-        except (KeyError, ValueError) as exc:
-            raise SchemaError("space: labels need a positive integer 'n'") from exc
+        n = obj.get("n")
+        if type(n) is not int or n < 1:  # bool is an int subclass
+            raise SchemaError("space: labels need a positive integer 'n'")
+        return FiniteLabels(n)
     if kind == "circle":
         return CIRCLE
     if kind == "sphere":
@@ -141,7 +150,7 @@ def povm_from_dict(data: dict) -> FinitePOVM:
             dim=int(data["dim"]),
             space=space,
             entries=tuple(entries),
-            allow_duplicates=bool(data.get("allow_duplicates", False)),
+            allow_duplicates=_flag(data, "allow_duplicates", "povm"),
         )
     except (ValueError, PovmkitError) as exc:
         raise SchemaError(f"povm: {exc}") from exc
@@ -179,7 +188,7 @@ def region_from_dict(data: dict) -> Region:
         if isinstance(space, Circle):
             return Region.of_arcs([(float(a), float(b)) for a, b in data["arcs"]])
         caps = [(tuple(c["axis"]), float(c["angle"])) for c in data["caps"]]
-        return Region.of_caps(caps, complement=bool(data.get("complement", False)))
+        return Region.of_caps(caps, complement=_flag(data, "complement", "region"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"region: {exc}") from exc
 

@@ -302,6 +302,23 @@ class TestEquiv:
         assert "error" in json.loads(err)
 
     @pytest.mark.parametrize("mode", ["det", "mc"])
+    @pytest.mark.parametrize("arc", ["[NaN, 1.0]", "[0.0, Infinity]"])
+    def test_non_finite_arc_is_input_error(self, capsys, tmp_path, mode, arc):
+        # a NaN row would print invalid JSON and pass --tol (NaN > tol is False)
+        states = tmp_path / "s.json"
+        ser.save_states(states, [("plus", np.full((2, 2), 0.5))])
+        regions = tmp_path / "r.json"
+        regions.write_text('{"regions": [{"space": {"kind": "circle"}, "arcs": [%s]}]}' % arc)
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "phase:2", "--states", str(states),
+            "--regions", str(regions), "--mode", mode, "--seed", "3", "--tol", "1e-9",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "arc endpoints must be finite" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("mode", ["det", "mc"])
     def test_state_dimension_mismatch_is_input_error(self, capsys, tmp_path, regions_file,
                                                      mode):
         states = tmp_path / "qutrit.json"
@@ -768,6 +785,14 @@ class TestMalformedInput:
         ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 1}, "entries": [5]}'),
         ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 1}, '
                  '"entries": [{"point": 0, "element": [[[1, 0, 0]]]}]}'),
+        # JSON flags must be true or false and a label count an integer
+        ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 1}, "allow_duplicates": "no", '
+                 '"entries": [{"point": 0, "element": [[[0.5, 0]]]}, '
+                 '{"point": 0, "element": [[[0.5, 0]]]}]}'),
+        ("povm", '{"dim": 1, "space": {"kind": "labels", "n": 2.7}, '
+                 '"entries": [{"point": 0, "element": [[[1, 0]]]}]}'),
+        ("regions", '{"space": {"kind": "sphere"}, "caps": [{"axis": [0, 0, 1], "angle": 0.5}], '
+                    '"complement": "false"}'),
         ("states", '{"states": [{"matrix": '),
         ("states", '{"states": []}'),
         ("states", '{"states": [5]}'),

@@ -758,6 +758,24 @@ def test_state_of_another_dimension(name, path):
         path(c, s, rho, Region.full(c.space))
 
 
+@pytest.mark.parametrize("name", ["spin", "phase:3"])
+@pytest.mark.parametrize("path, what", [
+    (lambda c, s, rho, r: c.region_probability(rho, r), "POVM and region"),
+    (lambda c, s, rho, r: s.average_region_probability(rho, r), "scheme and region"),
+    (lambda c, s, rho, r: s.average_region_probability(rho, r, "mc", 10, pk.make_rng(0)),
+     "scheme and region"),
+    (lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r]), "POVM and region"),
+    (lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r], "mc", 10, 0),
+     "POVM and region"),
+], ids=["continuous", "det", "mc", "equivalence-det", "equivalence-mc"])
+def test_region_of_another_space(name, path, what):
+    # an equivalence row leaves the space check to the public methods it calls
+    c, s = pk.named_family(name)
+    other = CIRCLE if c.space == SPHERE else SPHERE
+    with pytest.raises(pk.SpaceMismatch, match=f"{what} live on different outcome spaces"):
+        path(c, s, np.eye(c.dim) / c.dim, Region.full(other))
+
+
 @pytest.mark.parametrize("cls", [pk.DesignScheme, pk.FiniteMixtureScheme])
 def test_scheme_subclasses_define_only_init(cls):
     # every method lives on RandomizedScheme, over one layout; a subclass

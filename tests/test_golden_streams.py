@@ -91,7 +91,7 @@ DECOMPOSED = (
 )
 VERDICT = (5, 10, None)
 PERTURBATIONS = (
-    "be5ab58cd463e5b5258daad37d03f70abc83d5651a5e923d205fdc45b5506be3"
+    "333cb37da977f6e4a04c4fa5d6fa96ba41d93f544d5acf2398060dc984005273"
 )
 DECOMPOSITION = (
     "e645c468d29e774c5c05957a33c2233e58245bfd17e15762f3525846878777a9"
@@ -205,10 +205,19 @@ def sha256_of(arrays) -> str:
     return h.hexdigest()
 
 
+def perturbations_digest() -> str:
+    return sha256_of(q.components for p in digest_inputs(DECOMPOSED + (VERDICT,))
+                     for q in pk.perturbation_space(p))
+
+
 def test_perturbation_space_bytes():
-    bases = [q.components for p in digest_inputs(DECOMPOSED + (VERDICT,))
-             for q in pk.perturbation_space(p)]
-    assert sha256_of(bases) == PERTURBATIONS
+    assert perturbations_digest() == PERTURBATIONS
+
+
+def test_perturbation_space_bytes_with_one_blas_thread():
+    # the bases come straight from the kernel SVD, so a child with one BLAS
+    # thread prints the same digest
+    assert in_one_blas_thread("g.perturbations_digest()") == PERTURBATIONS
 
 
 def test_decomposition_bytes():

@@ -62,6 +62,14 @@ class TestArcs:
         assert r.arcs == ((0.0, TWO_PI),)
         assert r.contains(np.array([0.0, 3.0, 6.28])).all()
 
+    @pytest.mark.parametrize("arc", [
+        (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0), (np.inf, np.inf),
+    ])
+    def test_rejects_non_finite_endpoints(self, arc):
+        # an infinite arc would otherwise read as the full circle
+        with pytest.raises(ValueError, match="finite"):
+            Region.of_arcs([(0.5, 2.0), arc])
+
 
 class TestCaps:
     def test_closed_boundary(self):

@@ -62,6 +62,28 @@ class TestPovmRoundtrip:
         with pytest.raises(SchemaError):
             ser.povm_from_dict({"schema": 1, "dim": 2})
 
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+    def test_allow_duplicates_must_be_a_json_boolean(self, flag):
+        data = ser.povm_to_dict(pk.coin_flip_povm())
+        data["allow_duplicates"] = flag
+        with pytest.raises(SchemaError, match="'allow_duplicates' must be true or false"):
+            ser.povm_from_dict(data)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_allow_duplicates_reads_json_booleans(self, flag):
+        data = ser.povm_to_dict(pk.coin_flip_povm())
+        data["allow_duplicates"] = flag
+        assert ser.povm_from_dict(data).allow_duplicates is flag
+        del data["allow_duplicates"]
+        assert ser.povm_from_dict(data).allow_duplicates is False
+
+    @pytest.mark.parametrize("count", [{"n": 2.7}, {"n": 2.0}, {"n": "2"}, {"n": True},
+                                       {"n": 0}, {"n": -1}, {"n": None}, {}])
+    def test_label_count_must_be_a_positive_json_integer(self, count):
+        # int() would truncate 2.7 to 2
+        with pytest.raises(SchemaError, match="positive integer 'n'"):
+            ser.space_from_dict({"kind": "labels", **count})
+
 
 class TestRegions:
     def test_roundtrip_each_kind(self):
@@ -73,6 +95,19 @@ class TestRegions:
         for r in regions:
             back = ser.region_from_dict(ser.region_to_dict(r))
             assert back == r
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_complement_must_be_a_json_boolean(self, flag):
+        # bool() would read the string "false" as true
+        data = {"space": {"kind": "sphere"}, "caps": [{"axis": [0, 0, 1], "angle": 0.5}],
+                "complement": flag}
+        with pytest.raises(SchemaError, match="'complement' must be true or false"):
+            ser.region_from_dict(data)
+
+    @pytest.mark.parametrize("arc", [[float("nan"), 1.0], [0.0, float("inf")]])
+    def test_non_finite_arc_is_schema_error(self, arc):
+        with pytest.raises(SchemaError, match="finite"):
+            ser.region_from_dict({"space": {"kind": "circle"}, "arcs": [arc]})
 
     def test_regions_file(self, tmp_path):
         path = tmp_path / "regions.json"
