@@ -132,8 +132,10 @@ class ContinuousPOVM:
         raise NotImplementedError
 
     def born(self, rho: np.ndarray, points) -> np.ndarray:
-        """``Tr[rho M(omega)]`` at outcome points, clipped to [0, 1]."""
-        return np.clip(self.expectation(rho, points), 0.0, 1.0)
+        """``Tr[rho M(omega)]`` at outcome points, clipped to [0, 1] in the
+        new array that `expectation` returns."""
+        p = self.expectation(rho, points)
+        return np.clip(p, 0.0, 1.0, out=p if isinstance(p, np.ndarray) else None)
 
     def region_operator(self, region: Region) -> np.ndarray:
         raise NotImplementedError
@@ -273,6 +275,7 @@ class SpinDirectionPOVM(ContinuousPOVM):
 
 
 _PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
+_PHASE_BLOCK = 2048  # phases per block of `_phase_sums`: 32 KB per complex temporary
 _NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
 _NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
 
@@ -282,20 +285,34 @@ def _superdiagonals(a: np.ndarray) -> np.ndarray:
     return np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
 
 
-def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
-    """Fourier sums ``sum_{k=1}^{K} c_k e^{ik phi}`` at phases of any shape.
+def _phase_sums(c: np.ndarray, phis, parts) -> np.ndarray:
+    """Parts of the Fourier sums ``s_j = sum_{k=1}^{K} c_kj e^{ik phi}`` at
+    phases of any shape.
 
-    Horner's rule in ``z = e^{i phi}``: one exponential per phase, then
-    K-1 complex multiply-adds.  ``c`` has shape (K,) or (K, m); the result
-    has the shape of ``phis``, after a leading axis of length m for (K, m).
+    ``c`` has shape (K,) or (K, m), and ``parts`` names, for each of the
+    one or m sums, the part kept: ``"real"`` or ``"imag"``; the result is a
+    new real array of shape ``(m,) + phis.shape``, with m = 1 for (K,).
+    Horner's rule in ``z = e^{i phi}``: one exponential per phase, then K-1
+    complex multiply-adds, over blocks of `_PHASE_BLOCK` phases, so that no
+    complex temporary grows with the number of phases.  Each phase gets the
+    bits of a single pass.
     """
-    z = np.exp(1j * np.asarray(phis, dtype=float))
-    c = c.reshape(c.shape + (1,) * z.ndim)
-    acc = c[-1] * z
-    for ck in c[-2::-1]:
-        acc += ck
-        acc *= z
-    return acc
+    phis = np.asarray(phis, dtype=float)
+    flat = phis.reshape(-1)
+    out = np.empty((len(parts), flat.size))
+    c = c[..., None]  # sums of shape (n,) for c of shape (K,), (m, n) for (K, m)
+    for start in range(0, max(flat.size - 1, 1), _PHASE_BLOCK):
+        # a last block of one phase joins the block before it: numpy rounds
+        # a one-element complex product taken in place apart from a longer one
+        end = start + _PHASE_BLOCK if flat.size - start > _PHASE_BLOCK + 1 else flat.size
+        z = np.exp(1j * flat[start:end])
+        acc = c[-1] * z
+        for ck in c[-2::-1]:
+            acc += ck
+            acc *= z
+        for dest, part, sums in zip(out[:, start:end], parts, acc.reshape(len(parts), -1)):
+            dest[...] = getattr(sums, part)
+    return out.reshape((len(parts),) + phis.shape)
 
 
 class CirclePhasePOVM(ContinuousPOVM):
@@ -319,8 +336,11 @@ class CirclePhasePOVM(ContinuousPOVM):
         """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
         superdiagonal sum of ``a``, at phases of any shape (the result has
         the same shape); one exponential per phase (`_phase_sums`)."""
-        sums = _phase_sums(_superdiagonals(a), points)
-        return (np.trace(a).real + 2.0 * sums.real) / self.dim
+        vals = _phase_sums(_superdiagonals(a), points, ("real",))[0, ...]
+        vals *= 2.0
+        vals += np.trace(a).real
+        vals /= self.dim
+        return vals[()]
 
     @staticmethod
     def _interval_operator(d: int, a: float, b: float) -> np.ndarray:
@@ -348,11 +368,11 @@ class CirclePhasePOVM(ContinuousPOVM):
         With ``c_k`` the k-th superdiagonal sum of ``rho``, the CDF is
         ``(phi + sum_k (2/k) Im[c_k (e^{ik phi} - 1)]) / 2pi`` and its
         density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one Horner
-        pass in ``e^{i phi}`` gives both (`_phase_sums`).  Each draw starts
-        from linear interpolation in the CDF tabulated on a fixed grid,
-        whose cell is its initial bracket; a Newton step that leaves the
-        bracket is replaced by the bracket's midpoint, and only unconverged
-        draws are iterated.
+        pass in ``e^{i phi}`` gives both (`_phase_sums`, block by block).
+        Each draw starts from linear interpolation in the CDF tabulated on
+        a fixed grid, whose cell is its initial bracket; a Newton step that
+        leaves the bracket is replaced by the bracket's midpoint, and only
+        unconverged draws are iterated.
         """
         targets = rng.uniform(0.0, 1.0, n)
         c = _superdiagonals(rho)
@@ -361,8 +381,13 @@ class CirclePhasePOVM(ContinuousPOVM):
         offset = cdf_weights.imag.sum()
 
         def cdf_and_density(phi):
-            cdf_sums, density_sums = _phase_sums(weights, phi)
-            return (phi + cdf_sums.imag - offset) / TWO_PI, (1.0 + density_sums.real) / TWO_PI
+            cdf, density = _phase_sums(weights, phi, ("imag", "real"))
+            cdf += phi
+            cdf -= offset
+            cdf /= TWO_PI
+            density += 1.0
+            density /= TWO_PI
+            return cdf, density
 
         grid = np.linspace(0.0, TWO_PI, _PHASE_GRID + 1)
         table = np.maximum.accumulate(cdf_and_density(grid)[0])
@@ -486,7 +511,14 @@ class RandomizedScheme:
 
     def _entries(self, xs, rho):
         """Born probabilities and outcome points of the members at ``xs``:
-        one move of a design, or rows of one stacked Born table."""
+        one move of a design, or rows of one stacked Born table.
+
+        Both are new arrays that the caller may overwrite.  A design's
+        points are its law's moved layout; its Born weights are clipped
+        and scaled by the design weights in place, in the array that
+        `ContinuousPOVM.born` made, and a phase family's Fourier sums run
+        in blocks of `_PHASE_BLOCK` phases; so no temporary as large as
+        the member layout is built beside them."""
         if np.shape(rho) != (self.dim, self.dim):
             raise DimensionMismatch(f"state of shape {np.shape(rho)} in dimension {self.dim}")
         if self._law is None:
@@ -495,7 +527,9 @@ class RandomizedScheme:
             return np.clip(born, 0.0, 1.0)[t], self._points[t]
         points = self.outcome_points(xs)
         born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
-        return born.reshape(points.shape[:2]) * self._weights[0], points
+        born = born.reshape(points.shape[:2])
+        born *= self._weights[0]
+        return born, points
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator):
         """``n`` two-stage draws ``(x, i, omega)``.
@@ -506,8 +540,8 @@ class RandomizedScheme:
         """
         xs = self.sample_x(rng, n)
         probs, points = self._entries(xs, rho)
-        cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
+        cum = np.cumsum(probs, axis=1, out=probs)
+        cum /= cum[:, -1:].copy()  # dividing by a view of cum would copy all of cum
         i = (rng.uniform(0.0, 1.0, n)[:, None] > cum).sum(axis=1)
         return xs, i, points[np.arange(n), i]
 
@@ -545,9 +579,11 @@ class RandomizedScheme:
 
     @staticmethod
     def _region_masses(probs, points, region):
-        """Each member's probability of the region, from its entries."""
+        """Each member's probability of the region, from its entries; the
+        entries outside are zeroed in ``probs``, which `_entries` made."""
         inside = region.contains(points.reshape(probs.size, *points.shape[2:]))
-        return (probs * inside.reshape(probs.shape)).sum(axis=1)
+        np.copyto(probs, 0.0, where=~inside.reshape(probs.shape))
+        return probs.sum(axis=1)
 
     def _deterministic_average(self, rho, region, budget):
         """A mixture's average is ``sum_t lam_t`` times its terms' region
@@ -600,7 +636,10 @@ class _Rotations:
     shape = (3,)  # of one mixing parameter
 
     def sample(self, rng, size):
-        return self._LOW + self._SPAN * rng.random((size, 3))
+        xs = rng.random((size, 3))
+        xs *= self._SPAN
+        xs += self._LOW
+        return xs
 
     def move(self, xs, points):
         xs = np.reshape(xs, (-1, 3))
@@ -609,14 +648,19 @@ class _Rotations:
             raise ValueError("a rotation needs a finite mixing parameter x with cos beta in [-1, 1]")
         ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
         s = np.sqrt(1.0 - u * u)
-        px, py, pz = np.asarray(points, dtype=float).T[:, :, None]
-        # R_z(alpha) R_y(beta) R_z(gamma) p, one factor at a time and entry by
-        # entry along (point, draw), so a draw moves to the same bits in a
-        # batch of any size
-        x, y = cg * px - sg * py, sg * px + cg * py
-        x, z = u * x + s * pz, u * pz - s * x
-        moved = np.stack([ca * x - sa * y, sa * x + ca * y, z], axis=-1)
-        return np.ascontiguousarray(moved.swapaxes(0, 1))
+        points = np.asarray(points, dtype=float)
+        moved = np.empty((len(xs), len(points), 3))
+        # R_z(alpha) R_y(beta) R_z(gamma) p, one factor at a time and one
+        # design point at a time, entry by entry along the draws, written
+        # straight into the (draw, point, coordinate) layout; so a draw moves
+        # to the same bits in a batch of any size
+        for (px, py, pz), dest in zip(points, moved.transpose(1, 2, 0)):
+            x, y = cg * px - sg * py, sg * px + cg * py
+            x, z = u * x + s * pz, u * pz - s * x
+            np.subtract(ca * x, sa * y, out=dest[0])
+            np.add(sa * x, ca * y, out=dest[1])
+            dest[2] = z
+        return moved
 
     def nodes(self):
         u, wu = quad.gauss_legendre(4, -1.0, 1.0)
@@ -635,8 +679,10 @@ class _Rotations:
 
 # One law per outcome space: ``shape`` is that of one mixing parameter x,
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
-# each point's image under each x, shape (n, k) or (n, k, 3), and rejects
-# a non-finite x, ``nodes()`` is a rule in x whose weights sum to 1,
+# each point's image under each x, shape (n, k) or (n, k, 3), as a new
+# array in that member layout, written straight into it with no restacked
+# copy, and rejects a non-finite x, ``nodes()`` is a rule in x whose
+# weights sum to 1,
 # and ``integral(c, rho, region, budget)`` integrates the Born density
 # ``Tr[rho M(omega)]`` of the family ``c`` over the region's arcs or caps
 # under the uniform probability law (a complement is left to the caller):

@@ -55,10 +55,11 @@ SPHERE = Sphere()
 
 
 def normalize_angle(phi):
-    """Map angles into [0, 2*pi)."""
-    out = np.mod(phi, TWO_PI)
+    """Map angles into [0, 2*pi), as a new array (0-d for a scalar)."""
+    out = np.asarray(np.mod(phi, TWO_PI))
     # mod can return 2*pi itself for tiny negative floats
-    return np.where(out >= TWO_PI, out - TWO_PI, out)
+    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)
+    return out
 
 
 def unit_vector(v, tol: float = 1e-6) -> np.ndarray:
@@ -189,7 +190,11 @@ class Region:
             pts = np.atleast_1d(np.asarray(points, dtype=int))
             return np.isin(pts, sorted(self.labels))
         if self.arcs is not None:
-            phi = normalize_angle(np.atleast_1d(np.asarray(points, dtype=float)))
+            phi = np.atleast_1d(np.asarray(points, dtype=float))
+            # moved points and samples are in [0, 2pi) already, where mod
+            # would return them unchanged
+            if not (phi.min(initial=0.0) >= 0.0 and phi.max(initial=0.0) < TWO_PI):
+                phi = normalize_angle(phi)
             inside = np.zeros(phi.shape, dtype=bool)
             for a, b in self.arcs:
                 inside |= (phi >= a) & (phi < b)

@@ -42,6 +42,23 @@ from .povm import FinitePOVM, ValidationReport
 _CHUNK_LINES = 4096  # records per write and per bulk parse
 
 
+# --- JSON scalars --------------------------------------------------------------
+
+def _integer(value, what: str) -> int:
+    """``value``, which must be a JSON integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; it must be a JSON number, which a bool or a
+    string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 # --- matrices ----------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -49,8 +66,12 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    entry = f"{what}: an entry's real or imaginary part"
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+        m = np.array(
+            [[complex(_number(re, entry), _number(im, entry)) for re, im in row] for row in obj],
+            dtype=complex,
+        )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: entries must be [re, im] pairs") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -104,14 +125,15 @@ def point_to_json(space: OutcomeSpace, point):
 
 
 def point_from_json(space: OutcomeSpace, obj):
-    try:
-        if isinstance(space, FiniteLabels):
-            return int(obj)
-        if isinstance(space, Circle):
-            return float(obj)
-        return [float(v) for v in obj]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"point {obj!r} invalid for space {space}") from exc
+    """A label from a JSON integer, an angle from a JSON number, a sphere
+    point from a list of JSON numbers; anything else raises `SchemaError`."""
+    if isinstance(space, FiniteLabels):
+        return _integer(obj, "a label point")
+    if isinstance(space, Circle):
+        return _number(obj, "a circle point")
+    if not isinstance(obj, list):
+        raise SchemaError(f"a sphere point must be a list of JSON numbers, got {obj!r}")
+    return [_number(v, "a sphere point's coordinate") for v in obj]
 
 
 # --- POVMs --------------------------------------------------------------------
@@ -147,7 +169,7 @@ def povm_from_dict(data: dict) -> FinitePOVM:
         )
     try:
         return FinitePOVM(
-            dim=int(data["dim"]),
+            dim=_integer(data["dim"], "povm: 'dim'"),
             space=space,
             entries=tuple(entries),
             allow_duplicates=_flag(data, "allow_duplicates", "povm"),
@@ -184,10 +206,17 @@ def region_from_dict(data: dict) -> Region:
     space = space_from_dict(data["space"])
     try:
         if isinstance(space, FiniteLabels):
-            return Region.of_labels(space, data["labels"])
+            return Region.of_labels(space, [_integer(i, "region: a label") for i in data["labels"]])
         if isinstance(space, Circle):
-            return Region.of_arcs([(float(a), float(b)) for a, b in data["arcs"]])
-        caps = [(tuple(c["axis"]), float(c["angle"])) for c in data["caps"]]
+            end = "region: an arc endpoint"
+            return Region.of_arcs([(_number(a, end), _number(b, end)) for a, b in data["arcs"]])
+        caps = [
+            (
+                tuple(_number(v, "region: a cap axis coordinate") for v in c["axis"]),
+                _number(c["angle"], "region: a cap angle"),
+            )
+            for c in data["caps"]
+        ]
         return Region.of_caps(caps, complement=_flag(data, "complement", "region"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"region: {exc}") from exc
@@ -484,12 +513,12 @@ def decomposition_from_dict(data: dict) -> DecompositionResult:
     for k, term in enumerate(_objects(data, "terms", "decomposition")):
         if "weight" not in term or "povm" not in term:
             raise SchemaError(f"decomposition term {k}: needs 'weight' and 'povm'")
-        if type(term["weight"]) not in (int, float):
-            raise SchemaError(f"decomposition term {k}: 'weight' must be a number")
-        terms.append((float(term["weight"]), povm_from_dict(term["povm"])))
+        weight = _number(term["weight"], f"decomposition term {k}: 'weight'")
+        terms.append((weight, povm_from_dict(term["povm"])))
     from .extremality import DecompositionResult
 
-    return DecompositionResult(terms=tuple(terms), depth=int(data.get("depth", 0)))
+    depth = _integer(data.get("depth", 0), "decomposition: 'depth'")
+    return DecompositionResult(terms=tuple(terms), depth=depth)
 
 
 def equivalence_report_to_dict(rep: EquivalenceReport) -> dict:

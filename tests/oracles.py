@@ -170,6 +170,41 @@ def kets_expectation(kets, ket_norm, a):
     return vals / ket_norm
 
 
+def phase_sums_one_pass(c, phis):
+    """Fourier sums ``sum_{k=1}^{K} c_kj e^{ik phi}`` of a (K,) or (K, m)
+    ``c`` by Horner's rule in ``e^{i phi}`` over all phases at once,
+    complex, of shape ``phis.shape`` or ``(m,) + phis.shape``: the bits
+    that a blocked evaluation must reproduce phase by phase."""
+    z = np.exp(1j * np.asarray(phis, dtype=float))
+    c = c.reshape(c.shape + (1,) * z.ndim)
+    acc = c[-1] * z
+    for ck in c[-2::-1]:
+        acc += ck
+        acc *= z
+    return acc
+
+
+def phase_expectation_one_pass(a, phis):
+    """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
+    superdiagonal sum of ``a``, from `phase_sums_one_pass`."""
+    c = np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
+    return (np.trace(a).real + 2.0 * phase_sums_one_pass(c, phis).real) / len(a)
+
+
+def rotate_zyz_one_pass(xs, points):
+    """Images ``R_z(alpha) R_y(beta) R_z(gamma) p`` of (K, 3) points under
+    (n, 3) Euler coordinates ``(alpha, cos beta, gamma)``, shape (n, K, 3):
+    one factor at a time over the whole (point, draw) grid, then stacked."""
+    alpha, u, gamma = np.reshape(xs, (-1, 3)).T
+    ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
+    s = np.sqrt(1.0 - u * u)
+    px, py, pz = np.asarray(points, dtype=float).T[:, :, None]
+    x, y = cg * px - sg * py, sg * px + cg * py
+    x, z = u * x + s * pz, u * pz - s * x
+    moved = np.stack([ca * x - sa * y, sa * x + ca * y, z], axis=-1)
+    return np.ascontiguousarray(moved.swapaxes(0, 1))
+
+
 def spin_dual_closed_form(a, points):
     """``f_A(n) = a0 + 3 a . n`` for ``A = a0 I + a . sigma``: the direction
     density has first moment ``n/3`` per axis under ``dn/2pi``."""

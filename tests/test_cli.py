@@ -822,6 +822,83 @@ class TestMalformedInput:
             assert run_cli(capsys, *self.argv(kind))[0] == 0, kind
 
 
+def _two_entry_povm(space, points, dim=1, entry=0.5):
+    """A dimension-1 POVM ``{entry, 1 - entry}`` at two points, as JSON."""
+    return {"dim": dim, "space": space, "entries": [
+        {"point": points[0], "element": [[[entry, 0]]]},
+        {"point": points[1], "element": [[[1 - entry, 0]]]},
+    ]}
+
+
+LABELS2 = {"kind": "labels", "n": 2}
+CIRCLE_SPACE, SPHERE_SPACE = {"kind": "circle"}, {"kind": "sphere"}
+
+
+class TestJsonTypes:
+    """The JSON loaders take integers and numbers as they are: a float, a
+    string or a bool where the schema has an integer, or a string or a bool
+    where it has a number, exits 2 with one error line instead of being
+    coerced (``int(1.9)`` would read the dimension 1 and pass)."""
+
+    VALIDATE = {
+        "dim-float": _two_entry_povm(LABELS2, [0, 1], dim=1.9),
+        "label-float": _two_entry_povm(LABELS2, [0, 1.7]),
+        "label-string": _two_entry_povm(LABELS2, [0, "1"]),
+        "label-bool": _two_entry_povm(LABELS2, [0, True]),
+        "circle-string": _two_entry_povm(CIRCLE_SPACE, [0.0, "0.5"]),
+        "circle-bool": _two_entry_povm(CIRCLE_SPACE, [0.0, True]),
+        "sphere-strings": _two_entry_povm(SPHERE_SPACE, [[0, 0, -1], ["0", "0", "1"]]),
+        "element-bool": _two_entry_povm(LABELS2, [0, 1], entry=False),
+    }
+    GOOD = {
+        "dim-float": _two_entry_povm(LABELS2, [0, 1], dim=1),
+        "label-float": _two_entry_povm(LABELS2, [0, 1]),
+        "circle-string": _two_entry_povm(CIRCLE_SPACE, [0.0, 0.5]),
+        "sphere-strings": _two_entry_povm(SPHERE_SPACE, [[0, 0, -1], [0, 0, 1]]),
+        "element-bool": _two_entry_povm(LABELS2, [0, 1], entry=0),
+    }
+    # equiv reads its regions and states through the same loaders
+    EQUIV = {
+        "arc-string": ("phase:2", {"space": CIRCLE_SPACE, "arcs": [["0.5", 2.0]]}, None),
+        "arc-bool": ("phase:2", {"space": CIRCLE_SPACE, "arcs": [[False, 2.0]]}, None),
+        "angle-string": ("spin", {"space": SPHERE_SPACE,
+                                  "caps": [{"axis": [0, 0, 1], "angle": "1.0"}]}, None),
+        "axis-strings": ("spin", {"space": SPHERE_SPACE,
+                                  "caps": [{"axis": ["0", "0", "1"], "angle": 1.0}]}, None),
+        "state-bool": ("spin", {"space": SPHERE_SPACE, "caps": [{"axis": [0, 0, 1], "angle": 1.0}]},
+                       [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]),
+    }
+
+    @staticmethod
+    def write(path, obj):
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(VALIDATE))
+    def test_validate(self, capsys, tmp_path, case):
+        path = self.write(tmp_path / "povm.json", self.VALIDATE[case])
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "must be a JSON" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("case", sorted(GOOD))
+    def test_validate_same_file_with_json_types(self, capsys, tmp_path, case):
+        path = self.write(tmp_path / "povm.json", self.GOOD[case])
+        code, out, _ = run_cli(capsys, "validate", path)
+        assert code == 0 and json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("case", sorted(EQUIV))
+    def test_equiv(self, capsys, tmp_path, case):
+        family, region, state = self.EQUIV[case]
+        states = self.write(tmp_path / "states.json",
+                            {"matrix": state or [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]})
+        regions = self.write(tmp_path / "regions.json", region)
+        code, out, err = run_cli(capsys, "equiv", "--family", family, "--states", states,
+                                 "--regions", regions)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "must be a JSON" in json.loads(err)["error"]
+
+
 def test_no_command_is_input_error(capsys):
     assert main([]) == 2
 

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import povmkit as pk
+from povmkit import families
 from povmkit import operators as op
 from povmkit.errors import InvalidDimension
 from povmkit.families import _phase_sums
-from povmkit.outcomes import CIRCLE, SPHERE, Region
+from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels, Region, normalize_angle
 from oracles import arc_probability_quadrature, cap_probability_grid, cap_probability_quadrature
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -260,11 +264,12 @@ class TestPhaseSums:
         # below is a true reference even at |phi| = 1e4
         phis = np.round(rng.uniform(-1e4, 1e4, 500) * 2.0**30) / 2.0**30
         phis[:3] = [0.0, -1e4, 1e4]
-        direct = np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c
-        got = _phase_sums(c, phis)
-        assert got.shape == (phis.shape if columns is None else (columns,) + phis.shape)
-        error = np.abs(got - direct.T).max(axis=-1)
-        assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
+        direct = np.atleast_2d((np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c).T)
+        for part in ("real", "imag"):
+            got = _phase_sums(c, phis, (part,) * len(direct))
+            assert got.shape == direct.shape
+            error = np.abs(got - getattr(direct, part)).max(axis=-1)
+            assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_expectation_keeps_shape(self, d):
@@ -278,6 +283,177 @@ class TestPhaseSums:
         one = ph.expectation(rho, phis[1, 2])
         assert np.shape(one) == ()
         assert one == pytest.approx(stacked[1, 2], abs=1e-15)
+
+
+BLOCK = families._PHASE_BLOCK
+
+
+def same_bytes(got, ref) -> bool:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def unit_rows(rng, k):
+    v = rng.normal(size=(k, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestBlockedKernels:
+    """Phase sums taken block by block and rotations written point by point
+    into the member layout give the bytes of a one-pass evaluation
+    (`oracles`), at the block edges, on 0-d and (m, k) phases, and for
+    design points off the z axis."""
+
+    SHAPES = [(), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, 7), (3, BLOCK // 3 + 1), (2, BLOCK + 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("columns", [(5,), (5, 1), (5, 2)], ids=str)
+    def test_phase_sums(self, shape, columns):
+        rng = np.random.default_rng([72, len(columns), *shape])
+        c = rng.normal(size=columns) + 1j * rng.normal(size=columns)
+        phis = rng.uniform(-10.0, 20.0, shape)
+        parts = ("imag", "real")[-c[0].size:]
+        got, ref = _phase_sums(c, phis, parts), oracles.phase_sums_one_pass(c, phis)
+        assert got.shape == (len(parts),) + shape
+        for part, g, r in zip(parts, got, ref.reshape(got.shape)):
+            assert same_bytes(g, getattr(r, part))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_phase_expectation_and_born(self, shape, d):
+        rng = np.random.default_rng([73, d, *shape])
+        ph = pk.phase_povm(d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = g + g.conj().T  # Tr[a M] leaves [0, 1], so born clips
+        phis = rng.uniform(-10.0, 20.0, shape)
+        ref = oracles.phase_expectation_one_pass(a, phis)
+        assert same_bytes(ph.expectation(a, phis), ref)
+        assert same_bytes(ph.born(a, phis), np.clip(ref, 0.0, 1.0))
+        assert np.shape(ph.born(a, phis)) == shape
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_direct_phase_sampler(self, monkeypatch, n):
+        rho = pk.random_density_matrix(np.random.default_rng([74, n]), 4)
+        ph = pk.phase_povm(4)
+        blocked = ph.sample(rho, n, np.random.default_rng(9))
+
+        def one_pass(c, phis, parts):
+            sums = oracles.phase_sums_one_pass(c, phis)
+            return np.stack([getattr(s, part) for part, s in zip(parts, sums)])
+
+        monkeypatch.setattr(families, "_phase_sums", one_pass)
+        assert same_bytes(blocked, ph.sample(rho, n, np.random.default_rng(9)))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_rotation_move(self, k, n):
+        rng = np.random.default_rng([75, k, n])
+        law, points = families._MIXING_LAWS[SPHERE], unit_rows(rng, k)
+        xs = law.sample(rng, n)
+        xs[:1, 1], xs[1:2, 1] = 1.0, -1.0  # the poles of beta
+        moved = law.move(xs, points)
+        assert moved.flags.c_contiguous
+        assert same_bytes(moved, oracles.rotate_zyz_one_pass(xs, points))
+
+
+KERNELS = ["normalize_angle", "contains-arcs-wrapped", "contains-arcs-inside", "contains-caps",
+           "contains-labels", "phase-born", "phase-expectation", "spin-born", "spin-expectation",
+           "outcome-points-sphere", "outcome-points-circle", "member-probabilities"]
+
+
+def kernel_input(name, rng):
+    """``(call, input)``: the kernel ``name`` of `KERNELS` and a fresh input array."""
+    rho2, rho3 = pk.random_density_matrix(rng, 2), pk.random_density_matrix(rng, 3)
+    spin, phase = pk.stern_gerlach_scheme(), pk.phase_scheme(3)
+    arcs = Region.of_arcs([(0.4, 2.5), (5.0, 7.0)])
+    caps = Region.of_caps([((0.6, 0.0, 0.8), 1.0)], complement=True)
+    labels = Region.of_labels(FiniteLabels(3), [0, 2])
+    wrapped, inside = rng.uniform(-7.0, 14.0, (5, 6)), rng.uniform(0.0, 2 * np.pi, 30)
+    points = unit_rows(rng, 30)
+    return {
+        "normalize_angle": (normalize_angle, wrapped),
+        "contains-arcs-wrapped": (arcs.contains, wrapped),
+        "contains-arcs-inside": (arcs.contains, inside),
+        "contains-caps": (caps.contains, points),
+        "contains-labels": (labels.contains, np.array([0, 2, 1, 2])),
+        "phase-born": (lambda p: phase.continuous.born(rho3, p), wrapped),
+        "phase-expectation": (lambda p: phase.continuous.expectation(rho3, p), inside),
+        "spin-born": (lambda p: spin.continuous.born(rho2, p), points),
+        "spin-expectation": (lambda p: spin.continuous.expectation(rho2, p), points),
+        "outcome-points-sphere": (spin.outcome_points, spin.sample_x(rng, 7)),
+        "outcome-points-circle": (phase.outcome_points, phase.sample_x(rng, 7)),
+        "member-probabilities": (lambda x: phase.member_probabilities(x, rho3),
+                                 phase.sample_x(rng, 7)),
+    }[name]
+
+
+class TestKernelInputs:
+    """The kernels write only into arrays they made: a caller's array keeps
+    its bytes, and a read-only one is accepted."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_no_writes_into_caller_arrays(self, name):
+        call, arg = kernel_input(name, np.random.default_rng(76))
+        before = arg.copy()
+        call(arg)
+        assert arg.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_read_only_inputs(self, name):
+        call, arg = kernel_input(name, np.random.default_rng(77))
+        expected = call(arg.copy())
+        arg.flags.writeable = False
+        assert same_bytes(call(arg), expected)
+
+    def test_frozen_rule_nodes(self):
+        rho2, rho3 = pk.random_density_matrix(np.random.default_rng(78), 2), np.eye(3) / 3
+        phis, _ = pk.phase_povm(3).outcome_rule()
+        points, _ = pk.spin_direction_povm().outcome_rule()
+        assert not (phis.flags.writeable or points.flags.writeable)
+        assert same_bytes(normalize_angle(phis), phis)
+        assert Region.of_arcs([(1.0, 2.0)]).contains(phis).sum() > 0
+        assert np.allclose(pk.phase_povm(3).born(rho3, phis), 1.0 / 3.0)
+        assert cap(Z_AXIS, 1.0).contains(points).sum() > 0
+        assert pk.spin_direction_povm().born(rho2, points).shape == (len(points),)
+
+
+PEAK_OVER_OUTPUT = 4.0  # traced peak of a kernel call over the bytes of the arrays it produces
+
+
+def traced_peak(call):
+    """Peak bytes traced while ``call()`` runs (after a first, untraced call
+    has filled the caches), and its result."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """A Monte Carlo row and two-stage draws hold no full-size temporary
+    beyond a few arrays as large as the member layout: a restacked layout
+    or a complex temporary that grows with the draws breaks the bound."""
+
+    @pytest.mark.parametrize("name", ["spin", "phase:3"])
+    def test_monte_carlo_row(self, name):
+        c, s = pk.named_family(name)
+        rng = np.random.default_rng(79)
+        rho = pk.random_density_matrix(rng, c.dim)
+        region = (cap((0.6, 0.0, 0.8), 1.0) if c.space == SPHERE
+                  else Region.of_arcs([(0.4, 2.5), (4.0, 5.5)]))
+        peak, _ = traced_peak(lambda: pk.verify_scheme_equivalence(
+            c, s, [rho], [region], mode="mc", budget=5000, seed=3))
+        layout = s.outcome_points(s.sample_x(rng, 5000)).nbytes
+        assert peak <= PEAK_OVER_OUTPUT * layout
+
+    def test_two_stage_draws(self):
+        rho = pk.random_density_matrix(np.random.default_rng(80), 3)
+        peak, records = traced_peak(lambda: pk.sample_two_stage(pk.phase_scheme(3), rho, 30000, 5))
+        produced = records.omega.nbytes + records.i.nbytes + records.x.nbytes
+        assert peak <= PEAK_OVER_OUTPUT * produced
 
 
 def irregular_phase_design():

@@ -104,6 +104,22 @@ class TestRegions:
         with pytest.raises(SchemaError, match="'complement' must be true or false"):
             ser.region_from_dict(data)
 
+    @pytest.mark.parametrize("label", [1.7, 1.0, "1", True])
+    def test_label_must_be_a_json_integer(self, label):
+        # int() would read 1.7 as the label 1
+        data = {"space": {"kind": "labels", "n": 3}, "labels": [0, label]}
+        with pytest.raises(SchemaError, match="label must be a JSON integer"):
+            ser.region_from_dict(data)
+
+    @pytest.mark.parametrize("space, point", [
+        (FiniteLabels(3), 1.7), (FiniteLabels(3), "1"), (FiniteLabels(3), False),
+        (CIRCLE, "0.5"), (CIRCLE, True), (CIRCLE, None),
+        (SPHERE, ["0", "0", "1"]), (SPHERE, [0, 0, True]), (SPHERE, "001"),
+    ])
+    def test_point_types_are_not_coerced(self, space, point):
+        with pytest.raises(SchemaError, match="point"):
+            ser.point_from_json(space, point)
+
     @pytest.mark.parametrize("arc", [[float("nan"), 1.0], [0.0, float("inf")]])
     def test_non_finite_arc_is_schema_error(self, arc):
         with pytest.raises(SchemaError, match="finite"):
@@ -351,12 +367,20 @@ class TestDecomposition:
     @pytest.mark.parametrize("term", [
         {"povm": None}, {"weight": 0.5}, {"weight": "half", "povm": None},
         {"weight": [0.5], "povm": None}, {"weight": None, "povm": None},
+        {"weight": True, "povm": None}, {"weight": "0.5", "povm": None},
     ])
     def test_malformed_term_is_schema_error(self, term):
         data = ser.decomposition_to_dict(pk.decompose_extremal(pk.coin_flip_povm()))
         povm = data["terms"][0]["povm"]
         data["terms"][0] = {k: povm if k == "povm" else v for k, v in term.items()}
         with pytest.raises(SchemaError, match="term 0"):
+            ser.decomposition_from_dict(data)
+
+    @pytest.mark.parametrize("depth", [1.5, "1", True, None])
+    def test_depth_must_be_a_json_integer(self, depth):
+        data = ser.decomposition_to_dict(pk.decompose_extremal(pk.coin_flip_povm()))
+        data["depth"] = depth
+        with pytest.raises(SchemaError, match="'depth' must be a JSON integer"):
             ser.decomposition_from_dict(data)
 
 
