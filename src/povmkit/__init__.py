@@ -45,7 +45,6 @@ _EXPORTS = {
         "decompose_extremal",
         "is_extremal",
         "kernel_dimension",
-        "max_step",
         "perturbation_space",
     ),
     "families": (

@@ -9,8 +9,9 @@ Each command first reads its JSON input with the standard library alone
 (`povmkit.jsonio`) and imports the modules it calls inside its own body,
 after that read.  So a missing or unreadable file, invalid JSON, a top
 level that is not an object, a wrong schema version, an argparse usage
-error, a bad ``--tolerance``, ``--tol`` or ``--alpha`` value or an
-unusable ``-o`` path exits 2 before numpy loads; and a child that
+error, a ``--tolerance`` key the command does not read, a bad
+``--tolerance``, ``--tol`` or ``--alpha`` value or an unusable ``-o``
+path exits 2 before numpy loads; and a child that
 validates a POVM never loads the samplers, the families or the
 decomposition code.
 """
@@ -34,8 +35,6 @@ from .errors import (
 )
 from .jsonio import _check_schema, dumps_canonical, load_json, write_json
 
-_TOLERANCE_KEYS = ("psd", "complete", "gap")
-
 
 def _emit(obj: dict):
     sys.stdout.write(dumps_canonical(obj))
@@ -48,16 +47,16 @@ def _fail_input(message: str) -> int:
     return 2
 
 
-def _parse_tolerances(pairs) -> dict:
+def _parse_tolerances(pairs, *keys) -> dict:
+    """The ``--tolerance key=value`` pairs, each key one of ``keys``: the
+    ones its command reads."""
     out = {}
     for item in pairs or ():
         if "=" not in item:
             raise SchemaError(f"--tolerance needs key=value, got {item!r}")
         key, val = item.split("=", 1)
-        if key not in _TOLERANCE_KEYS:
-            raise SchemaError(
-                f"unknown tolerance {key!r}; known: {', '.join(_TOLERANCE_KEYS)}"
-            )
+        if key not in keys:
+            raise SchemaError(f"unknown tolerance {key!r}; known: {', '.join(keys)}")
         try:
             out[key] = float(val)
         except ValueError as exc:
@@ -103,7 +102,7 @@ def _read(path, what: str) -> dict:
 # --- subcommand bodies --------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    tols = _parse_tolerances(args.tolerance)
+    tols = _parse_tolerances(args.tolerance, "psd", "complete")
     data = _read(args.povm, "povm")
     from . import serialize as ser
     from .operators import TOL_COMPLETE, TOL_PSD
@@ -119,7 +118,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    tols = _parse_tolerances(args.tolerance)
+    tols = _parse_tolerances(args.tolerance, "gap")
     data = _read(args.povm, "povm")
     from .extremality import kernel_dimension
     from .operators import GAP_THRESHOLD
@@ -132,7 +131,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    tols = _parse_tolerances(args.tolerance)
+    tols = _parse_tolerances(args.tolerance, "gap")
     data = _read(args.povm, "povm")
     _guard_output(args.output, [args.povm])
     from . import serialize as ser
@@ -282,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
             "and continuous POVMs over JSON files."
         ),
         epilog=(
-            "Tolerance overrides: --tolerance psd=1e-9 --tolerance complete=1e-9 "
-            "--tolerance gap=1e-8 (repeatable; apply where meaningful)."
+            "Tolerance overrides (repeatable): validate takes --tolerance psd=1e-9 "
+            "and complete=1e-9; extremal and decompose take --tolerance gap=1e-8. "
+            "Any other key is malformed input."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

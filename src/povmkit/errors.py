@@ -26,7 +26,8 @@ class SpaceMismatch(PovmkitError):
 
 
 class DegeneratePerturbation(PovmkitError):
-    """A perturbation with (numerically) zero norm."""
+    """A decomposition walk step along a direction that no element bounds:
+    unbounded, so the direction is not a POVM perturbation."""
 
 
 class NumericalRankAmbiguity(PovmkitError):

@@ -36,7 +36,7 @@ input-face code on the new point (`_Face.build`).
 A face has one layout, the one `operators.support` returns: every slot
 padded to the largest support rank.  `perturbation_space`,
 `kernel_dimension` and `is_extremal` read `_Face.kernel` over all active
-slots of one POVM's face, and `max_step` its padded supports.
+slots of one POVM's face.
 `perturbation_space` returns that SVD's orthonormal basis, lifted to
 ``C^d``; its bytes do not depend on the BLAS thread count.
 """
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .errors import DegeneratePerturbation, DimensionMismatch, TermBudgetExceeded
+from .errors import DegeneratePerturbation, TermBudgetExceeded
 from .povm import FinitePOVM, check_povm
 
 
@@ -58,54 +58,11 @@ class Perturbation:
     """Direction along which a POVM can move while staying a POVM.
 
     ``components`` is one complex array ``(n, d, d)`` aligned with the
-    POVM's entries (any sequence of n matrices is stacked into one);
-    zero elements carry zero components.  Normalized so the summed
-    squared Frobenius norm is 1.
+    POVM's entries; zero elements carry zero components.  Normalized so
+    the summed squared Frobenius norm is 1.
     """
 
     components: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.components, dtype=complex)
-        if q.ndim != 3 or q.shape[1] != q.shape[2]:
-            raise DegeneratePerturbation(
-                f"components must be a stack (n, d, d), got shape {q.shape}"
-            )
-        object.__setattr__(self, "components", q)
-
-    def norm(self) -> float:
-        return op.frobenius(self.components)
-
-    def _matching(self, p: FinitePOVM) -> np.ndarray:
-        """The components, checked against ``p``: count, dimension, Hermiticity."""
-        q = self.components
-        if len(q) != len(p):
-            raise DegeneratePerturbation("component count does not match POVM")
-        if q.shape[1] != p.dim:
-            raise DimensionMismatch(f"component dimension {q.shape[1]} does not match POVM")
-        op.check_hermitian(q, name="perturbation component", stack=True)
-        return q
-
-    def check(self, p: FinitePOVM, tol: float = 1e-8) -> None:
-        """Raise if this is not a valid perturbation for ``p``.
-
-        One stacked Hermiticity check over the components and one stacked
-        support call over the elements; each component is held to its
-        element's support.
-        """
-        q = self._matching(p)
-        if op.frobenius(q.sum(axis=0)) > 1e-9:
-            raise DegeneratePerturbation("components do not sum to zero")
-        _, vecs, _ = op.support(p.elements)
-        pi = vecs @ vecs.conj().swapaxes(1, 2)
-        leak = np.linalg.norm(q - pi @ q @ pi, axis=(1, 2))
-        bad = leak > tol * (1.0 + np.linalg.norm(q, axis=(1, 2)))
-        if np.any(bad):
-            raise DegeneratePerturbation(
-                f"component leaks outside element support by {np.max(leak[bad]):.3e}"
-            )
-        if abs(self.norm() - 1.0) > 1e-8:
-            raise DegeneratePerturbation("perturbation is not normalized")
 
 
 def _lift(vecs: np.ndarray) -> np.ndarray:
@@ -203,14 +160,6 @@ def _check_gap(gap: float) -> None:
         raise ValueError(f"gap must be finite with 0 < gap < 1, got {gap!r}")
 
 
-def _scaled(vecs, vals, q):
-    """``W^† q W`` per slot, with ``W = vecs diag(vals)^{-1/2}``; the
-    product exactly symmetrized."""
-    w = vecs / np.sqrt(vals)[:, None, :]
-    scaled = w.conj().swapaxes(1, 2) @ q @ w
-    return 0.5 * (scaled + scaled.conj().swapaxes(1, 2))
-
-
 def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
     """Push ``face`` along the perturbation ``q`` (core coordinates, unit
     norm) to the PSD boundary: ``(t_plus, next face)``.
@@ -244,7 +193,9 @@ def _advance(face: _Face, q: np.ndarray, gap: float) -> tuple[float, _Face]:
             face = _Face.build(face.elements(), gap, check_band=True)
             return _advance(face, face.coords(mats), gap)
         herm = op.coords_to_hermitian(h, size)
-        alpha, y = np.linalg.eigh(_scaled(vec, lam, herm))
+        w = vec / np.sqrt(lam)[:, None, :]  # w^† H w is similar to B^{-1/2} H B^{-1/2}
+        scaled = w.conj().swapaxes(1, 2) @ herm @ w
+        alpha, y = np.linalg.eigh(0.5 * (scaled + scaled.conj().swapaxes(1, 2)))
     alpha[np.einsum("ij,ij->i", h, h) <= 1e-28] = 0.0
     hit = int(np.argmin(alpha[:, 0]))
     if not alpha[hit, 0] < 0:
@@ -330,42 +281,6 @@ def is_extremal(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
     Raises :class:`InvalidPOVM` if ``p`` fails :func:`validate_povm`.
     """
     return kernel_dimension(p, gap=gap) == 0
-
-
-def max_step(p: FinitePOVM, q: Perturbation, gap: float = op.GAP_THRESHOLD) -> tuple[float, float]:
-    """Largest steps keeping ``P ± t Q`` positive semidefinite.
-
-    Per element the bound is ``1 / max eigenvalue`` of
-    ``-(P_i^{-1/2} Q_i P_i^{-1/2})`` on the support of ``P_i`` (and of
-    the unnegated conjugation for the minus direction); the returned
-    pair is the minimum over elements, both finite and positive.
-
-    The supports come from one stacked :func:`operators.support` call
-    over the elements (finiteness and Hermiticity checked once), padded
-    to the largest rank, and the scaled matrices ``W_i^† Q_i W_i``,
-    ``W_i = V_i Λ_i^{-1/2}``, take one stacked ``np.linalg.eigh``;
-    elements whose component is zero do not bound the step.
-
-    A component count or dimension other than ``p``'s raises
-    :class:`DegeneratePerturbation` or :class:`DimensionMismatch`, a
-    non-Hermitian component :class:`NonHermitianInput`.  A zero-norm
-    perturbation, or one unbounded in either direction, raises
-    :class:`DegeneratePerturbation`; a ``gap`` outside ``(0, 1)``
-    raises ``ValueError``.
-    """
-    _check_gap(gap)
-    q = q._matching(p)
-    if op.frobenius(q) < 1e-12:
-        raise DegeneratePerturbation("perturbation has zero norm")
-    _, vecs, vals = op.support(p.elements, threshold=gap)
-    alpha = np.linalg.eigh(_scaled(vecs, vals, q))[0]
-    alpha[np.linalg.norm(q, axis=(1, 2)) <= 1e-14] = 0.0
-    shrink, grow = -alpha[:, 0].min(), alpha[:, -1].max()
-    if not (shrink > 0 and grow > 0):
-        raise DegeneratePerturbation(
-            "step unbounded in one direction; not a POVM perturbation"
-        )
-    return 1.0 / float(shrink), 1.0 / float(grow)
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,8 @@ def as_operator(a, dim: int | None = None, stack: bool = False) -> np.ndarray:
     return m
 
 
-def check_hermitian(
-    a, tol: float = TOL_HERM, name: str = "operator", stack: bool = False
-) -> np.ndarray:
-    """Validate Hermitian symmetry within ``tol * (1 + ||a||_F)``.
+def check_hermitian(a, name: str = "operator", stack: bool = False) -> np.ndarray:
+    """Validate Hermitian symmetry within ``TOL_HERM * (1 + ||a||_F)``.
 
     With ``stack``, ``a`` must be a stack ``(n, d, d)`` and each slot is
     held to its own norm; without it, ``a`` must be one matrix.  Returns
@@ -67,39 +65,37 @@ def check_hermitian(
     m = as_operator(a, stack=stack)
     adj = m.conj().swapaxes(-1, -2)
     defects = np.linalg.norm(m - adj, axis=(-2, -1))
-    if (defects > tol * (1.0 + np.linalg.norm(m, axis=(-2, -1)))).any():
+    if (defects > TOL_HERM * (1.0 + np.linalg.norm(m, axis=(-2, -1)))).any():
         raise NonHermitianInput(
             f"{name} is not Hermitian: symmetry defect {defects.max():.3e}"
         )
     return 0.5 * (m + adj)
 
 
-def eigh(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of one Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, v)`` with ``a == v @ diag(w) @ v†`` and orthonormal
     columns in ``v``.
     """
-    m = check_hermitian(a, tol=tol)
+    m = check_hermitian(a)
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def check_density_matrix(
-    rho, dim: int | None = None, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE
-) -> np.ndarray:
+def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace), of dimension
     ``dim`` if given: another raises `DimensionMismatch`.
 
-    Its least eigenvalue must be ``>= -tol_psd * (1 + ||rho||_F)`` and its
-    trace within ``tol_trace * (1 + ||rho||_F)`` of 1.
+    Its least eigenvalue must be ``>= -TOL_PSD * (1 + ||rho||_F)`` and its
+    trace within ``TOL_TRACE * (1 + ||rho||_F)`` of 1.
     """
     m = check_hermitian(rho, name="state")
     scale = 1.0 + frobenius(m)
-    if np.linalg.eigvalsh(m)[0] < -tol_psd * scale:
+    if np.linalg.eigvalsh(m)[0] < -TOL_PSD * scale:
         raise NonHermitianInput("state is not positive semidefinite")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol_trace * scale:
+    if abs(tr - 1.0) > TOL_TRACE * scale:
         raise NonHermitianInput(f"state trace {tr} differs from 1")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"state dimension {m.shape[0]} != POVM dimension {dim}")

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import SpaceMismatch
 
 TWO_PI = 2.0 * np.pi
+TOL_UNIT = 1e-6  # how far a sphere point's norm may sit from 1
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ def normalize_angle(phi):
     return out
 
 
-def unit_vector(v, tol: float = 1e-6) -> np.ndarray:
+def unit_vector(v) -> np.ndarray:
     """Validate and renormalize a finite 3-vector, or each row of an
-    ``(n, 3)`` stack, whose norm must be 1 within tol; a vector unit up
-    to rounding is copied unchanged, so loading is exact."""
+    ``(n, 3)`` stack, whose norm must be 1 within `TOL_UNIT`; a vector
+    unit up to rounding is copied unchanged, so loading is exact."""
     a = np.array(v, dtype=float)
     if a.shape[-1:] != (3,) or a.ndim > 2:
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
@@ -75,8 +76,8 @@ def unit_vector(v, tol: float = 1e-6) -> np.ndarray:
     norm = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
     off = abs(norm - 1.0)
     worst = off.max()
-    if worst > tol:
-        raise ValueError(f"vector norm {norm[off > tol][0]} deviates from 1 beyond {tol}")
+    if worst > TOL_UNIT:
+        raise ValueError(f"vector norm {norm[off > TOL_UNIT][0]} deviates from 1 beyond {TOL_UNIT}")
     eps = 4 * np.finfo(float).eps
     return a if worst <= eps else a / np.where(off <= eps, 1.0, norm)
 

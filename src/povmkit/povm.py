@@ -83,12 +83,10 @@ class FinitePOVM:
     def element_sum(self) -> np.ndarray:
         return self.elements.sum(axis=0)
 
-    def traces(self) -> np.ndarray:
-        return np.trace(self.elements, axis1=1, axis2=2).real
-
-    def nonzero_indices(self, threshold: float = op.GAP_THRESHOLD) -> list[int]:
-        """Indices of entries whose element is numerically nonzero."""
-        return np.flatnonzero(op.frobenius(self.elements, stack=True) > threshold).tolist()
+    def nonzero_indices(self) -> list[int]:
+        """Indices of entries whose element's Frobenius norm exceeds
+        `operators.GAP_THRESHOLD`."""
+        return np.flatnonzero(op.frobenius(self.elements, stack=True) > op.GAP_THRESHOLD).tolist()
 
     def replace_elements(self, elements) -> "FinitePOVM":
         """These elements, copied, at the same points."""
@@ -185,12 +183,12 @@ def check_povm(p: FinitePOVM) -> None:
 
 
 def born_probabilities(p: FinitePOVM, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities ``Tr[rho P_i]``, clamped to [0, 1]."""
-    rho = op.as_operator(rho)
-    if rho.shape[0] != p.dim:
-        raise DimensionMismatch(
-            f"state dimension {rho.shape[0]} != POVM dimension {p.dim}"
-        )
+    """Outcome probabilities ``Tr[rho P_i]``, clamped to [0, 1].
+
+    ``rho`` must pass `operators.check_density_matrix` at the POVM's
+    dimension: Hermitian, PSD and of unit trace.
+    """
+    rho = op.check_density_matrix(rho, p.dim)
     probs = np.trace(rho @ p.elements, axis1=1, axis2=2).real
     return np.clip(probs, 0.0, 1.0)
 

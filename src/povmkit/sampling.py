@@ -12,39 +12,39 @@ Two routes produce outcomes of a continuous measurement:
   scheme, from the scheme's bulk Born probabilities and outcome points.
 
 `sample_direct` and `sample_two_stage` check the state once against the
-family's dimension and wrap the draws as `OutcomeRecords`.  Both use
-counter-based Philox generators keyed by explicit seeds, so every run is
-reproducible and parallel streams never overlap by construction.
-`compare_samples` runs a two-sample chi-square test over a region
-partition to check that the two routes are statistically
+family's dimension and wrap the draws as `OutcomeRecords`.  Both use a
+counter-based Philox generator keyed by an explicit seed, so every run
+is reproducible.  `compare_samples` runs a two-sample chi-square test
+over a region partition to check that the two routes are statistically
 indistinguishable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
 from . import operators as op
-from .errors import EmptySample, SparseBins
-from .outcomes import CIRCLE, SPHERE, TWO_PI, normalize_angle, require_same_space
+from .errors import EmptySample, SpaceMismatch, SparseBins
+from .outcomes import CIRCLE, SPHERE, TWO_PI, FiniteLabels, normalize_angle, require_same_space
 
-_MASK64 = (1 << 64) - 1
+MIN_EXPECTED = 5.0  # least expected count per bin for the chi-square test
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based Philox generator keyed by (seed, stream).
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed by ``[seed, 0]``; the same seed
+    always reproduces the same sequence.
 
-    Distinct streams are statistically independent; the same pair always
-    reproduces the same sequence.
+    Raises ``ValueError`` unless ``0 <= seed < 2**64``, so that no two
+    seeds share a key.
     """
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
 class OutcomeRecords:
@@ -123,21 +123,40 @@ _PRESETS = {
 
 
 def _bin_indices(records, bins) -> tuple[np.ndarray, int, str]:
+    """Bin index of each outcome, the bin count and the bin spec.
+
+    The bins must share one outcome space, that of the records.  Records
+    of unknown space (label records read back from a file, or a bare
+    outcome array) bin only as integer labels against label regions.
+    """
     known = isinstance(records, OutcomeRecords)
     omega = records.omega if known else np.asarray(records)
     if isinstance(bins, str):
         if bins not in _PRESETS:
             raise ValueError(f"unknown bin preset {bins!r}")
         fn, count, space = _PRESETS[bins]
-        if known and records.space is not None:
-            require_same_space(space, records.space, f"bin preset {bins!r} and records")
+        what = f"bin preset {bins!r}"
+    else:
+        if len(bins) < 2:
+            raise ValueError("a chi-square test needs at least two bins")
+        spaces = {r.space for r in bins}
+        if len(spaces) > 1:
+            raise SpaceMismatch(
+                f"bins live on different outcome spaces: {sorted(map(str, spaces))}"
+            )
+        space, count, what = spaces.pop(), len(bins), f"{len(bins)} regions"
+    if known and records.space is not None:
+        require_same_space(space, records.space, f"{what} and records")
+    elif not (isinstance(space, FiniteLabels) and omega.dtype.kind in "iu"):
+        raise SpaceMismatch(
+            f"outcomes of unknown space bin only as integer labels, not on the {space}"
+        )
+    if isinstance(bins, str):
         return fn(omega), count, bins
-    # explicit region partition
     member = np.stack([r.contains(omega) for r in bins])
-    hits = member.sum(axis=0)
-    if np.any(hits != 1):
+    if np.any(member.sum(axis=0) != 1):
         raise ValueError("bins are not a disjoint cover of the sampled points")
-    return member.argmax(axis=0), len(bins), f"{len(bins)} regions"
+    return member.argmax(axis=0), count, what
 
 
 def _chi2_tail(stat: float, dof: int) -> float:
@@ -173,29 +192,26 @@ def _chi2_tail(stat: float, dof: int) -> float:
             return 1.0 - math.fsum(lower)
 
 
-def compare_samples(a, b, bins, min_expected: float = 5.0) -> GofReport:
+def compare_samples(a, b, bins) -> GofReport:
     """Two-sample chi-square test that two outcome lists share a law.
 
     ``bins`` is a preset name (``"sphere12"``, ``"circle16"``) or a list
-    of at least two disjoint covering regions.  Expected counts below
-    ``min_expected`` raise :class:`SparseBins`; the p-value is the
+    of at least two disjoint covering regions, on the outcome space of
+    both samples (else :class:`SpaceMismatch`).  Expected counts below
+    `MIN_EXPECTED` raise :class:`SparseBins`; the p-value is the
     closed-form chi-square tail.
     """
     ia, n_bins, spec = _bin_indices(a, bins)
-    ib, n_bins_b, _ = _bin_indices(b, bins)
-    if n_bins != n_bins_b:
-        raise ValueError("bin specs disagree")
-    if n_bins < 2:
-        raise ValueError("a chi-square test needs at least two bins")
+    ib = _bin_indices(b, bins)[0]
     ca = np.bincount(ia, minlength=n_bins).astype(float)
     cb = np.bincount(ib, minlength=n_bins).astype(float)
     ka, kb = ca.sum(), cb.sum()
     if ka == 0 or kb == 0:
         raise EmptySample("both samples must be nonempty")
     pooled = (ca + cb) / (ka + kb)
-    if np.any(ka * pooled < min_expected) or np.any(kb * pooled < min_expected):
+    if np.any(ka * pooled < MIN_EXPECTED) or np.any(kb * pooled < MIN_EXPECTED):
         raise SparseBins(
-            f"expected count below {min_expected} in some bin; coarsen the partition"
+            f"expected count below {MIN_EXPECTED} in some bin; coarsen the partition"
         )
     ra, rb = np.sqrt(kb / ka), np.sqrt(ka / kb)
     stat = float(np.sum((ra * ca - rb * cb) ** 2 / (ca + cb)))

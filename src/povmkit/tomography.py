@@ -26,16 +26,17 @@ _POINT_TOL = 1e-9  # how far a record's outcome may sit from its entry's point
 _MATCH_CHUNK = 1 << 16  # record-point pairs per matching step; bounds memory
 
 
-def is_informationally_complete(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> bool:
+def is_informationally_complete(p: FinitePOVM) -> bool:
     """True iff the elements span the d**2-dimensional Hermitian space."""
-    return _spans(op.hermitian_to_coords(p.elements).T, gap)
+    return _spans(op.hermitian_to_coords(p.elements).T)
 
 
-def _spans(coords: np.ndarray, gap: float) -> bool:
-    """True iff the n columns of ``coords`` ``(d**2, n)`` span R^(d**2)."""
+def _spans(coords: np.ndarray) -> bool:
+    """True iff the n columns of ``coords`` ``(d**2, n)`` span R^(d**2):
+    singular values above ``GAP_THRESHOLD * max(1, s_max)`` count."""
     s = np.linalg.svd(coords, compute_uv=False)
     scale = max(1.0, float(s[0])) if s.size else 1.0
-    return int(np.count_nonzero(s > gap * scale)) == len(coords)
+    return int(np.count_nonzero(s > op.GAP_THRESHOLD * scale)) == len(coords)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class DualProcessing:
         return near
 
 
-def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOLD) -> DualProcessing:
+def dual_coefficients(p: FinitePOVM, a: np.ndarray) -> DualProcessing:
     """Solve ``sum_i f(i) P_i = A`` in real Hermitian coordinates.
 
     Uses the minimum-norm least-squares solution, unique when the
@@ -127,7 +128,7 @@ def dual_coefficients(p: FinitePOVM, a: np.ndarray, gap: float = op.GAP_THRESHOL
     if a.shape[0] != p.dim:
         raise DimensionMismatch(f"target dimension {a.shape[0]} != POVM dimension {p.dim}")
     mat = op.hermitian_to_coords(p.elements).T
-    if not _spans(mat, gap):
+    if not _spans(mat):
         raise NotInformationallyComplete(
             "POVM elements do not span the operator space"
         )

@@ -306,6 +306,29 @@ def bisection_max_step(elements, components, sign, tol=1e-12, iterations=200):
     return lo
 
 
+def check_perturbation(elements, components, tol=1e-8):
+    """Assert that ``components`` is a unit perturbation of the POVM
+    ``elements``, one element at a time with numpy alone: one Hermitian
+    component per element, each equal to its compression ``Pi Q Pi`` onto
+    its element's support (the eigenvectors of eigenvalue above
+    ``1e-8 max(1, lambda_max)``), summing to zero, of unit summed squared
+    Frobenius norm."""
+    assert len(components) == len(elements)
+    total, squares = 0.0, 0.0
+    for el, q in zip(elements, components):
+        q = np.array(q)
+        scale = 1.0 + float(np.linalg.norm(q))
+        assert np.linalg.norm(q - q.conj().T) <= tol * scale, "component is not Hermitian"
+        w, v = np.linalg.eigh(np.array(el))
+        keep = v[:, w > 1e-8 * max(1.0, w.max())]
+        pi = keep @ keep.conj().T
+        assert np.linalg.norm(q - pi @ q @ pi) <= tol * scale, "component leaves the support"
+        total = total + q
+        squares += float(np.linalg.norm(q)) ** 2
+    assert np.linalg.norm(total) <= 1e-9, "components do not sum to zero"
+    assert abs(np.sqrt(squares) - 1.0) <= tol, "perturbation is not normalized"
+
+
 def validate_per_element(povm, tol_psd=1e-9, tol_complete=1e-9, tol_herm=1e-10):
     """The POVM axioms checked one element at a time with numpy alone:
     ``(hermiticity defects, PSD margins, completeness defect, duplicate

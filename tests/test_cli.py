@@ -112,6 +112,29 @@ class TestValidate:
         assert key in json.loads(err)["error"]
 
 
+class TestToleranceKeys:
+    """Each command takes only the ``--tolerance`` keys it reads."""
+
+    @pytest.mark.parametrize("command, key", [
+        ("validate", "gap"), ("extremal", "psd"), ("extremal", "complete"),
+        ("decompose", "psd"), ("decompose", "complete"),
+    ])
+    def test_key_the_command_does_not_read_is_input_error(
+        self, capsys, coin_flip_file, command, key
+    ):
+        code, out, err = run_cli(capsys, command, coin_flip_file, "--tolerance", f"{key}=0.5")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].startswith(f"unknown tolerance {key!r}")
+
+    @pytest.mark.parametrize("command, pair", [
+        ("validate", "psd=1e-6"), ("validate", "complete=1e-6"),
+        ("extremal", "gap=1e-7"), ("decompose", "gap=1e-7"),
+    ])
+    def test_key_the_command_reads(self, capsys, coin_flip_file, command, pair):
+        code, out, _ = run_cli(capsys, command, coin_flip_file, "--tolerance", pair)
+        assert code == 0 and out
+
+
 class TestExtremal:
     def test_coin_flip_verdict(self, capsys, coin_flip_file):
         code, out, _ = run_cli(capsys, "extremal", coin_flip_file)
@@ -226,6 +249,20 @@ class TestEquiv:
         )
         assert code == 0
         assert "se" in json.loads(out)["rows"][0]
+
+    def test_montecarlo_seed_beyond_64_bits_is_input_error(
+        self, capsys, state_file, regions_file, tmp_path
+    ):
+        out_path = tmp_path / "never.json"
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", "mc", "--seed", str(2**64 + 3),
+            "-o", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "2**64" in json.loads(err)["error"]
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_not_finite_nonnegative_is_input_error(
@@ -397,6 +434,19 @@ class TestSample:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
+    def test_seed_beyond_64_bits_is_input_error(self, capsys, state_file, tmp_path, mode):
+        # 2**64 + 5 would write the bytes of --seed 5
+        out = tmp_path / "never.ndjson"
+        code, stdout, err = run_cli(
+            capsys,
+            "sample", "--family", "spin", mode, "--state", state_file,
+            "-n", "10", "--seed", str(2**64 + 5), "-o", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert "2**64" in json.loads(err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--direct", "--scheme"])
     def test_zero_draws_is_input_error(self, capsys, state_file, tmp_path, mode):
         out = tmp_path / "empty.ndjson"
         code, _, err = run_cli(
@@ -506,6 +556,44 @@ class TestGof:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err)
+
+    @staticmethod
+    def regions(path, regions):
+        path.write_text(json.dumps({"schema": 1, "regions": regions}))
+        return str(path)
+
+    def test_region_bins_on_wrong_space_is_input_error(self, capsys, tmp_path):
+        state = tmp_path / "state3.json"
+        ser.save_states(state, [("mm", np.eye(3) / 3)])
+        circle = []
+        for seed in ("1", "2"):
+            path = tmp_path / f"circle{seed}.ndjson"
+            run_cli(capsys, "sample", "--family", "phase:3", "--direct", "--state", str(state),
+                    "-n", "3000", "--seed", seed, "-o", str(path))
+            circle.append(str(path))
+        labels = [str(tmp_path / f"labels{k}.ndjson") for k in range(2)]
+        rng = np.random.default_rng(8)
+        for path in labels:
+            with open(path, "w") as fh:
+                fh.writelines(f'{{"omega":{k}}}\n' for k in rng.integers(0, 3, 600))
+        label_bins = self.regions(tmp_path / "labels.json", [
+            {"space": {"kind": "labels", "n": 3}, "labels": [k]} for k in range(3)
+        ])
+        arc_bins = self.regions(tmp_path / "arcs.json", [
+            {"space": {"kind": "circle"}, "arcs": [[0.0, 1.5]]},
+            {"space": {"kind": "circle"}, "arcs": [[1.5, 2 * np.pi]]},
+        ])
+        for records, bins in ((circle, label_bins), (labels, arc_bins), (labels, "circle16")):
+            code, out, err = run_cli(
+                capsys, "gof", "--a", records[0], "--b", records[1], "--bins", bins
+            )
+            assert (code, out) == (2, "")
+            assert "space" in json.loads(err)["error"]
+        for records, bins, dof in ((circle, arc_bins, 1), (labels, label_bins, 2)):
+            code, out, _ = run_cli(
+                capsys, "gof", "--a", records[0], "--b", records[1], "--bins", bins
+            )
+            assert (code, json.loads(out)["dof"]) == (0, dof)
 
 
 class TestMerit:

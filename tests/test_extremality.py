@@ -8,15 +8,19 @@ from povmkit import extremality, quadrature
 from povmkit.catalog import PAULI_Z
 from povmkit.errors import (
     DegeneratePerturbation,
-    DimensionMismatch,
     InvalidPOVM,
-    NonHermitianInput,
     NumericalRankAmbiguity,
     TermBudgetExceeded,
 )
+from povmkit.operators import GAP_THRESHOLD
 from povmkit.outcomes import FiniteLabels
 
-from oracles import bisection_max_step, brute_force_extremal, brute_force_kernel_dim
+from oracles import (
+    bisection_max_step,
+    brute_force_extremal,
+    brute_force_kernel_dim,
+    check_perturbation,
+)
 
 
 def squeeze_first_element(p, eps):
@@ -46,6 +50,15 @@ def povm_of_ranks(rng, d, ranks):
     )
 
 
+def walk_steps(p, components):
+    """``(t_plus, t_minus)``: the decomposition walk's steps (`_advance`)
+    from ``p`` to the PSD boundary along ``+components`` and
+    ``-components``, a stack ``(n, d, d)`` on the elements' supports."""
+    face = extremality._Face.build(p.elements, GAP_THRESHOLD, check_band=False)
+    q = face.coords(np.asarray(components, dtype=complex))
+    return tuple(extremality._advance(face, sign * q, GAP_THRESHOLD)[0] for sign in (1.0, -1.0))
+
+
 def trivial_povm(d=2):
     return pk.FinitePOVM(
         dim=d, space=FiniteLabels(1), entries=((0, np.eye(d, dtype=complex)),)
@@ -62,7 +75,7 @@ class TestPerturbationSpace:
         assert len(basis) == 4
         assert brute_force_kernel_dim(pk.coin_flip_povm()) == 4
         for q in basis:
-            q.check(pk.coin_flip_povm())
+            check_perturbation(pk.coin_flip_povm().elements, q.components)
 
     def test_single_outcome_identity_empty(self):
         for d in (1, 2, 3):
@@ -80,7 +93,7 @@ class TestPerturbationSpace:
         for q in basis:
             assert q.components.shape == (n, d, d)
             assert np.linalg.norm(np.sum(q.components, axis=0)) <= 1e-9
-            q.check(p)
+            check_perturbation(p.elements, q.components)
         flat = np.array([q.components.ravel() for q in basis])
         gram = (flat.conj() @ flat.T).real
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-9
@@ -126,10 +139,13 @@ class TestIsExtremal:
 
 
 class TestMaxStep:
+    """The walk's step to the PSD boundary (`_advance`), in both
+    directions, against closed forms and the bisection oracle."""
+
     def test_coin_flip_symmetric_steps(self):
-        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
-        q.check(pk.coin_flip_povm())
-        t_plus, t_minus = pk.max_step(pk.coin_flip_povm(), q)
+        comps = (PAULI_Z / 2.0, -PAULI_Z / 2.0)
+        check_perturbation(pk.coin_flip_povm().elements, comps)
+        t_plus, t_minus = walk_steps(pk.coin_flip_povm(), comps)
         assert np.isclose(t_plus, 1.0) and np.isclose(t_minus, 1.0)
 
     def test_scalar_pair(self):
@@ -138,20 +154,15 @@ class TestMaxStep:
             space=FiniteLabels(2),
             entries=((0, np.array([[0.75]])), (1, np.array([[0.25]]))),
         )
-        q = pk.Perturbation(
-            components=(
-                np.array([[1 / np.sqrt(2)]], dtype=complex),
-                np.array([[-1 / np.sqrt(2)]], dtype=complex),
-            )
-        )
-        t_plus, t_minus = pk.max_step(p, q)
+        comps = np.array([[[1 / np.sqrt(2)]], [[-1 / np.sqrt(2)]]], dtype=complex)
+        t_plus, t_minus = walk_steps(p, comps)
         assert np.isclose(t_plus, np.sqrt(2) / 4)
         assert np.isclose(t_minus, 3 * np.sqrt(2) / 4)
 
     def test_boundary_rank_loss(self, rng):
         p = pk.random_povm(rng, 2, 5, element_rank=1)
         q = pk.perturbation_space(p)[0]
-        t_plus, _ = pk.max_step(p, q)
+        t_plus, _ = walk_steps(p, q.components)
         mins = [
             np.linalg.eigvalsh(el + t_plus * c).min()
             for el, c in zip(p.elements, q.components)
@@ -159,27 +170,10 @@ class TestMaxStep:
         assert min(mins) <= 1e-8
 
     def test_degenerate_rejected(self):
-        zero = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(DegeneratePerturbation):
-            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(zero, zero)))
-
-    @pytest.mark.parametrize("count", [3, 1])
-    def test_component_count_must_match(self, count):
-        comps = [PAULI_Z / 2.0, -PAULI_Z / 2.0, PAULI_Z / 2.0][:count]
-        with pytest.raises(DegeneratePerturbation, match="count"):
-            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=comps))
-
-    def test_component_dimension_must_match(self):
-        comps = np.zeros((2, 3, 3), dtype=complex)
-        comps[0, 0, 0], comps[1, 0, 0] = 1.0, -1.0
-        with pytest.raises(DimensionMismatch):
-            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=comps))
-
-    def test_skew_components_rejected(self):
-        # the anti-Hermitian part must not be symmetrized away
-        skew = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
-        with pytest.raises(NonHermitianInput):
-            pk.max_step(pk.coin_flip_povm(), pk.Perturbation(components=(skew, -skew)))
+        # a direction that no element bounds is not a POVM perturbation
+        comps = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex) / np.sqrt(2)
+        with pytest.raises(DegeneratePerturbation, match="unbounded"):
+            walk_steps(pk.coin_flip_povm(), comps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bisection_oracle(self, seed):
@@ -196,7 +190,7 @@ class TestMaxStep:
             h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             comps.append(keep @ keep.conj().T @ (h + h.conj().T) @ keep @ keep.conj().T)
         comps = np.array(comps) / np.linalg.norm(comps)
-        t_plus, t_minus = pk.max_step(p, pk.Perturbation(components=comps))
+        t_plus, t_minus = walk_steps(p, comps)
         for t, sign in ((t_plus, 1.0), (t_minus, -1.0)):
             assert t == pytest.approx(bisection_max_step(p.elements, comps, sign), rel=1e-6)
 
@@ -249,7 +243,7 @@ class TestDecompose:
         basis = pk.perturbation_space(p)
         assert basis  # 5 rank-2 elements in d=3: 20 parameters > 9
         q = basis[0]
-        t_plus, t_minus = pk.max_step(p, q)
+        t_plus, t_minus = walk_steps(p, q.components)
         eps = min(t_plus, t_minus) / 2.0
         for sign in (+1.0, -1.0):
             shifted = p.replace_elements(
@@ -343,13 +337,13 @@ class TestMixedRanks:
         basis = pk.perturbation_space(p)
         assert len(basis) == pk.kernel_dimension(p) == brute_force_kernel_dim(p) > 0
         for q in basis:
-            q.check(p)
+            check_perturbation(p.elements, q.components)
 
     @pytest.mark.parametrize("d, ranks", INPUTS)
     def test_max_step_matches_bisection_oracle(self, d, ranks):
         p = povm_of_ranks(np.random.default_rng([d, *ranks]), d, ranks)
         q = pk.perturbation_space(p)[0]
-        t_plus, t_minus = pk.max_step(p, q)
+        t_plus, t_minus = walk_steps(p, q.components)
         for t, sign in ((t_plus, 1.0), (t_minus, -1.0)):
             expected = bisection_max_step(p.elements, q.components, sign)
             assert t == pytest.approx(expected, rel=1e-6)
@@ -399,24 +393,7 @@ class TestStackedSpectra:
         for q in basis:
             assert isinstance(q.components, np.ndarray)
             assert q.components.shape == (5, 3, 3)
-            q.check(p)
-
-    def test_tuple_components_are_stacked(self):
-        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
-        assert q.components.shape == (2, 2, 2)
-        with pytest.raises(DegeneratePerturbation):
-            pk.Perturbation(components=PAULI_Z)
-
-    def test_check_rejects_leak_and_non_hermitian(self):
-        from povmkit.errors import NonHermitianInput
-
-        p = pk.projective_basis_povm(2)
-        leak = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
-        with pytest.raises(DegeneratePerturbation, match="leaks"):
-            leak.check(p)
-        skew = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
-        with pytest.raises(NonHermitianInput):
-            pk.Perturbation(components=(skew, -skew)).check(pk.coin_flip_povm())
+            check_perturbation(p.elements, q.components)
 
 
 class TestArguments:
@@ -428,12 +405,10 @@ class TestArguments:
     @pytest.mark.parametrize("gap", [float("nan"), float("inf"), -1.0, 0.0, 1.0])
     def test_gap_outside_unit_interval(self, gap):
         p = pk.coin_flip_povm()
-        q = pk.Perturbation(components=(PAULI_Z / 2.0, -PAULI_Z / 2.0))
         calls = (
             lambda: pk.perturbation_space(p, gap=gap),
             lambda: pk.kernel_dimension(p, gap=gap),
             lambda: pk.is_extremal(p, gap=gap),
-            lambda: pk.max_step(p, q, gap=gap),
             lambda: pk.decompose_extremal(p, gap=gap),
         )
         for call in calls:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit import operators as op
-from povmkit.errors import DimensionMismatch, InvalidDimension, SpaceMismatch
+from povmkit.errors import DimensionMismatch, InvalidDimension, NonHermitianInput, SpaceMismatch
 from povmkit.outcomes import CIRCLE, SPHERE, FiniteLabels, Region
 from povmkit.povm import check_povm
 
@@ -214,6 +214,23 @@ class TestBorn:
         probs = pk.born_probabilities(p, make_state(rng, d))
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert np.all(probs >= 0) and np.all(probs <= 1)
+
+    @pytest.mark.parametrize("rho, match", [
+        (np.diag([2.0, -1.0]), "not positive semidefinite"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(2), "trace"),
+    ], ids=["non-psd", "non-hermitian", "trace-two"])
+    def test_rejects_non_state(self, rho, match):
+        cap = Region.of_caps([((0.0, 0.0, 1.0), np.pi / 2)])
+        sic = pk.sic_tetrahedron_povm()
+        with pytest.raises(NonHermitianInput, match=match):
+            pk.born_probabilities(sic, rho)
+        with pytest.raises(NonHermitianInput, match=match):
+            pk.probability_of_region(sic, rho, cap)
+
+    def test_rejects_state_of_other_dimension(self):
+        with pytest.raises(DimensionMismatch, match="state dimension 3 != POVM dimension 2"):
+            pk.born_probabilities(pk.sic_tetrahedron_povm(), np.eye(3) / 3)
 
 
 class TestRegionProbability:

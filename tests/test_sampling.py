@@ -10,8 +10,8 @@ from scipy.special import gammaincc
 
 import povmkit as pk
 from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins, UnsupportedFamily
-from povmkit.outcomes import SPHERE, TWO_PI, Region
-from povmkit.sampling import _chi2_tail, make_rng
+from povmkit.outcomes import SPHERE, TWO_PI, FiniteLabels, Region
+from povmkit.sampling import OutcomeRecords, _chi2_tail, make_rng
 
 from oracles import arc_probability_quadrature, phase_cdf, spin_polar_cdf
 
@@ -35,14 +35,16 @@ class TestRng:
         b = make_rng(7).uniform(size=5)
         assert np.array_equal(a, b)
 
-    def test_streams_distinct(self):
-        a = make_rng(7, stream=0).uniform(size=5)
-        b = make_rng(7, stream=1).uniform(size=5)
-        assert not np.array_equal(a, b)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             make_rng(-1)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 5])
+    def test_rejects_seed_beyond_64_bits(self, seed):
+        # such a seed would share the key of seed - 2**64
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            make_rng(seed)
+        make_rng(2**64 - 1)  # the largest seed is a key of its own
 
 
 class TestDirectSpin:
@@ -309,6 +311,34 @@ class TestCompareSamples:
         with pytest.raises(ValueError):
             pk.compare_samples(a, a, [Region.of_arcs([(0.0, 1.0)])])
 
+    def test_region_space_checked(self):
+        # regions on another space than the records, or bins on two spaces,
+        # would bin by truncated or misread outcomes
+        ph = pk.phase_povm(3)
+        rho = np.eye(3) / 3
+        a = pk.sample_direct(ph, rho, 2000, seed=5)
+        b = pk.sample_direct(ph, rho, 2000, seed=6)
+        labels = [Region.of_labels(FiniteLabels(3), [k]) for k in range(3)]
+        arcs = [Region.of_arcs([(0.0, np.pi)]), Region.of_arcs([(np.pi, TWO_PI)])]
+        with pytest.raises(SpaceMismatch, match="labels"):
+            pk.compare_samples(a, b, labels)
+        with pytest.raises(SpaceMismatch, match="different outcome spaces"):
+            pk.compare_samples(a, b, arcs[:1] + labels[:1])
+        assert pk.compare_samples(a, b, arcs).dof == 1
+
+    def test_label_records_bin_only_against_label_regions(self):
+        # label records read back from a file carry no space
+        rng = np.random.default_rng(4)
+        a, b = (OutcomeRecords(None, rng.integers(0, 3, 600)) for _ in range(2))
+        arcs = [Region.of_arcs([(0.0, 1.5)]), Region.of_arcs([(1.5, TWO_PI)])]
+        for bins in (arcs, "circle16", "sphere12"):
+            with pytest.raises(SpaceMismatch, match="unknown space"):
+                pk.compare_samples(a, b, bins)
+        labels = [Region.of_labels(FiniteLabels(3), [k]) for k in range(3)]
+        assert pk.compare_samples(a, b, labels).dof == 2
+        with pytest.raises(SpaceMismatch, match="unknown space"):
+            pk.compare_samples(a.omega + 0.5, b.omega, labels)
+
     def test_one_bin_rejected(self, up):
         a = pk.sample_direct(pk.spin_direction_povm(), up, 100, seed=1)
         with pytest.raises(ValueError, match="two bins"):
@@ -352,7 +382,7 @@ EXPORTS = [
     "SpinDirectionPOVM", "TermBudgetExceeded", "UnsupportedFamily", "ValidationReport",
     "bayes_gain", "born_probabilities", "check_equal_optimality", "coin_flip_povm",
     "compare_samples", "decompose_extremal", "dual_coefficients", "estimate_expectation",
-    "is_extremal", "is_informationally_complete", "kernel_dimension", "make_rng", "max_step",
+    "is_extremal", "is_informationally_complete", "kernel_dimension", "make_rng",
     "named_family", "perturbation_space", "phase_dual", "phase_povm",
     "phase_scheme", "probability_of_region", "projective_basis_povm", "random_density_matrix",
     "random_povm", "random_pure_state", "sample_direct", "sample_two_stage",
