@@ -16,11 +16,12 @@ most (face dimension + 1) extremal POVMs, each with at most ``dim**2``
 nonzero, linearly independent elements.
 
 The walk works in support coordinates.  At the input it takes one
-stacked support eigendecomposition (with the `NumericalRankAmbiguity`
-band test); from then on slot i is ``V_i B_i V_i^†`` with ``B_i``
-positive definite.  Each step moves along a null vector found by
-elimination, as in the classical proof of Carathéodory's theorem and in
-recombination (Litterer & Lyons, Ann. Appl. Probab. 22, 1301, 2012):
+stacked support eigendecomposition, the one the input's validation
+took (with the `NumericalRankAmbiguity` band test); from then on slot
+i is ``V_i B_i V_i^†`` with ``B_i`` positive definite.  Each step moves
+along a null vector found by elimination, as in the classical proof of
+Carathéodory's theorem and in recombination (Litterer & Lyons, Ann.
+Appl. Probab. 22, 1301, 2012):
 the active slots are taken in slot order until their block coordinates
 (``r_i**2`` each) number more than ``d**2``, and one small SVD of their
 lifts gives a perturbation that moves only them.  No kernel basis is
@@ -105,15 +106,16 @@ class _Face:
         self.rank, self.vecs, self.core, self.lift = rank, vecs, core, lift
 
     @classmethod
-    def build(cls, elements: np.ndarray, gap: float, check_band: bool) -> "_Face":
+    def build(cls, elements: np.ndarray, gap: float, check_band: bool, eig=None) -> "_Face":
         """The face of ``elements`` ``(n, d, d)``.
 
         One stacked :func:`operators.support` call (one finiteness and
-        Hermiticity check, one eigendecomposition, the ``gap`` threshold
-        and, with ``check_band``, the :class:`NumericalRankAmbiguity` band
-        test) and one :func:`_lift` of the padded support bases.
+        Hermiticity check and one eigendecomposition, or ``eig`` from
+        `check_povm`; the ``gap`` threshold and, with ``check_band``, the
+        :class:`NumericalRankAmbiguity` band test) and one :func:`_lift`
+        of the padded support bases.
         """
-        rank, vecs, vals = op.support(elements, threshold=gap, check_band=check_band)
+        rank, vecs, vals = op.support(elements, threshold=gap, check_band=check_band, eig=eig)
         core = vals[..., None] * np.eye(vecs.shape[2], dtype=complex)
         return cls(rank, vecs, core, _lift(vecs))
 
@@ -270,8 +272,7 @@ def kernel_dimension(p: FinitePOVM, gap: float = op.GAP_THRESHOLD) -> int:
     fails :func:`validate_povm`, and ``ValueError`` unless ``0 < gap < 1``.
     """
     _check_gap(gap)
-    check_povm(p)
-    face = _Face.build(p.elements, gap, check_band=False)
+    face = _Face.build(p.elements, gap, check_band=False, eig=check_povm(p))
     return face.kernel(np.flatnonzero(face.rank), gap).shape[2]
 
 
@@ -315,6 +316,19 @@ class DecompositionResult:
         return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
 
 
+def _complete(elements: np.ndarray) -> np.ndarray:
+    """``A P_i A`` for a term's elements ``P_i``, their sum ``S = I + E``
+    and ``A = (3I - S)/2``, one Newton-Schulz step toward ``S^{-1/2}``:
+    the new sum is ``I - 3E^2/4 + E^3/4``.  Away steps divide by the
+    weight left, so ``E`` of a low-weight term can reach about 1e-9.  An
+    invertible congruence keeps ranks, extremality and zero elements.
+    """
+    a = elements.sum(axis=0)
+    a *= -0.5
+    a.flat[:: len(a) + 1] += 1.5  # the diagonal
+    return a @ elements @ a
+
+
 def decompose_extremal(
     p: FinitePOVM,
     max_terms: int = 256,
@@ -331,7 +345,8 @@ def decompose_extremal(
     dimension of ``p``) + 1 terms, pairwise distinct.
 
     Only the input face takes a stacked support eigendecomposition
-    (:meth:`_Face.build`).  Every later point moves the positive
+    (:meth:`_Face.build`, from the eigenpairs of :func:`check_povm`).
+    Every later point moves the positive
     definite cores ``B_i`` (:func:`_advance`).  The walk to ``e`` steps
     along a null vector of the first active slots whose block
     coordinates number more than ``d**2`` (:meth:`_Face.kernel`), so each
@@ -341,7 +356,8 @@ def decompose_extremal(
     differ.  Each step drops the direction that hits the boundary
     exactly: a slot removed this way is exactly zero in every later
     point and term.  The walk moves arrays; a :class:`FinitePOVM` is
-    built only for each returned term.
+    built only for each returned term, from its elements brought back to
+    sum to I (:func:`_complete`).
 
     Raises
     ------
@@ -360,9 +376,8 @@ def decompose_extremal(
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     _check_gap(gap)
-    check_povm(p)
     terms, d2 = [], p.dim**2
-    x, rest = _Face.build(p.elements, gap, check_band=True), 1.0
+    x, rest = _Face.build(p.elements, gap, check_band=True, eig=check_povm(p)), 1.0
     while True:
         x_elements = x.elements()
         if len(terms) >= max_terms:
@@ -384,12 +399,12 @@ def decompose_extremal(
             q[slots] = null[..., 0]
             e = _advance(e, q.ravel(), gap)[1]
         if e is x:
-            terms.append((rest, p.replace_elements(x_elements)))
+            terms.append((rest, p.replace_elements(_complete(x_elements))))
             break
         e_elements = e.elements()
         diff = x_elements - e_elements
         dist = op.frobenius(diff)
         t, x = _advance(x, x.coords(diff) / dist, gap)
-        terms.append((rest * t / (t + dist), p.replace_elements(e_elements)))
+        terms.append((rest * t / (t + dist), p.replace_elements(_complete(e_elements))))
         rest = rest * dist / (t + dist)
     return DecompositionResult(terms=tuple(terms), depth=len(terms) - 1)

@@ -38,8 +38,9 @@ from family names (``spin``, its aliases, ``phase:<d>``) to the
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,12 +139,21 @@ class ContinuousPOVM:
         return np.clip(p, 0.0, 1.0, out=p if isinstance(p, np.ndarray) else None)
 
     def region_operator(self, region: Region) -> np.ndarray:
+        """``int_region M(omega) domega/2pi`` in closed form; overlapping
+        caps raise `ValueError`."""
+        return self._region_operator(_exact_region(region))
+
+    def _region_operator(self, region: Region) -> np.ndarray:
         raise NotImplementedError
 
     def region_probability(self, rho: np.ndarray, region: Region) -> float:
         require_same_space(self.space, region.space, "POVM and region")
         rho = op.check_density_matrix(rho, self.dim)
-        val = float(np.trace(rho @ self.region_operator(region)).real)
+        return self._region_probability(rho, _exact_region(region))
+
+    def _region_probability(self, rho: np.ndarray, region: Region) -> float:
+        """`region_probability` of a checked state and region."""
+        val = float(np.trace(rho @ self._region_operator(region)).real)
         return min(max(val, 0.0), 1.0)
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,13 +243,9 @@ class SpinDirectionPOVM(ContinuousPOVM):
         sig = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
         return (1.0 - c) * np.eye(2, dtype=complex) / 2.0 + (1.0 - c * c) / 4.0 * sig
 
-    def region_operator(self, region: Region) -> np.ndarray:
+    def _region_operator(self, region: Region) -> np.ndarray:
         if region.caps is None:
             raise SpaceMismatch("spin-direction regions are cap unions")
-        if not region.caps_pairwise_disjoint():
-            raise ValueError(
-                "exact region operators need pairwise disjoint caps"
-            )
         total = np.zeros((2, 2), dtype=complex)
         for cap in region.caps:
             total += self.cap_operator(cap.axis_array, cap.angle)
@@ -280,9 +286,29 @@ _NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
 _NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
 
 
+@functools.cache
+def _superdiagonal_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices ``(d-1, d-1)`` of the superdiagonals ``k = 1..d-1`` of
+    a d x d matrix, row ``k-1`` padded at its end, and the padding's mask;
+    read-only."""
+    k = np.arange(1, d)[:, None]
+    i = np.arange(d - 1)
+    pad = i >= d - k
+    flat = np.where(pad, 0, i * (d + 1) + k)
+    flat.setflags(write=False)
+    pad.setflags(write=False)
+    return flat, pad
+
+
 def _superdiagonals(a: np.ndarray) -> np.ndarray:
-    """Sums ``c_k`` of the superdiagonals ``k = 1..d-1`` of a square matrix."""
-    return np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
+    """Sums ``c_k`` of the superdiagonals ``k = 1..d-1`` of a square matrix,
+    from one gather into zero-padded rows.  Up to d = 8 they have the bits
+    of ``np.trace(a, offset=k)``; beyond, numpy's pairwise summation of
+    the padded rows can round a short diagonal one ulp apart."""
+    flat, pad = _superdiagonal_gather(len(a))
+    rows = np.asarray(a).ravel().take(flat)
+    rows[pad] = 0
+    return np.asarray(rows.sum(axis=1), dtype=complex)
 
 
 def _phase_sums(c: np.ndarray, phis, parts) -> np.ndarray:
@@ -354,7 +380,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         out[off] = (np.exp(1j * kk * b) - np.exp(1j * kk * a)) / (TWO_PI * 1j * kk)
         return out
 
-    def region_operator(self, region: Region) -> np.ndarray:
+    def _region_operator(self, region: Region) -> np.ndarray:
         if region.arcs is None:
             raise SpaceMismatch("phase regions are arc unions")
         total = np.zeros((self.dim, self.dim), dtype=complex)
@@ -567,6 +593,12 @@ class RandomizedScheme:
         _check_budget(budget, mode)
         require_same_space(self.outcome_space, region.space, "scheme and region")
         rho = op.check_density_matrix(rho, self.dim)
+        if mode in ("deterministic", "det") and self._law is not None:
+            _exact_region(region)  # a law integrates the Born density cap by cap
+        return self._average(rho, region, mode, budget, rng)
+
+    def _average(self, rho, region, mode, budget, rng):
+        """`average_region_probability` of a checked state and region."""
         if mode in ("deterministic", "det"):
             return self._deterministic_average(rho, region, budget), None
         if mode in ("montecarlo", "mc"):
@@ -672,8 +704,7 @@ class _Rotations:
         # without a budget, the fewest nodes exact for the density's degree L:
         # ceil((L + 1) / 2) polar by L + 1 azimuthal (`quadrature`)
         grid = ((c.degree + 2) // 2, c.degree + 1) if budget is None else quad.sphere_grid(budget)
-        caps = replace(region, complement=False)
-        total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), caps, grid)
+        total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), region.caps, grid)
         return float(total) / (2.0 * TWO_PI)
 
 
@@ -828,6 +859,15 @@ def _check_budget(budget, mode):
     raise ValueError(f"{mode} budget must be finite, got {budget}")
 
 
+def _exact_region(region: Region) -> Region:
+    """``region``, checked for what closed-form integrals over it need:
+    its caps, if any, pairwise disjoint (`ValueError` otherwise), so that
+    a cap union is integrated cap by cap."""
+    if region.caps is not None and not region.caps_pairwise_disjoint():
+        raise ValueError("exact region operators need pairwise disjoint caps")
+    return region
+
+
 def _with_ids(items, prefix):
     out = []
     for k, item in enumerate(items):
@@ -855,6 +895,11 @@ def verify_scheme_equivalence(
     scheme average by quadrature; montecarlo mode draws mixing parameters
     with the given seed and reports standard errors.  ``budget`` is as in
     `RandomizedScheme.average_region_probability`.
+
+    Each state and each region is checked once per call, as the public
+    methods check theirs (a state of another dimension than the family or
+    the scheme raises `DimensionMismatch`); the rows then use the
+    unchecked internals of both sides.
     """
     states, regions = _with_ids(states, "state"), _with_ids(regions, "region")
     for name, items in (("states", states), ("regions", regions)):
@@ -869,13 +914,17 @@ def verify_scheme_equivalence(
         from .sampling import make_rng
 
         rng = make_rng(seed)
+    for _, region in regions:
+        require_same_space(c.space, region.space, "POVM and region")
+        _exact_region(region)
     rows = []
     for sid, rho in states:
+        rho = op.check_density_matrix(rho, c.dim)
+        if s.dim != c.dim:
+            raise DimensionMismatch(f"state dimension {c.dim} != POVM dimension {s.dim}")
         for rid, region in regions:
-            p_cont = c.region_probability(rho, region)
-            p_sch, se = s.average_region_probability(
-                rho, region, mode=mode, budget=budget, rng=rng
-            )
+            p_cont = c._region_probability(rho, region)
+            p_sch, se = s._average(rho, region, mode, budget, rng)
             rows.append(
                 EquivalenceRow(
                     state_id=sid,

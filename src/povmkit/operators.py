@@ -102,9 +102,11 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
+def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False, eig=None):
     """Support eigenpairs of each slot of a stack ``(n, d, d)`` of PSD
-    matrices, checked and decomposed at once.
+    matrices, checked and decomposed at once, or taken from ``eig``: the
+    ascending eigenpairs of the symmetrized stack from a check that has
+    held it Hermitian already (`povm.check_povm`).
 
     Eigenvalues above ``threshold * max(1, λ_max)`` count as nonzero,
     each slot held to its own ``λ_max``.  With ``check_band`` a value
@@ -118,8 +120,7 @@ def support(a, threshold: float = GAP_THRESHOLD, check_band: bool = False):
     and the same entries of ``vals[i]`` ``(R,)`` their descending
     eigenvalues; the columns beyond are zero and the values beyond 1.
     """
-    m = check_hermitian(a, stack=True)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(check_hermitian(a, stack=True)) if eig is None else eig
     w, v = w[:, ::-1], v[:, :, ::-1]  # descending
     thr = threshold * np.maximum(1.0, w[:, 0])
     if check_band:

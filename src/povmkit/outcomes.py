@@ -13,6 +13,7 @@ stay exactly computable:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,15 +210,14 @@ class Region:
         return inside
 
     def caps_pairwise_disjoint(self) -> bool:
-        """True when the cap union has no pairwise overlap (closed caps)."""
+        """True when the cap union has no pairwise overlap (closed caps):
+        the angle between each two axes exceeds the sum of the two caps'
+        angles."""
         caps = self.caps or ()
-        for i in range(len(caps)):
-            for j in range(i + 1, len(caps)):
-                ci, cj = caps[i], caps[j]
-                gamma = float(
-                    np.arccos(np.clip(ci.axis_array @ cj.axis_array, -1.0, 1.0))
-                )
-                if gamma <= ci.angle + cj.angle:
+        for i, ci in enumerate(caps):
+            for cj in caps[i + 1 :]:
+                cos = math.fsum(a * b for a, b in zip(ci.axis, cj.axis))
+                if math.acos(min(max(cos, -1.0), 1.0)) <= ci.angle + cj.angle:
                     return False
         return True
 

@@ -147,6 +147,13 @@ def validate_povm(
     PSD margins are minimum eigenvalues scaled by ``1 + ||element||_F``;
     completeness defect is ``||sum(elements) - I||_F``.
     """
+    return _validate(p, tol_psd, tol_complete)[0]
+
+
+def _validate(p, tol_psd=op.TOL_PSD, tol_complete=op.TOL_COMPLETE):
+    """`validate_povm`, and the eigenpairs ``(w, v)`` (ascending, as
+    ``np.linalg.eigh`` gives them) of the symmetrized elements
+    ``(P_i + P_i^dagger)/2`` whose least eigenvalues are the PSD margins."""
     els = p.elements
     if els.shape[1:] != (p.dim, p.dim):
         raise DimensionMismatch(f"element dimensions {{{els.shape[1]}}} != POVM dim {p.dim}")
@@ -154,8 +161,8 @@ def validate_povm(
     syms = 0.5 * (els + adj)
     norm, skew, sym = op.frobenius(np.concatenate([els, els - adj, syms]), stack=True).reshape(3, -1)
     herm = skew / (1.0 + norm)
-    lowest = np.linalg.eigh(syms)[0][:, 0]  # eigenvalues ascend
-    margins = lowest / (1.0 + sym)
+    eig = np.linalg.eigh(syms)
+    margins = eig[0][:, 0] / (1.0 + sym)  # eigenvalues ascend
     defect = op.frobenius(p.element_sum() - np.eye(p.dim))
     dupes = ()
     if not p.allow_duplicates:
@@ -163,7 +170,7 @@ def validate_povm(
         same = (pts[:, None] == pts[None]).reshape(len(pts), len(pts), -1).all(axis=2)
         # j repeats an earlier point iff two of points 0..j equal it
         dupes = tuple(np.flatnonzero(same.cumsum(axis=0).diagonal() > 1).tolist())
-    return ValidationReport(
+    report = ValidationReport(
         dim=p.dim,
         n_entries=len(p),
         hermiticity_defects=tuple(herm.tolist()),
@@ -173,13 +180,19 @@ def validate_povm(
         tol_psd=tol_psd,
         tol_complete=tol_complete,
     )
+    return report, eig
 
 
-def check_povm(p: FinitePOVM) -> None:
-    """Raise :class:`InvalidPOVM` unless ``p`` passes :func:`validate_povm`."""
-    report = validate_povm(p)
+def check_povm(p: FinitePOVM) -> tuple[np.ndarray, np.ndarray]:
+    """Raise :class:`InvalidPOVM` unless ``p`` passes :func:`validate_povm`.
+
+    Returns the eigenpairs that validation took of the symmetrized
+    elements (`_validate`), for a caller that decomposes them next.
+    """
+    report, eig = _validate(p)
     if not report.passed:
         raise InvalidPOVM(f"input is not a POVM: {report.worst()}")
+    return eig
 
 
 def born_probabilities(p: FinitePOVM, rho: np.ndarray) -> np.ndarray:

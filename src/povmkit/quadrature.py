@@ -17,10 +17,11 @@ process and shared read-only (`frozen_rule`).
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
-from .outcomes import TWO_PI, Region
+from .outcomes import TWO_PI
 
 
 @functools.cache
@@ -46,21 +47,21 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def rotation_to(axis: np.ndarray) -> np.ndarray:
+def rotation_to(axis) -> np.ndarray:
     """Deterministic rotation matrix mapping +z to the unit vector ``axis``.
 
-    Rodrigues' formula about ``z x axis``; only an axis whose cross
-    product with +z has a squared norm below the smallest normal float is
+    Rodrigues' formula about ``v = z x axis = (-y, x, 0)``, from plain
+    floats but for ``|v|**2``, the BLAS dot whose rounding the pinned
+    outputs keep; only a ``|v|**2`` below the smallest normal float is
     taken to be a pole.
     """
-    axis = np.asarray(axis, dtype=float)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.clip(axis @ z, -1.0, 1.0))
-    v = np.cross(z, axis)
+    x, y, z = (float(a) for a in axis)
+    c = min(max(z, -1.0), 1.0)
+    v = np.array([-y, x, 0.0])
     s2 = float(v @ v)
-    if s2 < np.finfo(float).tiny:
+    if s2 < sys.float_info.min:
         return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    vx = np.array([[0.0, 0.0, x], [0.0, 0.0, y], [-x, -y, 0.0]])
     return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
 
@@ -99,28 +100,19 @@ def sphere_nodes(n_u: int, n_phi: int):
     return sphere_band_nodes(np.array([0.0, 0.0, 1.0]), -1.0, 1.0, n_u, n_phi)
 
 
-def integrate_sphere_region(f, region: Region, grid: tuple[int, int]):
-    """Surface integral of a smooth function over a cap-union region.
+def integrate_sphere_region(f, caps, grid: tuple[int, int]):
+    """Surface integral of a smooth function over a union of caps.
 
     ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
     array of values; each cap gets ``grid = (n_u, n_phi)`` polar and
-    azimuthal nodes in its own frame.  The caps must be pairwise disjoint
-    and not complemented; this keeps every quadrature sub-domain free of
-    indicator jumps, so accuracy is set by the smooth integrand alone.
+    azimuthal nodes in its own frame, and ``f`` is evaluated once, on the
+    nodes of all caps.  The caps must be pairwise disjoint, which the
+    caller checks (`Region.caps_pairwise_disjoint`); this keeps every
+    quadrature sub-domain free of indicator jumps, so accuracy is set by
+    the smooth integrand alone.
     """
-    if region.caps is None:
-        raise ValueError("sphere region required")
-    if region.complement:
-        raise ValueError("complemented region: integrate its caps and subtract them from the whole")
-    if not region.caps_pairwise_disjoint():
-        raise ValueError(
-            "closed-form region integration requires pairwise disjoint caps"
-        )
-    total = 0.0
-    for cap in region.caps:
-        pts, w = sphere_band_nodes(cap.axis_array, float(np.cos(cap.angle)), 1.0, *grid)
-        total = total + np.tensordot(w, np.asarray(f(pts)), axes=(0, 0))
-    return total
+    nodes = [sphere_band_nodes(cap.axis, float(np.cos(cap.angle)), 1.0, *grid) for cap in caps]
+    return _piecewise_sum(f, nodes)
 
 
 def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +122,20 @@ def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_intervals(f, intervals, order: int = 24):
-    """Gauss-Legendre integral of a smooth function over interval pieces."""
-    total = 0.0
-    for a, b in intervals:
-        x, w = gauss_legendre(order, a, b)
-        total = total + np.tensordot(w, np.asarray(f(x)), axes=(0, 0))
+    """Gauss-Legendre integral of a smooth function over interval pieces;
+    ``f`` is evaluated once, on the nodes of all pieces."""
+    return _piecewise_sum(f, [gauss_legendre(order, a, b) for a, b in intervals])
+
+
+def _piecewise_sum(f, nodes):
+    """``sum_pieces sum_k w_k f(x_k)`` over ``nodes``, a list of one
+    ``(x, w)`` rule per piece: one call of ``f`` on all pieces' nodes,
+    then one weighted sum per piece, added in piece order."""
+    if not nodes:
+        return 0.0
+    values = np.asarray(f(np.concatenate([x for x, _ in nodes])))
+    total, start = 0.0, 0
+    for _, w in nodes:
+        total = total + np.tensordot(w, values[start : start + len(w)], axes=(0, 0))
+        start += len(w)
     return total

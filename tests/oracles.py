@@ -18,17 +18,19 @@ SIG = [
 ]
 
 
-def _rot_to(axis):
+def rodrigues_rotation(axis):
+    """The rotation taking +z to the unit ``axis``, by Rodrigues' formula
+    about ``v = np.cross(z, axis)`` with numpy's dot products; a ``|v|**2``
+    below the smallest normal float is a pole, as in the library."""
     axis = np.asarray(axis, dtype=float)
     z = np.array([0.0, 0.0, 1.0])
-    c = float(np.clip(axis @ z, -1, 1))
-    if c > 1 - 1e-14:
-        return np.eye(3)
-    if c < -1 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
+    c = float(np.clip(axis @ z, -1.0, 1.0))
     v = np.cross(z, axis)
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx * ((1 - c) / (v @ v))
+    s2 = float(v @ v)
+    if s2 < np.finfo(float).tiny:
+        return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
 
 def spin_up_vector(n):
@@ -41,7 +43,7 @@ def spin_up_vector(n):
 
 def cap_probability_quadrature(rho, axis, theta0):
     """Adaptive quadrature of <n|rho|n> dn/(2 pi) over a polar cap."""
-    rot = _rot_to(axis)
+    rot = rodrigues_rotation(axis)
 
     def integrand(phi, theta):
         local = np.array(
@@ -76,7 +78,7 @@ def cap_probability_grid(rho, axis, theta0, nodes=16):
         axis=-1,
     )
     bloch = np.array([np.trace(rho @ sig).real for sig in SIG])
-    density = (1 + local @ _rot_to(axis).T @ bloch) / 2
+    density = (1 + local @ rodrigues_rotation(axis).T @ bloch) / 2
     return float(wu @ density.sum(axis=1)) * (np.pi / nodes) / (2 * np.pi)
 
 
@@ -187,8 +189,13 @@ def phase_sums_one_pass(c, phis):
 def phase_expectation_one_pass(a, phis):
     """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
     superdiagonal sum of ``a``, from `phase_sums_one_pass`."""
-    c = np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
+    c = superdiagonal_traces(a)
     return (np.trace(a).real + 2.0 * phase_sums_one_pass(c, phis).real) / len(a)
+
+
+def superdiagonal_traces(a):
+    """``np.trace(a, offset=k)`` for ``k = 1..d-1``, one diagonal at a time."""
+    return np.array([np.trace(a, offset=k) for k in range(1, len(a))], dtype=complex)
 
 
 def rotate_zyz_one_pass(xs, points):

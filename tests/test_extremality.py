@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import povmkit as pk
@@ -273,6 +273,11 @@ class TestDecompose:
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=20, deadline=None)
+    # each of these once gave a last, low-weight leaf whose elements summed
+    # to I only within 1.07e-9 to 4.15e-9
+    @example(335732462, True)
+    @example(862610551, True)
+    @example(3717933625, True)
     def test_invariants(self, seed, near_deficient):
         p = invariants_input(seed, near_deficient)
         kernel_dim = len(pk.perturbation_space(p))
@@ -448,8 +453,8 @@ class TestFaceWalk:
             svds.clear()
             res = pk.decompose_extremal(p)
             assert len(res.terms) > 1
-            # check_povm on entry, then the input face
-            assert eighs.count((len(p), p.dim, p.dim)) == 2
+            # check_povm on entry; the input face reuses its eigenpairs
+            assert eighs.count((len(p), p.dim, p.dim)) == 1
             # every null vector comes from the first slots whose block
             # coordinates exceed d**2: no SVD grows with n
             assert svds
@@ -459,7 +464,7 @@ class TestFaceWalk:
     @pytest.mark.parametrize("verdict", ["perturbation_space", "kernel_dimension"])
     def test_verdicts_take_one_support_eigh_and_one_kernel_svd(self, verdict, monkeypatch):
         eighs, svds = [], []
-        eigh, svd, check = np.linalg.eigh, np.linalg.svd, extremality.check_povm
+        eigh, svd = np.linalg.eigh, np.linalg.svd
 
         def counted_eigh(a, *args, **kwargs):
             eighs.append(np.shape(a))
@@ -469,20 +474,16 @@ class TestFaceWalk:
             svds.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        def uncounted_check(p):
-            before = len(eighs)
-            check(p)
-            del eighs[before:]
-
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(extremality, "check_povm", uncounted_check)
         mixed = povm_of_ranks(np.random.default_rng(3), 3, (1, 2, 3, 0))
         for p in list(self.inputs()) + [mixed]:
             coords = sum(np.linalg.matrix_rank(el, tol=1e-8) ** 2 for el in p.elements)
             eighs.clear()
             svds.clear()
             getattr(pk, verdict)(p)
+            # kernel_dimension validates its input, and its face reuses the
+            # eigenpairs of that check; perturbation_space checks nothing
             assert eighs.count((len(p), p.dim, p.dim)) == 1
             assert svds == [(p.dim**2, coords)]
 

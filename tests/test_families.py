@@ -318,6 +318,24 @@ class TestBlockedKernels:
         for part, g, r in zip(parts, got, ref.reshape(got.shape)):
             assert same_bytes(g, getattr(r, part))
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_superdiagonals(self, d):
+        # one gather gives the bits of np.trace per diagonal up to d = 8,
+        # which every pinned output uses, and its value within rounding
+        # beyond
+        rng = np.random.default_rng([74, d])
+        for scale in (1e-3, 1.0, 1e3):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            a = scale * (g + g.conj().T)
+            got, ref = families._superdiagonals(a), oracles.superdiagonal_traces(a)
+            if d <= 8:
+                assert same_bytes(got, ref)
+                real = a.real.copy()
+                ref = oracles.superdiagonal_traces(real)
+                assert same_bytes(families._superdiagonals(real), ref)
+            else:
+                assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * np.abs(a).sum()
+
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_phase_expectation_and_born(self, shape, d):
@@ -778,21 +796,55 @@ class TestExactCapRule:
         rep = pk.verify_scheme_equivalence(pk.spin_direction_povm(), pk.stern_gerlach_scheme(),
                                            [rho], [region], mode="det", budget=budget)
         assert rep.max_abs_diff <= 1e-15
-        assert counts == [points, points]
+        # one Born call per region, on the nodes of both caps
+        assert counts == [2 * points]
 
     @pytest.mark.parametrize("name", ["spin", "phase:3"])
     @pytest.mark.parametrize("mode, budget", [("det", None), ("mc", 10)])
-    def test_one_row_checks_its_state_twice(self, monkeypatch, name, mode, budget):
-        # once for the continuous probability, once for the scheme average
+    def test_one_call_checks_each_state_once(self, monkeypatch, name, mode, budget):
+        # the continuous probability and the scheme average of every region
+        # share one check of the state
         calls = []
         check = op.check_density_matrix
         monkeypatch.setattr(op, "check_density_matrix",
                             lambda *args: calls.append(args) or check(*args))
         c, s = pk.named_family(name)
-        rho = pk.random_density_matrix(np.random.default_rng(5), c.dim)
-        pk.verify_scheme_equivalence(c, s, [rho], [Region.full(c.space)], mode=mode,
-                                     budget=budget, seed=1)
+        rng = np.random.default_rng(5)
+        states = [pk.random_density_matrix(rng, c.dim) for _ in range(2)]
+        regions = [Region.full(c.space), OTHER_REGIONS[c.space][0]]
+        rep = pk.verify_scheme_equivalence(c, s, states, regions, mode=mode, budget=budget,
+                                           seed=1)
+        assert len(rep.rows) == 4
         assert len(calls) == 2
+        assert all(args == (rho, c.dim) for args, rho in zip(calls, states))
+
+    @pytest.mark.parametrize("mode", ["det", "mc"])
+    def test_one_call_tests_each_region_once(self, monkeypatch, mode):
+        # the continuous operator and the cap-by-cap quadrature of every
+        # state share one disjointness test of each region
+        calls = []
+        disjoint = Region.caps_pairwise_disjoint
+        monkeypatch.setattr(Region, "caps_pairwise_disjoint",
+                            lambda region: calls.append(region) or disjoint(region))
+        c, s = pk.named_family("spin")
+        rng = np.random.default_rng(6)
+        states = [pk.random_density_matrix(rng, 2) for _ in range(2)]
+        regions = OTHER_REGIONS[SPHERE][1:]  # two caps, then a complement
+        rep = pk.verify_scheme_equivalence(c, s, states, regions, mode=mode, budget=10, seed=1)
+        assert len(rep.rows) == 4
+        assert calls == regions
+        # each public method tests its own region, once; a Monte Carlo
+        # average needs no disjoint caps
+        for call, tests in [
+            (lambda: c.region_probability(states[0], regions[0]), 1),
+            (lambda: c.region_operator(regions[0]), 1),
+            (lambda: s.average_region_probability(states[0], regions[0]), 1),
+            (lambda: s.average_region_probability(states[0], regions[0], "mc", 10,
+                                                  pk.make_rng(0)), 0),
+        ]:
+            calls.clear()
+            call()
+            assert calls == regions[:1] * tests
 
 
 LABELS = pk.FiniteLabels(6)
@@ -945,11 +997,81 @@ def test_state_of_another_dimension(name, path):
      "POVM and region"),
 ], ids=["continuous", "det", "mc", "equivalence-det", "equivalence-mc"])
 def test_region_of_another_space(name, path, what):
-    # an equivalence row leaves the space check to the public methods it calls
+    # an equivalence call checks each region's space once, as the public
+    # methods do
     c, s = pk.named_family(name)
     other = CIRCLE if c.space == SPHERE else SPHERE
     with pytest.raises(pk.SpaceMismatch, match=f"{what} live on different outcome spaces"):
         path(c, s, np.eye(c.dim) / c.dim, Region.full(other))
+
+
+EQUIVALENCE_PATHS = [
+    lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r]),
+    lambda c, s, rho, r: pk.verify_scheme_equivalence(c, s, [rho], [r], "mc", 10, 0),
+]
+
+
+@pytest.mark.parametrize("path", [
+    lambda c, s, rho, r: c.region_operator(r),
+    lambda c, s, rho, r: s.average_region_probability(rho, r),
+    *EQUIVALENCE_PATHS,
+], ids=["operator", "det", "equivalence-det", "equivalence-mc"])
+def test_overlapping_caps(path):
+    # every closed form over a cap union needs disjoint caps; each public
+    # path tests its region before it integrates (region_probability:
+    # TestSpinDirection)
+    c, s = pk.named_family("spin")
+    overlapping = Region.of_caps([(Z_AXIS, np.pi / 2), ((1.0, 0.0, 0.0), np.pi / 2)])
+    with pytest.raises(ValueError, match="pairwise disjoint caps"):
+        path(c, s, np.eye(2) / 2, overlapping)
+
+
+def test_overlapping_caps_by_membership():
+    # the Monte Carlo average and a finite mixture test membership point by
+    # point, so overlapping caps are fine there
+    _, s = pk.named_family("spin")
+    rho = pk.random_density_matrix(np.random.default_rng(8), 2)
+    overlapping = Region.of_caps([(Z_AXIS, np.pi / 2), ((1.0, 0.0, 0.0), np.pi / 2)])
+    value, se = s.average_region_probability(rho, overlapping, "mc", 4000, pk.make_rng(0))
+    assert se > 0 and 0.0 <= value <= 1.0
+    member = s.member(s.mixing_nodes()[0][0])
+    exact, _ = pk.FiniteMixtureScheme([(1.0, member)]).average_region_probability(rho, overlapping)
+    assert exact == pytest.approx(pk.probability_of_region(member, rho, overlapping), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["spin", "phase:3"])
+@pytest.mark.parametrize("path", [
+    lambda c, s, rho, r: c.region_probability(rho, r),
+    lambda c, s, rho, r: s.average_region_probability(rho, r),
+    lambda c, s, rho, r: s.average_region_probability(rho, r, "mc", 10, pk.make_rng(0)),
+    *EQUIVALENCE_PATHS,
+], ids=["continuous", "det", "mc", "equivalence-det", "equivalence-mc"])
+@pytest.mark.parametrize("fault, match", [
+    ("negative", "positive semidefinite"), ("skew", "not Hermitian"), ("trace", "trace"),
+])
+def test_non_state(name, path, fault, match):
+    c, s = pk.named_family(name)
+    rho = np.eye(c.dim, dtype=complex) / c.dim
+    if fault == "negative":
+        rho[0, 0] += 1.0
+        rho[1, 1] -= 1.0
+    elif fault == "skew":
+        rho[0, 1] = 0.5 / c.dim
+    else:
+        rho *= 2.0
+    with pytest.raises(pk.NonHermitianInput, match=match):
+        path(c, s, rho, Region.full(c.space))
+
+
+@pytest.mark.parametrize("path", EQUIVALENCE_PATHS, ids=["det", "mc"])
+@pytest.mark.parametrize("state_dim, match", [
+    (3, "state dimension 3 != POVM dimension 4"), (4, "state dimension 4 != POVM dimension 3"),
+])
+def test_scheme_of_another_dimension(path, state_dim, match):
+    # the state is checked once, against the family and the scheme
+    c, s = pk.phase_povm(3), pk.phase_scheme(4)
+    with pytest.raises(pk.DimensionMismatch, match=match):
+        path(c, s, np.eye(state_dim) / state_dim, Region.full(CIRCLE))
 
 
 @pytest.mark.parametrize("cls", [pk.DesignScheme, pk.FiniteMixtureScheme])

@@ -94,7 +94,7 @@ PERTURBATIONS = (
     "333cb37da977f6e4a04c4fa5d6fa96ba41d93f544d5acf2398060dc984005273"
 )
 DECOMPOSITION = (
-    "e645c468d29e774c5c05957a33c2233e58245bfd17e15762f3525846878777a9"
+    "ac0837acb2bbbaf4a0ec8295b1f2cdbac6713a278eec77b0aff48874a5828a79"
 )
 
 

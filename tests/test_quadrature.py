@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 import povmkit as pk
 from povmkit import quadrature as quad
 from povmkit.outcomes import Region
@@ -115,6 +116,18 @@ class TestRotationTo:
             assert np.abs(rot @ np.array([0.0, 0.0, 1.0]) - axis).max() <= ULP2
             assert np.abs(rot @ rot.T - np.eye(3)).max() <= ULP2
             assert abs(np.linalg.det(rot) - 1.0) <= ULP2
+
+    def test_matches_cross_product_oracle(self):
+        # stdlib floats for the cosine and z x axis give the matrix of the
+        # np.cross formulation
+        rng = np.random.default_rng(17)
+        random_axes = rng.normal(size=(200, 3))
+        random_axes /= np.linalg.norm(random_axes, axis=1, keepdims=True)
+        axes = [np.array(a) for a in self.AXES] + list(near_pole_axes()) + list(random_axes)
+        for axis in axes:
+            for given in (axis, tuple(axis.tolist())):
+                rot = quad.rotation_to(given)
+                assert np.abs(rot - oracles.rodrigues_rotation(axis)).max() <= ULP2
 
     @pytest.mark.parametrize("t", [1e-7, 1e-6])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
