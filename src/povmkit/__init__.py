@@ -37,7 +37,6 @@ _EXPORTS = {
         "SpaceMismatch",
         "SparseBins",
         "TermBudgetExceeded",
-        "UnsupportedFamily",
     ),
     "extremality": (
         "DecompositionResult",

@@ -164,11 +164,10 @@ def _cmd_equiv(args) -> int:
     c, s = named_family(args.family)
     states = ser.load_states(args.states)
     regions = ser.load_regions(args.regions)
-    mode = "deterministic" if args.mode == "det" else "montecarlo"
-    if mode == "montecarlo" and args.seed is None:
+    if args.mode == "mc" and args.seed is None:
         raise SchemaError("montecarlo mode requires --seed")
     report = verify_scheme_equivalence(
-        c, s, states, regions, mode=mode, budget=args.budget, seed=args.seed
+        c, s, states, regions, mode=args.mode, budget=args.budget, seed=args.seed
     )
     payload = ser.equivalence_report_to_dict(report)
     if args.output:
@@ -313,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", required=True)
     p.add_argument("--regions", required=True)
     p.add_argument("--mode", choices=["det", "mc"], default="det")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="Monte Carlo draw count (--mode mc only)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("-o", "--output")

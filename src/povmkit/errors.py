@@ -48,10 +48,6 @@ class TermBudgetExceeded(PovmkitError):
         self.partial_terms = partial_terms or []
 
 
-class UnsupportedFamily(PovmkitError):
-    """Operation requested for a continuous family it does not support."""
-
-
 class SparseBins(PovmkitError):
     """A goodness-of-fit bin has expected count below the validity floor."""
 

@@ -53,7 +53,6 @@ from .errors import (
     NotInformationallyComplete,
     SchemaError,
     SpaceMismatch,
-    UnsupportedFamily,
 )
 from .outcomes import (
     CIRCLE,
@@ -124,10 +123,6 @@ class ContinuousPOVM:
     ket_norm: int  # squared norm of the kets
     degree: int  # of the density as a polynomial in the outcome
 
-    def density(self, omega) -> np.ndarray:
-        ket = self.kets(omega)[0]
-        return np.outer(ket, ket.conj()) / self.ket_norm
-
     def expectation(self, a: np.ndarray, points) -> np.ndarray:
         """``Tr[a M(omega)]`` of a Hermitian ``a`` at a stack of outcome points."""
         raise NotImplementedError
@@ -158,7 +153,7 @@ class ContinuousPOVM:
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` i.i.d. outcome points from the density ``Tr[rho M(omega)]``."""
-        raise UnsupportedFamily(f"no direct sampler for family {self.family!r}")
+        raise NotImplementedError
 
     def dual(self, a: np.ndarray):
         """The canonical dual of ``a``: ``f(omega) = Tr[Y M(omega)]`` with
@@ -194,8 +189,14 @@ class ContinuousPOVM:
             )
         return DualProcessing(target=a, family=self, operator=op.coords_to_hermitian(y, self.dim))
 
+    def outcome_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of the fewest-node rule exact for degree
+        ``2 * degree``, as the frame operator, dual residuals and Bayes
+        gains need (`quadrature.outcome_rule`); built once, read-only."""
+        return quad.outcome_rule(self.space, self.degree)
+
     def outcome_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The finite POVM of an exact outcome quadrature (`outcome_rule`).
+        """The finite POVM of the exact outcome quadrature (`outcome_rule`).
 
         Returns points ``omega_k`` and stacked elements ``w_k M(omega_k)``,
         shape (K, dim, dim), summing to the identity.
@@ -273,11 +274,6 @@ class SpinDirectionPOVM(ContinuousPOVM):
         s = np.sqrt(1.0 - u * u)
         local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
         return local @ quad.rotation_to(axis).T
-
-    def outcome_rule(self):
-        """Product Gauss rule, exact for integrands of degree < 32 in n;
-        built once, read-only."""
-        return quad.frozen_rule(quad.sphere_nodes, 16, 32)
 
 
 _PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
@@ -437,11 +433,6 @@ class CirclePhasePOVM(ContinuousPOVM):
                 break
         return normalize_angle(phi)
 
-    def outcome_rule(self):
-        """64-point trapezoid rule, exact for trigonometric degree < 64;
-        built once, read-only."""
-        return quad.frozen_rule(quad.circle_nodes, 64)
-
 
 def spin_direction_povm() -> SpinDirectionPOVM:
     return SpinDirectionPOVM()
@@ -481,7 +472,7 @@ class RandomizedScheme:
         """Mixing quadrature nodes and weights normalized to sum to 1."""
         if self._law is None:
             return np.arange(len(self.lam)), self.lam.copy()
-        return self._law.nodes()
+        return quad.mixing_rule(self.outcome_space)
 
     def _term_index(self, xs) -> np.ndarray:
         """The term indices in ``0..T-1`` that mixing parameters name."""
@@ -582,32 +573,31 @@ class RandomizedScheme:
         """Mixing average of member region probabilities.
 
         Mode ``"deterministic"`` (``"det"``) integrates the mixing
-        parameter by quadrature with about ``budget`` nodes (by default, on
-        the sphere, the fewest exact for the family's degree); mode
-        ``"montecarlo"`` (``"mc"``) averages ``budget`` draws of ``rng``
-        (default 100000).  ``budget`` None takes the default; below 1, or
-        in montecarlo mode not an integer or below 2, it raises
-        `ValueError`.  Returns ``(value, standard_error)``; the standard
-        error is None in deterministic mode.
+        parameter exactly, by quadrature sized from the family's degree,
+        and takes no ``budget``; mode ``"montecarlo"`` (``"mc"``) averages
+        ``budget`` draws of ``rng`` (default 100000).  A budget in
+        deterministic mode, a montecarlo budget that is not an integer or
+        is below 2, or another mode raises `ValueError`.  Returns
+        ``(value, standard_error)``; the standard error is None in
+        deterministic mode.
         """
-        _check_budget(budget, mode)
+        mode, draws = _check_mode(mode, budget)
         require_same_space(self.outcome_space, region.space, "scheme and region")
         rho = op.check_density_matrix(rho, self.dim)
-        if mode in ("deterministic", "det") and self._law is not None:
-            _exact_region(region)  # a law integrates the Born density cap by cap
-        return self._average(rho, region, mode, budget, rng)
+        if draws is None:
+            if self._law is not None:
+                _exact_region(region)  # a law integrates the Born density cap by cap
+        elif rng is None:
+            raise ValueError("montecarlo mode needs an rng")
+        return self._average(rho, region, draws, rng)
 
-    def _average(self, rho, region, mode, budget, rng):
-        """`average_region_probability` of a checked state and region."""
-        if mode in ("deterministic", "det"):
-            return self._deterministic_average(rho, region, budget), None
-        if mode in ("montecarlo", "mc"):
-            if rng is None:
-                raise ValueError("montecarlo mode needs an rng")
-            n = budget or 100_000
-            vals = self._region_masses(*self._entries(self.sample_x(rng, n), rho), region)
-            return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
-        raise ValueError(f"unknown mode {mode!r}")
+    def _average(self, rho, region, draws, rng):
+        """`average_region_probability` of a checked state and region: by
+        quadrature for ``draws`` None, else over ``draws`` draws of ``rng``."""
+        if draws is None:
+            return self._deterministic_average(rho, region), None
+        vals = self._region_masses(*self._entries(self.sample_x(rng, draws), rho), region)
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
 
     @staticmethod
     def _region_masses(probs, points, region):
@@ -617,7 +607,7 @@ class RandomizedScheme:
         np.copyto(probs, 0.0, where=~inside.reshape(probs.shape))
         return probs.sum(axis=1)
 
-    def _deterministic_average(self, rho, region, budget):
+    def _deterministic_average(self, rho, region):
         """A mixture's average is ``sum_t lam_t`` times its terms' region
         probabilities.  A design's moved points are uniform on the outcome
         space, so its average is ``sum_t lam_t sum_k w_tk`` times the
@@ -628,7 +618,7 @@ class RandomizedScheme:
             masses = self._region_masses(*self._entries(np.arange(len(self.lam)), rho), region)
             return float((self.lam * masses).sum())
         total = float(self.lam @ self._weights.sum(axis=1))
-        inside = total * self._law.integral(self.continuous, rho, region, budget)
+        inside = total * self._law.integral(self.continuous, rho, region)
         return total / self.dim - inside if region.complement else inside
 
 
@@ -647,13 +637,8 @@ class _Shifts:
             raise ValueError("a shift needs a finite mixing parameter x")
         return normalize_angle(xs + points)
 
-    def nodes(self):
-        x, w = quad.circle_nodes(16)
-        return x, w / TWO_PI
-
-    def integral(self, c, rho, region, budget):
-        order = int(min(64, max(12, (budget or 1024) // max(1, len(region.arcs)))))
-        total = quad.integrate_intervals(lambda phis: c.born(rho, phis), region.arcs, order=order)
+    def integral(self, c, rho, region):
+        total = quad.integrate_intervals(lambda phis: c.born(rho, phis), region.arcs)
         return float(total) / TWO_PI
 
 
@@ -694,17 +679,8 @@ class _Rotations:
             dest[2] = z
         return moved
 
-    def nodes(self):
-        u, wu = quad.gauss_legendre(4, -1.0, 1.0)
-        alpha, gamma = np.arange(8) * (TWO_PI / 8), np.arange(4) * (TWO_PI / 4)
-        grid = np.stack(np.meshgrid(alpha, u, gamma, indexing="ij"), axis=-1).reshape(-1, 3)
-        return grid, np.tile(np.repeat(wu / 64.0, 4), 8)
-
-    def integral(self, c, rho, region, budget):
-        # without a budget, the fewest nodes exact for the density's degree L:
-        # ceil((L + 1) / 2) polar by L + 1 azimuthal (`quadrature`)
-        grid = ((c.degree + 2) // 2, c.degree + 1) if budget is None else quad.sphere_grid(budget)
-        total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), region.caps, grid)
+    def integral(self, c, rho, region):
+        total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), region.caps, c.degree)
         return float(total) / (2.0 * TWO_PI)
 
 
@@ -712,13 +688,10 @@ class _Rotations:
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
 # each point's image under each x, shape (n, k) or (n, k, 3), as a new
 # array in that member layout, written straight into it with no restacked
-# copy, and rejects a non-finite x, ``nodes()`` is a rule in x whose
-# weights sum to 1,
-# and ``integral(c, rho, region, budget)`` integrates the Born density
-# ``Tr[rho M(omega)]`` of the family ``c`` over the region's arcs or caps
-# under the uniform probability law (a complement is left to the caller):
-# with Gauss-Legendre nodes on each arc, about ``budget`` nodes on each
-# cap, or without a budget the fewest cap nodes exact for ``c.degree``.
+# copy, and rejects a non-finite x, and ``integral(c, rho, region)``
+# integrates the Born density ``Tr[rho M(omega)]`` of the family ``c`` over
+# the region's arcs or caps under the uniform probability law (a
+# complement is left to the caller), on the nodes `quadrature` sizes.
 _MIXING_LAWS = {CIRCLE: _Shifts(), SPHERE: _Rotations()}
 
 
@@ -847,16 +820,23 @@ class EquivalenceReport:
         return max(abs(r.diff) for r in self.rows)
 
 
-def _check_budget(budget, mode):
-    montecarlo = mode in ("montecarlo", "mc")
-    if montecarlo and budget is not None and not isinstance(budget, numbers.Integral):
-        raise ValueError(f"{mode} budget must be an integer draw count, got {budget!r}")
-    least = 2 if montecarlo else 1  # one Monte Carlo draw has no standard error
-    if budget is None or least <= budget < np.inf:
-        return
-    if budget < least:
-        raise ValueError(f"{mode} budget must be at least {least}, got {budget}")
-    raise ValueError(f"{mode} budget must be finite, got {budget}")
+def _check_mode(mode, budget) -> tuple[str, int | None]:
+    """The long spelling of ``mode`` and its Monte Carlo draw count (None
+    in deterministic mode, which takes no budget); an unknown mode, a
+    deterministic budget, or a montecarlo budget that is not an integer
+    or is below 2 raises `ValueError`."""
+    if mode not in ("det", "deterministic", "mc", "montecarlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    long = {"det": "deterministic", "mc": "montecarlo"}.get(mode, mode)
+    if budget is None:
+        return long, None if long == "deterministic" else 100_000
+    if long == "deterministic":
+        raise ValueError(f"deterministic mode takes no budget, got {budget!r}")
+    if not isinstance(budget, numbers.Integral):
+        raise ValueError(f"montecarlo budget must be an integer draw count, got {budget!r}")
+    if budget < 2:  # one draw has no standard error
+        raise ValueError(f"montecarlo budget must be at least 2, got {budget}")
+    return long, budget
 
 
 def _exact_region(region: Region) -> Region:
@@ -893,8 +873,10 @@ def verify_scheme_equivalence(
     pairs), ``regions`` a list of regions (optionally ``(id, region)``);
     an empty list raises `ValueError`.  Deterministic mode computes each
     scheme average by quadrature; montecarlo mode draws mixing parameters
-    with the given seed and reports standard errors.  ``budget`` is as in
-    `RandomizedScheme.average_region_probability`.
+    with the given seed and reports standard errors.  ``mode`` and
+    ``budget`` are as in `RandomizedScheme.average_region_probability`,
+    and checked before the first row; the report names the mode's long
+    spelling.
 
     Each state and each region is checked once per call, as the public
     methods check theirs (a state of another dimension than the family or
@@ -905,10 +887,10 @@ def verify_scheme_equivalence(
     for name, items in (("states", states), ("regions", regions)):
         if not items:
             raise ValueError(f"{name} is empty: nothing to compare")
-    _check_budget(budget, mode)
+    mode, draws = _check_mode(mode, budget)
     require_same_space(c.space, s.outcome_space, "continuous POVM and scheme")
     rng = None
-    if mode in ("montecarlo", "mc"):
+    if draws is not None:
         if seed is None:
             raise ValueError("montecarlo mode requires a seed")
         from .sampling import make_rng
@@ -924,7 +906,7 @@ def verify_scheme_equivalence(
             raise DimensionMismatch(f"state dimension {c.dim} != POVM dimension {s.dim}")
         for rid, region in regions:
             p_cont = c._region_probability(rho, region)
-            p_sch, se = s._average(rho, region, mode, budget, rng)
+            p_sch, se = s._average(rho, region, draws, rng)
             rows.append(
                 EquivalenceRow(
                     state_id=sid,

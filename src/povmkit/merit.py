@@ -45,8 +45,9 @@ from .sampling import make_rng
 class BayesGainSpec:
     """Named prior/gain pair, bounded gain in [0, 1].
 
-    ``fiducial_state`` applies to the circle prior only; by default the
-    uniform superposition is used, the natural probe for phase shifts.
+    ``fiducial_state`` applies to the circle prior only (the sphere prior
+    rejects one); by default the uniform superposition is used, the
+    natural probe for phase shifts.
     """
 
     prior: str
@@ -62,6 +63,8 @@ class BayesGainSpec:
             raise ValueError("sphere prior pairs with the fidelity gain")
         if self.prior == "uniform_circle" and self.gain != "cosine":
             raise ValueError("circle prior pairs with the cosine gain")
+        if self.prior == "uniform_sphere" and self.fiducial_state is not None:
+            raise ValueError("sphere prior takes no fiducial state")
 
     def fiducial(self, d: int) -> np.ndarray:
         if self.fiducial_state is not None:

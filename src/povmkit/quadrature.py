@@ -1,4 +1,5 @@
-"""Deterministic quadrature on the sphere and the circle.
+"""Deterministic quadrature on the sphere and the circle, and every node
+count, each sized from the degree L of a family's density.
 
 Sphere integrals use Gauss-Legendre nodes in the polar cosine crossed
 with a uniform (periodic trapezoid) azimuthal rule.  Regions made of
@@ -8,10 +9,10 @@ so indicator discontinuities never cross a quadrature domain.  On a cap,
 polynomial of degree L in n exactly: the azimuths average every monomial
 exactly, which leaves a polynomial of degree at most L in the polar
 cosine for the Gauss nodes to integrate exactly (1 x 2 nodes for the
-affine spin density).  A grid sized by a node budget (`sphere_grid`)
-serves integrands of no stated degree.  The reference Gauss-Legendre
-rule of each order and the families' outcome rules are built once per
-process and shared read-only (`frozen_rule`).
+affine spin density).  An arc gets 64 Gauss-Legendre nodes, which are
+not exact for trigonometric polynomials.  The reference Gauss-Legendre
+rule of each order and the outcome rules are built once per process and
+shared read-only (`frozen_rule`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .outcomes import TWO_PI
+from .outcomes import SPHERE, TWO_PI
 
 
 @functools.cache
@@ -29,9 +30,8 @@ def frozen_rule(rule, *args) -> tuple[np.ndarray, np.ndarray]:
     """``rule(*args)``, built once per argument tuple and read-only.
 
     Every entry lives as long as the process, so this serves only
-    one-dimensional rules (O(n) per order) and the families' fixed
-    outcome rules; a sphere grid whose size a caller's budget sets is
-    built per call.
+    one-dimensional rules (O(n) per order) and the outcome rules of the
+    families' degrees.
     """
     points, weights = rule(*args)
     points.setflags(write=False)
@@ -65,12 +65,6 @@ def rotation_to(axis) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
 
-def sphere_grid(budget: int) -> tuple[int, int]:
-    """Polar and azimuthal node counts ``(n_u, 2*n_u)`` for a node budget."""
-    n_u = max(8, int(round(np.sqrt(budget / 2.0))))
-    return n_u, 2 * n_u
-
-
 def sphere_band_nodes(
     axis: np.ndarray,
     u_lo: float,
@@ -100,17 +94,41 @@ def sphere_nodes(n_u: int, n_phi: int):
     return sphere_band_nodes(np.array([0.0, 0.0, 1.0]), -1.0, 1.0, n_u, n_phi)
 
 
-def integrate_sphere_region(f, caps, grid: tuple[int, int]):
-    """Surface integral of a smooth function over a union of caps.
+def outcome_rule(space, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fewest-node rule on the whole space exact for degree ``2L``, built
+    once, read-only: ``(L+1) x (2L+1)`` nodes on the sphere, the
+    ``2L+1``-point trapezoid on the circle."""
+    if space == SPHERE:
+        return frozen_rule(sphere_nodes, degree + 1, 2 * degree + 1)
+    return frozen_rule(circle_nodes, 2 * degree + 1)
+
+
+def mixing_rule(space) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed rule in a mixing law's parameter x, weights summing to 1:
+    16 equal shifts of the circle; on the sphere, Euler coordinates
+    ``(alpha, cos beta, gamma)`` on 8 equal alpha, 4 Gauss-Legendre
+    cos beta and 4 equal gamma."""
+    if space != SPHERE:
+        x, w = circle_nodes(16)
+        return x, w / TWO_PI
+    u, wu = gauss_legendre(4, -1.0, 1.0)
+    alpha, gamma = np.arange(8) * (TWO_PI / 8), np.arange(4) * (TWO_PI / 4)
+    grid = np.stack(np.meshgrid(alpha, u, gamma, indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid, np.tile(np.repeat(wu / 64.0, 4), 8)
+
+
+def integrate_sphere_region(f, caps, degree: int):
+    """Surface integral over a union of caps of a polynomial of degree L.
 
     ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
-    array of values; each cap gets ``grid = (n_u, n_phi)`` polar and
-    azimuthal nodes in its own frame, and ``f`` is evaluated once, on the
-    nodes of all caps.  The caps must be pairwise disjoint, which the
-    caller checks (`Region.caps_pairwise_disjoint`); this keeps every
-    quadrature sub-domain free of indicator jumps, so accuracy is set by
-    the smooth integrand alone.
+    array of values; each cap gets ``ceil((L+1)/2) x (L+1)`` nodes in its
+    own frame, and ``f`` is evaluated once, on the nodes of all caps.  The
+    caps must be pairwise disjoint, which the caller checks
+    (`Region.caps_pairwise_disjoint`); this keeps every quadrature
+    sub-domain free of indicator jumps, so accuracy is set by the smooth
+    integrand alone.
     """
+    grid = (degree + 2) // 2, degree + 1
     nodes = [sphere_band_nodes(cap.axis, float(np.cos(cap.angle)), 1.0, *grid) for cap in caps]
     return _piecewise_sum(f, nodes)
 
@@ -121,10 +139,10 @@ def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, np.full(n, TWO_PI / n)
 
 
-def integrate_intervals(f, intervals, order: int = 24):
-    """Gauss-Legendre integral of a smooth function over interval pieces;
-    ``f`` is evaluated once, on the nodes of all pieces."""
-    return _piecewise_sum(f, [gauss_legendre(order, a, b) for a, b in intervals])
+def integrate_intervals(f, intervals):
+    """64-node Gauss-Legendre integral of a smooth function over interval
+    pieces; ``f`` is evaluated once, on the nodes of all pieces."""
+    return _piecewise_sum(f, [gauss_legendre(64, a, b) for a, b in intervals])
 
 
 def _piecewise_sum(f, nodes):

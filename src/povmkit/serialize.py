@@ -59,6 +59,21 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _ids(items, what: str) -> list[str]:
+    """The row id of each object in ``items``: its ``"id"``, which must be
+    a JSON string, or ``what`` and its index; an id that two objects share
+    raises `SchemaError`."""
+    seen: dict[str, int] = {}
+    for k, obj in enumerate(items):
+        rid = obj.get("id", f"{what}{k}")
+        if not isinstance(rid, str):
+            raise SchemaError(f"{what} {k}: 'id' must be a JSON string, got {rid!r}")
+        if rid in seen:
+            raise SchemaError(f"{what} {k}: id {rid!r} repeats {what} {seen[rid]}")
+        seen[rid] = k
+    return list(seen)
+
+
 # --- matrices ----------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -226,10 +241,7 @@ def load_regions(path) -> list[tuple[str, Region]]:
     data = load_json(path)
     _check_schema(data, "regions")
     items = _objects(data, "regions", "regions") if "regions" in data else [data]
-    out = []
-    for k, obj in enumerate(items):
-        out.append((str(obj.get("id", f"region{k}")), region_from_dict(obj)))
-    return out
+    return list(zip(_ids(items, "region"), map(region_from_dict, items)))
 
 
 # --- states -------------------------------------------------------------------
@@ -243,12 +255,10 @@ def states_from_dict(data: dict) -> list[tuple[str, np.ndarray]]:
     else:
         raise SchemaError("states: expected 'states' list or a single 'matrix'")
     out = []
-    for k, obj in enumerate(items):
+    for k, (sid, obj) in enumerate(zip(_ids(items, "state"), items)):
         if "matrix" not in obj:
             raise SchemaError(f"state {k}: missing 'matrix'")
-        out.append(
-            (str(obj.get("id", f"state{k}")), matrix_from_json(obj["matrix"], what=f"state {k}"))
-        )
+        out.append((sid, matrix_from_json(obj["matrix"], what=f"state {k}")))
     return out
 
 
@@ -567,11 +577,12 @@ def bayes_spec_from_dict(data: dict) -> BayesGainSpec:
 
     _check_schema(data, "merit spec")
     try:
-        fid = data.get("state")
         return BayesGainSpec(
             prior=data["prior"],
             gain=data["gain"],
-            fiducial_state=matrix_from_json(fid, "fiducial state") if fid else None,
+            fiducial_state=(
+                matrix_from_json(data["state"], "fiducial state") if "state" in data else None
+            ),
         )
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"merit spec: {exc}") from exc

@@ -163,6 +163,28 @@ def phase_kets(d, phis):
     return np.exp(1j * np.outer(np.atleast_1d(phis), np.arange(d)))
 
 
+def quadratic_moment_grid(d, a, b, nodes=64):
+    """``int Tr[a M] Tr[b M]`` over a continuous family's outcome measure on
+    a fine grid of its own: for ``d = None`` the spin family (``|n><n|``,
+    measure ``dn/2pi``) on ``nodes`` Gauss-Legendre cosines times ``2 nodes``
+    azimuths, else ``phase:d`` (``|phi><phi|/d``, measure ``d dphi/2pi``)
+    on the ``2 nodes``-point trapezoid.  Both integrands are polynomials of
+    degree at most 30 in the outcome, which these grids integrate exactly."""
+    if d is None:
+        u, wu = np.polynomial.legendre.leggauss(nodes)
+        az = np.arange(2 * nodes) * (np.pi / nodes)
+        s = np.sqrt(1.0 - u * u)
+        points = np.stack([np.outer(s, np.cos(az)), np.outer(s, np.sin(az)),
+                           np.outer(u, np.ones_like(az))], axis=-1).reshape(-1, 3)
+        kets, ket_norm = spin_kets(points), 1
+        w = np.repeat(wu, len(az)) * (np.pi / nodes) / (2 * np.pi)
+    else:
+        phis = np.arange(2 * nodes) * (np.pi / nodes)
+        kets, ket_norm = phase_kets(d, phis), d
+        w = np.full(len(phis), d / (2 * nodes))
+    return float(w @ (kets_expectation(kets, ket_norm, a) * kets_expectation(kets, ket_norm, b)))
+
+
 def kets_expectation(kets, ket_norm, a):
     """``<psi|a|psi> / ket_norm`` per ket, the real part of ``Tr[a M]`` for
     ``M = |psi><psi| / ket_norm``, from the kets themselves."""

@@ -303,6 +303,46 @@ class TestEquiv:
         assert (code, out) == (2, "")
         assert "budget" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("budget", ["2", "2048"])
+    def test_deterministic_budget_is_input_error(self, capsys, state_file, regions_file, budget):
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", "det", "--budget", budget,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"deterministic mode takes no budget, got {budget}"
+
+    def test_montecarlo_budget_message(self, capsys, state_file, regions_file):
+        code, _, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", state_file,
+            "--regions", regions_file, "--mode", "mc", "--budget", "1", "--seed", "3",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "montecarlo budget must be at least 2, got 1"
+
+    @pytest.mark.parametrize("key", ["states", "regions"])
+    @pytest.mark.parametrize("ids", [[None], [{"a": 1}], [7], ["a", "a"]])
+    def test_ids_are_unique_json_strings(self, capsys, tmp_path, key, ids):
+        items = {
+            "states": {"matrix": ser.matrix_to_json(np.diag([1.0, 0.0]))},
+            "regions": {"space": {"kind": "sphere"},
+                        "caps": [{"axis": [0.0, 0.0, 1.0], "angle": 1.0}]},
+        }
+        files = {}
+        for name, item in items.items():
+            rows = [{**item, "id": i} for i in ids] if name == key else [item]
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({"schema": 1, name: rows}))
+        code, out, err = run_cli(
+            capsys,
+            "equiv", "--family", "spin", "--states", str(files["states"]),
+            "--regions", str(files["regions"]),
+        )
+        assert (code, out) == (2, "")
+        assert "id" in json.loads(err)["error"]
+
     def test_phase_family(self, capsys, tmp_path):
         states = tmp_path / "s.json"
         ser.save_states(states, [("plus", np.full((2, 2), 0.5))])
@@ -618,6 +658,20 @@ class TestMerit:
         assert code == 2
         assert out == ""
         assert "trace" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("family, prior, gain, state", [
+        ("phase:3", "uniform_circle", "cosine", []),
+        ("phase:3", "uniform_circle", "cosine", False),
+        ("phase:3", "uniform_circle", "cosine", 0),
+        ("phase:3", "uniform_circle", "cosine", ""),
+        ("spin", "uniform_sphere", "fidelity", [[[3, 0], [0, 0]], [[0, 0], [3, 0]]]),
+    ])
+    def test_spec_state_is_input_error(self, capsys, tmp_path, family, prior, gain, state):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"prior": prior, "gain": gain, "state": state}))
+        code, out, err = run_cli(capsys, "merit", "--family", family, "--spec", str(spec))
+        assert (code, out) == (2, "")
+        assert "fiducial state" in json.loads(err)["error"]
 
     def test_family_value(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

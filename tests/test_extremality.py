@@ -598,13 +598,17 @@ def extremal_by_oracle(term):
     return brute_force_extremal(pk.FinitePOVM(dim=term.dim, space=term.space, entries=entries))
 
 
-def gauss_grid(n_u, n_phi):
-    """The product Gauss rule on the sphere as a POVM, (w / 2 pi) |n><n|."""
-    c, _ = pk.named_family("spin")
-    points, w = quadrature.sphere_nodes(n_u, n_phi)
+def rule_povm(name, points, w):
+    """A quadrature rule of a family as a POVM, (w / 2 pi) |psi><psi|."""
+    c, _ = pk.named_family(name)
     kets = c.kets(points)
     elements = (w / (2 * np.pi))[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
-    return pk.FinitePOVM(dim=2, space=c.space, entries=tuple(zip(points, elements)))
+    return pk.FinitePOVM(dim=c.dim, space=c.space, entries=tuple(zip(points, elements)))
+
+
+def gauss_grid(n_u, n_phi):
+    """The product Gauss rule on the sphere as a POVM, (w / 2 pi) |n><n|."""
+    return rule_povm("spin", *quadrature.sphere_nodes(n_u, n_phi))
 
 
 class TestLongWalks:
@@ -622,11 +626,10 @@ class TestLongWalks:
             assert extremal_by_oracle(term)
 
     def test_phase_quadrature_peels_into_designs(self):
-        # the 64-node outcome quadrature of phase:3; its elements span the
+        # the 64-node trapezoid rule of phase:3 (its outcome rule has the
+        # fewest nodes, 5, and is already extremal); its elements span the
         # Hermitian Toeplitz matrices, of dimension 2d - 1 = 5
-        c, _ = pk.named_family("phase:3")
-        points, elements = c.outcome_nodes()
-        p = pk.FinitePOVM(dim=3, space=c.space, entries=tuple(zip(points, elements)))
+        p = rule_povm("phase:3", *quadrature.circle_nodes(64))
         res = pk.decompose_extremal(p, max_terms=10000)
         assert len(res.terms) <= pk.kernel_dimension(p) + 1  # 60 terms
         assert abs(res.weights.sum() - 1.0) <= 1e-9

@@ -59,16 +59,16 @@ class TestSpinDirection:
     def test_density_is_projector(self):
         spin = pk.spin_direction_povm()
         n = np.array([0.6, 0.0, 0.8])
-        m = spin.density(n)
+        ket = spin.kets(n)[0]
+        m = np.outer(ket, ket.conj()) / spin.ket_norm
         assert np.isclose(np.trace(m).real, 1.0)
         assert np.allclose(m @ m, m)
 
     def test_density_integrates_to_identity(self):
-        from povmkit.families import plus_spinors
-        from povmkit.quadrature import sphere_grid, sphere_nodes
+        from povmkit.quadrature import sphere_nodes
 
-        pts, w = sphere_nodes(*sphere_grid(8192))
-        s = plus_spinors(pts)
+        pts, w = sphere_nodes(64, 128)
+        s = pk.spin_direction_povm().kets(pts)
         total = np.tensordot(w, np.einsum("ni,nj->nij", s, s.conj()), axes=(0, 0))
         assert np.linalg.norm(total / (2 * np.pi) - np.eye(2)) <= 1e-6
 
@@ -107,6 +107,28 @@ def test_outcome_nodes_are_finite_povms():
         assert len(points) == len(elements)
         assert np.linalg.eigvalsh(elements).min() >= -1e-12
         assert np.linalg.norm(elements.sum(axis=0) - np.eye(c.dim)) <= 1e-12
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("name", ["spin"] + [f"phase:{d}" for d in range(2, 17)])
+def test_outcome_rule_is_exact_for_degree_2L(name):
+    # the fewest nodes exact for the degree 2L of what is quadratic in the
+    # density: (L+1) x (2L+1) on the sphere, 2L+1 on the circle
+    c, _ = pk.named_family(name)
+    L = c.degree
+    points, elements = c.outcome_nodes()
+    assert len(points) == ((L + 1) * (2 * L + 1) if c.space == SPHERE else 2 * L + 1)
+    assert np.abs(elements.sum(axis=0) - np.eye(c.dim)).max() <= 1e-13
+    rng = np.random.default_rng([29, c.dim])
+    a, b = random_hermitian(rng, c.dim), random_hermitian(rng, c.dim)
+    measure = np.trace(elements, axis1=1, axis2=2).real  # v_k, with M_k = elements / v_k
+    ta, tb = (np.einsum("ij,kji->k", x, elements).real for x in (a, b))
+    expected = oracles.quadratic_moment_grid(None if c.space == SPHERE else c.dim, a, b)
+    assert abs((ta * tb / measure).sum() - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 @pytest.mark.parametrize("family", [pk.spin_direction_povm, lambda: pk.phase_povm(3)])
@@ -703,11 +725,40 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="budget must be an integer"):
             s.average_region_probability(rho, region, mode="mc", budget=2.5,
                                          rng=pk.make_rng(1))
-        # the quadrature takes about ``budget`` nodes, so any finite value will do
-        report = pk.verify_scheme_equivalence(c, s, [rho], [region], mode="det", budget=2.5)
-        assert report.max_abs_diff <= 1e-9
-        value, _ = s.average_region_probability(rho, region, mode="det", budget=2.5)
-        assert value == pytest.approx(c.region_probability(rho, region), abs=1e-9)
+        # deterministic mode takes no budget at all
+        with pytest.raises(ValueError, match="deterministic mode takes no budget"):
+            pk.verify_scheme_equivalence(c, s, [rho], [region], mode="det", budget=2.5)
+        with pytest.raises(ValueError, match="deterministic mode takes no budget"):
+            s.average_region_probability(rho, region, mode="det", budget=2.5)
+
+    @pytest.mark.parametrize("mode", ["det", "deterministic"])
+    @pytest.mark.parametrize("kind", ["design", "mixture"])
+    def test_deterministic_mode_takes_no_budget(self, up, kind, mode):
+        spin, sg = pk.named_family("spin")
+        s = sg if kind == "design" else pk.FiniteMixtureScheme([(1.0, sg.member(IDENTITY))])
+        region = cap(Z_AXIS, 1.0)
+        for budget in (3, 2048):
+            message = f"^deterministic mode takes no budget, got {budget}$"
+            with pytest.raises(ValueError, match=message):
+                pk.verify_scheme_equivalence(spin, s, [up], [region], mode=mode, budget=budget)
+            with pytest.raises(ValueError, match=message):
+                s.average_region_probability(up, region, mode=mode, budget=budget)
+
+    def test_mode_is_checked_before_the_first_row_and_reported_long(self, up, monkeypatch):
+        spin, sg = pk.named_family("spin")
+        region = cap(Z_AXIS, 1.0)
+        for short, long in (("det", "deterministic"), ("mc", "montecarlo")):
+            rep = pk.verify_scheme_equivalence(spin, sg, [up], [region], mode=short, seed=1,
+                                               budget=None if short == "det" else 10)
+            assert rep.mode == long
+        rows = []
+        monkeypatch.setattr(pk.SpinDirectionPOVM, "_region_probability",
+                            lambda *args: rows.append(args))
+        with pytest.raises(ValueError, match="unknown mode 'quad'"):
+            pk.verify_scheme_equivalence(spin, sg, [up], [region], mode="quad")
+        with pytest.raises(ValueError, match="unknown mode 'quad'"):
+            sg.average_region_probability(up, region, mode="quad")
+        assert rows == []
 
     def test_budget_none_is_the_default(self, up):
         sg = pk.stern_gerlach_scheme()
@@ -716,18 +767,6 @@ class TestEquivalence:
             sg.average_region_probability(up, region, mode="mc", budget=100_000,
                                           rng=pk.make_rng(2))
         )
-
-    def test_quadrature_refinement_below_floor(self, plus):
-        spin = pk.spin_direction_povm()
-        sg = pk.stern_gerlach_scheme()
-        region = cap((0.6, 0.0, 0.8), 0.7)
-        coarse = pk.verify_scheme_equivalence(
-            spin, sg, [plus], [region], budget=2048
-        ).max_abs_diff
-        fine = pk.verify_scheme_equivalence(
-            spin, sg, [plus], [region], budget=8192
-        ).max_abs_diff
-        assert fine <= coarse or fine <= 1e-12
 
     def test_finite_mixture_scheme_exact(self, rng):
         p = pk.random_povm(rng, 2, 6, element_rank=1)
@@ -763,8 +802,8 @@ def disjoint_caps(rng, count):
 
 
 class TestExactCapRule:
-    """Without a budget a spin det row integrates each cap on 1 x 2 nodes,
-    exact for the affine density; a budget keeps the budget-sized grid."""
+    """A spin det row integrates each cap on 1 x 2 nodes, exact for the
+    affine density."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -780,7 +819,7 @@ class TestExactCapRule:
         assert abs(value - (1.0 - inside if complement else inside)) <= 1e-14
         assert abs(value - pk.spin_direction_povm().region_probability(rho, region)) <= 1e-14
 
-    @pytest.mark.parametrize("budget, points", [(None, 2), (2048, 2048)])
+    @pytest.mark.parametrize("budget, points", [(None, 2)])
     @pytest.mark.parametrize("complement", [False, True])
     def test_born_points_per_cap(self, monkeypatch, budget, points, complement):
         counts = []
@@ -830,7 +869,8 @@ class TestExactCapRule:
         rng = np.random.default_rng(6)
         states = [pk.random_density_matrix(rng, 2) for _ in range(2)]
         regions = OTHER_REGIONS[SPHERE][1:]  # two caps, then a complement
-        rep = pk.verify_scheme_equivalence(c, s, states, regions, mode=mode, budget=10, seed=1)
+        rep = pk.verify_scheme_equivalence(c, s, states, regions, mode=mode,
+                                           budget=10 if mode == "mc" else None, seed=1)
         assert len(rep.rows) == 4
         assert calls == regions
         # each public method tests its own region, once; a Monte Carlo

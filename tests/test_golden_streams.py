@@ -47,15 +47,13 @@ REPORTS = {
 
 
 TOMO = {
-    "spin": "086c8e98153a1ead403c0ef47652ff8aedeab8ca89c51de3ee99c709c421e104",
-    "phase:3": "4233e9a1f1c419049d8bff14f6e2c1af3b402379ed2d89a096934936dc9af68a",
+    "spin": "80e815c641fc49b48e981937bb316032ba82e3a116401797de6f076c78107826",
+    "phase:3": "07a577aa48fe36d52196e90f94883af9bc6544e5b8cbe48266149030f96b38b2",
 }
 
 EQUIV = {
     ("spin", None): "ff9aeaef99508302316a8feb401100c6fc5eb3365cb54e0cf896d3698b0757f7",
-    ("spin", 2048): "cf99df13c25a4a1b25523a7cb8fffb785813c0de177a81f67a150f5a280bd57c",
     ("phase:3", None): "3e7634bd363640c1332686ed38c5a2d1f216cb6f2deed819b49ffca72fbef566",
-    ("phase:3", 300): "49451e089c87d8baa24f5bf02875ab39170c6170af78d4b1c1d23cacd9c97acf",
     ("phase:8", None): "6f0e604a04b7fc4481ff4f9034511f24703fe1f688ba57baa215e56745efa2e2",
 }
 

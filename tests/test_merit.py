@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import povmkit as pk
 from povmkit import families
-from povmkit.errors import DimensionMismatch, SpaceMismatch
+from povmkit import serialize as ser
+from povmkit.errors import DimensionMismatch, SchemaError, SpaceMismatch
 from povmkit.outcomes import CIRCLE, SPHERE
 from oracles import bayes_gain_quadrature
 
@@ -282,6 +283,22 @@ class TestSpecValidation:
         # a basis state carries no phase information: gain collapses to 1/2
         value = pk.bayes_gain(pk.phase_povm(2), spec)
         assert value == pytest.approx(0.5, abs=1e-9)
+
+    def test_sphere_prior_takes_no_fiducial(self, up):
+        with pytest.raises(ValueError, match="sphere prior takes no fiducial state"):
+            pk.BayesGainSpec(prior="uniform_sphere", gain="fidelity", fiducial_state=up)
+
+    @pytest.mark.parametrize("state", [[], False, 0, "", None])
+    def test_spec_state_is_read_whenever_present(self, state):
+        # a falsy "state" is malformed, not the default fiducial
+        with pytest.raises(SchemaError, match="fiducial state"):
+            ser.bayes_spec_from_dict({"prior": "uniform_circle", "gain": "cosine", "state": state})
+
+    def test_spec_sphere_state_rejected(self):
+        six = [[[3, 0], [0, 0]], [[0, 0], [3, 0]]]
+        with pytest.raises(SchemaError, match="sphere prior takes no fiducial state"):
+            ser.bayes_spec_from_dict({"prior": "uniform_sphere", "gain": "fidelity",
+                                      "state": six})
 
     def test_fiducial_dimension_checked(self, up):
         spec = pk.BayesGainSpec(

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammaincc
 
 import povmkit as pk
-from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins, UnsupportedFamily
+from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins
 from povmkit.outcomes import SPHERE, TWO_PI, FiniteLabels, Region
 from povmkit.sampling import OutcomeRecords, _chi2_tail, make_rng
 
@@ -118,16 +118,6 @@ class TestDirectPhase:
         frac = np.mean(Region.of_arcs([(a, b)]).contains(recs.omega))
         target = arc_probability_quadrature(rho, a, b)
         assert abs(frac - target) <= 4 * np.sqrt(target * (1 - target) / n)
-
-    def test_unsupported_family(self, up):
-        class Fake(pk.ContinuousPOVM):
-            def __init__(self):
-                self.dim = 2
-                self.space = pk.SPHERE
-                self.family = "fake"
-
-        with pytest.raises(UnsupportedFamily):
-            pk.sample_direct(Fake(), up, 10, seed=0)
 
     @staticmethod
     def _state(kind, d):
@@ -379,7 +369,7 @@ EXPORTS = [
     "MeritReport", "NonHermitianInput", "NotInformationallyComplete", "NumericalRankAmbiguity",
     "OutcomeRecords", "OutcomeSpace", "Perturbation", "PovmkitError", "RandomizedScheme",
     "Region", "SPHERE", "SchemaError", "SpaceMismatch", "SparseBins", "Sphere",
-    "SpinDirectionPOVM", "TermBudgetExceeded", "UnsupportedFamily", "ValidationReport",
+    "SpinDirectionPOVM", "TermBudgetExceeded", "ValidationReport",
     "bayes_gain", "born_probabilities", "check_equal_optimality", "coin_flip_povm",
     "compare_samples", "decompose_extremal", "dual_coefficients", "estimate_expectation",
     "is_extremal", "is_informationally_complete", "kernel_dimension", "make_rng",

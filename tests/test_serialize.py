@@ -166,6 +166,41 @@ class TestStates:
             ser.load_states(empty)
 
 
+UP = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+SPHERE_REGION = {"space": {"kind": "sphere"}, "caps": [{"axis": [0, 0, 1], "angle": 1.0}]}
+
+
+def load_items(tmp_path, key, items):
+    """Load ``items`` as a states or regions file."""
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps({"schema": 1, key: items}))
+    return ser.load_states(path) if key == "states" else ser.load_regions(path)
+
+
+class TestIds:
+    """A row id is a JSON string, unique within its file."""
+
+    @pytest.mark.parametrize("key, item", [("states", {"matrix": UP}), ("regions", SPHERE_REGION)])
+    @pytest.mark.parametrize("rid", [None, {"a": 1}, 7, 1.5, True, ["a"]])
+    def test_id_must_be_a_json_string(self, tmp_path, key, item, rid):
+        with pytest.raises(SchemaError, match="'id' must be a JSON string"):
+            load_items(tmp_path, key, [{**item, "id": "first"}, {**item, "id": rid}])
+
+    @pytest.mark.parametrize("key, item", [("states", {"matrix": UP}), ("regions", SPHERE_REGION)])
+    @pytest.mark.parametrize("ids", [["a", "b", "a"], [None, "b", "{}0"]])
+    def test_repeated_id_rejected(self, tmp_path, key, item, ids):
+        # the second file repeats the default id of its first row
+        prefix = key[:-1]
+        items = [item if i is None else {**item, "id": i.format(prefix)} for i in ids]
+        with pytest.raises(SchemaError, match=f"{prefix} 2: id '.*' repeats {prefix} 0"):
+            load_items(tmp_path, key, items)
+
+    @pytest.mark.parametrize("key, item", [("states", {"matrix": UP}), ("regions", SPHERE_REGION)])
+    def test_ids_and_defaults(self, tmp_path, key, item):
+        loaded = load_items(tmp_path, key, [{**item, "id": ""}, item, {**item, "id": "z"}])
+        assert [rid for rid, _ in loaded] == ["", f"{key[:-1]}1", "z"]
+
+
 class TestRecords:
     def test_sphere_roundtrip(self, tmp_path, up):
         recs = pk.sample_two_stage(pk.stern_gerlach_scheme(), up, 50, seed=1)
