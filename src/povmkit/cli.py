@@ -10,10 +10,11 @@ Each command first reads its JSON input with the standard library alone
 after that read.  So a missing or unreadable file, invalid JSON, a top
 level that is not an object, a wrong schema version, an argparse usage
 error, a ``--tolerance`` key the command does not read, a bad
-``--tolerance``, ``--tol`` or ``--alpha`` value or an unusable ``-o``
-path exits 2 before numpy loads; and a child that
-validates a POVM never loads the samplers, the families or the
-decomposition code.
+``--tolerance``, ``--tol`` or ``--alpha`` value, an unknown family name
+or phase dimension, a ``--budget`` that ``--mode`` does not take
+(`povmkit.names`) or an unusable ``-o`` path exits 2 before numpy loads;
+and a child that validates a POVM never loads the samplers, the families
+or the decomposition code.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .jsonio import _check_schema, dumps_canonical, load_json, write_json
+from .names import check_mode, family_spec
 
 
 def _emit(obj: dict):
@@ -157,6 +159,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_equiv(args) -> int:
     _check_tol(args.tol)
+    family_spec(args.family)
+    check_mode(args.mode, args.budget)
     _guard_output(args.output, [args.states, args.regions])
     from . import serialize as ser
     from .families import named_family, verify_scheme_equivalence
@@ -179,6 +183,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    family_spec(args.family)
     data = _read(args.state, "states")
     _guard_output(args.output, [args.state])
     from .families import named_family
@@ -216,6 +221,7 @@ def _cmd_gof(args) -> int:
 
 def _cmd_merit(args) -> int:
     _check_tol(args.tol)
+    family_spec(args.family)
     data = _read(args.spec, "merit spec")
     _guard_output(args.output, [args.spec])
     from . import serialize as ser
@@ -244,6 +250,8 @@ def _cmd_merit(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    if args.family is not None:
+        family_spec(args.family)
     data = load_json(args.target)
     _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     from . import serialize as ser

@@ -26,20 +26,22 @@ that numerically state by state.
 Everything that depends on the family lives on these classes: a
 continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
 ``Tr[A M(omega)]`` in closed form (`ContinuousPOVM.expectation`, which
-Born probabilities and dual processings evaluate), its rank-one kets
-(from which a design's members are built), and the finite POVM of an
-exact outcome quadrature (`ContinuousPOVM.outcome_nodes`) on which
-Bayes gains, canonical duals and dual residuals are computed; every
-method of `RandomizedScheme`, from two-stage sampling to the mixing
-averages, runs for every scheme.  `named_family` is the one table
-from family names (``spin``, its aliases, ``phase:<d>``) to the
-(continuous POVM, scheme) pair.
+Born probabilities and dual processings evaluate), the Born table of a
+moved design (`ContinuousPOVM._moved_born`; the phase family's takes one
+exponential per shift, by covariance), its region operators in closed
+form, every piece of a region at once, its rank-one kets (from which a
+design's members are built), and the finite POVM of an exact outcome
+quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains,
+canonical duals and dual residuals are computed; every method of
+`RandomizedScheme`, from two-stage sampling to the mixing averages, runs
+for every scheme.  `named_family` is the one table from family names
+(``spin``, its aliases, ``phase:<d>``, parsed by `names.family_spec`)
+to the (continuous POVM, scheme) pair.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +49,8 @@ import numpy as np
 from . import operators as op
 from . import quadrature as quad
 from .catalog import PAULI_X, PAULI_Y, PAULI_Z
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    NotInformationallyComplete,
-    SchemaError,
-    SpaceMismatch,
-)
+from .errors import DimensionMismatch, NotInformationallyComplete, SpaceMismatch
+from .names import check_mode, family_spec, phase_dimension
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -155,6 +152,12 @@ class ContinuousPOVM:
         """``n`` i.i.d. outcome points from the density ``Tr[rho M(omega)]``."""
         raise NotImplementedError
 
+    def _moved_born(self, rho, xs, design, moved) -> np.ndarray:
+        """The Born table (n, K), a new array, of the design points
+        ``design`` moved by the n mixing parameters ``xs`` of the space's
+        law, to ``moved`` (n, K) or (n, K, 3): `born` at the moved points."""
+        return self.born(rho, moved.reshape(-1, *moved.shape[2:])).reshape(moved.shape[:2])
+
     def dual(self, a: np.ndarray):
         """The canonical dual of ``a``: ``f(omega) = Tr[Y M(omega)]`` with
         ``int f M = a``, so the mean of f over outcomes estimates ``Tr[rho a]``.
@@ -232,24 +235,17 @@ class SpinDirectionPOVM(ContinuousPOVM):
         vec = np.array([a[0, 1].real, -a[0, 1].imag, (a[0, 0].real - a[1, 1].real) / 2.0])
         return (a[0, 0].real + a[1, 1].real) / 2.0 + np.asarray(points, dtype=float) @ vec
 
-    @staticmethod
-    def cap_operator(axis, angle: float) -> np.ndarray:
-        """Exact integral of ``|n><n| dn/2pi`` over a closed cap.
-
-        Equals ``(1 - c) I/2 + (1 - c^2)/4 (axis . sigma)`` with
-        ``c = cos(angle)``.
-        """
-        c = float(np.cos(angle))
-        ax = np.asarray(axis, dtype=float)
-        sig = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
-        return (1.0 - c) * np.eye(2, dtype=complex) / 2.0 + (1.0 - c * c) / 4.0 * sig
-
     def _region_operator(self, region: Region) -> np.ndarray:
+        """The exact integral of ``|n><n| dn/2pi`` over the region, its caps'
+        operators ``(1 - c) I/2 + (1 - c^2)/4 (axis . sigma)``, ``c =
+        cos(angle)``, built together and added in cap order."""
         if region.caps is None:
             raise SpaceMismatch("spin-direction regions are cap unions")
-        total = np.zeros((2, 2), dtype=complex)
-        for cap in region.caps:
-            total += self.cap_operator(cap.axis_array, cap.angle)
+        c = np.cos([cap.angle for cap in region.caps])[:, None, None]
+        ax = np.array([cap.axis for cap in region.caps]).reshape(-1, 3).T[:, :, None, None]
+        sig = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
+        caps = (1.0 - c) * np.eye(2, dtype=complex) / 2.0 + (1.0 - c * c) / 4.0 * sig
+        total = caps.sum(axis=0, initial=0.0)
         if region.complement:
             total = np.eye(2, dtype=complex) - total
         return total
@@ -277,7 +273,9 @@ class SpinDirectionPOVM(ContinuousPOVM):
 
 
 _PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
-_PHASE_BLOCK = 2048  # phases per block of `_phase_sums`: 32 KB per complex temporary
+# sums per block of `_phase_sums` (32 KB a complex temporary), and draws per
+# block of the direct sampler's Newton iteration
+_PHASE_BLOCK = 2048
 _NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
 _NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
 
@@ -307,45 +305,56 @@ def _superdiagonals(a: np.ndarray) -> np.ndarray:
     return np.asarray(rows.sum(axis=1), dtype=complex)
 
 
+@functools.cache
+def _interval_offsets(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The off-diagonal mask of a d x d matrix, and ``i k`` and ``2 pi i
+    k`` at its entries, k the column offset; read-only."""
+    k = np.arange(d)[:, None] - np.arange(d)[None, :]
+    off = k != 0
+    out = off, 1j * k[off], TWO_PI * 1j * k[off]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _phase_sums(c: np.ndarray, phis, parts) -> np.ndarray:
     """Parts of the Fourier sums ``s_j = sum_{k=1}^{K} c_kj e^{ik phi}`` at
     phases of any shape.
 
     ``c`` has shape (K,) or (K, m), and ``parts`` names, for each of the
     one or m sums, the part kept: ``"real"`` or ``"imag"``; the result is a
-    new real array of shape ``(m,) + phis.shape``, with m = 1 for (K,).
-    Horner's rule in ``z = e^{i phi}``: one exponential per phase, then K-1
-    complex multiply-adds, over blocks of `_PHASE_BLOCK` phases, so that no
-    complex temporary grows with the number of phases.  Each phase gets the
-    bits of a single pass.
+    new real array of shape ``phis.shape + (m,)``, one row of sums per
+    phase, with m = 1 for (K,).  Horner's rule in ``z = e^{i phi}``: one
+    exponential per phase, then K-1 complex multiply-adds, over blocks of
+    about `_PHASE_BLOCK` sums, so that no complex temporary grows with the
+    number of phases.  Each sum gets the bits of a single pass.
     """
     phis = np.asarray(phis, dtype=float)
     flat = phis.reshape(-1)
-    out = np.empty((len(parts), flat.size))
-    c = c[..., None]  # sums of shape (n,) for c of shape (K,), (m, n) for (K, m)
-    for start in range(0, max(flat.size - 1, 1), _PHASE_BLOCK):
+    c = c.reshape(len(c), -1)
+    out = np.empty((flat.size, c.shape[1]))
+    imag = [j for j, part in enumerate(parts) if part == "imag"]
+    rows = max(_PHASE_BLOCK // c.shape[1], 2)
+    for start in range(0, max(flat.size - 1, 1), rows):
         # a last block of one phase joins the block before it: numpy rounds
         # a one-element complex product taken in place apart from a longer one
-        end = start + _PHASE_BLOCK if flat.size - start > _PHASE_BLOCK + 1 else flat.size
-        z = np.exp(1j * flat[start:end])
+        end = start + rows if flat.size - start > rows + 1 else flat.size
+        z = np.exp(1j * flat[start:end])[:, None]
         acc = c[-1] * z
         for ck in c[-2::-1]:
             acc += ck
             acc *= z
-        for dest, part, sums in zip(out[:, start:end], parts, acc.reshape(len(parts), -1)):
-            dest[...] = getattr(sums, part)
-    return out.reshape((len(parts),) + phis.shape)
+        out[start:end] = acc.real
+        for j in imag:
+            out[start:end, j] = acc[:, j].imag
+    return out.reshape(phis.shape + (c.shape[1],))
 
 
 class CirclePhasePOVM(ContinuousPOVM):
     """Covariant phase measurement: density ``|phi><phi|/d``, measure d*dphi/2pi."""
 
     def __init__(self, d: int):
-        if d < 2:
-            raise InvalidDimension(f"phase measurement needs d >= 2, got {d}")
-        if d > op.MAX_DIM:
-            raise InvalidDimension(f"dimension {d} beyond supported {op.MAX_DIM}")
-        self.dim = d
+        self.dim = phase_dimension(d)
         self.space = CIRCLE
         self.family = "phase"
         self.ket_norm = d
@@ -358,31 +367,37 @@ class CirclePhasePOVM(ContinuousPOVM):
         """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
         superdiagonal sum of ``a``, at phases of any shape (the result has
         the same shape); one exponential per phase (`_phase_sums`)."""
-        vals = _phase_sums(_superdiagonals(a), points, ("real",))[0, ...]
+        vals = _phase_sums(_superdiagonals(a), points, ("real",))[..., 0]
         vals *= 2.0
         vals += np.trace(a).real
         vals /= self.dim
         return vals[()]
 
-    @staticmethod
-    def _interval_operator(d: int, a: float, b: float) -> np.ndarray:
-        """``int_a^b dphi/2pi |phi><phi|`` entrywise in closed form."""
-        m = np.arange(d)
-        k = m[:, None] - m[None, :]
-        out = np.empty((d, d), dtype=complex)
-        np.fill_diagonal(out, (b - a) / TWO_PI)
-        off = k != 0
-        kk = k[off]
-        out[off] = (np.exp(1j * kk * b) - np.exp(1j * kk * a)) / (TWO_PI * 1j * kk)
-        return out
-
     def _region_operator(self, region: Region) -> np.ndarray:
+        """``int dphi/2pi |phi><phi|`` over the region's arcs ``[a, b)``,
+        entrywise in closed form, ``(e^{ikb} - e^{ika}) / (2 pi i k)`` off
+        the diagonal (``k`` the column offset) and ``(b - a) / 2pi`` on it:
+        every arc's operator built together, added in arc order."""
         if region.arcs is None:
             raise SpaceMismatch("phase regions are arc unions")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, b in region.arcs:
-            total += self._interval_operator(self.dim, a, b)
-        return total
+        d = self.dim
+        off, k, denominator = _interval_offsets(d)
+        a, b = np.array(region.arcs).reshape(-1, 2).T[:, :, None]
+        arcs = np.empty((len(a), d, d), dtype=complex)
+        arcs.reshape(len(a), d * d)[:, :: d + 1] = (b - a) / TWO_PI
+        arcs[:, off] = (np.exp(k * b) - np.exp(k * a)) / denominator
+        return arcs.sum(axis=0, initial=0.0)
+
+    def _moved_born(self, rho, xs, design, moved):
+        """By covariance, ``Tr[rho M(x + phi_k)] = (Tr rho + 2 Re sum_j
+        (c_j e^{ij phi_k}) e^{ijx}) / d``: `_phase_sums` with one column of
+        coefficients per design phase, one exponential per shift x."""
+        columns = _superdiagonals(rho)[:, None] * phase_kets(self.dim, design)[:, 1:].T
+        table = _phase_sums(columns, np.reshape(xs, -1), ("real",) * len(design))
+        table *= 2.0
+        table += np.trace(rho).real
+        table /= self.dim
+        return np.clip(table, 0.0, 1.0, out=table)
 
     def sample(self, rho, n, rng):
         """Phases by safeguarded Newton on the closed-form CDF.
@@ -390,11 +405,12 @@ class CirclePhasePOVM(ContinuousPOVM):
         With ``c_k`` the k-th superdiagonal sum of ``rho``, the CDF is
         ``(phi + sum_k (2/k) Im[c_k (e^{ik phi} - 1)]) / 2pi`` and its
         density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one Horner
-        pass in ``e^{i phi}`` gives both (`_phase_sums`, block by block).
-        Each draw starts from linear interpolation in the CDF tabulated on
-        a fixed grid, whose cell is its initial bracket; a Newton step that
-        leaves the bracket is replaced by the bracket's midpoint, and only
-        unconverged draws are iterated.
+        pass in ``e^{i phi}`` gives both (`_phase_sums`).  Each draw starts
+        from linear interpolation in the CDF tabulated on a fixed grid,
+        whose cell is its initial bracket; a Newton step that leaves the
+        bracket is replaced by the bracket's midpoint, and only unconverged
+        draws are iterated.  Draws are solved in blocks of `_PHASE_BLOCK`,
+        so that the iteration's arrays do not grow with n.
         """
         targets = rng.uniform(0.0, 1.0, n)
         c = _superdiagonals(rho)
@@ -403,7 +419,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         offset = cdf_weights.imag.sum()
 
         def cdf_and_density(phi):
-            cdf, density = _phase_sums(weights, phi, ("imag", "real"))
+            cdf, density = _phase_sums(weights, phi, ("imag", "real")).T
             cdf += phi
             cdf -= offset
             cdf /= TWO_PI
@@ -414,24 +430,28 @@ class CirclePhasePOVM(ContinuousPOVM):
         grid = np.linspace(0.0, TWO_PI, _PHASE_GRID + 1)
         table = np.maximum.accumulate(cdf_and_density(grid)[0])
         table[0], table[-1] = 0.0, 1.0
-        cell = np.searchsorted(table, targets, side="right")
-        lo, hi = grid[cell - 1], grid[cell]
-        phi = np.interp(targets, table, grid)
-        todo = np.arange(n)
-        for _ in range(_NEWTON_MAX_ITER):
-            at = phi[todo]
-            cdf, density = cdf_and_density(at)
-            below = cdf < targets[todo]
-            lo_t = np.where(below, at, lo[todo])
-            hi_t = np.where(below, hi[todo], at)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = at - (cdf - targets[todo]) / density
-            step = np.where((step >= lo_t) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
-            phi[todo], lo[todo], hi[todo] = step, lo_t, hi_t
-            todo = todo[np.abs(step - at) > _NEWTON_TOL]
-            if not todo.size:
-                break
-        return normalize_angle(phi)
+        out = np.empty(n)
+        for start in range(0, n, _PHASE_BLOCK):
+            block = targets[start : start + _PHASE_BLOCK]
+            cell = np.searchsorted(table, block, side="right")
+            lo, hi = grid[cell - 1], grid[cell]
+            phi = np.interp(block, table, grid)
+            todo = np.arange(len(block))
+            for _ in range(_NEWTON_MAX_ITER):
+                at = phi[todo]
+                cdf, density = cdf_and_density(at)
+                below = cdf < block[todo]
+                lo_t = np.where(below, at, lo[todo])
+                hi_t = np.where(below, hi[todo], at)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = at - (cdf - block[todo]) / density
+                step = np.where((step >= lo_t) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
+                phi[todo], lo[todo], hi[todo] = step, lo_t, hi_t
+                todo = todo[np.abs(step - at) > _NEWTON_TOL]
+                if not todo.size:
+                    break
+            out[start : start + len(block)] = normalize_angle(phi)
+        return out
 
 
 def spin_direction_povm() -> SpinDirectionPOVM:
@@ -531,11 +551,12 @@ class RandomizedScheme:
         one move of a design, or rows of one stacked Born table.
 
         Both are new arrays that the caller may overwrite.  A design's
-        points are its law's moved layout; its Born weights are clipped
-        and scaled by the design weights in place, in the array that
-        `ContinuousPOVM.born` made, and a phase family's Fourier sums run
-        in blocks of `_PHASE_BLOCK` phases; so no temporary as large as
-        the member layout is built beside them."""
+        points are its law's moved layout; its Born weights are the
+        family's table at the moved points (`ContinuousPOVM._moved_born`:
+        for a phase family one exponential per shift, its Fourier sums in
+        blocks of `_PHASE_BLOCK`), scaled by the design weights in place;
+        so no temporary as large as the member layout is built beside
+        them."""
         if np.shape(rho) != (self.dim, self.dim):
             raise DimensionMismatch(f"state of shape {np.shape(rho)} in dimension {self.dim}")
         if self._law is None:
@@ -543,8 +564,7 @@ class RandomizedScheme:
             born = np.trace(rho @ self._elements, axis1=2, axis2=3).real
             return np.clip(born, 0.0, 1.0)[t], self._points[t]
         points = self.outcome_points(xs)
-        born = self.continuous.born(rho, points.reshape(-1, *points.shape[2:]))
-        born = born.reshape(points.shape[:2])
+        born = self.continuous._moved_born(rho, xs, self._points[0], points)
         born *= self._weights[0]
         return born, points
 
@@ -581,7 +601,7 @@ class RandomizedScheme:
         ``(value, standard_error)``; the standard error is None in
         deterministic mode.
         """
-        mode, draws = _check_mode(mode, budget)
+        mode, draws = check_mode(mode, budget)
         require_same_space(self.outcome_space, region.space, "scheme and region")
         rho = op.check_density_matrix(rho, self.dim)
         if draws is None:
@@ -778,22 +798,11 @@ def scheme_from_decomposition(result) -> FiniteMixtureScheme:
 
 
 def named_family(name: str) -> tuple[ContinuousPOVM, RandomizedScheme]:
-    """The (continuous POVM, randomized scheme) pair of a family name.
-
-    Names are ``spin`` (aliases ``spin_direction``, ``stern_gerlach``)
-    and ``phase:<d>``; anything else raises :class:`SchemaError`.
-    """
-    if name in ("spin", "spin_direction", "stern_gerlach"):
+    """The (continuous POVM, randomized scheme) pair of a family name
+    (`names.family_spec`: ``spin`` and its aliases, ``phase:<d>``)."""
+    kind, d = family_spec(name)
+    if kind == "spin":
         return SpinDirectionPOVM(), stern_gerlach_scheme()
-    kind, sep, arg = name.partition(":")
-    if kind != "phase":
-        raise SchemaError(f"unknown family {name!r}")
-    if not sep:
-        raise SchemaError("phase family needs a dimension, e.g. phase:3")
-    try:
-        d = int(arg)
-    except ValueError as exc:
-        raise SchemaError(f"bad family spec {name!r}") from exc
     return CirclePhasePOVM(d), phase_scheme(d)
 
 
@@ -820,25 +829,6 @@ class EquivalenceReport:
         return max(abs(r.diff) for r in self.rows)
 
 
-def _check_mode(mode, budget) -> tuple[str, int | None]:
-    """The long spelling of ``mode`` and its Monte Carlo draw count (None
-    in deterministic mode, which takes no budget); an unknown mode, a
-    deterministic budget, or a montecarlo budget that is not an integer
-    or is below 2 raises `ValueError`."""
-    if mode not in ("det", "deterministic", "mc", "montecarlo"):
-        raise ValueError(f"unknown mode {mode!r}")
-    long = {"det": "deterministic", "mc": "montecarlo"}.get(mode, mode)
-    if budget is None:
-        return long, None if long == "deterministic" else 100_000
-    if long == "deterministic":
-        raise ValueError(f"deterministic mode takes no budget, got {budget!r}")
-    if not isinstance(budget, numbers.Integral):
-        raise ValueError(f"montecarlo budget must be an integer draw count, got {budget!r}")
-    if budget < 2:  # one draw has no standard error
-        raise ValueError(f"montecarlo budget must be at least 2, got {budget}")
-    return long, budget
-
-
 def _exact_region(region: Region) -> Region:
     """``region``, checked for what closed-form integrals over it need:
     its caps, if any, pairwise disjoint (`ValueError` otherwise), so that
@@ -849,12 +839,19 @@ def _exact_region(region: Region) -> Region:
 
 
 def _with_ids(items, prefix):
-    out = []
+    """``(id, item)`` pairs: an item's own id, or ``prefix`` and its index;
+    an id that two items share raises `ValueError`, as in the JSON
+    loaders."""
+    out, seen = [], {}
     for k, item in enumerate(items):
         if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            out.append(item)
+            rid, item = item
         else:
-            out.append((f"{prefix}{k}", item))
+            rid = f"{prefix}{k}"
+        if rid in seen:
+            raise ValueError(f"{prefix} {k}: id {rid!r} repeats {prefix} {seen[rid]}")
+        seen[rid] = k
+        out.append((rid, item))
     return out
 
 
@@ -871,7 +868,9 @@ def verify_scheme_equivalence(
 
     ``states`` is a list of density matrices (optionally ``(id, rho)``
     pairs), ``regions`` a list of regions (optionally ``(id, region)``);
-    an empty list raises `ValueError`.  Deterministic mode computes each
+    an empty list, or an id that two states or two regions share (an
+    item without one is ``state<k>`` or ``region<k>``), raises
+    `ValueError`.  Deterministic mode computes each
     scheme average by quadrature; montecarlo mode draws mixing parameters
     with the given seed and reports standard errors.  ``mode`` and
     ``budget`` are as in `RandomizedScheme.average_region_probability`,
@@ -887,7 +886,7 @@ def verify_scheme_equivalence(
     for name, items in (("states", states), ("regions", regions)):
         if not items:
             raise ValueError(f"{name} is empty: nothing to compare")
-    mode, draws = _check_mode(mode, budget)
+    mode, draws = check_mode(mode, budget)
     require_same_space(c.space, s.outcome_space, "continuous POVM and scheme")
     rng = None
     if draws is not None:

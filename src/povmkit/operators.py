@@ -13,8 +13,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, NonHermitianInput, NumericalRankAmbiguity
-
-MAX_DIM = 16
+from .names import MAX_DIM
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9

@@ -57,11 +57,20 @@ SPHERE = Sphere()
 
 
 def normalize_angle(phi):
-    """Map angles into [0, 2*pi), as a new array (0-d for a scalar)."""
-    out = np.asarray(np.mod(phi, TWO_PI))
-    # mod can return 2*pi itself for tiny negative floats
-    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)
-    return out
+    """Map angles into [0, 2*pi), as a new array (0-d for a scalar).
+
+    Angles already in [0, 4*pi), as moved design points and Newton
+    iterates are, skip ``np.mod``, which is far slower: ``phi - 2*pi``
+    there is exact by Sterbenz' lemma, the remainder ``np.mod`` gives, and
+    ``-0.0`` becomes ``+0.0``, as with ``np.mod``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if not (phi.size and 0.0 <= phi.min() and phi.max() < 2.0 * TWO_PI):
+        phi = np.mod(phi, TWO_PI)  # 2*pi itself for tiny negative floats
+    out = np.multiply(phi >= TWO_PI, -TWO_PI)
+    out += phi
+    out += 0.0
+    return np.asarray(out)
 
 
 def unit_vector(v) -> np.ndarray:

@@ -10,9 +10,14 @@ polynomial of degree L in n exactly: the azimuths average every monomial
 exactly, which leaves a polynomial of degree at most L in the polar
 cosine for the Gauss nodes to integrate exactly (1 x 2 nodes for the
 affine spin density).  An arc gets 64 Gauss-Legendre nodes, which are
-not exact for trigonometric polynomials.  The reference Gauss-Legendre
-rule of each order and the outcome rules are built once per process and
-shared read-only (`frozen_rule`).
+not exact for trigonometric polynomials.  The pieces of a region are
+built together, in one batched map of the reference rule (`cap_nodes`
+stacks the caps' frames into one matrix product; `gauss_legendre` maps
+every arc at once), the integrand is evaluated once on all their nodes,
+and each piece is summed by the BLAS dot ``w @ v``, in piece order.  The
+reference Gauss-Legendre rule of each order, the azimuths and the
+outcome rules are built once per process and shared read-only
+(`frozen_rule`).
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ def frozen_rule(rule, *args) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b], as fresh arrays mapped
-    from the shared reference rule on [-1, 1]."""
+    from the shared reference rule on [-1, 1]; for arrays of endpoints,
+    one rule per interval, of shape ``a.shape + (n,)``."""
     x, w = frozen_rule(np.polynomial.legendre.leggauss, n)
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -65,33 +72,39 @@ def rotation_to(axis) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)
 
 
-def sphere_band_nodes(
-    axis: np.ndarray,
-    u_lo: float,
-    u_hi: float,
-    n_u: int,
-    n_phi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for the surface integral over ``u_lo <= n.axis <= u_hi``.
+def _azimuths(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines, (2, n), of the n equal azimuths, and their
+    weights ``2*pi/n``."""
+    phi = np.arange(n) * (TWO_PI / n)
+    return np.stack([np.cos(phi), np.sin(phi)]), np.full(n, TWO_PI / n)
 
-    Weights carry the full surface measure, so they sum to the band area
-    ``2*pi*(u_hi - u_lo)``.
+
+def cap_nodes(axes, cosines, n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (P, n_u * n_phi, 3) and weights (P, n_u * n_phi) on the caps
+    ``n . axis >= cos``, one per axis and cosine, built together.
+
+    ``n_u`` Gauss-Legendre polar cosines on ``[cos, 1]`` cross ``n_phi``
+    equal azimuths, in each cap's frame (`rotation_to`, stacked into one
+    matrix product); the weights carry the full surface measure, so each
+    cap's weights sum to its area ``2*pi*(1 - cos)``.
     """
-    u, wu = gauss_legendre(n_u, u_lo, u_hi)
-    phi = np.arange(n_phi) * (TWO_PI / n_phi)
-    wphi = np.full(n_phi, TWO_PI / n_phi)
+    u, wu = gauss_legendre(n_u, cosines, 1.0)
+    (cos_phi, sin_phi), wphi = frozen_rule(_azimuths, n_phi)
     su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    x = np.outer(su, np.cos(phi)).ravel()
-    y = np.outer(su, np.sin(phi)).ravel()
-    z = np.outer(u, np.ones(n_phi)).ravel()
-    pts = np.column_stack([x, y, z])
-    w = np.outer(wu, wphi).ravel()
-    rot = rotation_to(axis)
-    return pts @ rot.T, w
+    local = np.empty(u.shape + (n_phi, 3))
+    np.multiply(su[..., None], cos_phi, out=local[..., 0])
+    np.multiply(su[..., None], sin_phi, out=local[..., 1])
+    local[..., 2] = u[..., None]
+    frames = np.array([rotation_to(axis) for axis in axes])
+    nodes = local.reshape(len(frames), -1, 3) @ frames.transpose(0, 2, 1)
+    return nodes, (wu[..., None] * wphi).reshape(len(frames), -1)
 
 
-def sphere_nodes(n_u: int, n_phi: int):
-    return sphere_band_nodes(np.array([0.0, 0.0, 1.0]), -1.0, 1.0, n_u, n_phi)
+def sphere_nodes(n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (n_u * n_phi, 3) and weights on the whole sphere: the one cap
+    around +z of angle pi."""
+    nodes, weights = cap_nodes([(0.0, 0.0, 1.0)], [-1.0], n_u, n_phi)
+    return nodes[0], weights[0]
 
 
 def outcome_rule(space, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,17 +133,19 @@ def mixing_rule(space) -> tuple[np.ndarray, np.ndarray]:
 def integrate_sphere_region(f, caps, degree: int):
     """Surface integral over a union of caps of a polynomial of degree L.
 
-    ``f`` maps an (m, 3) array of unit vectors to an (m,) or (m, ...)
-    array of values; each cap gets ``ceil((L+1)/2) x (L+1)`` nodes in its
-    own frame, and ``f`` is evaluated once, on the nodes of all caps.  The
-    caps must be pairwise disjoint, which the caller checks
-    (`Region.caps_pairwise_disjoint`); this keeps every quadrature
-    sub-domain free of indicator jumps, so accuracy is set by the smooth
-    integrand alone.
+    ``f`` maps an (m, 3) array of unit vectors to an (m,) array of values;
+    each cap gets ``ceil((L+1)/2) x (L+1)`` nodes in its own frame, all
+    caps' nodes are built together (`cap_nodes`), and ``f`` is evaluated
+    once, on all of them.  The caps must be pairwise disjoint, which the
+    caller checks (`Region.caps_pairwise_disjoint`); this keeps every
+    quadrature sub-domain free of indicator jumps, so accuracy is set by
+    the smooth integrand alone.
     """
-    grid = (degree + 2) // 2, degree + 1
-    nodes = [sphere_band_nodes(cap.axis, float(np.cos(cap.angle)), 1.0, *grid) for cap in caps]
-    return _piecewise_sum(f, nodes)
+    if not caps:
+        return 0.0
+    cosines = np.cos([cap.angle for cap in caps])
+    nodes, weights = cap_nodes([cap.axis for cap in caps], cosines, (degree + 2) // 2, degree + 1)
+    return _piecewise_sum(f, nodes, weights)
 
 
 def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,19 +156,21 @@ def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_intervals(f, intervals):
     """64-node Gauss-Legendre integral of a smooth function over interval
-    pieces; ``f`` is evaluated once, on the nodes of all pieces."""
-    return _piecewise_sum(f, [gauss_legendre(64, a, b) for a, b in intervals])
-
-
-def _piecewise_sum(f, nodes):
-    """``sum_pieces sum_k w_k f(x_k)`` over ``nodes``, a list of one
-    ``(x, w)`` rule per piece: one call of ``f`` on all pieces' nodes,
-    then one weighted sum per piece, added in piece order."""
-    if not nodes:
+    pieces ``(a, b)``: every piece's nodes in one map of the reference
+    rule, and ``f``, mapping an (m,) array to (m,) values, evaluated once,
+    on all of them."""
+    if not intervals:
         return 0.0
-    values = np.asarray(f(np.concatenate([x for x, _ in nodes])))
-    total, start = 0.0, 0
-    for _, w in nodes:
-        total = total + np.tensordot(w, values[start : start + len(w)], axes=(0, 0))
-        start += len(w)
+    a, b = np.asarray(intervals, dtype=float).T
+    return _piecewise_sum(f, *gauss_legendre(64, a, b))
+
+
+def _piecewise_sum(f, nodes, weights):
+    """``sum_pieces sum_k w_k f(x_k)`` over pieces of equal node count,
+    ``nodes`` (P, m, ...) and ``weights`` (P, m): one call of ``f`` on all
+    nodes, then one BLAS dot ``w @ v`` per piece, added in piece order."""
+    values = np.asarray(f(nodes.reshape(-1, *nodes.shape[2:]))).reshape(weights.shape)
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = total + w @ v
     return total

@@ -1113,6 +1113,33 @@ def test_input_error_bytes(tmp_path, argv, line):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
 
 
+EQUIV_FILES = ["--states", "povm.json", "--regions", "povm.json"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["equiv", "--family", "bogus", *EQUIV_FILES], '{"error":"unknown family \'bogus\'"}'),
+    (["equiv", "--family", "phase:99", *EQUIV_FILES],
+     '{"error":"dimension 99 beyond supported 16"}'),
+    (["equiv", "--family", "spin", *EQUIV_FILES, "--budget", "5"],
+     '{"error":"deterministic mode takes no budget, got 5"}'),
+    (["equiv", "--family", "phase:3", *EQUIV_FILES, "--mode", "mc", "--budget", "1", "--seed", "1"],
+     '{"error":"montecarlo budget must be at least 2, got 1"}'),
+    (["sample", "--family", "phase", "--direct", "--state", "povm.json", "-n", "5", "--seed", "1",
+      "-o", "out.ndjson"], '{"error":"phase family needs a dimension, e.g. phase:3"}'),
+    (["merit", "--family", "phase:1", "--spec", "povm.json"],
+     '{"error":"phase measurement needs d >= 2, got 1"}'),
+    (["tomo", "--family", "phase:x", "--target", "povm.json"],
+     '{"error":"bad family spec \'phase:x\'"}'),
+])
+def test_name_and_mode_errors_exit_before_numpy(tmp_path, argv, line):
+    # argv alone shows these errors (`povmkit.names`), with the bytes a
+    # library call raises
+    proc = _fresh_cli(tmp_path, *argv, modules=tmp_path / "modules.json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+    assert "numpy" not in json.loads((tmp_path / "modules.json").read_text())
+    assert not (tmp_path / "out.ndjson").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gof", "--a", ".", "--b", "direct.ndjson", "--bins", "sphere12"],
     ["decompose", "povm.json", "-o", "."],
@@ -1177,7 +1204,21 @@ def test_jsonio_imports_only_stdlib_and_errors():
     # an import of anything else there would load it on every error path
     from povmkit import jsonio
 
-    with open(jsonio.__file__) as fh:
+    assert foreign_imports(jsonio) == []
+
+
+def test_names_imports_only_stdlib_and_errors():
+    # the CLI checks family names and modes through ``names`` before any
+    # array module loads
+    from povmkit import names
+
+    assert foreign_imports(names) == []
+
+
+def foreign_imports(module) -> list[str]:
+    """The imports of ``module`` other than the standard library and
+    `povmkit.errors`."""
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     foreign = []
     for node in ast.walk(tree):
@@ -1191,4 +1232,4 @@ def test_jsonio_imports_only_stdlib_and_errors():
             stdlib = not name.startswith(".") and name.split(".")[0] in sys.stdlib_module_names
             if not (stdlib or name in (".errors", "povmkit.errors")):
                 foreign.append(name)
-    assert foreign == []
+    return foreign

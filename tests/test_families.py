@@ -286,11 +286,11 @@ class TestPhaseSums:
         # below is a true reference even at |phi| = 1e4
         phis = np.round(rng.uniform(-1e4, 1e4, 500) * 2.0**30) / 2.0**30
         phis[:3] = [0.0, -1e4, 1e4]
-        direct = np.atleast_2d((np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c).T)
+        direct = (np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c).reshape(len(phis), -1)
         for part in ("real", "imag"):
-            got = _phase_sums(c, phis, (part,) * len(direct))
+            got = _phase_sums(c, phis, (part,) * direct.shape[1])
             assert got.shape == direct.shape
-            error = np.abs(got - getattr(direct, part)).max(axis=-1)
+            error = np.abs(got - getattr(direct, part)).max(axis=0)
             assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
 
     @pytest.mark.parametrize("d", [2, 3, 8])
@@ -336,8 +336,8 @@ class TestBlockedKernels:
         phis = rng.uniform(-10.0, 20.0, shape)
         parts = ("imag", "real")[-c[0].size:]
         got, ref = _phase_sums(c, phis, parts), oracles.phase_sums_one_pass(c, phis)
-        assert got.shape == (len(parts),) + shape
-        for part, g, r in zip(parts, got, ref.reshape(got.shape)):
+        assert got.shape == shape + (len(parts),)
+        for part, g, r in zip(parts, np.moveaxis(got, -1, 0), ref.reshape((len(parts),) + shape)):
             assert same_bytes(g, getattr(r, part))
 
     @pytest.mark.parametrize("d", range(2, 17))
@@ -379,7 +379,7 @@ class TestBlockedKernels:
 
         def one_pass(c, phis, parts):
             sums = oracles.phase_sums_one_pass(c, phis)
-            return np.stack([getattr(s, part) for part, s in zip(parts, sums)])
+            return np.stack([getattr(s, part) for part, s in zip(parts, sums)], axis=-1)
 
         monkeypatch.setattr(families, "_phase_sums", one_pass)
         assert same_bytes(blocked, ph.sample(rho, n, np.random.default_rng(9)))
@@ -495,6 +495,12 @@ class TestKernelMemory:
         produced = records.omega.nbytes + records.i.nbytes + records.x.nbytes
         assert peak <= PEAK_OVER_OUTPUT * produced
 
+    def test_direct_phase_draws(self):
+        # the Newton iteration runs over blocks of draws
+        rho = pk.random_density_matrix(np.random.default_rng(81), 3)
+        peak, records = traced_peak(lambda: pk.sample_direct(pk.phase_povm(3), rho, 30000, 5))
+        assert peak <= PEAK_OVER_OUTPUT * records.omega.nbytes
+
 
 def irregular_phase_design():
     """Three points with no shift symmetry whose weights make a d=2 design:
@@ -528,6 +534,34 @@ OTHER_REGIONS = {
     ],
     CIRCLE: [Region.of_arcs([(0.4, 2.5)]), Region.of_arcs([(5.0, 7.0), (2.0, 3.0)])],
 }
+
+
+NEAR_EDGES = [0.0, 5e-324, 1e-300, 1e-15, 1e-9, np.pi, 2 * np.pi - 1e-9, 2 * np.pi - 1e-15,
+              np.nextafter(2 * np.pi, 0.0)]
+
+
+class TestShiftFactoredBorn:
+    """A phase design's Born table from one exponential per shift and the
+    design's fixed phases (`CirclePhasePOVM._moved_born`) is the Born
+    density at the moved points."""
+
+    @pytest.mark.parametrize("name", [f"phase:{d}" for d in range(2, 9)] + ["irregular"])
+    def test_matches_born_at_moved_points(self, name):
+        if name == "irregular":
+            s = pk.DesignScheme(pk.phase_povm(2), irregular_phase_design())
+        else:
+            s = pk.named_family(name)[1]
+        rng = np.random.default_rng([82, s.dim, len(name)])
+        xs = np.concatenate([NEAR_EDGES, rng.uniform(0.0, 2 * np.pi, 200)])
+        moved = s.outcome_points(xs)
+        states = [pk.random_density_matrix(rng, s.dim) for _ in range(4)]
+        states += [np.full((s.dim, s.dim), 1.0 / s.dim), np.diag(np.eye(s.dim)[0])]
+        for rho in states:
+            table = s.continuous._moved_born(rho, xs, s._points[0], moved)
+            assert table.shape == moved.shape
+            assert np.abs(table - s.continuous.born(rho, moved)).max() <= 1e-14
+            probs = s.member_probabilities(xs, rho)
+            assert np.abs(probs - table * s._weights[0]).max() == 0.0
 
 
 def built_in_and_other_schemes():
@@ -678,6 +712,26 @@ class TestEquivalence:
                 lists["regions"],
             )
 
+    @pytest.mark.parametrize("states, regions, message", [
+        ([("a", "up"), ("a", "up")], [("r", "cap")], "state 1: id 'a' repeats state 0"),
+        (["up", ("state0", "up")], ["cap"], "state 1: id 'state0' repeats state 0"),
+        (["up"], [("r", "cap"), "cap", ("r", "cap")], "region 2: id 'r' repeats region 0"),
+        (["up"], [("region1", "cap"), "cap"], "region 1: id 'region1' repeats region 0"),
+    ])
+    @pytest.mark.parametrize("mode", ["det", "mc"])
+    def test_repeated_ids_rejected(self, up, states, regions, message, mode):
+        # rows that no id tells apart, as the JSON loaders already refuse
+        items = {"up": up, "cap": cap(Z_AXIS, 1.0)}
+
+        def named(item):
+            return (item[0], items[item[1]]) if isinstance(item, tuple) else items[item]
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pk.verify_scheme_equivalence(
+                pk.spin_direction_povm(), pk.stern_gerlach_scheme(), [named(i) for i in states],
+                [named(i) for i in regions], mode=mode, seed=1,
+            )
+
     def test_montecarlo_requires_seed(self, up):
         spin = pk.spin_direction_povm()
         sg = pk.stern_gerlach_scheme()
@@ -789,6 +843,65 @@ class TestEquivalence:
         )
         assert se > 0
         assert abs(val - exact) <= 5 * se
+
+
+def cap_operator_reference(axis, angle):
+    """One cap's operator ``(1 - c) I/2 + (1 - c^2)/4 (axis . sigma)``, built alone."""
+    c = float(np.cos(angle))
+    ax = np.asarray(axis, dtype=float)
+    sig = ax[0] * pk.catalog.PAULI_X + ax[1] * pk.catalog.PAULI_Y + ax[2] * pk.catalog.PAULI_Z
+    return (1.0 - c) * np.eye(2, dtype=complex) / 2.0 + (1.0 - c * c) / 4.0 * sig
+
+
+def interval_operator_reference(d, a, b):
+    """One arc's operator ``int_a^b dphi/2pi |phi><phi|``, built alone."""
+    m = np.arange(d)
+    k = m[:, None] - m[None, :]
+    out = np.empty((d, d), dtype=complex)
+    np.fill_diagonal(out, (b - a) / (2 * np.pi))
+    off = k != 0
+    kk = k[off]
+    out[off] = (np.exp(1j * kk * b) - np.exp(1j * kk * a)) / (2 * np.pi * 1j * kk)
+    return out
+
+
+class TestBatchedClosedForms:
+    """Region operators with every piece built together have the bits of
+    pieces built one at a time and added in order onto zeros."""
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_caps(self, complement):
+        rng = np.random.default_rng([83, complement])
+        spin = pk.spin_direction_povm()
+        for _ in range(300):
+            axes = unit_rows(rng, int(rng.integers(1, 4)))
+            region = Region.of_caps([(tuple(a), rng.uniform(0.0, np.pi)) for a in axes],
+                                    complement=complement)
+            ref = np.zeros((2, 2), dtype=complex)
+            for c in region.caps:
+                ref += cap_operator_reference(c.axis, c.angle)
+            if complement:
+                ref = np.eye(2, dtype=complex) - ref
+            assert same_bytes(spin._region_operator(region), ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_arcs(self, d):
+        rng = np.random.default_rng([84, d])
+        ph = pk.phase_povm(d)
+        for _ in range(300):
+            cuts = np.sort(rng.uniform(0.0, 2 * np.pi, 2 * int(rng.integers(1, 5))))
+            region = Region.of_arcs(cuts.reshape(-1, 2))
+            ref = np.zeros((d, d), dtype=complex)
+            for a, b in region.arcs:
+                ref += interval_operator_reference(d, a, b)
+            assert same_bytes(ph._region_operator(region), ref)
+
+    def test_no_pieces(self):
+        assert same_bytes(pk.phase_povm(3)._region_operator(Region.of_arcs([])),
+                          np.zeros((3, 3), dtype=complex))
+        whole = Region(space=SPHERE, caps=(), complement=True)
+        assert same_bytes(pk.spin_direction_povm()._region_operator(whole),
+                          np.eye(2, dtype=complex))
 
 
 def disjoint_caps(rng, count):

@@ -18,6 +18,24 @@ def test_normalize_angle_range():
     assert np.all(phi >= 0) and np.all(phi < TWO_PI)
 
 
+def test_normalize_angle_fast_path_is_mod():
+    # angles in [0, 4pi) take one exact subtraction in place of np.mod: the
+    # same bits, -0.0 as +0.0 and 2pi itself as 0
+    rng = np.random.default_rng(5)
+    edges = [-0.0, 0.0, 5e-324, np.pi, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0),
+             3 * np.pi, np.nextafter(2 * TWO_PI, 0.0)]
+    phi = np.concatenate([edges, rng.uniform(0.0, 2 * TWO_PI, 10000),
+                          TWO_PI + rng.uniform(0.0, 1e-12, 100)])
+    assert normalize_angle(phi).tobytes() == np.mod(phi, TWO_PI).tobytes()
+    for x in edges:
+        got = normalize_angle(x)
+        assert got.shape == () and got.tobytes() == np.mod(np.float64(x), TWO_PI).tobytes()
+    assert not np.signbit(normalize_angle(-0.0)) and normalize_angle(TWO_PI) == 0.0
+    # one angle outside [0, 4pi) sends them all through np.mod
+    wide = np.append(phi, [-1.0, 2 * TWO_PI, 40.0])
+    assert normalize_angle(wide).tobytes() == np.mod(wide, TWO_PI).tobytes()
+
+
 def test_unit_vector_rejects_bad_norm():
     with pytest.raises(ValueError):
         unit_vector([1.0, 0.0, 0.01])

@@ -38,19 +38,14 @@ class TestReferenceRule:
     @pytest.mark.parametrize("name, budget", [("spin", None), ("phase:3", None),
                                               ("phase:8", None)])
     def test_det_equivalence_builds_each_order_once(self, name, budget, monkeypatch):
-        orders, mapped = [], []
-        leggauss, gauss_legendre = np.polynomial.legendre.leggauss, quad.gauss_legendre
+        orders = []
+        leggauss = np.polynomial.legendre.leggauss
 
         def counted_leggauss(n):
             orders.append(n)
             return leggauss(n)
 
-        def counted_gauss_legendre(n, a, b):
-            mapped.append(n)
-            return gauss_legendre(n, a, b)
-
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
-        monkeypatch.setattr(quad, "gauss_legendre", counted_gauss_legendre)
         c, s = pk.named_family(name)
         rng = np.random.default_rng(8)
         states = [pk.random_density_matrix(rng, c.dim) for _ in range(3)]
@@ -64,8 +59,91 @@ class TestReferenceRule:
                        Region.of_arcs([(0.1, 0.9), (1.7, 2.0), (5.5, 6.6)])]
         pk.verify_scheme_equivalence(c, s, states, regions, mode="det", budget=budget)
         assert orders and sorted(orders) == sorted(set(orders))
-        assert set(mapped) == set(orders)
-        assert len(mapped) > 3 * len(orders)
+
+
+def band_nodes_reference(axis, u_lo, n_u, n_phi):
+    """One cap's nodes and weights, built alone: the cap rule as it was
+    before every cap of a region was built in one map."""
+    x, w = np.polynomial.legendre.leggauss(n_u)
+    half = 0.5 * (1.0 - u_lo)
+    u, wu = u_lo + half * (x + 1.0), half * w
+    phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+    su = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    pts = np.column_stack([np.outer(su, np.cos(phi)).ravel(), np.outer(su, np.sin(phi)).ravel(),
+                           np.outer(u, np.ones(n_phi)).ravel()])
+    return pts @ quad.rotation_to(axis).T, np.outer(wu, np.full(n_phi, 2 * np.pi / n_phi)).ravel()
+
+
+LEGGAUSS_64 = np.polynomial.legendre.leggauss(64)
+
+
+def arc_nodes_reference(a, b):
+    """One arc's 64 Gauss-Legendre nodes and weights, mapped alone."""
+    x, w = LEGGAUSS_64
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def piecewise_reference(f, rules):
+    """``f`` once on every piece's nodes, then one ``tensordot`` per piece,
+    added in piece order."""
+    values = np.asarray(f(np.concatenate([x for x, _ in rules])))
+    total, start = 0.0, 0
+    for _, w in rules:
+        total = total + np.tensordot(w, values[start : start + len(w)], axes=(0, 0))
+        start += len(w)
+    return total
+
+
+def random_caps(rng, count):
+    axes = rng.normal(size=(count, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return tuple(pk.Cap(tuple(a), float(rng.uniform(0.0, np.pi))) for a in axes)
+
+
+class TestBatchedPieces:
+    """Every piece of a region mapped together gives the bits of pieces
+    built one at a time and summed by ``tensordot``."""
+
+    def test_sphere_nodes_are_the_whole_sphere_cap(self):
+        for n_u, n_phi in [(1, 2), (2, 3), (4, 9), (64, 128)]:
+            got, ref = quad.sphere_nodes(n_u, n_phi), band_nodes_reference((0.0, 0.0, 1.0), -1.0,
+                                                                          n_u, n_phi)
+            assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 8])
+    def test_caps(self, degree):
+        rng = np.random.default_rng([90, degree])
+        grid = (degree + 2) // 2, degree + 1
+        for _ in range(250):
+            caps = random_caps(rng, int(rng.integers(1, 4)))
+            v = rng.normal(size=3)
+
+            def f(p):
+                return np.cos(p @ v) + p[:, 2] ** 2
+
+            ref = piecewise_reference(
+                f, [band_nodes_reference(c.axis, float(np.cos(c.angle)), *grid) for c in caps])
+            assert np.float64(quad.integrate_sphere_region(f, caps, degree)).tobytes() == \
+                np.float64(ref).tobytes()
+
+    def test_arcs(self):
+        rng = np.random.default_rng(91)
+        for _ in range(1000):
+            arcs = np.sort(rng.uniform(0.0, 2 * np.pi, 2 * int(rng.integers(1, 5)))).reshape(-1, 2)
+            arcs = tuple((float(a), float(b)) for a, b in arcs)
+            k = rng.normal(size=3)
+
+            def f(x):
+                return k[0] + k[1] * np.cos(x) + k[2] * np.sin(3 * x)
+
+            ref = piecewise_reference(f, [arc_nodes_reference(a, b) for a, b in arcs])
+            assert np.float64(quad.integrate_intervals(f, arcs)).tobytes() == \
+                np.float64(ref).tobytes()
+
+    def test_no_pieces(self):
+        assert quad.integrate_sphere_region(pytest.fail, (), 1) == 0.0
+        assert quad.integrate_intervals(pytest.fail, ()) == 0.0
 
 
 def test_rules_are_shared_safely_across_threads(monkeypatch):
