@@ -5,16 +5,18 @@ seed produce byte-identical outputs.  Exit codes: 0 success/pass, 1
 failed check, 2 malformed input (with a single-line error JSON on
 stderr).
 
-Each command first reads its JSON input with the standard library alone
+Each command first reads its JSON files with the standard library alone
 (`povmkit.jsonio`) and imports the modules it calls inside its own body,
-after that read.  So a missing or unreadable file, invalid JSON, a top
-level that is not an object, a wrong schema version, an argparse usage
-error, a ``--tolerance`` key the command does not read, a bad
-``--tolerance``, ``--tol`` or ``--alpha`` value, an unknown family name
-or phase dimension, a ``--budget`` that ``--mode`` does not take
-(`povmkit.names`) or an unusable ``-o`` path exits 2 before numpy loads;
-and a child that validates a POVM never loads the samplers, the families
-or the decomposition code.
+after that read; only NDJSON records are read after numpy loads.  So a
+missing or unreadable file, invalid JSON, a top level that is not an
+object, a wrong schema version, an argparse usage error, a
+``--tolerance`` key the command does not read, a bad ``--tolerance``,
+``--tol`` or ``--alpha`` value, an unknown family name or phase
+dimension, a ``--budget`` that ``--mode`` does not take
+(`povmkit.names`), ``--mode mc`` without ``--seed``, a ``tomo`` target
+without ``"matrix"`` or an unusable ``-o`` path exits 2 before numpy
+loads; and a child that validates a POVM never loads the samplers, the
+families or the decomposition code.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def _read(path, what: str) -> dict:
     return data
 
 
+def _finish(output, payload: dict):
+    """Write ``payload`` to the ``-o`` path, if one is given, then to stdout."""
+    if output:
+        write_json(output, payload)
+    _emit(payload)
+
+
 # --- subcommand bodies --------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -161,22 +170,20 @@ def _cmd_equiv(args) -> int:
     _check_tol(args.tol)
     family_spec(args.family)
     check_mode(args.mode, args.budget)
+    if args.mode == "mc" and args.seed is None:
+        raise SchemaError("montecarlo mode requires --seed")
     _guard_output(args.output, [args.states, args.regions])
+    states = _read(args.states, "states")
+    regions = _read(args.regions, "regions")
     from . import serialize as ser
     from .families import named_family, verify_scheme_equivalence
 
     c, s = named_family(args.family)
-    states = ser.load_states(args.states)
-    regions = ser.load_regions(args.regions)
-    if args.mode == "mc" and args.seed is None:
-        raise SchemaError("montecarlo mode requires --seed")
     report = verify_scheme_equivalence(
-        c, s, states, regions, mode=args.mode, budget=args.budget, seed=args.seed
+        c, s, ser.states_from_dict(states), ser.regions_from_dict(regions),
+        mode=args.mode, budget=args.budget, seed=args.seed,
     )
-    payload = ser.equivalence_report_to_dict(report)
-    if args.output:
-        write_json(args.output, payload)
-    _emit(payload)
+    _finish(args.output, ser.equivalence_report_to_dict(report))
     if args.tol is not None and report.max_abs_diff > args.tol:
         return 1
     return 0
@@ -203,15 +210,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_gof(args) -> int:
     _check_alpha(args.alpha)
+    regions = None if args.bins in ("sphere12", "circle16") else _read(args.bins, "regions")
     from . import serialize as ser
     from .sampling import compare_samples
 
     rec_a = ser.read_records(args.a)
     rec_b = ser.read_records(args.b)
-    if args.bins in ("sphere12", "circle16"):
-        bins = args.bins
-    else:
-        bins = [r for _, r in ser.load_regions(args.bins)]
+    bins = args.bins if regions is None else [r for _, r in ser.regions_from_dict(regions)]
     report = compare_samples(rec_a, rec_b, bins)
     _emit(ser.gof_report_to_dict(report))
     if args.alpha is not None and report.p_value < args.alpha:
@@ -234,33 +239,30 @@ def _cmd_merit(args) -> int:
         report = check_equal_optimality(
             s, spec, x_samples=args.samples, seed=args.seed or 0
         )
-        payload = ser.merit_report_to_dict(report)
-        if args.output:
-            write_json(args.output, payload)
-        _emit(payload)
+        _finish(args.output, ser.merit_report_to_dict(report))
         if args.tol is not None and report.spread > args.tol:
             return 1
         return 0
-    value = bayes_gain(c, spec)
-    payload = {"schema": 1, "value": value}
-    if args.output:
-        write_json(args.output, payload)
-    _emit(payload)
+    _finish(args.output, {"schema": 1, "value": bayes_gain(c, spec)})
     return 0
 
 
 def _cmd_tomo(args) -> int:
     if args.family is not None:
         family_spec(args.family)
-    data = load_json(args.target)
+    data = _read(args.target, "target")
+    if "matrix" not in data:
+        raise SchemaError("target: missing field 'matrix'")
+    povm = _read(args.povm, "povm") if args.povm else None
+    state = _read(args.state, "states") if args.state else None
     _guard_output(args.output, [args.target, args.povm, args.records, args.state])
     from . import serialize as ser
     from .families import named_family
     from .tomography import dual_coefficients, estimate_expectation
 
-    target = ser.matrix_from_json(data.get("matrix"), "target")
-    if args.povm:
-        dual = dual_coefficients(ser.load_povm(args.povm), target)
+    target = ser.matrix_from_json(data["matrix"], "target")
+    if povm is not None:
+        dual = dual_coefficients(ser.povm_from_dict(povm), target)
         residual = dual.residual
     else:
         c, _ = named_family(args.family)
@@ -269,12 +271,10 @@ def _cmd_tomo(args) -> int:
     payload = {"dual": ser.dual_to_dict(dual), "residual": residual}
     if args.records:
         records = ser.read_records(args.records)
-        rho = ser.load_states(args.state)[0][1] if args.state else None
+        rho = ser.states_from_dict(state)[0][1] if state else None
         est = estimate_expectation(records, dual, rho_exact=rho)
         payload["estimate"] = ser.estimate_report_to_dict(est)
-    if args.output:
-        write_json(args.output, payload)
-    _emit(payload)
+    _finish(args.output, payload)
     return 0
 
 

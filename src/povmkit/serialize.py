@@ -237,11 +237,14 @@ def region_from_dict(data: dict) -> Region:
         raise SchemaError(f"region: {exc}") from exc
 
 
-def load_regions(path) -> list[tuple[str, Region]]:
-    data = load_json(path)
+def regions_from_dict(data: dict) -> list[tuple[str, Region]]:
     _check_schema(data, "regions")
     items = _objects(data, "regions", "regions") if "regions" in data else [data]
     return list(zip(_ids(items, "region"), map(region_from_dict, items)))
+
+
+def load_regions(path) -> list[tuple[str, Region]]:
+    return regions_from_dict(load_json(path))
 
 
 # --- states -------------------------------------------------------------------
@@ -321,173 +324,129 @@ def write_records(path, records: OutcomeRecords):
             fh.write("\n")
 
 
-def _record_line(k: int, blanks: list[int]) -> int:
-    """Physical line number of record ``k`` (0-based), given the sorted
-    numbers of the blank lines."""
-    line = k + 1
-    for blank in blanks:
-        if blank > line:
-            break
-        line += 1
-    return line
+_FIELDS = ("omega", "i", "x")  # the fields `write_records` writes
 
 
-def _parse_chunk(path, lines: list[str], chunk: list[str], start: int) -> list:
-    """The JSON values of ``lines``, the non-blank lines of ``chunk``, whose
-    first line is line ``start + 1`` of ``path``: one bulk parse, and a
-    parse line by line only when that fails, to name the first invalid
-    line."""
+def _parse(lines: list[str], layout):
+    """``(layout, columns)`` for ``lines``, one JSON record per non-blank
+    line, or a string naming how they break the rules.
+
+    ``layout`` is None until the first record sets it: the outcome space
+    (an integer label, an angle on the circle or a 3-vector on the sphere)
+    and, per field the first record has, the dtype of its values and the
+    width of its vectors (None for scalars).  Every record holds the
+    fields of the first, of `_FIELDS`, and no others, each field the kind
+    of value it holds there: ``i`` is an integer and ``x`` a number or a
+    list of numbers.  ``columns`` holds one finite array per field.
+    """
+    # Once its fields are checked a record holds no nested object, so with
+    # as many records as lines, each ending in "}", each line holds exactly
+    # one record.  A chunk whose lines all end in "}\n" has no blank line.
+    split = False
+    if not all(map(str.endswith, lines, repeat("}\n"))):
+        lines = [line for line in lines if not line.isspace()]
+        split = not all(line.rstrip().endswith("}") for line in lines)
+    if not lines:
+        return layout, {}
     try:
         rows = json.loads("[" + ",".join(lines) + "]")
-    except ValueError:
-        rows = None
-    # A line holding two values, or a value spread over two lines, can still
-    # give a valid bulk parse, but never one value per line.
-    if rows is not None and len(rows) == len(lines):
-        return rows
-    rows = []
-    for lineno, line in enumerate(chunk, start + 1):
-        if line.isspace():
-            continue
+    except json.JSONDecodeError:
+        return "invalid JSON"
+    except ValueError:  # an integer beyond Python's digit limit
+        return f"integer of more than {sys.get_int_max_str_digits()} digits"
+    if len(rows) != len(lines):
+        return "invalid JSON"
+    if set(map(type, rows)) != {dict}:
+        return "expected a JSON object"
+    if split:
+        return "invalid JSON"
+    if layout is None:
+        first = rows[0]
+        if "omega" not in first:
+            return "missing 'omega'"
+        kind = type(first["omega"])
+        if kind is list:
+            layout = SPHERE, {"omega": (float, 3)}
+        elif kind is float:
+            layout = CIRCLE, {"omega": (float, None)}
+        elif kind is int:
+            layout = None, {"omega": (int, None)}
+        else:
+            return "'omega' must be an integer label, an angle or a list of 3 numbers"
+        if "i" in first:
+            layout[1]["i"] = (int, None)
+        if "x" in first:
+            layout[1]["x"] = (float, len(first["x"]) if type(first["x"]) is list else None)
+    rules = layout[1]
+    columns = {}
+    for key, (dtype, width) in rules.items():
         try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
-        except ValueError as exc:  # an integer beyond Python's digit limit
-            limit = sys.get_int_max_str_digits()
-            raise SchemaError(f"{path}:{lineno}: integer of more than {limit} digits") from exc
-    return rows
-
-
-_INTEGER = frozenset({int})
-_NUMBER = frozenset({int, float})
-
-
-def _column(path, blanks, first: int, key: str, values: list, scalars, dtype, width):
-    """``values``, the ``key`` fields of records ``first, first + 1, ...``, as
-    an array of ``dtype``: each one a finite scalar whose type is in
-    ``scalars`` or, with a ``width``, a list of ``width`` of them.  Raises
-    `SchemaError` at the first record that breaks this."""
-    if width is None:
-        valid = set(map(type, values)) <= scalars
-    else:
-        valid = (
-            set(map(type, values)) == {list}
-            and set(map(len, values)) == {width}
-            and set(map(type, chain.from_iterable(values))) <= scalars
-        )
-    if not valid:
-        def fits(v):
-            if width is None:
-                return type(v) in scalars
-            return type(v) is list and len(v) == width and set(map(type, v)) <= scalars
-
-        bad = next(k for k, v in enumerate(values) if not fits(v))
-        what = (
-            f"a list of {width} numbers" if width is not None
-            else "an integer" if scalars == _INTEGER else "a number"
-        )
-        raise SchemaError(
-            f"{path}:{_record_line(first + bad, blanks)}: {key!r} must be {what}, "
-            "as in the first record"
-        )
-    try:
-        column = np.array(values, dtype=dtype)
-    except OverflowError:
-        for bad, value in enumerate(values):
-            try:
-                np.array(value, dtype=dtype)
-            except OverflowError:
-                break
-        raise SchemaError(
-            f"{path}:{_record_line(first + bad, blanks)}: {key!r} out of range"
-        ) from None
-    if column.dtype.kind == "f":
-        finite = np.isfinite(column.reshape(len(column), -1)).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise SchemaError(f"{path}:{_record_line(first + bad, blanks)}: non-finite {key!r}")
-    return column
-
-
-def _layout(path, row: dict, line: int):
-    """The outcome space and, per field, the ``_column`` value rule set by
-    the first record."""
-    if "omega" not in row:
-        raise SchemaError(f"{path}:{line}: missing 'omega'")
-    kind = type(row["omega"])
-    if kind is list:
-        space, rules = SPHERE, {"omega": (_NUMBER, float, 3)}
-    elif kind is float:
-        space, rules = CIRCLE, {"omega": (_NUMBER, float, None)}
-    elif kind is int:
-        space, rules = None, {"omega": (_INTEGER, int, None)}
-    else:
-        raise SchemaError(
-            f"{path}:{line}: 'omega' must be an integer label, an angle or a list of 3 numbers"
-        )
-    if "i" in row:
-        rules["i"] = (_INTEGER, int, None)
-    if "x" in row:
-        rules["x"] = (_NUMBER, float, len(row["x"]) if type(row["x"]) is list else None)
-    return space, rules
+            values = list(map(itemgetter(key), rows))
+        except KeyError:
+            return f"missing {key!r}"
+        scalars = {int} if dtype is int else {int, float}
+        if width is None:
+            valid = set(map(type, values)) <= scalars
+        else:
+            valid = (
+                set(map(type, values)) == {list}
+                and set(map(len, values)) == {width}
+                and set(map(type, chain.from_iterable(values))) <= scalars
+            )
+        if not valid:
+            what = (
+                f"a list of {width} numbers" if width is not None
+                else "an integer" if dtype is int else "a number"
+            )
+            return f"{key!r} must be {what}, as in the first record"
+        try:
+            columns[key] = np.array(values, dtype=dtype)
+        except OverflowError:
+            return f"{key!r} out of range"
+        if dtype is float and not np.isfinite(columns[key]).all():
+            return f"non-finite {key!r}"
+    if set(map(len, rows)) != {len(rules)}:
+        extra = next(key for row in rows for key in row if key not in rules)
+        if extra in _FIELDS:
+            return f"{extra!r}, which the first record lacks"
+        return f"unknown field {extra!r}"
+    return layout, columns
 
 
 def read_records(path) -> OutcomeRecords:
     """Records written by `write_records`, read column-wise.
 
     Lines are parsed and converted to arrays in chunks; blank lines are
-    skipped.  Every record carries the fields of the first one, and each
-    field holds the kind of value it holds there: the first ``omega`` sets
-    the space (an integer label, an angle on the circle or a 3-vector on
-    the sphere), ``i`` is an integer and ``x`` a number or a list of
-    numbers.  A file that breaks this raises `SchemaError` naming its
-    first offending line.
+    skipped.  A file that breaks the rules of `_parse` raises `SchemaError`
+    naming its first offending line: a chunk with a problem is parsed
+    again line by line.
     """
-    space, rules = None, None
-    columns: dict[str, list] = {"omega": [], "i": [], "x": []}
-    blanks: list[int] = []
-    first = lineno = 0  # records and lines before the chunk
+    layout = None
+    columns: dict[str, list] = {key: [] for key in _FIELDS}
+    start = 0  # lines before the chunk
     with open(path) as fh:
         while chunk := list(islice(fh, _CHUNK_LINES)):
-            start, lineno = lineno, lineno + len(chunk)
-            lines = chunk
-            if any(map(str.isspace, chunk)):
-                blanks += [start + j for j, line in enumerate(chunk, 1) if line.isspace()]
-                lines = [line for line in chunk if not line.isspace()]
-            rows = _parse_chunk(path, lines, chunk, start)
-            if not rows:
-                continue
-            if set(map(type, rows)) != {dict}:
-                bad = next(k for k, row in enumerate(rows) if type(row) is not dict)
-                raise SchemaError(
-                    f"{path}:{_record_line(first + bad, blanks)}: expected a JSON object"
-                )
-            if rules is None:
-                space, rules = _layout(path, rows[0], _record_line(first, blanks))
-            for key, column in columns.items():
-                required = key in rules
-                has = map(dict.__contains__, rows, repeat(key))
-                if all(has) if required else not any(has):
-                    if required:
-                        values = list(map(itemgetter(key), rows))
-                        column.append(_column(path, blanks, first, key, values, *rules[key]))
-                    continue
-                bad = [key in row for row in rows].index(not required)
-                problem = (
-                    f"missing {key!r}" if required else f"{key!r}, which the first record lacks"
-                )
-                raise SchemaError(f"{path}:{_record_line(first + bad, blanks)}: {problem}")
-            first += len(rows)
-    if rules is None:
+            parsed = _parse(chunk, layout)
+            if isinstance(parsed, str):
+                for lineno, line in enumerate(chunk, start + 1):
+                    one = _parse([line], layout)
+                    if isinstance(one, str):
+                        raise SchemaError(f"{path}:{lineno}: {one}")
+                    layout = one[0]
+                # not reached: a chunk breaks a rule only where one of its lines does
+                raise SchemaError(f"{path}: {parsed}")
+            layout, chunk_columns = parsed
+            for key, column in chunk_columns.items():
+                columns[key].append(column)
+            start += len(chunk)
+    if layout is None:
         raise SchemaError(f"{path}: no records")
     from .sampling import OutcomeRecords
 
+    space, rules = layout
     return OutcomeRecords(
         space=space,
-        omega=np.concatenate(columns["omega"]),
-        i=np.concatenate(columns["i"]) if "i" in rules else None,
-        x=np.concatenate(columns["x"]) if "x" in rules else None,
+        **{key: np.concatenate(columns[key]) if key in rules else None for key in _FIELDS},
     )
 
 

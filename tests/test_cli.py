@@ -956,6 +956,25 @@ class TestMalformedInput:
         assert out == ""
         assert len(err.splitlines()) == 1 and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("text", [
+        # two JSON values, each split over both lines
+        '{"omega":[0.0,0.0,1.0]},{"omega":[0.0\n0.0,1.0]}\n',
+        '{"foo":1,"omega":[0.0,0.0,1.0]}\n',
+    ], ids=["split", "unknown-field"])
+    @pytest.mark.parametrize("argv", [
+        ["gof", "--a", "records", "--b", "bad.ndjson", "--bins", "sphere12"],
+        ["tomo", "--family", "spin", "--target", "target", "--records", "bad.ndjson"],
+    ], ids=["gof", "tomo"])
+    def test_records_name_first_line(self, capsys, tmp_path, monkeypatch, argv, text):
+        monkeypatch.chdir(tmp_path)
+        for name, good in self.GOOD.items():
+            (tmp_path / name).write_text(good)
+        (tmp_path / "bad.ndjson").write_text(text)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith("bad.ndjson:1: ")
+
     def test_good_inputs_pass(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, good in self.GOOD.items():
@@ -1107,6 +1126,10 @@ def _fresh_cli(tmp_path, *argv, modules=None):
      '{"error":"tolerance psd: needs a finite value >= 0, got \'nan\'"}'),
     (["equiv", "--family", "spin", "--states", "povm.json", "--regions", "povm.json",
       "--tol", "nan"], '{"error":"--tol needs a finite value >= 0, got nan"}'),
+    (["tomo", "--family", "spin", "--target", "schema2.json"],
+     '{"error":"target: unsupported schema version 2"}'),
+    (["tomo", "--family", "spin", "--target", "povm.json"],
+     '{"error":"target: missing field \'matrix\'"}'),
 ])
 def test_input_error_bytes(tmp_path, argv, line):
     proc = _fresh_cli(tmp_path, *argv)
@@ -1130,6 +1153,8 @@ EQUIV_FILES = ["--states", "povm.json", "--regions", "povm.json"]
      '{"error":"phase measurement needs d >= 2, got 1"}'),
     (["tomo", "--family", "phase:x", "--target", "povm.json"],
      '{"error":"bad family spec \'phase:x\'"}'),
+    (["equiv", "--family", "spin", *EQUIV_FILES, "--mode", "mc"],
+     '{"error":"montecarlo mode requires --seed"}'),
 ])
 def test_name_and_mode_errors_exit_before_numpy(tmp_path, argv, line):
     # argv alone shows these errors (`povmkit.names`), with the bytes a

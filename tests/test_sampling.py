@@ -466,10 +466,17 @@ def cli_inputs(tmp_path_factory):
     (["validate", "povm.json", "--tolerance", "psd=nan"], 2, True, False),
     (["equiv", "--family", "spin", "--states", "state.json", "--regions", "regions.json",
       "--tol", "nan"], 2, True, False),
+    (["tomo", "--family", "spin", "--target", "schema2.json"], 2, True, False),
+    (["equiv", "--family", "spin", "--states", "missing.json", "--regions", "regions.json"],
+     2, True, False),
+    (["gof", "--a", "a.ndjson", "--b", "b.ndjson", "--bins", "missing.json"], 2, True, False),
+    (["equiv", "--family", "spin", "--states", "state.json", "--regions", "regions.json",
+      "--mode", "mc"], 2, True, False),
 ], ids=["validate", "extremal", "decompose", "equiv", "sample", "gof", "merit", "tomo",
         "validate-malformed", "validate-missing", "extremal-malformed", "extremal-missing",
         "decompose-malformed", "decompose-missing", "not-an-object", "schema-version",
-        "unknown-command", "bad-tolerance", "equiv-tol-nan"])
+        "unknown-command", "bad-tolerance", "equiv-tol-nan", "tomo-target-schema-version",
+        "equiv-missing", "gof-bins-missing", "equiv-mc-without-seed"])
 def test_cli_import_set(cli_inputs, tmp_path, argv, code, light, numpy):
     # each command in a fresh interpreter: no command loads scipy, reading
     # and checking a POVM loads none of the heavy modules, and an input

@@ -288,6 +288,14 @@ class TestRecords:
         # valid JSON once the lines are joined, but not line by line
         ('{"omega":0.5},{"omega":0.6}\n', 1),
         ('{"omega":0.5}\n{"omega":[0.0\n1.0,0.0]}\n', 2),
+        ('{"omega":[0.0,0.0,1.0]},{"omega":[0.0\n0.0,1.0]}\n', 1),
+        # records hold the fields write_records writes, and no others
+        ('{"foo":1,"omega":0.5}\n', 1),
+        ('{"omega":0.5}\n{"foo":1,"omega":0.5}\n', 2),
+        # the first offending line, whatever its fault and the faults after it
+        ('{"omega":0.5}\n{"omega":"a"}\nnot json\n', 2),
+        ('{"omega":0.5,"x":1.0}\n{"omega":0.6,"x":"s"}\n{"x":1.0}\n', 2),
+        ('{"omega":0.5}\n{"omega":NaN}\n[1]\n', 2),
     ])
     def test_malformed_records_rejected(self, tmp_path, text, line):
         path = tmp_path / "r.ndjson"
