@@ -12,7 +12,8 @@ missing or unreadable file, invalid JSON, a top level that is not an
 object, a wrong schema version, an argparse usage error, a
 ``--tolerance`` key the command does not read, a bad ``--tolerance``,
 ``--tol`` or ``--alpha`` value, an unknown family name or phase
-dimension, a ``--budget`` that ``--mode`` does not take
+dimension, a ``--budget`` that ``--mode`` does not take, a ``sample -n``
+below 1 or a ``--seed`` outside ``[0, 2**64)`` where a command draws
 (`povmkit.names`), ``--mode mc`` without ``--seed``, a ``tomo`` target
 without ``"matrix"`` or an unusable ``-o`` path exits 2 before numpy
 loads; and a child that validates a POVM never loads the samplers, the
@@ -37,7 +38,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .jsonio import _check_schema, dumps_canonical, load_json, write_json
-from .names import check_mode, family_spec
+from .names import check_draws, check_mode, family_spec
 
 
 def _emit(obj: dict):
@@ -170,8 +171,10 @@ def _cmd_equiv(args) -> int:
     _check_tol(args.tol)
     family_spec(args.family)
     check_mode(args.mode, args.budget)
-    if args.mode == "mc" and args.seed is None:
-        raise SchemaError("montecarlo mode requires --seed")
+    if args.mode == "mc":
+        if args.seed is None:
+            raise SchemaError("montecarlo mode requires --seed")
+        check_draws(seed=args.seed)
     _guard_output(args.output, [args.states, args.regions])
     states = _read(args.states, "states")
     regions = _read(args.regions, "regions")
@@ -191,6 +194,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_sample(args) -> int:
     family_spec(args.family)
+    check_draws(args.n, args.seed)
     data = _read(args.state, "states")
     _guard_output(args.output, [args.state])
     from .families import named_family
@@ -227,6 +231,8 @@ def _cmd_gof(args) -> int:
 def _cmd_merit(args) -> int:
     _check_tol(args.tol)
     family_spec(args.family)
+    if args.scheme:
+        check_draws(seed=args.seed)
     data = _read(args.spec, "merit spec")
     _guard_output(args.output, [args.spec])
     from . import serialize as ser

@@ -24,19 +24,20 @@ with the continuous POVM exactly; `verify_scheme_equivalence` checks
 that numerically state by state.
 
 Everything that depends on the family lives on these classes: a
-continuous POVM draws its own outcomes (`ContinuousPOVM.sample`), gives
-``Tr[A M(omega)]`` in closed form (`ContinuousPOVM.expectation`, which
-Born probabilities and dual processings evaluate), the Born table of a
-moved design (`ContinuousPOVM._moved_born`; the phase family's takes one
-exponential per shift, by covariance), its region operators in closed
-form, every piece of a region at once, its rank-one kets (from which a
-design's members are built), and the finite POVM of an exact outcome
-quadrature (`ContinuousPOVM.outcome_nodes`) on which Bayes gains,
-canonical duals and dual residuals are computed; every method of
-`RandomizedScheme`, from two-stage sampling to the mixing averages, runs
-for every scheme.  `named_family` is the one table from family names
-(``spin``, its aliases, ``phase:<d>``, parsed by `names.family_spec`)
-to the (continuous POVM, scheme) pair.
+continuous POVM gives ``Tr[A M(omega)]`` in closed form
+(`ContinuousPOVM.expectation`, which Born probabilities, dual processings
+and the direct sampler evaluate), the Born table of a moved design
+(`ContinuousPOVM._moved_born`; the phase family's takes one exponential
+per shift, by covariance), its region operators in closed form, every
+piece of a region at once, its rank-one kets (from which a design's
+members are built), and the finite POVM of an exact outcome quadrature
+(`ContinuousPOVM.outcome_nodes`) on which Bayes gains, canonical duals
+and dual residuals are computed.  One rejection sampler
+(`ContinuousPOVM.sample`) draws direct outcomes for every family, and
+every method of `RandomizedScheme`, from two-stage sampling to the mixing
+averages, runs for every scheme.  `named_family` is the one table from
+family names (``spin``, its aliases, ``phase:<d>``, parsed by
+`names.family_spec`) to the (continuous POVM, scheme) pair.
 """
 
 from __future__ import annotations
@@ -85,15 +86,12 @@ def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(phis, np.arange(d)))
 
 
-def _bloch_vector(psi: np.ndarray) -> np.ndarray:
-    a, b = psi
-    return np.array(
-        [2.0 * (np.conj(a) * b).real, 2.0 * (np.conj(a) * b).imag,
-         (abs(a) ** 2 - abs(b) ** 2)]
-    )
-
-
 # --- continuous POVMs -------------------------------------------------------
+
+# proposals per block of the direct sampler, and sums per block of
+# `_phase_sums` (32 KB a complex temporary): neither grows with the draws
+_BLOCK = 2048
+
 
 class ContinuousPOVM:
     """Base: a density of unit-trace PSD matrices over circle or sphere.
@@ -104,7 +102,9 @@ class ContinuousPOVM:
     finite POVM of `outcome_nodes`; what is affine or quadratic in the
     POVM (Bayes gains, the frame operator of `dual`, dual residuals) is
     computed on those nodes.  A family gives ``Tr[A M(omega)]`` in closed
-    form (`expectation`).
+    form (`expectation`), and `sample` draws its outcomes from that alone,
+    by rejection from the uniform law of the outcome space, so a family
+    writes no sampler.
 
     The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
     kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
@@ -149,8 +149,32 @@ class ContinuousPOVM:
         return min(max(val, 0.0), 1.0)
 
     def sample(self, rho: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` i.i.d. outcome points from the density ``Tr[rho M(omega)]``."""
-        raise NotImplementedError
+        """``n`` i.i.d. outcome points from the density ``Tr[rho M(omega)]``,
+        by rejection from the uniform law of the outcome space.
+
+        Against that law the outcome density is ``dim * Tr[rho M(omega)]``,
+        and ``Tr[rho M(omega)] <= lambda_max(rho)`` since ``M(omega)`` is
+        unit-trace PSD.  So a uniform proposal omega, the image of the
+        space's reference point under a draw of its mixing law, accepted
+        when ``u * lambda_max(rho) < Tr[rho M(omega)]`` for a fresh uniform
+        u, has the outcome law exactly (von Neumann, NBS Appl. Math. Ser.
+        12, 36, 1951; Devroye, Non-Uniform Random Variate Generation, II.3).
+        A proposal is accepted with probability ``1 / (dim * lambda_max)``,
+        at least ``1 / dim``.  Proposals come in blocks of `_BLOCK` whatever
+        n, so the draws for n are the first n of those for any larger n
+        under the same generator state, and no temporary grows with n.
+        """
+        law = _MIXING_LAWS[self.space]
+        bound = op.eigh(rho)[0][0]
+        out = np.empty((n, *law.origin.shape[1:]))
+        filled = 0
+        while filled < n:
+            proposals = law.move(law.sample(rng, _BLOCK), law.origin)[:, 0]
+            u = rng.random(_BLOCK) * bound
+            accepted = proposals[u < self.born(rho, proposals)][: n - filled]
+            out[filled : filled + len(accepted)] = accepted
+            filled += len(accepted)
+        return out
 
     def _moved_born(self, rho, xs, design, moved) -> np.ndarray:
         """The Born table (n, K), a new array, of the design points
@@ -250,35 +274,6 @@ class SpinDirectionPOVM(ContinuousPOVM):
             total = np.eye(2, dtype=complex) - total
         return total
 
-    def sample(self, rho, n, rng):
-        """Directions from the density ``<n|rho|n>/2pi`` via exact inversion.
-
-        In the eigenframe of ``rho`` the polar cosine u has density
-        ``(1 + r u)/2`` with r = 2*(top eigenvalue) - 1, inverted in closed
-        form; the azimuth is uniform.
-        """
-        w, v = op.eigh(rho)
-        axis = _bloch_vector(v[:, 0])
-        r = 2.0 * float(w[0]) - 1.0
-        vdraw = rng.uniform(0.0, 1.0, n)
-        if abs(r) < 1e-12:
-            u = 2.0 * vdraw - 1.0
-        else:
-            u = (-1.0 + np.sqrt((1.0 - r) ** 2 + 4.0 * r * vdraw)) / r
-        u = np.clip(u, -1.0, 1.0)
-        phi = rng.uniform(0.0, TWO_PI, n)
-        s = np.sqrt(1.0 - u * u)
-        local = np.column_stack([s * np.cos(phi), s * np.sin(phi), u])
-        return local @ quad.rotation_to(axis).T
-
-
-_PHASE_GRID = 64  # CDF table cells that start and bracket the Newton iteration
-# sums per block of `_phase_sums` (32 KB a complex temporary), and draws per
-# block of the direct sampler's Newton iteration
-_PHASE_BLOCK = 2048
-_NEWTON_TOL = 1e-13  # radians; a draw stops once its step is this small
-_NEWTON_MAX_ITER = 100  # a safeguard only: the hardest states tried converge in 12
-
 
 @functools.cache
 def _superdiagonal_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,24 +312,21 @@ def _interval_offsets(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _phase_sums(c: np.ndarray, phis, parts) -> np.ndarray:
-    """Parts of the Fourier sums ``s_j = sum_{k=1}^{K} c_kj e^{ik phi}`` at
-    phases of any shape.
+def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
+    """Real parts of the Fourier sums ``s_j = sum_{k=1}^{K} c_kj e^{ik phi}``
+    at phases of any shape.
 
-    ``c`` has shape (K,) or (K, m), and ``parts`` names, for each of the
-    one or m sums, the part kept: ``"real"`` or ``"imag"``; the result is a
-    new real array of shape ``phis.shape + (m,)``, one row of sums per
-    phase, with m = 1 for (K,).  Horner's rule in ``z = e^{i phi}``: one
+    ``c`` has shape (K,) or (K, m); the result is a new real array of shape
+    ``phis.shape + (m,)``, one row of sums per phase, with m = 1 for (K,).  Horner's rule in ``z = e^{i phi}``: one
     exponential per phase, then K-1 complex multiply-adds, over blocks of
-    about `_PHASE_BLOCK` sums, so that no complex temporary grows with the
+    about `_BLOCK` sums, so that no complex temporary grows with the
     number of phases.  Each sum gets the bits of a single pass.
     """
     phis = np.asarray(phis, dtype=float)
     flat = phis.reshape(-1)
     c = c.reshape(len(c), -1)
     out = np.empty((flat.size, c.shape[1]))
-    imag = [j for j, part in enumerate(parts) if part == "imag"]
-    rows = max(_PHASE_BLOCK // c.shape[1], 2)
+    rows = max(_BLOCK // c.shape[1], 2)
     for start in range(0, max(flat.size - 1, 1), rows):
         # a last block of one phase joins the block before it: numpy rounds
         # a one-element complex product taken in place apart from a longer one
@@ -345,8 +337,6 @@ def _phase_sums(c: np.ndarray, phis, parts) -> np.ndarray:
             acc += ck
             acc *= z
         out[start:end] = acc.real
-        for j in imag:
-            out[start:end, j] = acc[:, j].imag
     return out.reshape(phis.shape + (c.shape[1],))
 
 
@@ -367,7 +357,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
         superdiagonal sum of ``a``, at phases of any shape (the result has
         the same shape); one exponential per phase (`_phase_sums`)."""
-        vals = _phase_sums(_superdiagonals(a), points, ("real",))[..., 0]
+        vals = _phase_sums(_superdiagonals(a), points)[..., 0]
         vals *= 2.0
         vals += np.trace(a).real
         vals /= self.dim
@@ -393,65 +383,11 @@ class CirclePhasePOVM(ContinuousPOVM):
         (c_j e^{ij phi_k}) e^{ijx}) / d``: `_phase_sums` with one column of
         coefficients per design phase, one exponential per shift x."""
         columns = _superdiagonals(rho)[:, None] * phase_kets(self.dim, design)[:, 1:].T
-        table = _phase_sums(columns, np.reshape(xs, -1), ("real",) * len(design))
+        table = _phase_sums(columns, np.reshape(xs, -1))
         table *= 2.0
         table += np.trace(rho).real
         table /= self.dim
         return np.clip(table, 0.0, 1.0, out=table)
-
-    def sample(self, rho, n, rng):
-        """Phases by safeguarded Newton on the closed-form CDF.
-
-        With ``c_k`` the k-th superdiagonal sum of ``rho``, the CDF is
-        ``(phi + sum_k (2/k) Im[c_k (e^{ik phi} - 1)]) / 2pi`` and its
-        density ``(1 + 2 sum_k Re[c_k e^{ik phi}]) / 2pi``: one Horner
-        pass in ``e^{i phi}`` gives both (`_phase_sums`).  Each draw starts
-        from linear interpolation in the CDF tabulated on a fixed grid,
-        whose cell is its initial bracket; a Newton step that leaves the
-        bracket is replaced by the bracket's midpoint, and only unconverged
-        draws are iterated.  Draws are solved in blocks of `_PHASE_BLOCK`,
-        so that the iteration's arrays do not grow with n.
-        """
-        targets = rng.uniform(0.0, 1.0, n)
-        c = _superdiagonals(rho)
-        cdf_weights = 2.0 * c / np.arange(1, self.dim)
-        weights = np.column_stack([cdf_weights, 2.0 * c])
-        offset = cdf_weights.imag.sum()
-
-        def cdf_and_density(phi):
-            cdf, density = _phase_sums(weights, phi, ("imag", "real")).T
-            cdf += phi
-            cdf -= offset
-            cdf /= TWO_PI
-            density += 1.0
-            density /= TWO_PI
-            return cdf, density
-
-        grid = np.linspace(0.0, TWO_PI, _PHASE_GRID + 1)
-        table = np.maximum.accumulate(cdf_and_density(grid)[0])
-        table[0], table[-1] = 0.0, 1.0
-        out = np.empty(n)
-        for start in range(0, n, _PHASE_BLOCK):
-            block = targets[start : start + _PHASE_BLOCK]
-            cell = np.searchsorted(table, block, side="right")
-            lo, hi = grid[cell - 1], grid[cell]
-            phi = np.interp(block, table, grid)
-            todo = np.arange(len(block))
-            for _ in range(_NEWTON_MAX_ITER):
-                at = phi[todo]
-                cdf, density = cdf_and_density(at)
-                below = cdf < block[todo]
-                lo_t = np.where(below, at, lo[todo])
-                hi_t = np.where(below, hi[todo], at)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = at - (cdf - block[todo]) / density
-                step = np.where((step >= lo_t) & (step <= hi_t), step, 0.5 * (lo_t + hi_t))
-                phi[todo], lo[todo], hi[todo] = step, lo_t, hi_t
-                todo = todo[np.abs(step - at) > _NEWTON_TOL]
-                if not todo.size:
-                    break
-            out[start : start + len(block)] = normalize_angle(phi)
-        return out
 
 
 def spin_direction_povm() -> SpinDirectionPOVM:
@@ -554,7 +490,7 @@ class RandomizedScheme:
         points are its law's moved layout; its Born weights are the
         family's table at the moved points (`ContinuousPOVM._moved_born`:
         for a phase family one exponential per shift, its Fourier sums in
-        blocks of `_PHASE_BLOCK`), scaled by the design weights in place;
+        blocks of `_BLOCK`), scaled by the design weights in place;
         so no temporary as large as the member layout is built beside
         them."""
         if np.shape(rho) != (self.dim, self.dim):
@@ -647,6 +583,7 @@ class _Shifts:
     ``phi`` to ``phi + x``."""
 
     shape = ()  # of one mixing parameter
+    origin = np.zeros(1)
 
     def sample(self, rng, size):
         return rng.uniform(0.0, TWO_PI, size)
@@ -671,6 +608,7 @@ class _Rotations:
 
     _LOW, _SPAN = np.array([0.0, -1.0, 0.0]), np.array([TWO_PI, 2.0, TWO_PI])
     shape = (3,)  # of one mixing parameter
+    origin = np.array([[0.0, 0.0, 1.0]])
 
     def sample(self, rng, size):
         xs = rng.random((size, 3))
@@ -705,6 +643,8 @@ class _Rotations:
 
 
 # One law per outcome space: ``shape`` is that of one mixing parameter x,
+# ``origin`` is one reference point, whose image under a draw of x is
+# uniform on the space (`ContinuousPOVM.sample` proposes those images),
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
 # each point's image under each x, shape (n, k) or (n, k, 3), as a new
 # array in that member layout, written straight into it with no restacked

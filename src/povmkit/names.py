@@ -1,16 +1,19 @@
-"""Family names and equivalence modes, checked with the standard library
-alone.
+"""Family names, equivalence modes, draw counts and seeds, checked with
+the standard library alone.
 
 `families` builds a family from what `family_spec` returns and runs an
-equivalence check in the mode `check_mode` returns, and the CLI calls both
-on argv before numpy loads: so a bad family name, a phase dimension out of
-range or a budget the mode does not take exits 2 at once, by the same rule
-and with the same message as a library call.
+equivalence check in the mode `check_mode` returns, `sampling` checks its
+draw counts and seeds by `check_draws`, and the CLI calls all three on
+argv before numpy loads: so a bad family name, a phase dimension out of
+range, a budget the mode does not take, a draw count below 1 or a seed
+outside ``[0, 2**64)`` exits 2 at once, by the same rule and with the same
+message as a library call.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 
 from .errors import InvalidDimension, SchemaError
 
@@ -65,3 +68,13 @@ def check_mode(mode, budget) -> tuple[str, int | None]:
     if budget < 2:  # one draw has no standard error
         raise ValueError(f"montecarlo budget must be at least 2, got {budget}")
     return long, budget
+
+
+def check_draws(n: int | None = None, seed: int | None = None) -> None:
+    """Raise `ValueError` for a draw count ``n`` below 1 or a ``seed``
+    outside ``[0, 2**64)``, the keys of distinct generators; None is not
+    checked."""
+    if n is not None and n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+    if seed is not None and not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")

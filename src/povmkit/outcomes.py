@@ -59,9 +59,8 @@ SPHERE = Sphere()
 def normalize_angle(phi):
     """Map angles into [0, 2*pi), as a new array (0-d for a scalar).
 
-    Angles already in [0, 4*pi), as moved design points and Newton
-    iterates are, skip ``np.mod``, which is far slower: ``phi - 2*pi``
-    there is exact by Sterbenz' lemma, the remainder ``np.mod`` gives, and
+    Angles already in [0, 4*pi), as shifted points are, skip ``np.mod``,
+    which is far slower: ``phi - 2*pi`` there is exact by Sterbenz' lemma, the remainder ``np.mod`` gives, and
     ``-0.0`` becomes ``+0.0``, as with ``np.mod``.
     """
     phi = np.asarray(phi, dtype=float)

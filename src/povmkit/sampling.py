@@ -2,10 +2,11 @@
 
 Two routes produce outcomes of a continuous measurement:
 
-* direct sampling from the exact outcome density, by the family's own
-  sampler (`ContinuousPOVM.sample`: a quadratic inversion for the spin
-  family, safeguarded Newton on the closed-form trigonometric CDF for
-  the phase family);
+* direct sampling from the exact outcome density, by one sampler for
+  every family (`ContinuousPOVM.sample`): rejection from the uniform law
+  of the outcome space, accepting a proposal omega with probability
+  ``Tr[rho M(omega)] / lambda_max(rho)``, so that a draw takes
+  ``dim * lambda_max(rho)`` proposals on average, at most ``dim``;
 * the two-stage route: draw the classical mixing parameter, measure the
   finite member POVM, declare the member's outcome point.  One
   vectorized kernel (`RandomizedScheme.sample`) does this for every
@@ -22,7 +23,6 @@ indistinguishable.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import operators as op
 from .errors import EmptySample, SpaceMismatch, SparseBins
+from .names import check_draws
 from .outcomes import CIRCLE, SPHERE, TWO_PI, FiniteLabels, normalize_angle, require_same_space
 
 MIN_EXPECTED = 5.0  # least expected count per bin for the chi-square test
@@ -40,10 +41,9 @@ def make_rng(seed: int) -> np.random.Generator:
     always reproduces the same sequence.
 
     Raises ``ValueError`` unless ``0 <= seed < 2**64``, so that no two
-    seeds share a key.
+    seeds share a key (`names.check_draws`).
     """
-    if not 0 <= operator.index(seed) < 1 << 64:
-        raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    check_draws(seed=seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
@@ -68,8 +68,7 @@ class OutcomeRecords:
 
 
 def _checked_state(rho: np.ndarray, dim: int, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
+    check_draws(n)
     return op.check_density_matrix(rho, dim)
 
 

@@ -1155,6 +1155,21 @@ EQUIV_FILES = ["--states", "povm.json", "--regions", "povm.json"]
      '{"error":"bad family spec \'phase:x\'"}'),
     (["equiv", "--family", "spin", *EQUIV_FILES, "--mode", "mc"],
      '{"error":"montecarlo mode requires --seed"}'),
+    (["sample", "--family", "spin", "--direct", "--state", "povm.json", "-n", "0", "--seed", "1",
+      "-o", "out.ndjson"], '{"error":"need at least one draw, got n=0"}'),
+    (["sample", "--family", "phase:3", "--scheme", "--state", "povm.json", "-n", "-3",
+      "--seed", "1", "-o", "out.ndjson"], '{"error":"need at least one draw, got n=-3"}'),
+    (["sample", "--family", "spin", "--direct", "--state", "povm.json", "-n", "5", "--seed", "-1",
+      "-o", "out.ndjson"], '{"error":"seed must satisfy 0 <= seed < 2**64, got -1"}'),
+    (["sample", "--family", "spin", "--scheme", "--state", "povm.json", "-n", "5",
+      "--seed", str(2**64), "-o", "out.ndjson"],
+     '{"error":"seed must satisfy 0 <= seed < 2**64, got 18446744073709551616"}'),
+    (["equiv", "--family", "phase:3", *EQUIV_FILES, "--mode", "mc", "--seed", str(2**64)],
+     '{"error":"seed must satisfy 0 <= seed < 2**64, got 18446744073709551616"}'),
+    (["merit", "--family", "spin", "--spec", "povm.json", "--scheme", "--seed", "-1"],
+     '{"error":"seed must satisfy 0 <= seed < 2**64, got -1"}'),
+    (["merit", "--family", "spin", "--spec", "povm.json", "--scheme", "--seed", str(2**64 + 5)],
+     '{"error":"seed must satisfy 0 <= seed < 2**64, got 18446744073709551621"}'),
 ])
 def test_name_and_mode_errors_exit_before_numpy(tmp_path, argv, line):
     # argv alone shows these errors (`povmkit.names`), with the bytes a

@@ -109,6 +109,19 @@ def test_outcome_nodes_are_finite_povms():
         assert np.linalg.norm(elements.sum(axis=0) - np.eye(c.dim)) <= 1e-12
 
 
+def test_no_family_overrides_the_direct_sampler():
+    # every family draws by ContinuousPOVM.sample, whose exactness rests
+    # only on the density being unit-trace PSD
+    todo, found = [families.ContinuousPOVM], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("povmkit"):
+                found.append(sub)
+    assert {families.SpinDirectionPOVM, families.CirclePhasePOVM} <= set(found)
+    assert [sub.__name__ for sub in found if "sample" in vars(sub)] == []
+
+
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return a + a.conj().T
@@ -287,11 +300,10 @@ class TestPhaseSums:
         phis = np.round(rng.uniform(-1e4, 1e4, 500) * 2.0**30) / 2.0**30
         phis[:3] = [0.0, -1e4, 1e4]
         direct = (np.exp(1j * np.multiply.outer(phis, np.arange(1, d))) @ c).reshape(len(phis), -1)
-        for part in ("real", "imag"):
-            got = _phase_sums(c, phis, (part,) * direct.shape[1])
-            assert got.shape == direct.shape
-            error = np.abs(got - getattr(direct, part)).max(axis=0)
-            assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
+        got = _phase_sums(c, phis)
+        assert got.shape == direct.shape
+        error = np.abs(got - direct.real).max(axis=0)
+        assert np.all(error <= 1e-13 * np.abs(c).sum(axis=0))
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_expectation_keeps_shape(self, d):
@@ -307,7 +319,7 @@ class TestPhaseSums:
         assert one == pytest.approx(stacked[1, 2], abs=1e-15)
 
 
-BLOCK = families._PHASE_BLOCK
+BLOCK = families._BLOCK
 
 
 def same_bytes(got, ref) -> bool:
@@ -334,11 +346,11 @@ class TestBlockedKernels:
         rng = np.random.default_rng([72, len(columns), *shape])
         c = rng.normal(size=columns) + 1j * rng.normal(size=columns)
         phis = rng.uniform(-10.0, 20.0, shape)
-        parts = ("imag", "real")[-c[0].size:]
-        got, ref = _phase_sums(c, phis, parts), oracles.phase_sums_one_pass(c, phis)
-        assert got.shape == shape + (len(parts),)
-        for part, g, r in zip(parts, np.moveaxis(got, -1, 0), ref.reshape((len(parts),) + shape)):
-            assert same_bytes(g, getattr(r, part))
+        got, ref = _phase_sums(c, phis), oracles.phase_sums_one_pass(c, phis)
+        m = c[0].size
+        assert got.shape == shape + (m,)
+        for g, r in zip(np.moveaxis(got, -1, 0), ref.reshape((m,) + shape)):
+            assert same_bytes(g, r.real)
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_superdiagonals(self, d):
@@ -377,9 +389,8 @@ class TestBlockedKernels:
         ph = pk.phase_povm(4)
         blocked = ph.sample(rho, n, np.random.default_rng(9))
 
-        def one_pass(c, phis, parts):
-            sums = oracles.phase_sums_one_pass(c, phis)
-            return np.stack([getattr(s, part) for part, s in zip(parts, sums)], axis=-1)
+        def one_pass(c, phis):
+            return oracles.phase_sums_one_pass(c, phis).real[..., None]
 
         monkeypatch.setattr(families, "_phase_sums", one_pass)
         assert same_bytes(blocked, ph.sample(rho, n, np.random.default_rng(9)))
@@ -496,10 +507,12 @@ class TestKernelMemory:
         assert peak <= PEAK_OVER_OUTPUT * produced
 
     def test_direct_phase_draws(self):
-        # the Newton iteration runs over blocks of draws
-        rho = pk.random_density_matrix(np.random.default_rng(81), 3)
-        peak, records = traced_peak(lambda: pk.sample_direct(pk.phase_povm(3), rho, 30000, 5))
-        assert peak <= PEAK_OVER_OUTPUT * records.omega.nbytes
+        # the direct sampler draws its proposals in fixed blocks, whatever n
+        for c in (pk.phase_povm(3), pk.spin_direction_povm(), pk.phase_povm(16)):
+            rho = pk.random_density_matrix(np.random.default_rng(81), c.dim)
+            peak, records = traced_peak(lambda: pk.sample_direct(c, rho, 30000, 5))
+            assert len(records) == 30000
+            assert peak <= PEAK_OVER_OUTPUT * records.omega.nbytes
 
 
 def irregular_phase_design():

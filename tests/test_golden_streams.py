@@ -47,8 +47,8 @@ REPORTS = {
 
 
 TOMO = {
-    "spin": "80e815c641fc49b48e981937bb316032ba82e3a116401797de6f076c78107826",
-    "phase:3": "07a577aa48fe36d52196e90f94883af9bc6544e5b8cbe48266149030f96b38b2",
+    "spin": "f588b00cff03c72b841e285c02deab94a5c25136ab89fb3a44ca9dcbdd0e2667",
+    "phase:3": "fbe702c0c701397683e219fa16d14ea512580384b3a24a33b5e44bd50fe55975",
 }
 
 EQUIV = {
@@ -157,7 +157,11 @@ def test_tomo_family_output(name, seed, tmp_path, capsys):
     ser.write_records(files["records"], pk.sample_direct(c, rho, 2000, seed=seed))
     argv = ["tomo", "--family", name] + [f"--{key}={path}" for key, path in files.items()]
     assert main(argv) == 0
-    assert sha256(capsys.readouterr().out) == TOMO[name]
+    out = capsys.readouterr().out
+    est = json.loads(out)["estimate"]
+    assert est["exact"] == pytest.approx(np.trace(rho @ np.array(TARGETS[name])).real, abs=1e-12)
+    assert abs(est["estimate"] - est["exact"]) <= 5.0 * est["std_error"]
+    assert sha256(out) == TOMO[name]
 
 
 def equiv_digest(name, budget, directory) -> str:

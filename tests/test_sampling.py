@@ -6,14 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 import povmkit as pk
 from povmkit.errors import DimensionMismatch, SpaceMismatch, SparseBins
-from povmkit.outcomes import SPHERE, TWO_PI, FiniteLabels, Region
+from povmkit.outcomes import SPHERE, TWO_PI, FiniteLabels, Region, normalize_angle
 from povmkit.sampling import OutcomeRecords, _chi2_tail, make_rng
 
-from oracles import arc_probability_quadrature, phase_cdf, spin_polar_cdf
+from oracles import SIG, arc_probability_quadrature, phase_cdf, rodrigues_rotation, spin_polar_cdf
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -27,6 +29,15 @@ def pole_image(xs):
     alpha, u, _ = np.asarray(xs, dtype=float).T
     s = np.sqrt(1.0 - u * u)
     return np.column_stack([s * np.cos(alpha), s * np.sin(alpha), u])
+
+
+def ks_uniform(u) -> float:
+    """``sqrt(n) D``, D the Kolmogorov-Smirnov distance of the values
+    ``u`` from the uniform law on [0, 1]; 1.95 is its 0.999 quantile."""
+    u = np.sort(u)
+    n = len(u)
+    k = np.arange(1, n + 1)
+    return float(np.sqrt(n) * max((k / n - u).max(), (u - (k - 1) / n).max()))
 
 
 class TestRng:
@@ -60,24 +71,15 @@ class TestDirectSpin:
         assert np.allclose(norms, 1.0)
 
     def test_inverse_cdf_exactness(self, plus):
-        # regenerate the generator's uniform draws; the analytic CDF at the
-        # sampled polar cosines must reproduce them
-        n = 2000
-        seed = 9
-        recs = pk.sample_direct(pk.spin_direction_povm(), plus, n, seed=seed)
-        rng = make_rng(seed)
-        v = rng.uniform(0.0, 1.0, n)
-        w, vecs = np.linalg.eigh(plus)
-        psi = vecs[:, -1]
-        axis = np.array(
-            [
-                2 * (psi[0].conj() * psi[1]).real,
-                2 * (psi[0].conj() * psi[1]).imag,
-                abs(psi[0]) ** 2 - abs(psi[1]) ** 2,
-            ]
-        )
-        u = recs.omega @ axis
-        assert np.max(np.abs(spin_polar_cdf(plus, u) - v)) <= 1e-10
+        # in the frame of the state's Bloch axis the polar cosine has the
+        # oracle CDF and the azimuth is uniform: both transforms pass KS
+        n, seed = 2000, 9
+        omega = pk.sample_direct(pk.spin_direction_povm(), plus, n, seed=seed).omega
+        bloch = np.array([np.trace(plus @ sig).real for sig in SIG])
+        local = omega @ rodrigues_rotation(bloch / np.linalg.norm(bloch))
+        azimuth = normalize_angle(np.arctan2(local[:, 1], local[:, 0]))
+        assert ks_uniform(spin_polar_cdf(plus, local[:, 2])) < 1.95
+        assert ks_uniform(azimuth / TWO_PI) < 1.95
 
     def test_mixed_state_uniform(self, maximally_mixed):
         n = 100_000
@@ -136,13 +138,12 @@ class TestDirectPhase:
         (d, kind) for d in (2, 3, 8, 16) for kind in ("mixed", "pure", "basis")
     ] + [(2, "plus")])
     def test_inverse_cdf_exactness(self, d, kind):
-        # the closed-form CDF at every draw reproduces the generator's uniform
+        # the oracle CDF maps exact draws to uniforms: KS at alpha ~ 0.001
         rho = self._state(kind, d)
         n, seed = 5000, 31
         phis = pk.sample_direct(pk.phase_povm(d), rho, n, seed=seed).omega
-        u = make_rng(seed).uniform(0.0, 1.0, n)
-        assert np.max(np.abs(phase_cdf(rho, phis) - u)) <= 1e-12
         assert np.all((phis >= 0.0) & (phis < TWO_PI))
+        assert ks_uniform(phase_cdf(rho, phis)) < 1.95
 
     def test_deterministic(self):
         rho = self._state("mixed", 8)
@@ -162,6 +163,53 @@ class TestDirectPhase:
                 pk.sample_direct(pk.spin_direction_povm(), up, n, seed=0)
             with pytest.raises(ValueError):
                 pk.sample_two_stage(pk.stern_gerlach_scheme(), up, n, seed=0)
+
+
+class TestDirectLaw:
+    """The one direct sampler, for every family."""
+
+    @given(st.sampled_from(["spin", "phase:2", "phase:5", "phase:16"]),
+           st.integers(0, 2**64 - 1), st.integers(1, 5000), st.integers(0, 5000))
+    @settings(max_examples=25, deadline=None)
+    def test_draws_for_n_are_a_prefix(self, name, seed, n, extra):
+        c, _ = pk.named_family(name)
+        rho = pk.random_density_matrix(np.random.default_rng(seed), c.dim)
+        short = pk.sample_direct(c, rho, n, seed).omega
+        assert np.array_equal(short, pk.sample_direct(c, rho, n + extra, seed).omega[:n])
+
+    @pytest.mark.parametrize("name", ["spin"] + [f"phase:{d}" for d in range(2, 17)])
+    def test_harmonic_means(self, name):
+        # every harmonic up to degree 2L, L the density's degree, has its
+        # exact mean within 5 standard errors; beyond degree L it is 0.  On
+        # the circle E[exp(ik phi)] is the k-th subdiagonal sum of rho; on
+        # the sphere E[n] = r/3, r the Bloch vector, and E[n n^T] = I/3
+        c, _ = pk.named_family(name)
+        n = 20_000
+        for seed in (1, 2, 3):
+            rho = pk.random_density_matrix(np.random.default_rng([88, seed]), c.dim)
+            omega = pk.sample_direct(c, rho, n, seed).omega
+            if c.space == SPHERE:
+                bloch = np.array([np.trace(rho @ sig).real for sig in SIG])
+                f = np.hstack([omega, (omega[:, :, None] * omega[:, None, :]).reshape(n, 9)])
+                exact = np.concatenate([bloch / 3.0, np.eye(3).ravel() / 3.0])
+            else:
+                k = np.arange(1, 2 * c.degree + 1)
+                waves = np.exp(1j * np.outer(omega, k))
+                f = np.hstack([waves.real, waves.imag])
+                sub = np.array([np.trace(rho, offset=-j) for j in k])
+                exact = np.concatenate([sub.real, sub.imag])
+            error = np.abs(f.mean(axis=0) - exact)
+            assert np.all(error <= 5.0 * f.std(axis=0, ddof=1) / np.sqrt(n))
+
+    @pytest.mark.parametrize("name", ["spin", "phase:2", "phase:3", "phase:8", "phase:16"])
+    def test_direct_and_two_stage_agree(self, name):
+        # the direct law is that of the family's randomized finite scheme
+        c, scheme = pk.named_family(name)
+        rho = pk.random_density_matrix(np.random.default_rng([89, c.dim]), c.dim)
+        direct = pk.sample_direct(c, rho, 20_000, seed=1)
+        staged = pk.sample_two_stage(scheme, rho, 20_000, seed=2)
+        bins = "sphere12" if c.space == SPHERE else "circle16"
+        assert pk.compare_samples(direct, staged, bins).p_value > 0.001
 
 
 class TestTwoStage:
