@@ -318,9 +318,10 @@ def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
 
     ``c`` has shape (K,) or (K, m); the result is a new real array of shape
     ``phis.shape + (m,)``, one row of sums per phase, with m = 1 for (K,).  Horner's rule in ``z = e^{i phi}``: one
-    exponential per phase, then K-1 complex multiply-adds, over blocks of
-    about `_BLOCK` sums, so that no complex temporary grows with the
-    number of phases.  Each sum gets the bits of a single pass.
+    cosine and one sine per phase, written into one complex array with
+    the bits of ``exp(1j * phi)``, then K-1 complex multiply-adds, over
+    blocks of about `_BLOCK` sums, so that no complex temporary grows with
+    the number of phases.  Each sum gets the bits of a single pass.
     """
     phis = np.asarray(phis, dtype=float)
     flat = phis.reshape(-1)
@@ -331,7 +332,11 @@ def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
         # a last block of one phase joins the block before it: numpy rounds
         # a one-element complex product taken in place apart from a longer one
         end = start + rows if flat.size - start > rows + 1 else flat.size
-        z = np.exp(1j * flat[start:end])[:, None]
+        z = np.empty((end - start, 2))
+        np.cos(flat[start:end], out=z[:, 0])
+        # + 0.0 turns -0.0 into the +0.0 whose sine exp(1j * phi) takes
+        np.sin(flat[start:end] + 0.0, out=z[:, 1])
+        z = z.view(complex)
         acc = c[-1] * z
         for ck in c[-2::-1]:
             acc += ck
@@ -558,10 +563,16 @@ class RandomizedScheme:
     @staticmethod
     def _region_masses(probs, points, region):
         """Each member's probability of the region, from its entries; the
-        entries outside are zeroed in ``probs``, which `_entries` made."""
+        entries outside are zeroed in ``probs``, which `_entries` made, by
+        one product with the inside mask, and the K entry columns are added
+        in entry order, which for K < 8 has the bits of ``sum(axis=1)``
+        (numpy sums eight or more entries pairwise, a few ulps apart)."""
         inside = region.contains(points.reshape(probs.size, *points.shape[2:]))
-        np.copyto(probs, 0.0, where=~inside.reshape(probs.shape))
-        return probs.sum(axis=1)
+        probs *= inside.reshape(probs.shape)
+        masses = probs[:, 0].copy()
+        for column in probs.T[1:]:
+            masses += column
+        return masses
 
     def _deterministic_average(self, rho, region):
         """A mixture's average is ``sum_t lam_t`` times its terms' region
@@ -604,7 +615,14 @@ class _Rotations:
     Euler angles of ``R(x) = R_z(alpha) R_y(beta) R_z(gamma)``, uniform in
     each coordinate, which is the Haar law on SO(3); x moves ``p`` to
     ``R(x) p``, and the image of +z is ``(sin beta cos alpha,
-    sin beta sin alpha, cos beta)``."""
+    sin beta sin alpha, cos beta)``.
+
+    ``R_z(gamma)`` fixes the points of the z axis, so `move` takes the cosine
+    and sine of gamma only for a design with a point off the axis, and sends
+    a point ``(0, 0, pz)`` to ``pz`` times the image of +z.  That is the
+    three-factor product's value, with its bits wherever a coordinate is
+    nonzero; only the sign of an exact zero can differ (at ``cos beta = +-1``
+    or 0, or in y at ``alpha = 0``)."""
 
     _LOW, _SPAN = np.array([0.0, -1.0, 0.0]), np.array([TWO_PI, 2.0, TWO_PI])
     shape = (3,)  # of one mixing parameter
@@ -621,19 +639,27 @@ class _Rotations:
         alpha, u, gamma = xs.T
         if not (np.isfinite(xs).all() and np.all(np.abs(u) <= 1.0)):
             raise ValueError("a rotation needs a finite mixing parameter x with cos beta in [-1, 1]")
-        ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
+        ca, sa = np.cos(alpha), np.sin(alpha)
         s = np.sqrt(1.0 - u * u)
         points = np.asarray(points, dtype=float)
+        off_axis = points[:, :2].any(axis=1)
+        if off_axis.any():
+            cg, sg = np.cos(gamma), np.sin(gamma)
         moved = np.empty((len(xs), len(points), 3))
         # R_z(alpha) R_y(beta) R_z(gamma) p, one factor at a time and one
         # design point at a time, entry by entry along the draws, written
         # straight into the (draw, point, coordinate) layout; so a draw moves
         # to the same bits in a batch of any size
-        for (px, py, pz), dest in zip(points, moved.transpose(1, 2, 0)):
-            x, y = cg * px - sg * py, sg * px + cg * py
-            x, z = u * x + s * pz, u * pz - s * x
-            np.subtract(ca * x, sa * y, out=dest[0])
-            np.add(sa * x, ca * y, out=dest[1])
+        for (px, py, pz), dest, tilted in zip(points, moved.transpose(1, 2, 0), off_axis):
+            if tilted:
+                x, y = cg * px - sg * py, sg * px + cg * py
+                x, z = u * x + s * pz, u * pz - s * x
+                np.subtract(ca * x, sa * y, out=dest[0])
+                np.add(sa * x, ca * y, out=dest[1])
+            else:
+                x, z = s * pz, u * pz
+                np.multiply(ca, x, out=dest[0])
+                np.multiply(sa, x, out=dest[1])
             dest[2] = z
         return moved
 
@@ -648,10 +674,12 @@ class _Rotations:
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
 # each point's image under each x, shape (n, k) or (n, k, 3), as a new
 # array in that member layout, written straight into it with no restacked
-# copy, and rejects a non-finite x, and ``integral(c, rho, region)``
-# integrates the Born density ``Tr[rho M(omega)]`` of the family ``c`` over
-# the region's arcs or caps under the uniform probability law (a
-# complement is left to the caller), on the nodes `quadrature` sizes.
+# copy (a rotation skips its gamma factor on the z axis, where the product
+# keeps its value and only an exact zero's sign can differ), and rejects a
+# non-finite x, and ``integral(c, rho, region)`` integrates the Born
+# density ``Tr[rho M(omega)]`` of the family ``c`` over the region's arcs
+# or caps under the uniform probability law (a complement is left to the
+# caller), on the nodes `quadrature` sizes.
 _MIXING_LAWS = {CIRCLE: _Shifts(), SPHERE: _Rotations()}
 
 

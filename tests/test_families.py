@@ -336,7 +336,10 @@ class TestBlockedKernels:
     """Phase sums taken block by block and rotations written point by point
     into the member layout give the bytes of a one-pass evaluation
     (`oracles`), at the block edges, on 0-d and (m, k) phases, and for
-    design points off the z axis."""
+    design points off the z axis; on the axis a rotation keeps the value
+    of the three-factor product and its bits wherever a coordinate is
+    nonzero.  Region masses added column by column keep the bits of a
+    masked row sum below eight entries."""
 
     SHAPES = [(), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, 7), (3, BLOCK // 3 + 1), (2, BLOCK + 1)]
 
@@ -395,16 +398,57 @@ class TestBlockedKernels:
         monkeypatch.setattr(families, "_phase_sums", one_pass)
         assert same_bytes(blocked, ph.sample(rho, n, np.random.default_rng(9)))
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 5])
-    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_phase_sums_signed_zero(self):
+        phis = np.array([-0.0, 0.0, -np.pi, np.pi, -1e-300, 1e-300])
+        for c in ([complex(-0.0, 1.0)], [1.0 + 2.0j, -0.5 + 0.25j, complex(-0.0, -1.0)]):
+            c = np.array(c)  # a real part -0.0 carries the sign of sin(phi) = -0.0 into a sum
+            assert same_bytes(_phase_sums(c, phis)[:, 0], oracles.phase_sums_one_pass(c, phis).real)
+
+    ON_AXIS = {
+        "origin": families._MIXING_LAWS[SPHERE].origin,
+        "pm-z": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+        "pm-z-mixed": np.array([[0.0, 0.0, -1.0], [0.6, 0.0, 0.8], [0.0, 0.0, 1.0],
+                                [-0.0, -0.6, -0.8], [0.48, 0.6, 0.64]]),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, *ON_AXIS])  # k unit rows off the axis, or a design on it
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, BLOCK - 1, BLOCK, 5000])
     def test_rotation_move(self, k, n):
-        rng = np.random.default_rng([75, k, n])
-        law, points = families._MIXING_LAWS[SPHERE], unit_rows(rng, k)
+        law, points = families._MIXING_LAWS[SPHERE], self.ON_AXIS.get(k)
+        rng = np.random.default_rng([75, k, n] if points is None else [76, n, len(points)])
+        if points is None:
+            points = unit_rows(rng, k)
         xs = law.sample(rng, n)
-        xs[:1, 1], xs[1:2, 1] = 1.0, -1.0  # the poles of beta
-        moved = law.move(xs, points)
-        assert moved.flags.c_contiguous
-        assert same_bytes(moved, oracles.rotate_zyz_one_pass(xs, points))
+        xs[:1, 1], xs[1:2, 1], xs[2:3, 1] = 1.0, -1.0, 0.0  # the poles and equator of beta
+        xs[3:6, 0] = 0.0  # alpha = 0, as on `quadrature.mixing_rule` nodes
+        moved, ref = law.move(xs, points), oracles.rotate_zyz_one_pass(xs, points)
+        assert moved.flags.c_contiguous and moved.shape == ref.shape
+        on = ~points[:, :2].any(axis=1)
+        assert same_bytes(moved[:, ~on], ref[:, ~on])
+        # on the axis the same values, and the same bytes but for the sign of
+        # an exact zero: at the poles and equator of beta, and in y at alpha = 0
+        assert np.array_equal(moved, ref)
+        assert same_bytes(moved[ref != 0.0], ref[ref != 0.0])
+        signs = np.signbit(moved) != np.signbit(ref)
+        assert not signs[6:].any() and not signs[3:6, :, [0, 2]].any()
+        spun = xs.copy()
+        spun[:, 2] = law.sample(rng, n)[:, 2]
+        assert same_bytes(law.move(spun, points[on]), moved[:, on])  # R_z(gamma) fixes the axis
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 16])
+    def test_region_masses(self, k):
+        rng = np.random.default_rng([77, k])
+        probs, phis = rng.dirichlet(np.ones(k), 5000), rng.uniform(0.0, 2 * np.pi, (5000, k))
+        region = Region.of_arcs([(0.4, 2.5), (5.0, 7.0)])
+        ref = probs.copy()
+        np.copyto(ref, 0.0, where=~region.contains(phis.ravel()).reshape(ref.shape))
+        ref = ref.sum(axis=1)
+        got = families.RandomizedScheme._region_masses(probs, phis, region)
+        if k < 8:
+            assert same_bytes(got, ref)
+        else:  # numpy sums eight or more entries pairwise
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
 
 KERNELS = ["normalize_angle", "contains-arcs-wrapped", "contains-arcs-inside", "contains-caps",
