@@ -1,13 +1,13 @@
 """Continuous measurement families and their randomized realizations.
 
-Two continuous POVMs are built in:
+A continuous POVM is a density ``M(omega)`` of unit-trace PSD matrices
+over its outcome space, and ``dim * M(omega) dmu`` integrates to the
+identity under the space's uniform probability law mu.  Two are built in:
 
-* direction measurement for a spin-1/2 system, density ``|n><n|`` with
-  base measure ``dn / 2*pi`` over the unit sphere, where ``|n>`` is the
-  spin-up eigenvector along ``n``;
-* covariant phase measurement in dimension d, density ``|phi><phi| / d``
-  with base measure ``d * dphi / 2*pi``, where
-  ``|phi> = sum_n exp(i n phi) |n>`` (squared norm d).
+* direction measurement for a spin-1/2 system, ``M(n) = (I + n.sigma)/2``
+  over the unit sphere;
+* covariant phase measurement in dimension d, ``M(phi) = |phi><phi| / d``
+  over the circle, where ``|phi> = sum_n exp(i n phi) |n>``.
 
 Both are covariant, ``M(g.omega) = U_g M(omega) U_g^dagger`` under
 rotations and phase shifts, and have one exact randomization: a finite
@@ -15,24 +15,24 @@ design ``sum_k w_k M(omega_k) = I`` moved by a uniformly random motion of
 the outcome space, declaring the moved points (the antipodal pair
 ``{+z, -z}`` for spin, the d-point comb for phase).  The mixing law
 belongs to the outcome space, not to the family: uniform shifts of the
-circle and uniform (Haar) rotations of the sphere.  Every scheme is one
-`RandomizedScheme`: term weights ``lam`` (T,), a padded stack of outcome
-points (T, K) or (T, K, 3), and either design weights (T, K) moved by the
-law (`DesignScheme`, T = 1) or explicit elements (T, K, d, d) and no law
-(`FiniteMixtureScheme`).  Region probabilities of scheme averages agree
-with the continuous POVM exactly; `verify_scheme_equivalence` checks
-that numerically state by state.
+circle and uniform (Haar) rotations of the sphere, each with the area of
+its space.  Every scheme is one `RandomizedScheme`: term weights ``lam``
+(T,), a padded stack of outcome points (T, K) or (T, K, 3), and either
+design weights (T, K) moved by the law (`DesignScheme`, T = 1) or
+explicit elements (T, K, d, d) and no law (`FiniteMixtureScheme`).
+Region probabilities of scheme averages agree with the continuous POVM
+exactly; `verify_scheme_equivalence` checks that numerically state by
+state.
 
 Everything that depends on the family lives on these classes: a
-continuous POVM gives ``Tr[A M(omega)]`` in closed form
-(`ContinuousPOVM.expectation`, which Born probabilities, dual processings
-and the direct sampler evaluate), the Born table of a moved design
-(`ContinuousPOVM._moved_born`; the phase family's takes one exponential
-per shift, by covariance), its region operators in closed form, every
-piece of a region at once, its rank-one kets (from which a design's
-members are built), and the finite POVM of an exact outcome quadrature
-(`ContinuousPOVM.outcome_nodes`) on which Bayes gains, canonical duals
-and dual residuals are computed.  One rejection sampler
+continuous POVM gives its elements (`ContinuousPOVM.elements`, which
+build a design's members and the finite POVM of an exact outcome
+quadrature, `ContinuousPOVM.outcome_nodes`, on which Bayes gains,
+canonical duals and dual residuals are computed), ``Tr[A M(omega)]`` in
+closed form (`ContinuousPOVM.expectation`), the Born table of a moved
+design (`ContinuousPOVM._moved_born`; the phase family's takes one
+exponential per shift, by covariance), and its region operators in
+closed form, every piece of a region at once.  One rejection sampler
 (`ContinuousPOVM.sample`) draws direct outcomes for every family, and
 every method of `RandomizedScheme`, from two-stage sampling to the mixing
 averages, runs for every scheme.  `named_family` is the one table from
@@ -51,7 +51,7 @@ from . import operators as op
 from . import quadrature as quad
 from .catalog import PAULI_X, PAULI_Y, PAULI_Z
 from .errors import DimensionMismatch, NotInformationallyComplete, SpaceMismatch
-from .names import check_mode, family_spec, phase_dimension
+from .names import check_mode, check_unique_ids, family_spec, phase_dimension
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -62,29 +62,6 @@ from .outcomes import (
     require_same_space,
 )
 from .povm import FinitePOVM, check_povm, coerce_points
-
-# --- state vectors ----------------------------------------------------------
-
-def plus_spinors(points: np.ndarray) -> np.ndarray:
-    """Spin-up eigenvectors along unit vectors, shape (m, 2).
-
-    Gauge fixed as ``(cos(theta/2), exp(i phi) sin(theta/2))``; at the
-    poles the azimuth is taken to be zero.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    u = np.clip(pts[:, 2], -1.0, 1.0)
-    c = np.sqrt((1.0 + u) / 2.0)
-    s = np.sqrt((1.0 - u) / 2.0)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    phase = np.where(r > 1e-15, (pts[:, 0] + 1j * pts[:, 1]) / np.where(r > 1e-15, r, 1.0), 1.0)
-    return np.column_stack([c.astype(complex), phase * s])
-
-
-def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
-    """Unnormalized phase vectors ``sum_n exp(i n phi)|n>``, shape (m, d)."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return np.exp(1j * np.outer(phis, np.arange(d)))
-
 
 # --- continuous POVMs -------------------------------------------------------
 
@@ -106,9 +83,10 @@ class ContinuousPOVM:
     by rejection from the uniform law of the outcome space, so a family
     writes no sampler.
 
-    The density is rank one, ``M(omega) = |psi><psi| / ket_norm`` with
-    kets ``psi`` from ``kets(points)``, shape (m, dim), normalized so that
-    ``int |psi><psi| domega/2pi = I``.  A family writes no group code: a
+    One convention holds throughout: ``elements(points)`` gives
+    ``M(omega)``, unit-trace PSD, and ``dim * M(omega) dmu`` integrates to
+    I under the uniform probability law mu of the outcome space, whose
+    area the space's mixing law holds.  A family writes no group code: a
     `RandomizedScheme` with design weights moves a design by its outcome
     space's mixing law, and the family's covariance is what makes every
     moved design a POVM.
@@ -117,8 +95,11 @@ class ContinuousPOVM:
     dim: int
     space: OutcomeSpace
     family: str
-    ket_norm: int  # squared norm of the kets
     degree: int  # of the density as a polynomial in the outcome
+
+    def elements(self, points) -> np.ndarray:
+        """``M(omega)`` at m outcome points, a new unit-trace PSD stack (m, dim, dim)."""
+        raise NotImplementedError
 
     def expectation(self, a: np.ndarray, points) -> np.ndarray:
         """``Tr[a M(omega)]`` of a Hermitian ``a`` at a stack of outcome points."""
@@ -131,7 +112,7 @@ class ContinuousPOVM:
         return np.clip(p, 0.0, 1.0, out=p if isinstance(p, np.ndarray) else None)
 
     def region_operator(self, region: Region) -> np.ndarray:
-        """``int_region M(omega) domega/2pi`` in closed form; overlapping
+        """``dim * int_region M(omega) dmu`` in closed form; overlapping
         caps raise `ValueError`."""
         return self._region_operator(_exact_region(region))
 
@@ -164,6 +145,7 @@ class ContinuousPOVM:
         n, so the draws for n are the first n of those for any larger n
         under the same generator state, and no temporary grows with n.
         """
+        rho = op.check_density_matrix(rho, self.dim)
         law = _MIXING_LAWS[self.space]
         bound = op.eigh(rho)[0][0]
         out = np.empty((n, *law.origin.shape[1:]))
@@ -225,12 +207,12 @@ class ContinuousPOVM:
     def outcome_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """The finite POVM of the exact outcome quadrature (`outcome_rule`).
 
-        Returns points ``omega_k`` and stacked elements ``w_k M(omega_k)``,
-        shape (K, dim, dim), summing to the identity.
+        Returns points ``omega_k`` and stacked elements ``(w_k dim / area)
+        M(omega_k)``, shape (K, dim, dim), summing to the identity.
         """
         points, w = self.outcome_rule()
-        kets = self.kets(points)
-        return points, (w / TWO_PI)[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
+        scale = w * (self.dim / _MIXING_LAWS[self.space].area)
+        return points, scale[:, None, None] * self.elements(points)
 
     def dual_residual(self, dual) -> float:
         """Frobenius norm of ``int f(omega) M(omega) - A`` for ``dual = (f, A)``,
@@ -240,17 +222,18 @@ class ContinuousPOVM:
 
 
 class SpinDirectionPOVM(ContinuousPOVM):
-    """Direction measurement for spin 1/2: density ``|n><n|``, measure dn/2pi."""
+    """Direction measurement for spin 1/2: density ``(I + n.sigma)/2``."""
 
     def __init__(self):
         self.dim = 2
         self.space = SPHERE
         self.family = "spin_direction"
-        self.ket_norm = 1
         self.degree = 1
 
-    def kets(self, points):
-        return plus_spinors(points)
+    def elements(self, points):
+        """``(I + n.sigma)/2`` at each unit vector n."""
+        x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T
+        return np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=1).reshape(-1, 2, 2) / 2.0
 
     def expectation(self, a, points):
         """``Tr a / 2 + n . (Re a01, -Im a01, (a00 - a11) / 2)``, as
@@ -260,7 +243,7 @@ class SpinDirectionPOVM(ContinuousPOVM):
         return (a[0, 0].real + a[1, 1].real) / 2.0 + np.asarray(points, dtype=float) @ vec
 
     def _region_operator(self, region: Region) -> np.ndarray:
-        """The exact integral of ``|n><n| dn/2pi`` over the region, its caps'
+        """The exact integral of ``2 M(n) dmu`` over the region, its caps'
         operators ``(1 - c) I/2 + (1 - c^2)/4 (axis . sigma)``, ``c =
         cos(angle)``, built together and added in cap order."""
         if region.caps is None:
@@ -345,31 +328,43 @@ def _phase_sums(c: np.ndarray, phis) -> np.ndarray:
     return out.reshape(phis.shape + (c.shape[1],))
 
 
+def phase_kets(d: int, phis: np.ndarray) -> np.ndarray:
+    """Unnormalized phase vectors ``sum_n exp(i n phi)|n>``, shape (m, d)."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    return np.exp(1j * np.outer(phis, np.arange(d)))
+
+
 class CirclePhasePOVM(ContinuousPOVM):
-    """Covariant phase measurement: density ``|phi><phi|/d``, measure d*dphi/2pi."""
+    """Covariant phase measurement: density ``|phi><phi|/d``."""
 
     def __init__(self, d: int):
         self.dim = phase_dimension(d)
         self.space = CIRCLE
         self.family = "phase"
-        self.ket_norm = d
         self.degree = d - 1
 
-    def kets(self, points):
-        return phase_kets(self.dim, points)
+    def elements(self, points):
+        """``|phi><phi| / d`` at each phase, from `phase_kets`."""
+        kets = phase_kets(self.dim, points)
+        return kets[:, :, None] * kets.conj()[:, None, :] / self.dim
+
+    def _fourier_born(self, c, phis, trace):
+        """``(trace + 2 Re s_j) / d`` for the sums ``s_j`` of `_phase_sums`,
+        in place in its new array."""
+        vals = _phase_sums(c, phis)
+        vals *= 2.0
+        vals += trace
+        vals /= self.dim
+        return vals
 
     def expectation(self, a, points):
         """``(Tr a + 2 Re sum_k c_k e^{ik phi}) / d``, with ``c_k`` the k-th
         superdiagonal sum of ``a``, at phases of any shape (the result has
         the same shape); one exponential per phase (`_phase_sums`)."""
-        vals = _phase_sums(_superdiagonals(a), points)[..., 0]
-        vals *= 2.0
-        vals += np.trace(a).real
-        vals /= self.dim
-        return vals[()]
+        return self._fourier_born(_superdiagonals(a), points, np.trace(a).real)[..., 0][()]
 
     def _region_operator(self, region: Region) -> np.ndarray:
-        """``int dphi/2pi |phi><phi|`` over the region's arcs ``[a, b)``,
+        """``int |phi><phi| dphi/2pi`` over the region's arcs ``[a, b)``,
         entrywise in closed form, ``(e^{ikb} - e^{ika}) / (2 pi i k)`` off
         the diagonal (``k`` the column offset) and ``(b - a) / 2pi`` on it:
         every arc's operator built together, added in arc order."""
@@ -388,10 +383,7 @@ class CirclePhasePOVM(ContinuousPOVM):
         (c_j e^{ij phi_k}) e^{ijx}) / d``: `_phase_sums` with one column of
         coefficients per design phase, one exponential per shift x."""
         columns = _superdiagonals(rho)[:, None] * phase_kets(self.dim, design)[:, 1:].T
-        table = _phase_sums(columns, np.reshape(xs, -1))
-        table *= 2.0
-        table += np.trace(rho).real
-        table /= self.dim
+        table = self._fourier_born(columns, np.reshape(xs, -1), np.trace(rho).real)
         return np.clip(table, 0.0, 1.0, out=table)
 
 
@@ -452,7 +444,7 @@ class RandomizedScheme:
     def members(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """The members at mixing parameters ``xs`` as stacks: outcome points
         as a `FinitePOVM` stores them, (n, K) or (n, K, 3), and elements,
-        (n, K, dim, dim); a design takes one move and one broadcast of kets."""
+        (n, K, dim, dim); a design takes one move and one `elements` call."""
         if self._law is None:
             t = self._term_index(xs)
             return self._points[t], self._elements[t]
@@ -461,14 +453,10 @@ class RandomizedScheme:
         return points.reshape(moved.shape), self._elements_at(moved)
 
     def _elements_at(self, moved):
-        """``w_k |psi><psi| / ket_norm`` at moved design points, one
-        ``(K, dim, dim)`` stack per row of ``moved``."""
-        kets = self.continuous.kets(moved.reshape(-1, *moved.shape[2:]))
-        kets = kets.reshape(*moved.shape[:2], self.dim)
-        return (
-            kets[..., :, None] * kets.conj()[..., None, :] * self._weights[0][:, None, None]
-            / self.continuous.ket_norm
-        )
+        """``w_k M(omega_k)`` at moved design points, one ``(K, dim, dim)``
+        stack per row of ``moved``."""
+        elements = self.continuous.elements(moved.reshape(-1, *moved.shape[2:]))
+        return self._weights[0][:, None, None] * elements.reshape(*moved.shape[:2], self.dim, -1)
 
     def member(self, x) -> FinitePOVM:
         """The member at one mixing parameter x (a term index, a shift, or
@@ -484,12 +472,14 @@ class RandomizedScheme:
         return FinitePOVM(self.dim, self.outcome_space, entries, term.allow_duplicates)
 
     def member_probabilities(self, xs, rho: np.ndarray) -> np.ndarray:
-        """Born probabilities of each member's entries, shape (n, K)."""
-        return self._entries(xs, rho)[0]
+        """Born probabilities of each member's entries, shape (n, K), of a
+        state checked by `operators.check_density_matrix`."""
+        return self._entries(xs, op.check_density_matrix(rho, self.dim))[0]
 
     def _entries(self, xs, rho):
-        """Born probabilities and outcome points of the members at ``xs``:
-        one move of a design, or rows of one stacked Born table.
+        """Born probabilities and outcome points of the members at ``xs``
+        for a checked state: one move of a design, or rows of one stacked
+        Born table.
 
         Both are new arrays that the caller may overwrite.  A design's
         points are its law's moved layout; its Born weights are the
@@ -498,8 +488,6 @@ class RandomizedScheme:
         blocks of `_BLOCK`), scaled by the design weights in place;
         so no temporary as large as the member layout is built beside
         them."""
-        if np.shape(rho) != (self.dim, self.dim):
-            raise DimensionMismatch(f"state of shape {np.shape(rho)} in dimension {self.dim}")
         if self._law is None:
             t = self._term_index(xs)
             born = np.trace(rho @ self._elements, axis1=2, axis2=3).real
@@ -514,8 +502,10 @@ class RandomizedScheme:
 
         Draw the mixing parameters x, then an apparatus outcome i from the
         Born probabilities of member x (one uniform per draw against their
-        cumulative sum), and declare that entry's outcome point omega.
+        cumulative sum), and declare that entry's outcome point omega.  The
+        state is checked by `operators.check_density_matrix`.
         """
+        rho = op.check_density_matrix(rho, self.dim)
         xs = self.sample_x(rng, n)
         probs, points = self._entries(xs, rho)
         cum = np.cumsum(probs, axis=1, out=probs)
@@ -595,6 +585,7 @@ class _Shifts:
 
     shape = ()  # of one mixing parameter
     origin = np.zeros(1)
+    area = TWO_PI
 
     def sample(self, rng, size):
         return rng.uniform(0.0, TWO_PI, size)
@@ -607,7 +598,7 @@ class _Shifts:
 
     def integral(self, c, rho, region):
         total = quad.integrate_intervals(lambda phis: c.born(rho, phis), region.arcs)
-        return float(total) / TWO_PI
+        return float(total) / self.area
 
 
 class _Rotations:
@@ -627,6 +618,7 @@ class _Rotations:
     _LOW, _SPAN = np.array([0.0, -1.0, 0.0]), np.array([TWO_PI, 2.0, TWO_PI])
     shape = (3,)  # of one mixing parameter
     origin = np.array([[0.0, 0.0, 1.0]])
+    area = 2.0 * TWO_PI
 
     def sample(self, rng, size):
         xs = rng.random((size, 3))
@@ -665,12 +657,13 @@ class _Rotations:
 
     def integral(self, c, rho, region):
         total = quad.integrate_sphere_region(lambda pts: c.born(rho, pts), region.caps, c.degree)
-        return float(total) / (2.0 * TWO_PI)
+        return float(total) / self.area
 
 
 # One law per outcome space: ``shape`` is that of one mixing parameter x,
 # ``origin`` is one reference point, whose image under a draw of x is
 # uniform on the space (`ContinuousPOVM.sample` proposes those images),
+# ``area`` is the space's surface measure (2 pi or 4 pi, as `outcome_nodes` reads it),
 # ``sample(rng, size)`` draws mixing parameters, ``move(xs, points)`` gives
 # each point's image under each x, shape (n, k) or (n, k, 3), as a new
 # array in that member layout, written straight into it with no restacked
@@ -810,16 +803,13 @@ def _with_ids(items, prefix):
     """``(id, item)`` pairs: an item's own id, or ``prefix`` and its index;
     an id that two items share raises `ValueError`, as in the JSON
     loaders."""
-    out, seen = [], {}
-    for k, item in enumerate(items):
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            rid, item = item
-        else:
-            rid = f"{prefix}{k}"
-        if rid in seen:
-            raise ValueError(f"{prefix} {k}: id {rid!r} repeats {prefix} {seen[rid]}")
-        seen[rid] = k
-        out.append((rid, item))
+    out = [
+        item if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+        else (f"{prefix}{k}", item)
+        for k, item in enumerate(items)
+    ]
+    if len(dict(out)) < len(out):  # some id repeats: name the first
+        check_unique_ids((rid for rid, _ in out), prefix, ValueError)
     return out
 
 

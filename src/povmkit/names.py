@@ -1,5 +1,5 @@
-"""Family names, equivalence modes, draw counts and seeds, checked with
-the standard library alone.
+"""Family names, equivalence modes, draw counts, seeds and row ids,
+checked with the standard library alone.
 
 `families` builds a family from what `family_spec` returns and runs an
 equivalence check in the mode `check_mode` returns, `sampling` checks its
@@ -7,7 +7,8 @@ draw counts and seeds by `check_draws`, and the CLI calls all three on
 argv before numpy loads: so a bad family name, a phase dimension out of
 range, a budget the mode does not take, a draw count below 1 or a seed
 outside ``[0, 2**64)`` exits 2 at once, by the same rule and with the same
-message as a library call.
+message as a library call.  `families` and `serialize` reject a repeated
+state or region id by one rule, `check_unique_ids`.
 """
 
 from __future__ import annotations
@@ -78,3 +79,16 @@ def check_draws(n: int | None = None, seed: int | None = None) -> None:
         raise ValueError(f"need at least one draw, got n={n}")
     if seed is not None and not 0 <= operator.index(seed) < 1 << 64:
         raise ValueError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+
+
+def check_unique_ids(ids, what: str, error: type[Exception]) -> list:
+    """The ids of an iterable, in order; the first id that repeats an
+    earlier one raises ``error``, naming both indices as ``what``.  The
+    iterable is read lazily, so an id that fails a caller's own check
+    raises in its turn."""
+    seen: dict = {}
+    for k, rid in enumerate(ids):
+        if rid in seen:
+            raise error(f"{what} {k}: id {rid!r} repeats {what} {seen[rid]}")
+        seen[rid] = k
+    return list(seen)

@@ -12,8 +12,9 @@ Two routes produce outcomes of a continuous measurement:
   vectorized kernel (`RandomizedScheme.sample`) does this for every
   scheme, from the scheme's bulk Born probabilities and outcome points.
 
-`sample_direct` and `sample_two_stage` check the state once against the
-family's dimension and wrap the draws as `OutcomeRecords`.  Both use a
+`sample_direct` and `sample_two_stage` check the draw count, leave the
+state to the sampler they call, which checks it once against its
+dimension, and wrap the draws as `OutcomeRecords`.  Both use a
 counter-based Philox generator keyed by an explicit seed, so every run
 is reproducible.  `compare_samples` runs a two-sample chi-square test
 over a region partition to check that the two routes are statistically
@@ -28,7 +29,6 @@ from itertools import count
 
 import numpy as np
 
-from . import operators as op
 from .errors import EmptySample, SpaceMismatch, SparseBins
 from .names import check_draws
 from .outcomes import CIRCLE, SPHERE, TWO_PI, FiniteLabels, normalize_angle, require_same_space
@@ -67,14 +67,9 @@ class OutcomeRecords:
         return len(self.omega)
 
 
-def _checked_state(rho: np.ndarray, dim: int, n: int) -> np.ndarray:
-    check_draws(n)
-    return op.check_density_matrix(rho, dim)
-
-
 def sample_direct(c: ContinuousPOVM, rho: np.ndarray, n: int, seed: int) -> OutcomeRecords:
     """i.i.d. outcomes of a continuous family from its exact density."""
-    rho = _checked_state(rho, c.dim, n)
+    check_draws(n)
     return OutcomeRecords(space=c.space, omega=c.sample(rho, n, make_rng(seed)))
 
 
@@ -84,7 +79,7 @@ def sample_two_stage(s: RandomizedScheme, rho: np.ndarray, n: int, seed: int) ->
     Draw the mixing parameter, then an apparatus outcome from the member
     POVM's Born probabilities, then record the member's outcome point.
     """
-    rho = _checked_state(rho, s.dim, n)
+    check_draws(n)
     xs, i, omega = s.sample(rho, n, make_rng(seed))
     return OutcomeRecords(space=s.outcome_space, omega=omega, i=i, x=xs)
 

@@ -28,6 +28,7 @@ from .jsonio import (  # noqa: F401  (dumps_canonical is re-exported)
     load_json,
     write_json,
 )
+from .names import check_unique_ids
 from .outcomes import (
     CIRCLE,
     SPHERE,
@@ -63,15 +64,14 @@ def _ids(items, what: str) -> list[str]:
     """The row id of each object in ``items``: its ``"id"``, which must be
     a JSON string, or ``what`` and its index; an id that two objects share
     raises `SchemaError`."""
-    seen: dict[str, int] = {}
-    for k, obj in enumerate(items):
-        rid = obj.get("id", f"{what}{k}")
-        if not isinstance(rid, str):
-            raise SchemaError(f"{what} {k}: 'id' must be a JSON string, got {rid!r}")
-        if rid in seen:
-            raise SchemaError(f"{what} {k}: id {rid!r} repeats {what} {seen[rid]}")
-        seen[rid] = k
-    return list(seen)
+    return check_unique_ids((_id(obj, what, k) for k, obj in enumerate(items)), what, SchemaError)
+
+
+def _id(obj: dict, what: str, k: int) -> str:
+    rid = obj.get("id", f"{what}{k}")
+    if not isinstance(rid, str):
+        raise SchemaError(f"{what} {k}: 'id' must be a JSON string, got {rid!r}")
+    return rid
 
 
 # --- matrices ----------------------------------------------------------------

@@ -599,15 +599,16 @@ def extremal_by_oracle(term):
 
 
 def rule_povm(name, points, w):
-    """A quadrature rule of a family as a POVM, (w / 2 pi) |psi><psi|."""
+    """A quadrature rule of a family as a POVM, (w dim / area) M(omega):
+    its weights carry the surface measure, of area 4 pi or 2 pi."""
     c, _ = pk.named_family(name)
-    kets = c.kets(points)
-    elements = (w / (2 * np.pi))[:, None, None] * kets[:, :, None] * kets.conj()[:, None, :]
+    area = 4 * np.pi if c.space == pk.SPHERE else 2 * np.pi
+    elements = (w * c.dim / area)[:, None, None] * c.elements(points)
     return pk.FinitePOVM(dim=c.dim, space=c.space, entries=tuple(zip(points, elements)))
 
 
 def gauss_grid(n_u, n_phi):
-    """The product Gauss rule on the sphere as a POVM, (w / 2 pi) |n><n|."""
+    """The product Gauss rule on the sphere as a POVM, (w / 2 pi) M(n)."""
     return rule_povm("spin", *quadrature.sphere_nodes(n_u, n_phi))
 
 

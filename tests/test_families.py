@@ -57,20 +57,17 @@ class TestSpinDirection:
         )
 
     def test_density_is_projector(self):
-        spin = pk.spin_direction_povm()
-        n = np.array([0.6, 0.0, 0.8])
-        ket = spin.kets(n)[0]
-        m = np.outer(ket, ket.conj()) / spin.ket_norm
+        m = pk.spin_direction_povm().elements(np.array([[0.6, 0.0, 0.8]]))[0]
         assert np.isclose(np.trace(m).real, 1.0)
         assert np.allclose(m @ m, m)
 
     def test_density_integrates_to_identity(self):
+        # dim * M(n) integrates to I under the uniform law dn / 4 pi
         from povmkit.quadrature import sphere_nodes
 
         pts, w = sphere_nodes(64, 128)
-        s = pk.spin_direction_povm().kets(pts)
-        total = np.tensordot(w, np.einsum("ni,nj->nij", s, s.conj()), axes=(0, 0))
-        assert np.linalg.norm(total / (2 * np.pi) - np.eye(2)) <= 1e-6
+        total = np.tensordot(w, pk.spin_direction_povm().elements(pts), axes=(0, 0))
+        assert np.linalg.norm(2 * total / (4 * np.pi) - np.eye(2)) <= 1e-6
 
     def test_rejects_overlapping_caps(self, up):
         spin = pk.spin_direction_povm()
@@ -99,6 +96,58 @@ class TestSpinDirection:
     def test_sample_rejects_a_stack_of_states(self, up):
         with pytest.raises(InvalidDimension):
             pk.spin_direction_povm().sample(np.array([up, up]), 5, pk.make_rng(1))
+
+
+AREAS = {SPHERE: 4 * np.pi, CIRCLE: 2 * np.pi}
+
+
+def random_outcomes(rng, space, m):
+    """m outcome points: uniform on the sphere, from a uniform z and
+    azimuth with ``sqrt((1 - z)(1 + z))`` off the axis, which keeps the
+    oracle spinor, whose polar angle comes from z alone, accurate near the
+    poles; phases over several turns on the circle."""
+    if space == SPHERE:
+        z, phi = rng.uniform(-1.0, 1.0, m), rng.uniform(0.0, 2 * np.pi, m)
+        r = np.sqrt((1.0 - z) * (1.0 + z))
+        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return rng.uniform(-20.0, 20.0, m)
+
+
+@pytest.mark.parametrize("name", ["spin"] + [f"phase:{d}" for d in range(2, 17)])
+class TestElementDensity:
+    """`ContinuousPOVM.elements` at random points: the unit-trace PSD
+    density that the direct sampler's bound needs, and the convention
+    that ``dim * M dmu`` integrates to I under the uniform law mu."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_unit_trace_psd(self, name, seed):
+        c, _ = pk.named_family(name)
+        elements = c.elements(random_outcomes(np.random.default_rng(seed), c.space, 64))
+        assert elements.shape == (64, c.dim, c.dim)
+        assert np.abs(elements - elements.conj().swapaxes(1, 2)).max() <= 1e-15
+        assert np.linalg.eigvalsh(elements).min() >= -1e-15
+        assert np.abs(np.trace(elements, axis1=1, axis2=2) - 1.0).max() <= 1e-15
+
+    def test_outcome_rule_sums_to_identity(self, name):
+        c, _ = pk.named_family(name)
+        points, w = c.outcome_rule()
+        total = np.tensordot(w, c.elements(points), axes=1) * (c.dim / AREAS[c.space])
+        assert np.abs(total - np.eye(c.dim)).max() <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_ket_projectors(self, name, seed):
+        # spin: (I + n.sigma)/2 against the oracle's spin-up projector;
+        # phase: |phi><phi| / d against the oracle's phase kets
+        c, _ = pk.named_family(name)
+        points = random_outcomes(np.random.default_rng(seed), c.space, 64)
+        if c.space == SPHERE:
+            kets, norm = oracles.spin_kets(points), 1
+        else:
+            kets, norm = oracles.phase_kets(c.dim, points), c.dim
+        projectors = np.einsum("ni,nj->nij", kets, kets.conj()) / norm
+        assert np.abs(c.elements(points) - projectors).max() <= 1e-15
 
 
 def test_outcome_nodes_are_finite_povms():
@@ -613,7 +662,8 @@ class TestShiftFactoredBorn:
         moved = s.outcome_points(xs)
         states = [pk.random_density_matrix(rng, s.dim) for _ in range(4)]
         states += [np.full((s.dim, s.dim), 1.0 / s.dim), np.diag(np.eye(s.dim)[0])]
-        for rho in states:
+        # exactly Hermitian, as member_probabilities checks and symmetrizes its state
+        for rho in map(op.check_density_matrix, states):
             table = s.continuous._moved_born(rho, xs, s._points[0], moved)
             assert table.shape == moved.shape
             assert np.abs(table - s.continuous.born(rho, moved)).max() <= 1e-14
@@ -1167,8 +1217,17 @@ class TestFiniteMixtureInputs:
     def test_state_of_another_dimension(self):
         a, b = two_povms()
         scheme = pk.FiniteMixtureScheme([(0.25, a), (0.75, b)])
-        with pytest.raises(pk.DimensionMismatch):
+        with pytest.raises(pk.DimensionMismatch, match="state dimension 3 != POVM dimension 2"):
             scheme.member_probabilities([0, 1], np.eye(3) / 3)
+
+
+# the public samplers, each of which checks its state once
+SAMPLER_PATHS = [
+    lambda c, s, rho, r: c.sample(rho, 10, pk.make_rng(0)),
+    lambda c, s, rho, r: s.sample(rho, 10, pk.make_rng(0)),
+    lambda c, s, rho, r: s.member_probabilities(s.sample_x(pk.make_rng(0), 3), rho),
+]
+SAMPLER_IDS = ["continuous-sample", "scheme-sample", "member-probabilities"]
 
 
 @pytest.mark.parametrize("name", ["spin", "phase:2", "phase:3"])
@@ -1184,8 +1243,9 @@ class TestFiniteMixtureInputs:
     lambda c, s, rho, r: pk.BayesGainSpec("uniform_circle", "cosine", rho).fiducial(c.dim),
     lambda c, s, rho, r: pk.estimate_expectation(
         pk.sample_direct(c, np.eye(c.dim) / c.dim, 10, seed=0), c.dual(np.eye(c.dim)), rho),
+    *SAMPLER_PATHS,
 ], ids=["continuous", "det", "mc", "mixture-det", "equivalence", "direct", "two-stage",
-        "fiducial", "estimate"])
+        "fiducial", "estimate", *SAMPLER_IDS])
 def test_state_of_another_dimension(name, path):
     # one check serves the continuous POVM, every scheme average, both
     # samplers, the merit fiducial and the estimate's exact value
@@ -1255,7 +1315,8 @@ def test_overlapping_caps_by_membership():
     lambda c, s, rho, r: s.average_region_probability(rho, r),
     lambda c, s, rho, r: s.average_region_probability(rho, r, "mc", 10, pk.make_rng(0)),
     *EQUIVALENCE_PATHS,
-], ids=["continuous", "det", "mc", "equivalence-det", "equivalence-mc"])
+    *SAMPLER_PATHS,
+], ids=["continuous", "det", "mc", "equivalence-det", "equivalence-mc", *SAMPLER_IDS])
 @pytest.mark.parametrize("fault, match", [
     ("negative", "positive semidefinite"), ("skew", "not Hermitian"), ("trace", "trace"),
 ])

@@ -10,6 +10,10 @@ digests recorded with it.  The `equiv --mode det` digests pin what the
 deterministic mixing quadrature prints.  Two more digests pin the raw
 float bytes of the perturbation bases and of the extremal decompositions
 of seeded random POVMs.
+
+Running this file as a script, ``python tests/test_golden_streams.py``
+with ``src`` on the path, prints every current digest in the form of the
+pinned tables below, for a deliberate re-pin.
 """
 
 import contextlib
@@ -41,20 +45,20 @@ STREAMS = {
 }
 
 REPORTS = {
-    "spin": "c6534b3e016efb9d36102a8710d43484d13c044c55c1883240881c078c172874",
+    "spin": "3c383e67454f0245059add71f80871ca135f96e630d776a780c2f5771d819ac7",
     "phase:3": "4ad7412a57e98678e5f7e17fcc96d3e1764ed49d8d03b33380359a7b65028243",
 }
 
 
 TOMO = {
-    "spin": "f588b00cff03c72b841e285c02deab94a5c25136ab89fb3a44ca9dcbdd0e2667",
-    "phase:3": "fbe702c0c701397683e219fa16d14ea512580384b3a24a33b5e44bd50fe55975",
+    "spin": "d2829f3ef564cfb485bf19884de4324be8423c9ed73a5f8df4167ef147726143",
+    "phase:3": "4b23c90ee071d0a147d7d0de75a3d466f7b43d2c60eacbc1fde51b9888cab48e",
 }
 
 EQUIV = {
-    ("spin", None): "ff9aeaef99508302316a8feb401100c6fc5eb3365cb54e0cf896d3698b0757f7",
-    ("phase:3", None): "3e7634bd363640c1332686ed38c5a2d1f216cb6f2deed819b49ffca72fbef566",
-    ("phase:8", None): "6f0e604a04b7fc4481ff4f9034511f24703fe1f688ba57baa215e56745efa2e2",
+    "spin": "ff9aeaef99508302316a8feb401100c6fc5eb3365cb54e0cf896d3698b0757f7",
+    "phase:3": "3e7634bd363640c1332686ed38c5a2d1f216cb6f2deed819b49ffca72fbef566",
+    "phase:8": "6f0e604a04b7fc4481ff4f9034511f24703fe1f688ba57baa215e56745efa2e2",
 }
 
 # one region, two disjoint ones and a complement on the sphere; one to
@@ -100,14 +104,19 @@ def scheme(name):
     return pk.stern_gerlach_scheme() if name == "spin" else pk.phase_scheme(int(name[6:]))
 
 
-@pytest.mark.parametrize("name, seed", [
-    ("spin", 7), ("phase:2", 8), ("phase:3", 9), ("phase:8", 10),
-])
-def test_two_stage_stream(name, seed):
+STREAM_CASES = [("spin", 7), ("phase:2", 8), ("phase:3", 9), ("phase:8", 10)]
+
+
+def stream_digest(name, seed):
     s = scheme(name)
     rho = pk.random_density_matrix(np.random.default_rng(seed), s.dim)
     records = pk.sample_two_stage(s, rho, 2000, seed=seed)
-    assert sha256("\n".join(ser.records_to_lines(records))) == STREAMS[name]
+    return sha256("\n".join(ser.records_to_lines(records)))
+
+
+@pytest.mark.parametrize("name, seed", STREAM_CASES)
+def test_two_stage_stream(name, seed):
+    assert stream_digest(name, seed) == STREAMS[name]
 
 
 REPORT_CASES = [("spin", "uniform_sphere", "fidelity"), ("phase:3", "uniform_circle", "cosine")]
@@ -147,24 +156,39 @@ def test_equal_optimality_reports_with_one_blas_thread():
     assert digests == REPORTS
 
 
-@pytest.mark.parametrize("name, seed", [("spin", 11), ("phase:3", 12)])
-def test_tomo_family_output(name, seed, tmp_path, capsys):
+TOMO_CASES = [("spin", 11), ("phase:3", 12)]
+
+
+def printed(argv) -> str:
+    """What the CLI prints to stdout for ``argv``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def tomo_output(name, seed, directory) -> tuple[np.ndarray, str]:
+    """The seeded state and what ``tomo --family`` prints for its direct
+    records and the pinned target, written to ``directory``."""
     c, _ = pk.named_family(name)
     rho = pk.random_density_matrix(np.random.default_rng(seed), c.dim)
-    files = {key: str(tmp_path / key) for key in ("state", "target", "records")}
+    files = {key: str(pathlib.Path(directory) / key) for key in ("state", "target", "records")}
     ser.save_states(files["state"], [("rho", rho)])
     ser.write_json(files["target"], {"schema": 1, "matrix": ser.matrix_to_json(TARGETS[name])})
     ser.write_records(files["records"], pk.sample_direct(c, rho, 2000, seed=seed))
-    argv = ["tomo", "--family", name] + [f"--{key}={path}" for key, path in files.items()]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
+    return rho, printed(["tomo", "--family", name] + [f"--{k}={v}" for k, v in files.items()])
+
+
+@pytest.mark.parametrize("name, seed", TOMO_CASES)
+def test_tomo_family_output(name, seed, tmp_path):
+    rho, out = tomo_output(name, seed, tmp_path)
     est = json.loads(out)["estimate"]
     assert est["exact"] == pytest.approx(np.trace(rho @ np.array(TARGETS[name])).real, abs=1e-12)
     assert abs(est["estimate"] - est["exact"]) <= 5.0 * est["std_error"]
     assert sha256(out) == TOMO[name]
 
 
-def equiv_digest(name, budget, directory) -> str:
+def equiv_digest(name, directory) -> str:
     """sha256 of what ``equiv --mode det`` prints for the pinned inputs,
     written to ``directory``."""
     c, _ = pk.named_family(name)
@@ -176,22 +200,17 @@ def equiv_digest(name, budget, directory) -> str:
     ser.save_states(files["states"], states)
     ser.write_json(files["regions"], {"schema": 1, "regions": regions})
     argv = ["equiv", "--family", name, "--mode", "det"]
-    argv += [f"--{key}={path}" for key, path in files.items()]
-    argv += [] if budget is None else [f"--budget={budget}"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    return sha256(out.getvalue())
+    return sha256(printed(argv + [f"--{key}={path}" for key, path in files.items()]))
 
 
-@pytest.mark.parametrize("name, budget", list(EQUIV))
-def test_equiv_det_output(name, budget, tmp_path):
-    assert equiv_digest(name, budget, tmp_path) == EQUIV[name, budget]
+@pytest.mark.parametrize("name", list(EQUIV))
+def test_equiv_det_output(name, tmp_path):
+    assert equiv_digest(name, tmp_path) == EQUIV[name]
 
 
 def test_equiv_det_outputs_with_one_blas_thread(tmp_path):
     # the mixing quadrature prints the same bytes with one BLAS thread
-    digests = in_one_blas_thread(f"[g.equiv_digest(*key, {str(tmp_path)!r}) for key in g.EQUIV]")
+    digests = in_one_blas_thread(f"[g.equiv_digest(name, {str(tmp_path)!r}) for name in g.EQUIV]")
     assert digests == list(EQUIV.values())
 
 
@@ -222,12 +241,16 @@ def test_perturbation_space_bytes_with_one_blas_thread():
     assert in_one_blas_thread("g.perturbations_digest()") == PERTURBATIONS
 
 
-def test_decomposition_bytes():
+def decomposition_digest() -> str:
     arrays = []
     for p in digest_inputs(DECOMPOSED):
         result = pk.decompose_extremal(p)
         arrays += [result.weights] + [el for _, term in result.terms for el in term.elements]
-    assert sha256_of(arrays) == DECOMPOSITION
+    return sha256_of(arrays)
+
+
+def test_decomposition_bytes():
+    assert decomposition_digest() == DECOMPOSITION
 
 
 def test_reconstruct_sums_in_term_order():
@@ -241,3 +264,28 @@ def test_reconstruct_sums_in_term_order():
         assert np.array(result.reconstruct()).tobytes() == np.array(out).tobytes()
         error = max(np.linalg.norm(a - b) for a, b in zip(out, p.elements))
         assert result.reconstruction_error(p) == pytest.approx(error, rel=1e-12, abs=1e-300)
+
+
+def current_digests(directory) -> dict:
+    """Every digest of this module as the code computes it now, keyed by
+    the name of its pinned table."""
+    return {
+        "STREAMS": {name: stream_digest(name, seed) for name, seed in STREAM_CASES},
+        "REPORTS": {case[0]: report_digest(*case) for case in REPORT_CASES},
+        "TOMO": {name: sha256(tomo_output(name, seed, directory)[1]) for name, seed in TOMO_CASES},
+        "EQUIV": {name: equiv_digest(name, directory) for name in EQUIV},
+        "PERTURBATIONS": perturbations_digest(),
+        "DECOMPOSITION": decomposition_digest(),
+    }
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for table, value in current_digests(scratch).items():
+            if isinstance(value, dict):
+                rows = "".join(f"    {json.dumps(k)}: {json.dumps(v)},\n" for k, v in value.items())
+                print(f"{table} = {{\n{rows}}}\n")
+            else:
+                print(f"{table} = (\n    {json.dumps(value)}\n)\n")
